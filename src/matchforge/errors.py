@@ -119,3 +119,11 @@ class NotClosed(MatchforgeError):
 
 class Degenerate(MatchforgeError):
     """A mesh face has zero area or repeated vertices."""
+
+
+# ---------------------------------------------------------------------------
+# self-checks
+
+
+class InternalError(MatchforgeError):
+    """An engine's own exactness check failed: a bug, not a bad input."""

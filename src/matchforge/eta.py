@@ -14,9 +14,13 @@ perfect matching stays at weight <= 1 is
 
 and 1/eta = max_M s(M).  An optimal w may be supported on M itself
 (dropping other coordinates never hurts the objective and only relaxes
-the constraints), which keeps each LP tiny.  The returned witness is
-re-evaluated through the independent matching engines before the result
-is accepted.
+the constraints), which keeps each LP tiny.  With w supported on M, the
+row of P reads w(P & M) <= 1, so it depends only on the trace P & M.
+The LP keeps one row per trace that is maximal under inclusion: with
+w >= 0, the row of a trace is implied by the row of any trace that
+contains it, so the dropped rows never change s(M) or the feasible set.
+The returned witness is re-evaluated through the independent matching
+engines before the result is accepted; a mismatch raises InternalError.
 
 Certificates bound eta from one side and carry enough raw data for
 verify() to recheck the claim from scratch.
@@ -34,6 +38,7 @@ from .errors import (
     BadParameters,
     BudgetExceeded,
     IncludeNotMatching,
+    InternalError,
     NoPerfectMatching,
     ParseError,
 )
@@ -167,7 +172,10 @@ def is_eta_one(
         state[v] = UNDECIDED
         return None
 
-    witness = search()
+    try:
+        witness = search()
+    finally:
+        del search  # search refers to itself; break the cycle without a GC pass
     if witness is None:
         return True, None
     return False, witness
@@ -204,31 +212,39 @@ def _greedy_cover_count(mask: int, pm_masks: Sequence[int]) -> int:
     return count
 
 
+def _maximal_traces(m_mask: int, pm_masks: Sequence[int]) -> list[int]:
+    """Traces P & M of the perfect matchings on M, maximal under inclusion.
+
+    Empty and repeated traces are dropped, and so is every trace that
+    another one strictly contains.  Sorted, so the LP's rows come in a
+    fixed order.
+    """
+    traces = {pm & m_mask for pm in pm_masks}
+    traces.discard(0)
+    kept: list[int] = []
+    # a strict superset has more bits, so it is seen (or dominated) first
+    for t in sorted(traces, key=int.bit_count, reverse=True):
+        if not any(t & u == t for u in kept):
+            kept.append(t)
+    return sorted(kept)
+
+
 def _support_lp_max(
-    edges: Sequence[int], pms: Sequence[frozenset[int]]
+    edges: Sequence[int], pm_masks: Sequence[int]
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """max sum(w_e) over e in edges, s.t. each PM's restriction <= 1."""
-    index = {e: i for i, e in enumerate(edges)}
-    rows = []
-    seen_rows = set()
-    for p in pms:
-        coeffs = [Fraction(0)] * len(edges)
-        hit = False
-        for e in p:
-            i = index.get(e)
-            if i is not None:
-                coeffs[i] = Fraction(1)
-                hit = True
-        if not hit:
-            continue
-        key = tuple(coeffs)
-        if key in seen_rows:
-            continue
-        seen_rows.add(key)
-        rows.append((coeffs, "<=", Fraction(1)))
+    """max sum(w_e) over e in edges, s.t. each PM's restriction <= 1.
+
+    One row per inclusion-maximal trace, which is exact because w >= 0.
+    """
+    one, zero = Fraction(1), Fraction(0)
+    rows = [
+        ([one if t >> e & 1 else zero for e in edges], "<=", one)
+        for t in _maximal_traces(sum(1 << e for e in edges), pm_masks)
+    ]
     lp = program([Fraction(-1)] * len(edges), rows)
     sol = solve(lp)
-    assert sol.status == OPTIMAL and sol.assignment is not None
+    if sol.status != OPTIMAL or sol.assignment is None:
+        raise InternalError(f"support LP for {tuple(edges)} ended {sol.status}")
     return -sol.value, sol.assignment
 
 
@@ -256,7 +272,8 @@ def eta_exact(
         arg_w = matching_weight(w, arg)
         worst = max_weight_perfect_matching(g, w)
         worst_w = matching_weight(w, worst)
-        assert arg_w == 1 and worst_w == 0
+        if (arg_w, worst_w) != (1, 0):
+            raise InternalError("eta-zero witness does not re-evaluate to 0")
         return EtaResult(
             value=Fraction(0),
             witness_weights=w,
@@ -282,13 +299,13 @@ def eta_exact(
         mask = sum(1 << e for e in edges)
         if best_s is not None and _greedy_cover_count(mask, pm_masks) <= best_s:
             continue
-        s, assignment = _support_lp_max(edges, pms)
+        s, assignment = _support_lp_max(edges, pm_masks)
         if best_s is None or s > best_s:
             best_s = s
             best_edges = edges
             best_assignment = assignment
-    assert best_s is not None and best_edges is not None
-    assert best_s >= 1
+    if best_s is None or best_edges is None or best_s < 1:
+        raise InternalError(f"LP scan ended with s = {best_s}, expected >= 1")
 
     w_list = [Fraction(0)] * g.m
     for e, val in zip(best_edges, best_assignment):
@@ -301,9 +318,10 @@ def eta_exact(
     arg_w = matching_weight(w, arg)
     worst = max_weight_perfect_matching(g, w)
     worst_w = matching_weight(w, worst)
-    assert arg_w == best_s, "witness argmax disagrees with the LP scan"
-    assert worst_w == 1, "witness should make the best perfect matching tight"
-    assert worst_w / arg_w == value
+    if arg_w != best_s:
+        raise InternalError("witness argmax disagrees with the LP scan")
+    if worst_w != 1:
+        raise InternalError("witness should make the best perfect matching tight")
     return EtaResult(
         value=value,
         witness_weights=w,
@@ -409,7 +427,10 @@ def find_independent_set_bound(
                 break
         return None
 
-    return search(0)
+    try:
+        return search(0)
+    finally:
+        del search  # search refers to itself; break the cycle without a GC pass
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +533,10 @@ def find_cap_matching(
                 return hit
         return None
 
-    return search(0)
+    try:
+        return search(0)
+    finally:
+        del search  # search refers to itself; break the cycle without a GC pass
 
 
 def odd_component_cert(g: Graph, f: Iterable[int]) -> BoundCertificate:

@@ -1,11 +1,18 @@
 """Exact linear programming over the rationals.
 
-Dense two-phase tableau simplex.  Pivoting follows Bland's rule
-(lowest eligible column, ties in the ratio test broken by lowest basic
+Two-phase tableau simplex.  Pivoting follows Bland's rule (lowest
+eligible column, ties in the ratio test broken by lowest basic
 variable), which guarantees termination even on degenerate programs
 and makes every run deterministic.  All arithmetic is Fraction, so an
 Optimal status comes with an assignment that satisfies every row
-exactly; solve() re-checks that before returning.
+exactly; solve() re-checks that before returning and raises
+InternalError if it does not hold.
+
+The tableau is stored dense, but a pivot only touches the nonzero
+entries of the pivot row: slack and artificial columns and 0/1 rows
+are mostly zero, and a zero entry leaves the other rows unchanged.
+Column and row choices do not look at that, so the pivot sequence and
+every value are those of the plain dense update.
 
 Programs are stated as: minimise c.x subject to rows (a, rel, b) with
 rel one of <=, =, >=, and x >= 0 implicitly.
@@ -16,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .errors import InternalError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -59,19 +68,28 @@ def program(
     return LinearProgram(objective=obj, rows=tuple(out))
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
-    piv = tab[r][c]
-    inv = 1 / piv
-    tab[r] = [x * inv for x in tab[r]]
+def _pivot(
+    tab: list[list[Fraction]], basis: list[int], r: int, c: int
+) -> list[tuple[int, Fraction]]:
+    """Pivot on tab[r][c]; returns the normalised row's nonzero entries.
+
+    Only the columns listed there change in the other rows, so those
+    are the only ones updated.
+    """
     row_r = tab[r]
-    for i in range(len(tab)):
+    piv = row_r[c]
+    if piv != 1:
+        row_r[:] = [x / piv if x else x for x in row_r]
+    nonzero = [(j, x) for j, x in enumerate(row_r) if x]
+    for i, row_i in enumerate(tab):
         if i == r:
             continue
-        f = tab[i][c]
+        f = row_i[c]
         if f:
-            row_i = tab[i]
-            tab[i] = [a - f * b for a, b in zip(row_i, row_r)]
+            for j, x in nonzero:
+                row_i[j] -= f * x
     basis[r] = c
+    return nonzero
 
 
 def _run_simplex(
@@ -105,13 +123,12 @@ def _run_simplex(
                     leave = i
         if leave == -1:
             return UNBOUNDED
-        _pivot(tab, basis, leave, enter)
+        nonzero = _pivot(tab, basis, leave, enter)
         # keep the cost row reduced
         f = cost[enter]
         if f:
-            row = tab[leave]
-            for j in range(len(cost)):
-                cost[j] -= f * row[j]
+            for j, x in nonzero:
+                cost[j] -= f * x
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -160,7 +177,8 @@ def solve(lp: LinearProgram) -> LpSolution:
             if b in artificial_cols:
                 cost = [c - t for c, t in zip(cost, tab[i])]
         status = _run_simplex(tab, basis, cost, blocked=set())
-        assert status == OPTIMAL  # phase 1 is bounded below by 0
+        if status != OPTIMAL:  # phase 1 is bounded below by 0
+            raise InternalError(f"phase 1 ended {status}")
         if -cost[-1] != 0:
             return LpSolution(status=INFEASIBLE)
         # remove leftover artificials from the basis
@@ -205,15 +223,20 @@ def solve(lp: LinearProgram) -> LpSolution:
 
 def _check_exact(lp: LinearProgram, x: tuple[Fraction, ...]) -> None:
     """Optimal assignments must satisfy every row without any tolerance."""
-    assert all(v >= 0 for v in x)
-    for coeffs, rel, rhs in lp.rows:
+    if any(v < 0 for v in x):
+        raise InternalError("optimal assignment has a negative entry")
+    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
         lhs = sum((a * b for a, b in zip(coeffs, x)), Fraction(0))
         if rel == "<=":
-            assert lhs <= rhs
+            ok = lhs <= rhs
         elif rel == ">=":
-            assert lhs >= rhs
+            ok = lhs >= rhs
         else:
-            assert lhs == rhs
+            ok = lhs == rhs
+        if not ok:
+            raise InternalError(
+                f"optimal assignment violates row {i}: {lhs} {rel} {rhs}"
+            )
 
 
 def dual_program(lp: LinearProgram) -> LinearProgram:

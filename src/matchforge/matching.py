@@ -133,7 +133,10 @@ def enumerate_perfect_matchings(
             sat[u] = False
         sat[v] = False
 
-    extend()
+    try:
+        extend()
+    finally:
+        del extend  # extend refers to itself; free found without a GC pass
     return _sorted_stream(found)
 
 
@@ -179,7 +182,10 @@ def enumerate_maximal_matchings(
             extend()
         state[v] = UNDECIDED
 
-    extend()
+    try:
+        extend()
+    finally:
+        del extend  # extend refers to itself; free found without a GC pass
     return _sorted_stream(found)
 
 

@@ -57,3 +57,17 @@ def test_runner_covers_all_defaults_by_default():
     assert [c.check_id for c in DEFAULT_CHECKS] == [
         "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12",
     ]
+
+
+def test_runner_reports_a_failed_self_check(monkeypatch):
+    from matchforge import reproduce
+    from matchforge.errors import InternalError
+
+    def broken() -> str:
+        raise InternalError("self-check failed")
+
+    check = reproduce.Check("x", "broken engine", None, False, broken)
+    monkeypatch.setattr(reproduce, "CHECKS", (check,))
+    (outcome,) = run_checks(ids=["x"])
+    assert not outcome.ok
+    assert outcome.detail == "InternalError: self-check failed"

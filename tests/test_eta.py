@@ -1,5 +1,6 @@
 """Worst-case ratio: exact values, bound certificates, verification, JSON."""
 
+import gc
 import json
 import random
 from dataclasses import replace
@@ -29,6 +30,7 @@ from matchforge.eta import (
     odd_component_cert,
     verify,
 )
+from matchforge.eta import _edge_masks, _support_lp_max
 from matchforge.generators import (
     bridge_join,
     catalog,
@@ -38,7 +40,10 @@ from matchforge.generators import (
     random_cubic,
 )
 from matchforge.graphs import from_edge_list
+from matchforge.lp import program, solve
 from matchforge.matching import (
+    enumerate_maximal_matchings,
+    enumerate_perfect_matchings,
     is_maximal_matching,
     matching_weight,
     max_weight_matching,
@@ -102,6 +107,47 @@ def test_eta_value_is_a_true_minimum(seed=63):
         for _ in range(30):
             w = random_weights(g, rng)
             assert _ratio(g, w) >= eta
+
+
+def _all_trace_rows(edges, pms):
+    """Reference rows: one per distinct nonempty trace of a perfect matching."""
+    index = {e: i for i, e in enumerate(edges)}
+    rows = []
+    seen_rows = set()
+    for p in pms:
+        coeffs = [Fraction(0)] * len(edges)
+        hit = False
+        for e in p:
+            i = index.get(e)
+            if i is not None:
+                coeffs[i] = Fraction(1)
+                hit = True
+        if not hit:
+            continue
+        key = tuple(coeffs)
+        if key in seen_rows:
+            continue
+        seen_rows.add(key)
+        rows.append((coeffs, "<=", Fraction(1)))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "g",
+    [named("petersen"), gp(6, 1), named("blanusa1")],
+    ids=["petersen", "gp(6,1)", "blanusa1"],
+)
+def test_maximal_trace_rows_keep_support_lp_value(g):
+    pms = enumerate_perfect_matchings(g)
+    pm_masks = _edge_masks(pms)
+    for m in enumerate_maximal_matchings(g):
+        edges = tuple(sorted(m))
+        s, w = _support_lp_max(edges, pm_masks)
+        rows = _all_trace_rows(edges, pms)
+        full = solve(program([-1] * len(edges), rows))
+        assert -full.value == s, edges
+        for coeffs, _, rhs in rows:
+            assert sum(c * x for c, x in zip(coeffs, w)) <= rhs, edges
 
 
 def test_eta_zero_on_path():
@@ -244,6 +290,16 @@ def test_find_cap_matching_frozen():
         assert verify(g, cert)[0], label
     # no size-3 matching of the cube avoids every perfect matching twice
     assert find_cap_matching(named("cube"), 3, 1) is None
+
+
+def test_find_cap_matching_leaves_no_garbage_cycles():
+    gc.disable()
+    try:
+        gc.collect()
+        assert find_cap_matching(named("petersen"), 3, 1) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_odd_component_certificate():

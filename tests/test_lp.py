@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from matchforge import lp as lp_module
+from matchforge.errors import InternalError
 from matchforge.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    _check_exact,
     dual_program,
     program,
     solve,
@@ -139,3 +142,71 @@ def test_dual_of_infeasible_primal_unbounded_or_infeasible():
     p = program([1], [((1,), "<=", -1)])
     d = solve(dual_program(p))
     assert d.status in (UNBOUNDED, INFEASIBLE)
+
+
+def _dense_pivot(tab, basis, r, c, seen=None):
+    """Reference pivot: every entry of every row, as a plain dense update.
+
+    Returns the whole pivot row, zeros included, so solve()'s cost-row
+    update is dense too.  seen, if given, counts non-unit and degenerate
+    (zero right-hand side) pivots.
+    """
+    piv = tab[r][c]
+    if seen is not None:
+        seen["non_unit"] += piv != 1
+        seen["degenerate"] += tab[r][-1] == 0
+    inv = 1 / piv
+    tab[r] = [x * inv for x in tab[r]]
+    row_r = tab[r]
+    for i in range(len(tab)):
+        if i == r:
+            continue
+        f = tab[i][c]
+        if f:
+            row_i = tab[i]
+            tab[i] = [a - f * b for a, b in zip(row_i, row_r)]
+    basis[r] = c
+    return list(enumerate(row_r))
+
+
+def _random_program(rng):
+    nv = rng.randint(1, 5)
+    values = [Fraction(k, d) for k in range(-3, 5) for d in (1, 2, 3)]
+    obj = [rng.choice(values) for _ in range(nv)]
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        coeffs = [rng.choice(values) if rng.random() < 0.6 else 0 for _ in range(nv)]
+        rhs = 0 if rng.random() < 0.3 else rng.choice(values)
+        rows.append((coeffs, rng.choice(("<=", "=", ">=")), rhs))
+    return program(obj, rows)
+
+
+def test_sparse_pivot_matches_dense_reference(monkeypatch, seed=77):
+    rng = random.Random(seed)
+    seen = {"non_unit": 0, "degenerate": 0}
+    statuses = set()
+    for _ in range(300):
+        p = _random_program(rng)
+        got = solve(p)
+        with monkeypatch.context() as m:
+            m.setattr(
+                lp_module, "_pivot", lambda *a: _dense_pivot(*a, seen=seen)
+            )
+            want = solve(p)
+        assert (got.status, got.value, got.assignment) == (
+            want.status,
+            want.value,
+            want.assignment,
+        )
+        statuses.add(got.status)
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert seen["non_unit"] > 0 and seen["degenerate"] > 0
+
+
+def test_check_exact_raises_on_violated_row():
+    p = program([1, 1], [((1, 1), "<=", 1), ((1, 0), "=", 0)])
+    _check_exact(p, (Fraction(0), Fraction(1)))
+    with pytest.raises(InternalError):
+        _check_exact(p, (Fraction(1), Fraction(1)))
+    with pytest.raises(InternalError):
+        _check_exact(p, (Fraction(0), Fraction(-1)))

@@ -1,5 +1,6 @@
 """Matching engines: enumeration, blossom, forced edges, weight I/O."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -73,6 +74,21 @@ def test_enumeration_frozen_counts():
 def test_petersen_perfect_matchings_exact():
     pms = enumerate_perfect_matchings(named("petersen"))
     assert [sorted(m) for m in pms] == PETERSEN_PMS
+
+
+@pytest.mark.parametrize(
+    "enumerate_", [enumerate_maximal_matchings, enumerate_perfect_matchings]
+)
+def test_enumeration_leaves_no_garbage_cycles(enumerate_):
+    # a reference cycle would keep every found matching alive until the
+    # next full collection
+    gc.disable()
+    try:
+        gc.collect()
+        enumerate_(gp(8, 3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumeration_vertex_limits():
