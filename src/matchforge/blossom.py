@@ -3,18 +3,21 @@
 This follows Galil's formulation of Edmonds' algorithm in the shape
 popularised by van Rantwijk's implementation: O(n^3), with explicit
 S/T labels, nested blossoms and four delta cases.  All arithmetic is
-over fractions.Fraction, so dual variables stay exact even though
-delta steps halve slacks; the complementary-slackness check at the end
-therefore runs on every call, not just for integer inputs.
+on Python ints: callers scale rational weights to integers first.
+Vertex duals are kept doubled, so a tight edge joins duals of equal
+parity; every S-vertex is tied by tight edges to an exposed vertex, all
+of which share one dual, so the slack of an S-S edge is even and
+halving it with // is exact (and checked).  The complementary-slackness
+check at the end runs on every call and raises InternalError.
 
 Vertices are 0..n-1.  Weights arrive as a mapping from ordered pairs
-(u, v), u < v, to nonnegative Fractions.  The result is a set of
-matched pairs (u, v) with u < v.
+(u, v), u < v, to nonnegative ints.  The result is a set of matched
+pairs (u, v) with u < v.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .errors import InternalError
 
 
 class _Blossom:
@@ -46,11 +49,42 @@ class _NoNode:
     """Sentinel distinct from every vertex and blossom."""
 
 
+def _check_optimum(weights, mate, dualvar, blossomdual, blossomparent) -> None:
+    """Raise InternalError unless mate and the duals (vertex duals doubled,
+    blossom duals, nesting in blossomparent) prove mate optimal."""
+    if min(dualvar.values()) < 0 or any(z < 0 for z in blossomdual.values()):
+        raise InternalError("blossom: negative dual")
+    for (i, j), wij in weights.items():
+        s = dualvar[i] + dualvar[j] - 2 * wij
+        iblossoms = [i]
+        jblossoms = [j]
+        while blossomparent[iblossoms[-1]] is not None:
+            iblossoms.append(blossomparent[iblossoms[-1]])
+        while blossomparent[jblossoms[-1]] is not None:
+            jblossoms.append(blossomparent[jblossoms[-1]])
+        for bi, bj in zip(reversed(iblossoms), reversed(jblossoms)):
+            if bi != bj:
+                break
+            s += 2 * blossomdual[bi]
+        if s < 0:
+            raise InternalError(f"blossom: edge {(i, j)} has negative slack")
+        matched = (mate.get(i) == j, mate.get(j) == i)
+        if any(matched) and (not all(matched) or s != 0):
+            raise InternalError(f"blossom: matched edge {(i, j)} is not tight")
+    if any(d != 0 for v, d in dualvar.items() if v not in mate):
+        raise InternalError("blossom: an exposed vertex has a nonzero dual")
+    for b, z in blossomdual.items():
+        if z > 0 and (
+            len(b.edges) % 2 == 0
+            or any(mate.get(i) != j or mate.get(j) != i for i, j in b.edges[1::2])
+        ):
+            raise InternalError("blossom: a blossom with a positive dual is not full")
+
+
 def max_weight_matching_pairs(
     n: int,
-    weights: dict[tuple[int, int], Fraction],
+    weights: dict[tuple[int, int], int],
     adjacency: list[list[int]],
-    maxcardinality: bool = False,
 ) -> set[tuple[int, int]]:
     """Return a maximum-weight matching as a set of (u, v), u < v.
 
@@ -62,10 +96,10 @@ def max_weight_matching_pairs(
 
     gnodes = list(range(n))
 
-    def wt(i: int, j: int) -> Fraction:
+    def wt(i: int, j: int) -> int:
         return weights[(i, j) if i < j else (j, i)]
 
-    maxweight = max(Fraction(0), max(weights.values()))
+    maxweight = max(0, max(weights.values()))
 
     # mate[v]: vertex matched to v.
     mate: dict[int, int] = {}
@@ -84,26 +118,28 @@ def max_weight_matching_pairs(
     allowedge: dict = {}
     queue: list[int] = []
 
-    def slack(v: int, w: int) -> Fraction:
+    def slack(v: int, w: int) -> int:
         return dualvar[v] + dualvar[w] - 2 * wt(v, w)
 
     def assign_label(w, t, v) -> None:
-        b = inblossom[w]
-        assert label.get(w) is None and label.get(b) is None
-        label[w] = label[b] = t
-        if v is not None:
-            labeledge[w] = labeledge[b] = (v, w)
-        else:
-            labeledge[w] = labeledge[b] = None
-        bestedge[w] = bestedge[b] = None
-        if t == 1:
-            if isinstance(b, _Blossom):
-                queue.extend(b.leaves())
+        # a T label passes an S label on to the mate of its base
+        while True:
+            b = inblossom[w]
+            assert label.get(w) is None and label.get(b) is None
+            label[w] = label[b] = t
+            if v is not None:
+                labeledge[w] = labeledge[b] = (v, w)
             else:
-                queue.append(b)
-        else:
-            base = blossombase[b]
-            assign_label(mate[base], 1, base)
+                labeledge[w] = labeledge[b] = None
+            bestedge[w] = bestedge[b] = None
+            if t == 1:
+                if isinstance(b, _Blossom):
+                    queue.extend(b.leaves())
+                else:
+                    queue.append(b)
+                return
+            v = blossombase[b]
+            w, t = mate[v], 1
 
     def scan_blossom(v, w):
         """Walk both alternating paths to find a common ancestor S-blossom."""
@@ -167,7 +203,7 @@ def max_weight_matching_pairs(
         assert label[bb] == 1
         label[b] = 1
         labeledge[b] = labeledge[bb]
-        blossomdual[b] = Fraction(0)
+        blossomdual[b] = 0
         for leaf in b.leaves():
             if label[inblossom[leaf]] == 2:
                 queue.append(leaf)
@@ -357,40 +393,6 @@ def max_weight_matching_pairs(
                     augment_blossom(bt, j)
                 mate[j] = s
 
-    def verify_optimum() -> None:
-        """Check complementary slackness of the final primal/dual pair."""
-        if maxcardinality:
-            vdualoffset = max(Fraction(0), -min(dualvar.values()))
-        else:
-            vdualoffset = Fraction(0)
-        assert min(dualvar.values()) + vdualoffset >= 0
-        assert len(blossomdual) == 0 or min(blossomdual.values()) >= 0
-        for (i, j) in weights:
-            s = dualvar[i] + dualvar[j] - 2 * wt(i, j)
-            iblossoms = [i]
-            jblossoms = [j]
-            while blossomparent[iblossoms[-1]] is not None:
-                iblossoms.append(blossomparent[iblossoms[-1]])
-            while blossomparent[jblossoms[-1]] is not None:
-                jblossoms.append(blossomparent[jblossoms[-1]])
-            iblossoms.reverse()
-            jblossoms.reverse()
-            for bi, bj in zip(iblossoms, jblossoms):
-                if bi != bj:
-                    break
-                s += 2 * blossomdual[bi]
-            assert s >= 0
-            if mate.get(i) == j or mate.get(j) == i:
-                assert mate[i] == j and mate[j] == i
-                assert s == 0
-        for v in gnodes:
-            assert (v in mate) or dualvar[v] + vdualoffset == 0
-        for b in blossomdual:
-            if blossomdual[b] > 0:
-                assert len(b.edges) % 2 == 1
-                for (i, j) in b.edges[1::2]:
-                    assert mate[i] == j and mate[j] == i
-
     # Each stage tries to find one augmenting path.
     while 1:
         label.clear()
@@ -445,15 +447,13 @@ def max_weight_matching_pairs(
 
             # no augmenting path under the current duals: pick the
             # smallest dual step that changes the structure
-            deltatype = -1
-            delta = deltaedge = deltablossom = None
-            if not maxcardinality:
-                deltatype = 1
-                delta = max(Fraction(0), min(dualvar.values()))
+            deltatype = 1
+            delta = max(0, min(dualvar.values()))
+            deltaedge = deltablossom = None
             for v in gnodes:
                 if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
                     d = slack(*bestedge[v])
-                    if deltatype == -1 or d < delta:
+                    if d < delta:
                         delta = d
                         deltatype = 2
                         deltaedge = bestedge[v]
@@ -464,8 +464,10 @@ def max_weight_matching_pairs(
                     and bestedge.get(b) is not None
                 ):
                     kslack = slack(*bestedge[b])
-                    d = kslack / 2
-                    if deltatype == -1 or d < delta:
+                    if kslack % 2:
+                        raise InternalError("blossom: odd slack on an S-S edge")
+                    d = kslack // 2
+                    if d < delta:
                         delta = d
                         deltatype = 3
                         deltaedge = bestedge[b]
@@ -473,16 +475,11 @@ def max_weight_matching_pairs(
                 if (
                     blossomparent[b] is None
                     and label.get(b) == 2
-                    and (deltatype == -1 or blossomdual[b] < delta)
+                    and blossomdual[b] < delta
                 ):
                     delta = blossomdual[b]
                     deltatype = 4
                     deltablossom = b
-            if deltatype == -1:
-                # out of moves in max-cardinality mode
-                deltatype = 1
-                delta = max(Fraction(0), min(dualvar.values()))
-
             for v in gnodes:
                 lbl = label.get(inblossom[v])
                 if lbl == 1:
@@ -523,6 +520,6 @@ def max_weight_matching_pairs(
             if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
-    verify_optimum()
+    _check_optimum(weights, mate, dualvar, blossomdual, blossomparent)
 
     return {(v, mate[v]) for v in mate if v < mate[v]}

@@ -8,11 +8,14 @@ selections take the lexicographically first optimum.
 
 Small graphs are optimised by exhaustive enumeration, larger ones by
 the blossom method; the two routes must agree wherever both run, and
-the test suite holds them to that.
+the test suite holds them to that.  The blossom runs on integers:
+_blossom_argmax scales each weight vector by the LCM of its
+denominators, the only place where rationals become ints.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -22,6 +25,7 @@ from .errors import (
     BadWeights,
     BudgetExceeded,
     IncludeNotMatching,
+    InternalError,
     NoPerfectMatching,
     ParseError,
 )
@@ -190,15 +194,22 @@ def enumerate_maximal_matchings(
 
 
 def _blossom_argmax(g: Graph, weights: Sequence[Fraction]) -> frozenset[int]:
-    pair_weight = {}
-    for eid, (u, v) in enumerate(g.edges):
-        pair_weight[(u, v)] = Fraction(weights[eid])
+    """Run the integer blossom on the weights times the LCM of their
+    denominators; a positive scale keeps every comparison, so the
+    engine makes the same choices as it would over the rationals."""
+    fracs = [Fraction(weights[eid]) for eid in range(g.m)]
+    scale = math.lcm(*(w.denominator for w in fracs))
+    pair_weight = {
+        (u, v): w.numerator * (scale // w.denominator)
+        for (u, v), w in zip(g.edges, fracs)
+    }
     adjacency = [[u for u, _ in g.adj[v]] for v in range(g.n)]
     pairs = max_weight_matching_pairs(g.n, pair_weight, adjacency)
     out = set()
     for u, v in pairs:
         eid = g.edge_id(u, v)
-        assert eid is not None
+        if eid is None:
+            raise InternalError(f"blossom matched a non-edge {(u, v)}")
         out.add(eid)
     return frozenset(out)
 

@@ -1,6 +1,7 @@
 """Matching engines: enumeration, blossom, forced edges, weight I/O."""
 
 import gc
+import math
 import random
 from fractions import Fraction
 
@@ -77,11 +78,12 @@ def test_petersen_perfect_matchings_exact():
 
 
 @pytest.mark.parametrize(
-    "enumerate_", [enumerate_maximal_matchings, enumerate_perfect_matchings]
+    "enumerate_",
+    [enumerate_maximal_matchings, enumerate_perfect_matchings, has_perfect_matching],
 )
 def test_enumeration_leaves_no_garbage_cycles(enumerate_):
-    # a reference cycle would keep every found matching alive until the
-    # next full collection
+    # a reference cycle would keep every found matching (or the blossom's
+    # whole state) alive until the next full collection
     gc.disable()
     try:
         gc.collect()
@@ -161,6 +163,36 @@ def test_blossom_route_matches_enumeration(seed=77):
             got = blossom_max_matching(g, w)
             best = max(matching_weight(w, m) for m in maxi)
             assert matching_weight(w, got) == best
+
+
+# coprime denominators, one of them a prime product above 2**64, so the
+# blossom's integer weights are far wider than a machine word
+BIG_DENOMINATOR = (2**61 - 1) * 1000003
+MIXED_DENOMINATORS = (97, 10**6, BIG_DENOMINATOR)
+
+
+def _mixed_weights(g, rng):
+    out = []
+    for _ in range(g.m):
+        den = rng.choice(MIXED_DENOMINATORS)
+        out.append(Fraction(rng.randint(0, 3 * den), den))
+    out[0] += 1  # at least one positive weight
+    return out
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_blossom_scaling_with_mixed_large_denominators(seed):
+    rng = random.Random(seed)
+    for g in catalog(16):
+        maxi = enumerate_maximal_matchings(g)
+        pms = enumerate_perfect_matchings(g)
+        for _ in range(8):
+            w = _mixed_weights(g, rng)
+            best = max(matching_weight(w, m) for m in maxi)
+            assert matching_weight(w, blossom_max_matching(g, w)) == best
+            best_pm = max(matching_weight(w, p) for p in pms)
+            assert matching_weight(w, shift_perfect_matching(g, w)) == best_pm
+    assert math.lcm(*MIXED_DENOMINATORS) > 2**64
 
 
 def test_blossom_shifted_weights_regression(seed=9000):
