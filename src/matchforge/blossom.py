@@ -7,12 +7,12 @@ on Python ints: callers scale rational weights to integers first.
 Vertex duals are kept doubled, so a tight edge joins duals of equal
 parity; every S-vertex is tied by tight edges to an exposed vertex, all
 of which share one dual, so the slack of an S-S edge is even and
-halving it with // is exact (and checked).  The complementary-slackness
-check at the end runs on every call and raises InternalError.
+halving it with // is exact (and checked).  Every call returns its
+final duals, which dual_objective (also used by eta.verify) must show
+to be optimal, or InternalError is raised.
 
 Vertices are 0..n-1.  Weights arrive as a mapping from ordered pairs
-(u, v), u < v, to nonnegative ints.  The result is a set of matched
-pairs (u, v) with u < v.
+(u, v), u < v, to nonnegative ints.
 """
 
 from __future__ import annotations
@@ -49,50 +49,46 @@ class _NoNode:
     """Sentinel distinct from every vertex and blossom."""
 
 
-def _check_optimum(weights, mate, dualvar, blossomdual, blossomparent) -> None:
-    """Raise InternalError unless mate and the duals (vertex duals doubled,
-    blossom duals, nesting in blossomparent) prove mate optimal."""
-    if min(dualvar.values()) < 0 or any(z < 0 for z in blossomdual.values()):
-        raise InternalError("blossom: negative dual")
-    for (i, j), wij in weights.items():
-        s = dualvar[i] + dualvar[j] - 2 * wij
-        iblossoms = [i]
-        jblossoms = [j]
-        while blossomparent[iblossoms[-1]] is not None:
-            iblossoms.append(blossomparent[iblossoms[-1]])
-        while blossomparent[jblossoms[-1]] is not None:
-            jblossoms.append(blossomparent[jblossoms[-1]])
-        for bi, bj in zip(reversed(iblossoms), reversed(jblossoms)):
-            if bi != bj:
-                break
-            s += 2 * blossomdual[bi]
-        if s < 0:
-            raise InternalError(f"blossom: edge {(i, j)} has negative slack")
-        matched = (mate.get(i) == j, mate.get(j) == i)
-        if any(matched) and (not all(matched) or s != 0):
-            raise InternalError(f"blossom: matched edge {(i, j)} is not tight")
-    if any(d != 0 for v, d in dualvar.items() if v not in mate):
-        raise InternalError("blossom: an exposed vertex has a nonzero dual")
-    for b, z in blossomdual.items():
-        if z > 0 and (
-            len(b.edges) % 2 == 0
-            or any(mate.get(i) != j or mate.get(j) != i for i, j in b.edges[1::2])
-        ):
-            raise InternalError("blossom: a blossom with a positive dual is not full")
+def dual_objective(weights, potentials, odd_sets):
+    """sum(y) + sum(z * (|B| // 2)) for potentials y (one per vertex) and
+    odd_sets of (B, z), or None unless every B is an odd set of distinct
+    vertices, every z >= 0, and every edge uv has y_u + y_v plus the z of
+    the sets holding both ends >= w_uv.  A value bounds every perfect
+    matching's weight, and every matching's if all y >= 0."""
+    n = len(potentials)
+    member: list[set[int]] = [set() for _ in range(n)]  # set indices by vertex
+    total = sum(potentials)
+    for i, (vertices, z) in enumerate(odd_sets):
+        distinct = set(vertices)
+        if len(distinct) % 2 == 0 or len(distinct) != len(vertices) or z < 0:
+            return None
+        if min(distinct) < 0 or max(distinct) >= n:
+            return None
+        for v in distinct:
+            member[v].add(i)
+        total += z * (len(distinct) // 2)
+    for (u, v), w in weights.items():
+        cover = potentials[u] + potentials[v]
+        cover += sum(odd_sets[i][1] for i in member[u] & member[v])
+        if cover < w:
+            return None
+    return total
 
 
 def max_weight_matching_pairs(
     n: int,
     weights: dict[tuple[int, int], int],
     adjacency: list[list[int]],
-) -> set[tuple[int, int]]:
-    """Return a maximum-weight matching as a set of (u, v), u < v.
+) -> tuple[set[tuple[int, int]], list[int], list[tuple[tuple[int, ...], int]]]:
+    """Return a maximum-weight matching as a set of (u, v), u < v, with
+    its duals against the weights 2 * w: one potential per vertex, and
+    (sorted leaves, value) of each blossom whose dual is positive.
 
     adjacency[v] lists v's neighbours in a fixed order; ties in the
     dual updates resolve by that order, so results are deterministic.
     """
     if n == 0 or not weights:
-        return set()
+        return set(), [0] * n, []
 
     gnodes = list(range(n))
 
@@ -520,6 +516,12 @@ def max_weight_matching_pairs(
             if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
-    _check_optimum(weights, mate, dualvar, blossomdual, blossomparent)
-
-    return {(v, mate[v]) for v in mate if v < mate[v]}
+    pairs = {(v, mate[v]) for v in mate if v < mate[v]}
+    covered = {v for p in pairs for v in p}
+    potentials = [dualvar[v] for v in gnodes]
+    odd_sets = [(tuple(sorted(b.leaves())), 2 * z) for b, z in blossomdual.items() if z]
+    value = dual_objective({e: 2 * w for e, w in weights.items()}, potentials, odd_sets)
+    weight = sum(weights[p] for p in pairs)
+    if len(covered) != 2 * len(pairs) or min(potentials) < 0 or value != 2 * weight:
+        raise InternalError("blossom: the final duals do not prove optimality")
+    return pairs, potentials, odd_sets

@@ -3,9 +3,10 @@
 Every command prints one JSON document to stdout and a short human
 summary to stderr.  Exit status: 0 for a positive answer, 1 for a
 negative one (invalid certificate, no perfect matching, failed checks),
-2 for unusable input or refused budgets.  Rational numbers appear as
-{"num": "...", "den": "..."} string pairs so arbitrary precision
-survives JSON.
+2 for unusable input or refused budgets, 3 when an engine's own
+exactness check fails (InternalError); errors print {"error",
+"message"}.  Rational numbers appear as {"num": "...", "den": "..."}
+string pairs so arbitrary precision survives JSON.
 
 Each document carries a manifest: argv, sha256 of file inputs, the
 seed, budget settings, package version and wall time, so a run can be
@@ -33,6 +34,7 @@ from .classify import (
 )
 from .errors import (
     BudgetExceeded,
+    InternalError,
     MatchforgeError,
     NoPerfectMatching,
     NotCubic,
@@ -70,6 +72,7 @@ from .reproduce import CHECKS, run_checks
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _seed_from(args) -> int:
@@ -527,15 +530,14 @@ def main(argv: list[str] | None = None) -> int:
         run = _Run(argv, _seed_from(args))
         rng = random.Random(run.seed)
         return args.func(args, run, rng)
-    except (NoPerfectMatching,) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stdout)
-        sys.stdout.write("\n")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
     except (MatchforgeError, OSError, json.JSONDecodeError, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stdout)
         sys.stdout.write("\n")
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, NoPerfectMatching):
+            return EXIT_NEGATIVE
+        if isinstance(exc, InternalError):
+            return EXIT_INTERNAL
         return EXIT_BAD_INPUT
 
 

@@ -23,16 +23,18 @@ The returned witness is re-evaluated through the independent matching
 engines before the result is accepted; a mismatch raises InternalError.
 
 Certificates bound eta from one side and carry enough raw data for
-verify() to recheck the claim from scratch.
+verify() to recheck the claim from scratch.  A cap comes from one
+blossom call, with the Edmonds dual that proves it (see cap_certificate).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
+from .blossom import dual_objective
 from .classify import is_bridgeless, is_independent
 from .errors import (
     BadParameters,
@@ -54,6 +56,7 @@ from .matching import (
     matching_weight,
     max_weight_matching,
     max_weight_perfect_matching,
+    perfect_matching_dual,
     pm_with_forced_edges,
     saturated,
     unsaturated,
@@ -87,14 +90,16 @@ class BoundCertificate:
     """A one-sided bound on eta with its supporting structure.
 
     kind selects the payload:
-      cap_upper: matching + cap, bound = cap / |matching|
+      cap_upper: matching M + cap, bound = cap / |M|; a perfect matching
+          meeting M in cap edges, and a dual of value cap for the weights
+          [e in M]: potentials (one per vertex) and odd_sets (B, z)
       independent_set_upper: maximal matching + its exposed vertex set,
           bound = (n - 2|S|) / (n - |S|)
       berge_cover_lower: perfect matchings with multiplicities covering
           every edge cover_count times, 3 * cover_count in total;
           bound = 1/3 from below
-      odd_component_upper: matching whose endpoint deletion leaves the
-          listed components; cap and bound as in cap_upper
+      odd_component_upper: a cap_upper payload plus the components
+          left when the matching's endpoints are deleted
     """
 
     kind: str
@@ -105,6 +110,9 @@ class BoundCertificate:
     families: tuple[tuple[tuple[int, ...], int], ...] | None = None
     cover_count: int | None = None
     component_list: tuple[tuple[int, ...], ...] | None = None
+    perfect_matching: tuple[int, ...] | None = None
+    potentials: tuple[Fraction, ...] | None = None
+    odd_sets: tuple[tuple[tuple[int, ...], Fraction], ...] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -441,49 +449,32 @@ def _cap_by_masks(m_mask: int, pm_masks: Sequence[int]) -> int:
     return max(bin(m_mask & pm).count("1") for pm in pm_masks)
 
 
-def cap_certificate(
-    g: Graph,
-    m: Iterable[int],
-    *,
-    use_enumeration: bool = False,
-    perfect_count: int = PERFECT_COUNT_BUDGET,
-) -> BoundCertificate:
+def cap_certificate(g: Graph, m: Iterable[int]) -> BoundCertificate:
     """Upper bound cap/|m| where cap = max edges of m inside one perfect
     matching.
 
     Weighting m 1 and the rest 0 makes some matching worth |m| while no
-    perfect matching exceeds cap.  The default route tests subsets of m
-    from largest down with the forced-edge oracle and stops at the first
-    extendable one; use_enumeration recomputes cap from the full perfect
-    matching list instead (the two must agree).
+    perfect matching exceeds cap.  One best perfect matching under these
+    weights attains cap, and its Edmonds dual, of value cap, proves that
+    no perfect matching does better; both go into the certificate.
+    Raises NoPerfectMatching when g has no perfect matching.
     """
-    from itertools import combinations
-
     mm = tuple(sorted(frozenset(m)))
     if not mm:
         raise BadParameters("cap bound needs a nonempty matching")
     if not is_matching(g, mm):
         raise IncludeNotMatching("cap bound needs a matching")
-    if not has_perfect_matching(g):
-        raise NoPerfectMatching("cap bound needs perfect matchings")
-    cap: int | None = None
-    if use_enumeration:
-        pms = enumerate_perfect_matchings(g, count_budget=perfect_count)
-        cap = _cap_by_masks(sum(1 << e for e in mm), _edge_masks(pms))
-    else:
-        for k in range(len(mm), -1, -1):
-            for f in combinations(mm, k):
-                if pm_with_forced_edges(g, f):
-                    cap = k
-                    break
-            if cap is not None:
-                break
-    assert cap is not None
+    in_m = frozenset(mm)
+    pm, potentials, odd_sets = perfect_matching_dual(g, [e in in_m for e in range(g.m)])
+    cap = len(pm & in_m)
     return BoundCertificate(
         kind=CAP_UPPER,
         bound=Fraction(cap, len(mm)),
         matching=mm,
         cap=cap,
+        perfect_matching=tuple(sorted(pm)),
+        potentials=potentials,
+        odd_sets=odd_sets,
     )
 
 
@@ -498,8 +489,8 @@ def find_cap_matching(
     """First matching of the given size whose cap is at most max_cap.
 
     Matchings are tried in lexicographic edge-id order.  The cap of a
-    candidate is its largest overlap with any perfect matching, which
-    equals the forced-subset cap that cap_certificate computes.  Returns
+    candidate is its largest overlap with any perfect matching, the
+    cap that cap_certificate computes and certifies.  Returns
     None when no matching of that size passes.
     """
     if size < 1 or max_cap < 0:
@@ -544,38 +535,18 @@ def odd_component_cert(g: Graph, f: Iterable[int]) -> BoundCertificate:
 
     Each odd component must send one vertex to the deleted set in any
     perfect matching, which limits how many edges of f a perfect
-    matching can use.  The certificate records the components; the cap
-    itself is recomputed with the forced-edge oracle.
+    matching can use.  The certificate is cap_certificate's, plus the
+    components.
     """
-    from itertools import combinations
+    cert = cap_certificate(g, f)
+    comps = _components_without(g, cert.matching)
+    return replace(cert, kind=ODD_COMPONENT_UPPER, component_list=comps)
 
-    ff = tuple(sorted(frozenset(f)))
-    if not ff:
-        raise BadParameters("need a nonempty edge set")
-    if not is_matching(g, ff):
-        raise IncludeNotMatching("parity bound needs a matching")
-    if not has_perfect_matching(g):
-        raise NoPerfectMatching("parity bound needs perfect matchings")
-    sub = delete(g, vertices=saturated(g, ff))
-    comps = tuple(
-        tuple(sub.original_vertex(v) for v in comp)
-        for comp in components(sub.graph)
-    )
-    cap: int | None = None
-    for k in range(len(ff), -1, -1):
-        for sel in combinations(ff, k):
-            if pm_with_forced_edges(g, sel):
-                cap = k
-                break
-        if cap is not None:
-            break
-    assert cap is not None
-    return BoundCertificate(
-        kind=ODD_COMPONENT_UPPER,
-        bound=Fraction(cap, len(ff)),
-        matching=ff,
-        cap=cap,
-        component_list=comps,
+
+def _components_without(g: Graph, m: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    sub = delete(g, vertices=saturated(g, m))
+    return tuple(
+        tuple(sub.original_vertex(v) for v in comp) for comp in components(sub.graph)
     )
 
 
@@ -626,7 +597,8 @@ def berge_witness(
         (tuple(sorted(p)), l) for p, l in zip(pms, lam) if l > 0
     )
     cover = scale // 3
-    assert sum(l for _, l in families) == 3 * cover
+    if sum(l for _, l in families) != 3 * cover:
+        raise InternalError("uniform cover does not add up to 3 * cover_count")
     return BoundCertificate(
         kind=BERGE_COVER_LOWER,
         bound=third,
@@ -640,11 +612,10 @@ def berge_witness(
 
 
 def verify(g: Graph, cert: BoundCertificate) -> tuple[bool, str]:
-    """Recheck a certificate from its raw data, via independent routes.
+    """Recheck a certificate from its raw data, by arithmetic alone.
 
-    Caps are recomputed from the enumerated perfect matchings even when
-    the producer used the forced-edge oracle, so a fabricated cap value
-    cannot slip through on either path.
+    A cap is attained by the stated perfect matching, and the stated
+    dual proves that no perfect matching meets M in more edges.
     """
     if cert.kind == INDEPENDENT_SET_UPPER:
         if cert.matching is None or cert.independent_set is None:
@@ -665,31 +636,30 @@ def verify(g: Graph, cert: BoundCertificate) -> tuple[bool, str]:
         return True, "ok"
 
     if cert.kind in (CAP_UPPER, ODD_COMPONENT_UPPER):
-        if cert.matching is None or cert.cap is None:
+        dual = (cert.perfect_matching, cert.potentials, cert.odd_sets)
+        if cert.matching is None or cert.cap is None or None in dual:
             return False, "missing payload"
-        m = tuple(sorted(cert.matching))
-        if not m or not is_matching(g, m):
+        m = frozenset(cert.matching)
+        if not m or not is_matching(g, cert.matching):
             return False, "matching field is not a nonempty matching"
-        try:
-            pms = enumerate_perfect_matchings(g)
-        except BudgetExceeded:
-            return False, "perfect matchings not enumerable within budget"
-        if not pms:
-            return False, "graph has no perfect matching"
-        cap = _cap_by_masks(sum(1 << e for e in m), _edge_masks(pms))
-        if cap != cert.cap:
-            return False, f"cap is {cap}, certificate says {cert.cap}"
-        if cert.bound != Fraction(cap, len(m)):
+        p = cert.perfect_matching
+        if 2 * len(p) != g.n or not is_matching(g, p):
+            return False, "perfect_matching field is not a perfect matching"
+        met = len(m.intersection(p))
+        if met != cert.cap:
+            return False, f"perfect matching meets {met} edges, not cap {cert.cap}"
+        if len(cert.potentials) != g.n:
+            return False, "potentials do not give one value per vertex"
+        weights = {uv: int(e in m) for e, uv in enumerate(g.edges)}
+        value = dual_objective(weights, cert.potentials, cert.odd_sets)
+        if value != cert.cap:  # None: infeasible
+            return False, f"dual value is {value}, certificate says cap {cert.cap}"
+        if cert.bound != Fraction(cert.cap, len(m)):
             return False, "bound is not cap / |matching|"
         if cert.kind == ODD_COMPONENT_UPPER:
             if cert.component_list is None:
                 return False, "missing components"
-            sub = delete(g, vertices=saturated(g, m))
-            comps = tuple(
-                tuple(sub.original_vertex(v) for v in comp)
-                for comp in components(sub.graph)
-            )
-            if tuple(cert.component_list) != comps:
+            if tuple(cert.component_list) != _components_without(g, m):
                 return False, "component list does not match the deletion"
         return True, "ok"
 
@@ -748,46 +718,45 @@ def cert_to_json(cert: BoundCertificate) -> dict:
         out["cover_count"] = cert.cover_count
     if cert.component_list is not None:
         out["components"] = [list(c) for c in cert.component_list]
+    if cert.perfect_matching is not None:
+        out["perfect_matching"] = list(cert.perfect_matching)
+    if cert.potentials is not None:
+        out["potentials"] = [_frac_json(y) for y in cert.potentials]
+    if cert.odd_sets is not None:
+        out["odd_sets"] = [
+            {"vertices": list(b), "value": _frac_json(z)} for b, z in cert.odd_sets
+        ]
     return out
 
 
+def _ints(xs) -> tuple[int, ...]:
+    return tuple(int(x) for x in xs)
+
+
 def cert_from_json(data: dict) -> BoundCertificate:
+    def field(key: str, parse):
+        return parse(data[key]) if key in data else None
+
     try:
-        kind = data["kind"]
-        bound = _frac_from_json(data["bound"])
-        matching = (
-            tuple(int(e) for e in data["matching"]) if "matching" in data else None
+        return BoundCertificate(
+            kind=data["kind"],
+            bound=_frac_from_json(data["bound"]),
+            matching=field("matching", _ints),
+            independent_set=field("independent_set", _ints),
+            cap=field("cap", int),
+            families=field("families", lambda fams: tuple(
+                (_ints(fam["edges"]), int(fam["multiplicity"])) for fam in fams
+            )),
+            cover_count=field("cover_count", int),
+            component_list=field("components", lambda cs: tuple(map(_ints, cs))),
+            perfect_matching=field("perfect_matching", _ints),
+            potentials=field("potentials", lambda ys: tuple(map(_frac_from_json, ys))),
+            odd_sets=field("odd_sets", lambda sets: tuple(
+                (_ints(b["vertices"]), _frac_from_json(b["value"])) for b in sets
+            )),
         )
-        independent_set = (
-            tuple(int(v) for v in data["independent_set"])
-            if "independent_set" in data
-            else None
-        )
-        cap = int(data["cap"]) if "cap" in data else None
-        families = None
-        if "families" in data:
-            families = tuple(
-                (tuple(int(e) for e in fam["edges"]), int(fam["multiplicity"]))
-                for fam in data["families"]
-            )
-        cover_count = int(data["cover_count"]) if "cover_count" in data else None
-        component_list = None
-        if "components" in data:
-            component_list = tuple(
-                tuple(int(v) for v in c) for c in data["components"]
-            )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc
-    return BoundCertificate(
-        kind=kind,
-        bound=bound,
-        matching=matching,
-        independent_set=independent_set,
-        cap=cap,
-        families=families,
-        cover_count=cover_count,
-        component_list=component_list,
-    )
 
 
 def eta_result_to_json(res: EtaResult) -> dict:

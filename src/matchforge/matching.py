@@ -193,10 +193,12 @@ def enumerate_maximal_matchings(
     return _sorted_stream(found)
 
 
-def _blossom_argmax(g: Graph, weights: Sequence[Fraction]) -> frozenset[int]:
+def _blossom_argmax(g: Graph, weights: Sequence[Fraction]) -> tuple:
     """Run the integer blossom on the weights times the LCM of their
     denominators; a positive scale keeps every comparison, so the
-    engine makes the same choices as it would over the rationals."""
+    engine makes the same choices as it would over the rationals.
+    Returns (matching, potentials, odd sets), the duals in the original
+    units."""
     fracs = [Fraction(weights[eid]) for eid in range(g.m)]
     scale = math.lcm(*(w.denominator for w in fracs))
     pair_weight = {
@@ -204,14 +206,16 @@ def _blossom_argmax(g: Graph, weights: Sequence[Fraction]) -> frozenset[int]:
         for (u, v), w in zip(g.edges, fracs)
     }
     adjacency = [[u for u, _ in g.adj[v]] for v in range(g.n)]
-    pairs = max_weight_matching_pairs(g.n, pair_weight, adjacency)
+    pairs, potentials, odd_sets = max_weight_matching_pairs(g.n, pair_weight, adjacency)
     out = set()
     for u, v in pairs:
         eid = g.edge_id(u, v)
         if eid is None:
             raise InternalError(f"blossom matched a non-edge {(u, v)}")
         out.add(eid)
-    return frozenset(out)
+    unit = 2 * scale  # the blossom's duals are doubled
+    odd_sets = tuple((b, Fraction(z, unit)) for b, z in odd_sets)
+    return frozenset(out), tuple(Fraction(y, unit) for y in potentials), odd_sets
 
 
 def _enum_argmax(
@@ -228,7 +232,7 @@ def _enum_argmax(
 
 def blossom_max_matching(g: Graph, weights: Sequence) -> frozenset[int]:
     """Maximum-weight matching via the blossom engine, any graph size."""
-    return _blossom_argmax(g, validate_weights(g, weights))
+    return _blossom_argmax(g, validate_weights(g, weights))[0]
 
 
 def max_weight_matching(g: Graph, weights: Sequence) -> frozenset[int]:
@@ -242,26 +246,34 @@ def max_weight_matching(g: Graph, weights: Sequence) -> frozenset[int]:
     if g.n <= MAXIMAL_VERTEX_LIMIT:
         best = _enum_argmax(enumerate_maximal_matchings(g), w)
         return best if best is not None else frozenset()
-    return _blossom_argmax(g, w)
+    return _blossom_argmax(g, w)[0]
 
 
-def shift_perfect_matching(g: Graph, weights: Sequence) -> frozenset[int]:
-    """Best perfect matching via the blossom engine and a weight shift.
+def perfect_matching_dual(g: Graph, weights: Sequence) -> tuple:
+    """Best perfect matching, with a perfect-matching dual that proves it.
 
     Every weight is shifted by 1 + sum(w): any larger matching then
     beats any smaller one, so the blossom optimum has maximum
     cardinality and, among perfect matchings, maximum original weight.
-    Raises NoPerfectMatching when none exists.
+    Lowering the blossom's potentials by half the shift turns its dual
+    into one of value w(P) for the original weights: returns (P,
+    potentials, odd sets).  Raises NoPerfectMatching when none exists.
     """
     w = validate_weights(g, weights)
     if g.n % 2:
         raise NoPerfectMatching("odd vertex count")
     shift = Fraction(1) + sum(w, Fraction(0))
-    shifted = tuple(x + shift for x in w)
-    m = _blossom_argmax(g, shifted)
+    m, potentials, odd_sets = _blossom_argmax(g, tuple(x + shift for x in w))
     if len(m) * 2 != g.n:
         raise NoPerfectMatching("no perfect matching exists")
-    return m
+    half = shift / 2
+    return m, tuple(y - half for y in potentials), odd_sets
+
+
+def shift_perfect_matching(g: Graph, weights: Sequence) -> frozenset[int]:
+    """Best perfect matching via the blossom engine and a weight shift;
+    perfect_matching_dual without the dual."""
+    return perfect_matching_dual(g, weights)[0]
 
 
 def max_weight_perfect_matching(g: Graph, weights: Sequence) -> frozenset[int]:
@@ -289,7 +301,7 @@ def has_perfect_matching(g: Graph) -> bool:
         return True
     if any(g.degree(v) == 0 for v in range(g.n)):
         return False
-    m = _blossom_argmax(g, uniform_weights(g))
+    m = _blossom_argmax(g, uniform_weights(g))[0]
     return len(m) * 2 == g.n
 
 

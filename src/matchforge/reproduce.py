@@ -16,7 +16,7 @@ from typing import Callable, IO
 
 from . import DEFAULT_SEED
 from .classify import hamiltonian_cycle, is_bridgeless, is_snark, tait_coloring
-from .errors import BudgetExceeded, InternalError, NoPerfectMatching
+from .errors import BudgetExceeded, InternalError, MatchforgeError, NoPerfectMatching
 from .eta import (
     berge_witness,
     best_maximal_matching_bound,
@@ -27,6 +27,7 @@ from .eta import (
     is_eta_one,
     is_eta_zero,
     maximal_matching_bound,
+    odd_component_cert,
     verify,
 )
 from .generators import (
@@ -53,6 +54,16 @@ THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
 
 
+class CheckFailed(MatchforgeError):
+    """A check did not reproduce its documented value."""
+
+
+def check(ok: bool, detail: object) -> None:
+    """Raise CheckFailed(detail) unless ok; unlike assert, survives -O."""
+    if not ok:
+        raise CheckFailed(detail)
+
+
 @dataclass
 class CheckOutcome:
     check_id: str
@@ -65,72 +76,72 @@ class CheckOutcome:
 
 def _check_eta_petersen() -> str:
     r = eta_exact(named("petersen"))
-    assert r.value == THIRD, f"eta {r.value}"
-    assert r.worst_pm_weight == 1
-    assert r.worst_pm_weight / r.argmax_weight == THIRD
+    check(r.value == THIRD, f"eta {r.value}")
+    check(r.worst_pm_weight == 1, "best perfect matching weight is not 1")
+    check(r.worst_pm_weight / r.argmax_weight == THIRD, "witness ratio is not 1/3")
     return f"eta = {r.value}, witness argmax {r.argmax_matching}"
 
 
 def _check_eta_k33() -> str:
     g = named("k33")
     r = eta_exact(g)
-    assert r.value == 1, f"eta {r.value}"
+    check(r.value == 1, f"eta {r.value}")
     one, _ = is_eta_one(g)
-    assert one
+    check(one, "k33 has a non-perfect maximal matching")
     return "eta = 1 and every maximal matching is perfect"
 
 
 def _check_eta_path() -> str:
     g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     r = eta_exact(g)
-    assert r.value == 0, f"eta {r.value}"
+    check(r.value == 0, f"eta {r.value}")
     zero, edge = is_eta_zero(g)
-    assert zero and edge == 1
+    check(zero and edge == 1, "middle edge not found outside every perfect matching")
     return "eta = 0, middle edge lies in no perfect matching"
 
 
 def _check_exposed_set_bounds() -> str:
     c = best_maximal_matching_bound(named("petersen"))
-    assert c.bound == THIRD and len(c.independent_set) == 4, c
+    check(c.bound == THIRD and len(c.independent_set) == 4, c)
     ok, msg = verify(named("petersen"), c)
-    assert ok, msg
+    check(ok, msg)
     c = find_independent_set_bound(named("nauru"), 8)
-    assert c is not None, "no 8-vertex witness on nauru"
-    assert c.bound == HALF and len(c.independent_set) == 8, c
+    check(c is not None, "no 8-vertex witness on nauru")
+    check(c.bound == HALF and len(c.independent_set) == 8, c)
     ok, msg = verify(named("nauru"), c)
-    assert ok, msg
+    check(ok, msg)
     c = best_maximal_matching_bound(named("blanusa2"))
-    assert c.bound == HALF and len(c.independent_set) == 6, c
+    check(c.bound == HALF and len(c.independent_set) == 6, c)
     c = best_maximal_matching_bound(named("k4"))
-    assert c.bound == 1 and len(c.independent_set) == 0, c
+    check(c.bound == 1 and len(c.independent_set) == 0, c)
     return "petersen 1/3 (|S|=4), nauru 1/2 (|S|=8), blanusa2 1/2 (|S|=6), k4 1"
 
 
 def _check_cap_certificates() -> str:
     cube = named("cube")
     m = find_cap_matching(cube, 3, 2)
-    assert m is not None
+    check(m is not None, "no 3-matching of cap 2 on cube")
     c = cap_certificate(cube, m)
-    assert c.cap == 2 and c.bound == Fraction(2, 3), c
+    check(c.cap == 2 and c.bound == Fraction(2, 3), c)
     pet = named("petersen")
     m = find_cap_matching(pet, 3, 1)
-    assert m is not None
+    check(m is not None, "no 3-matching of cap 1 on petersen")
     c = cap_certificate(pet, m)
-    assert c.cap == 1 and c.bound == THIRD, c
+    check(c.cap == 1 and c.bound == THIRD, c)
     b1 = named("blanusa1")
     m = find_cap_matching(b1, 5, 2)
-    assert m is not None, "no 5-matching of cap 2 on blanusa1"
+    check(m is not None, "no 5-matching of cap 2 on blanusa1")
     c = cap_certificate(b1, m)
-    assert c.bound == Fraction(2, 5), c
+    check(c.bound == Fraction(2, 5), c)
     ok, msg = verify(b1, c)
-    assert ok, msg
+    check(ok, msg)
     b2 = named("blanusa2")
     m = find_cap_matching(b2, 6, 4)
-    assert m is not None, "no 6-matching of cap <= 4 on blanusa2"
+    check(m is not None, "no 6-matching of cap <= 4 on blanusa2")
     c = cap_certificate(b2, m)
-    assert c.bound <= Fraction(2, 3), c
+    check(c.bound <= Fraction(2, 3), c)
     ok, msg = verify(b2, c)
-    assert ok, msg
+    check(ok, msg)
     return "cube 2/3, petersen 1/3, blanusa1 2/5, blanusa2 <= 2/3"
 
 
@@ -139,11 +150,11 @@ def _check_berge_covers() -> str:
     for g in catalog(20):
         b = berge_witness(g)
         ok, msg = verify(g, b)
-        assert ok, (g.name, msg)
+        check(ok, (g.name, msg))
         if g.name == "petersen":
-            assert b.cover_count == 2
-            assert len(b.families) == 6
-            assert all(mult == 1 for _, mult in b.families)
+            check(b.cover_count == 2, "petersen cover count is not 2")
+            check(len(b.families) == 6, "petersen cover is not six matchings")
+            check(all(mult == 1 for _, mult in b.families), "a repeated matching")
         count += 1
     return f"{count} catalog graphs carry a uniform cover; petersen k = 2"
 
@@ -157,15 +168,15 @@ def _check_boundary_equivalences() -> str:
             continue
         zero, _ = is_eta_zero(g)
         one, _ = is_eta_one(g)
-        assert (r.value == 0) == zero, g.name
-        assert (r.value == 1) == one, g.name
+        check((r.value == 0) == zero, g.name)
+        check((r.value == 1) == one, g.name)
         ran += 1
     rng = random.Random(DEFAULT_SEED)
     found = 0
     attempts = 0
     while found < 50:
         attempts += 1
-        assert attempts < 1000, "bridged sampling stalled"
+        check(attempts < 1000, "bridged sampling stalled")
         ga = random_cubic(rng.choice([6, 8, 10]), rng)
         gb = random_cubic(rng.choice([6, 8, 10]), rng)
         joined = bridge_join(
@@ -174,18 +185,22 @@ def _check_boundary_equivalences() -> str:
         if not has_perfect_matching(joined):
             continue
         zero, _ = is_eta_zero(joined)
-        assert zero, "bridged graph with every edge in some perfect matching"
+        check(zero, "bridged graph with every edge in some perfect matching")
         found += 1
     return f"{ran} catalog graphs agree at 0/1; {found} bridged graphs all eta 0"
 
 
 def _family_structure(d: int) -> None:
     g, m = eta_third_family(d)
-    assert len(m) * 10 == 3 * g.n, (d, len(m), g.n)
+    check(len(m) * 10 == 3 * g.n, (d, len(m), g.n))
     c = maximal_matching_bound(g, m)
-    assert c.bound == THIRD, (d, c.bound)
+    check(c.bound == THIRD, (d, c.bound))
     ok, msg = verify(g, c)
-    assert ok, (d, msg)
+    check(ok, (d, msg))
+    c = odd_component_cert(g, m)
+    check(c.cap * 3 == len(m) and c.bound == THIRD, (d, c.cap, c.bound))
+    ok, msg = verify(g, c)
+    check(ok, (d, msg))
 
 
 def _check_snark_family() -> str:
@@ -193,23 +208,23 @@ def _check_snark_family() -> str:
         _family_structure(d)
     for d in (0, 1):
         g, _ = eta_third_family(d)
-        assert is_snark(g), d
-    return "d in {0,1,2}: |M| = 3n/10 and bound 1/3; d <= 1 snarks"
+        check(is_snark(g), d)
+    return "d in {0,1,2}: |M| = 3n/10, bounds 1/3 (exposed set, cap); d <= 1 snarks"
 
 
 def _check_classifiers() -> str:
-    assert tait_coloring(named("petersen")) is None
+    check(tait_coloring(named("petersen")) is None, "petersen got a coloring")
     colored = 0
     for n in range(3, 11):
         for k in range(1, (n - 1) // 2 + 1):
             c = tait_coloring(gp(n, k))
             if (n, k) == (5, 2):
-                assert c is None, "gp(5,2) got a coloring"
+                check(c is None, "gp(5,2) got a coloring")
             else:
-                assert c is not None, f"gp({n},{k}) not colored"
+                check(c is not None, f"gp({n},{k}) not colored")
                 colored += 1
-    assert hamiltonian_cycle(named("petersen")) is None
-    assert hamiltonian_cycle(named("cube")) is not None
+    check(hamiltonian_cycle(named("petersen")) is None, "petersen is Hamiltonian")
+    check(hamiltonian_cycle(named("cube")) is not None, "cube has no Hamiltonian cycle")
     return f"{colored} generalized Petersen graphs colored; gp(5,2) alone is not"
 
 
@@ -223,10 +238,10 @@ def _check_engine_agreement() -> str:
             w = random_weights(g, rng)
             wb = matching_weight(w, blossom_max_matching(g, w))
             we = max(matching_weight(w, m) for m in maximals)
-            assert wb == we, g.name
+            check(wb == we, g.name)
             ws = matching_weight(w, shift_perfect_matching(g, w))
             wp = max(matching_weight(w, p) for p in pms)
-            assert ws == wp, g.name
+            check(ws == wp, g.name)
             trials += 1
     return f"{trials} draws: blossom = enumeration, shift = perfect enumeration"
 
@@ -234,18 +249,18 @@ def _check_engine_agreement() -> str:
 def _check_mesh_pipeline() -> str:
     tet = tetrahedron()
     d = dual_graph(tet)
-    assert d.graph.n == 4 and d.graph.m == 6, "tetrahedron dual is not K4"
+    check(d.graph.n == 4 and d.graph.m == 6, "tetrahedron dual is not K4")
     ico = icosahedron()
     d = dual_graph(ico)
     ok, _ = is_bridgeless(d.graph)
-    assert ok and d.graph.n == 20 and d.graph.m == 30
+    check(ok and d.graph.n == 20 and d.graph.m == 30, "icosahedron dual is wrong")
     _, rep = quadrangulate(ico, mode="perfect")
-    assert rep.quad_count == 10 and rep.triangle_count == 0, rep
+    check(rep.quad_count == 10 and rep.triangle_count == 0, rep)
     rng = random.Random(DEFAULT_SEED)
     for _ in range(1000):
         w = random_weights(d.graph, rng)
         _, rep = quadrangulate(ico, mode="maximum", weights=w)
-        assert THIRD <= rep.ratio <= 1, rep.ratio
+        check(THIRD <= rep.ratio <= 1, rep.ratio)
     return "tetra dual K4; ico dual bridgeless cubic; 1000 ratios in [1/3, 1]"
 
 
@@ -255,27 +270,27 @@ def _check_exclusions() -> str:
     except BudgetExceeded:
         pass
     else:
-        raise AssertionError("nauru exact eta ran inside default budgets")
+        raise CheckFailed("nauru exact eta ran inside default budgets")
     return "nauru exact eta refused at default budgets (run the gated check)"
 
 
 def _check_nauru_full_scan() -> str:
     c = best_maximal_matching_bound(named("nauru"), vertex_limit=24)
-    assert c.bound == HALF and len(c.independent_set) == 8, c
+    check(c.bound == HALF and len(c.independent_set) == 8, c)
     ok, msg = verify(named("nauru"), c)
-    assert ok, msg
+    check(ok, msg)
     return f"full scan: bound 1/2 at matching {c.matching}"
 
 
 def _check_family_d2_snark() -> str:
     g, _ = eta_third_family(2)
-    assert is_snark(g)
+    check(is_snark(g), "depth-2 member is not a snark")
     return f"depth-2 member ({g.n} vertices) is a snark"
 
 
 def _check_nauru_eta() -> str:
     r = eta_exact(named("nauru"), vertex_limit=24)
-    assert r.value == HALF, r.value
+    check(r.value == HALF, r.value)
     return "exact eta(nauru) = 1/2, matching its exposed-set bound"
 
 
@@ -327,7 +342,7 @@ def run_checks(
             detail = chk.func()
             ok = True
         except (
-            AssertionError,
+            CheckFailed,
             BudgetExceeded,
             InternalError,
             NoPerfectMatching,

@@ -6,11 +6,16 @@ per-check wall-clock limits are asserted too.  Gated long jobs run only
 with MATCHFORGE_FULL=1 in the environment.
 """
 
+import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import matchforge
 from matchforge.reproduce import CHECKS, run_checks
 
 DEFAULT_CHECKS = [c for c in CHECKS if not c.gated]
@@ -23,7 +28,7 @@ RUN_GATED = os.environ.get("MATCHFORGE_FULL") == "1"
 )
 def test_criterion(check):
     t0 = time.perf_counter()
-    detail = check.func()  # raises AssertionError on any mismatch
+    detail = check.func()  # raises CheckFailed on any mismatch
     elapsed = time.perf_counter() - t0
     assert detail
     assert elapsed <= check.limit, (
@@ -71,3 +76,28 @@ def test_runner_reports_a_failed_self_check(monkeypatch):
     (outcome,) = run_checks(ids=["x"])
     assert not outcome.ok
     assert outcome.detail == "InternalError: self-check failed"
+
+
+SABOTAGE = """
+import sys
+from dataclasses import replace
+from fractions import Fraction
+from matchforge import cli, reproduce
+
+real = reproduce.eta_exact
+reproduce.eta_exact = lambda g, **kw: replace(real(g, **kw), value=Fraction(1, 4))
+sys.exit(cli.main(["reproduce", "--only", "1"]))
+"""
+
+
+def test_checks_survive_python_optimize():
+    # under -O every assert is stripped; check 1 must still see eta 1/4
+    src = str(Path(matchforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SABOTAGE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    (outcome,) = json.loads(proc.stdout)["checks"]
+    assert not outcome["ok"] and outcome["detail"] == "CheckFailed: eta 1/4"

@@ -1,11 +1,13 @@
-"""The integer blossom engine: scale invariance and its optimality check."""
+"""The integer blossom engine: scale invariance and its dual check."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from matchforge import errors
-from matchforge.blossom import _check_optimum, max_weight_matching_pairs
+from matchforge import blossom
+from matchforge.blossom import dual_objective, max_weight_matching_pairs
 
 
 def _adjacency(n, weights):
@@ -31,34 +33,90 @@ def test_pairs_are_invariant_under_integer_scaling(seed):
         if not weights:
             continue
         adj = _adjacency(n, weights)
-        expected = max_weight_matching_pairs(n, weights, adj)
+        expected, _, _ = max_weight_matching_pairs(n, weights, adj)
         for k in (2, 7):
             scaled = {e: k * w for e, w in weights.items()}
-            assert max_weight_matching_pairs(n, scaled, adj) == expected
+            assert max_weight_matching_pairs(n, scaled, adj)[0] == expected
+
+
+def test_final_duals_prove_the_matching_optimal():
+    rng = random.Random(8)
+    with_sets = 0
+    for _ in range(40):
+        n = rng.randint(5, 24)
+        weights = {
+            (u, v): rng.randint(1, 9)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.35
+        }
+        if not weights:
+            continue
+        pairs, potentials, odd_sets = max_weight_matching_pairs(
+            n, weights, _adjacency(n, weights)
+        )
+        doubled = {e: 2 * w for e, w in weights.items()}
+        value = dual_objective(doubled, potentials, odd_sets)
+        assert value == 2 * sum(weights[p] for p in pairs)
+        assert min(potentials) >= 0
+        with_sets += bool(odd_sets)
+    assert with_sets  # some optimum needs blossom duals
 
 
 # path 0-1-2 with weights 1 and 2: the optimum matches 1-2, and the
-# doubled vertex duals (0, 2, 2) prove it with no blossom duals
+# potentials (0, 1, 1) prove it with no odd sets
 PATH = {(0, 1): 1, (1, 2): 2}
-ROOTS = {0: None, 1: None, 2: None}
+HALF = Fraction(1, 2)
+# a triangle weighted 2 with a pendant edge 2-3 weighted 1: the best
+# matching takes one triangle edge and 2-3; the triangle as an odd set
+# with value 2 and potentials (0, 0, 1, 0) prove weight 3
+TRIANGLE = {(0, 1): 2, (0, 2): 2, (1, 2): 2, (2, 3): 1}
+TRIANGLE_SET = ((0, 1, 2), 2)
 
 
-def test_check_optimum_accepts_an_optimal_pair():
-    _check_optimum(PATH, {1: 2, 2: 1}, {0: 0, 1: 2, 2: 2}, {}, ROOTS)
+def test_dual_objective_accepts_an_optimal_pair():
+    assert dual_objective(PATH, [0, 1, 1], []) == 2  # the weight of 1-2
+    assert dual_objective(TRIANGLE, [0, 0, 1, 0], [TRIANGLE_SET]) == 3
 
 
-def test_check_optimum_rejects_a_non_optimal_matching():
-    with pytest.raises(errors.InternalError):
-        _check_optimum(PATH, {0: 1, 1: 0}, {0: 0, 1: 2, 2: 2}, {}, ROOTS)
+def test_dual_objective_rejects_a_non_optimal_matching():
+    # 0-1 weighs 1, below the optimum's dual value 2, and a dual worth
+    # only 1 leaves the edge 1-2 uncovered
+    assert dual_objective(PATH, [0, 1, 1], []) != PATH[(0, 1)]
+    assert dual_objective(PATH, [0, 1, 0], []) is None
+
+
+def test_dual_objective_rejects_a_negative_slack():
+    assert dual_objective(PATH, [0, HALF, 3 * HALF], []) is None
+    # without its odd set the triangle's edges are uncovered
+    assert dual_objective(TRIANGLE, [0, 0, 1, 0], []) is None
 
 
 @pytest.mark.parametrize(
-    "dualvar",
+    "odd_sets",
     [
-        {0: 0, 1: 1, 2: 3},  # edge (0, 1) has negative slack
-        {0: -1, 1: 3, 2: 1},  # negative vertex dual
+        [((0, 1), 2)],  # even size
+        [((0, 1, 2, 2, 2), 2)],  # a repeated vertex
+        [((0, 1, 7), 2)],  # a vertex outside the graph
+        [((0, 1, -1), 2)],  # a negative vertex id
+        [((0, 1, 2), -2)],  # negative value
     ],
 )
-def test_check_optimum_rejects_an_infeasible_dual(dualvar):
+def test_dual_objective_rejects_a_bad_odd_set(odd_sets):
+    assert dual_objective(TRIANGLE, [0, 0, 1, 0], odd_sets) is None
+
+
+def test_negative_potentials_bound_only_perfect_matchings():
+    # path 0-1-2-3 weighted 1, 3, 1: potentials (-1/2, 3/2, 3/2, -1/2)
+    # are feasible with value 2, the best perfect matching; the middle
+    # edge alone weighs 3, so the blossom also demands potentials >= 0
+    path = {(0, 1): 1, (1, 2): 3, (2, 3): 1}
+    assert dual_objective(path, [-HALF, 3 * HALF, 3 * HALF, -HALF], []) == 2
+    pairs, potentials, _ = max_weight_matching_pairs(4, path, _adjacency(4, path))
+    assert pairs == {(1, 2)} and min(potentials) >= 0
+
+
+def test_blossom_raises_when_its_duals_do_not_check(monkeypatch):
+    monkeypatch.setattr(blossom, "dual_objective", lambda *args: None)
     with pytest.raises(errors.InternalError):
-        _check_optimum(PATH, {1: 2, 2: 1}, dualvar, {}, ROOTS)
+        max_weight_matching_pairs(3, PATH, _adjacency(3, PATH))

@@ -194,6 +194,37 @@ def test_witness_odd_kind(capsys):
     assert doc["certificate"]["kind"] == "odd_component_upper"
 
 
+def test_odd_certificate_flow_on_an_80_vertex_graph(capsys, tmp_path):
+    edges = run_cli(capsys, ["gen", "family:3"])["distinguished_matching"]
+    cert = tmp_path / "odd.json"
+    doc = run_cli(
+        capsys,
+        ["eta", "witness", "family:3", "--kind", "odd",
+         "--edges", ",".join(map(str, edges)), "--cert-out", str(cert)],
+    )
+    assert doc["certificate"]["bound"] == {"num": "1", "den": "3"}
+    doc = run_cli(capsys, ["cert", "verify", "family:3", str(cert)])
+    assert doc["valid"] is True and doc["reason"] == "ok"
+
+    data = json.loads(cert.read_text())
+    del data["potentials"]  # a certificate file without the dual
+    cert.write_text(json.dumps(data))
+    doc = run_cli(capsys, ["cert", "verify", "family:3", str(cert)], expect=1)
+    assert doc["reason"] == "missing payload"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    from matchforge import cli
+    from matchforge.errors import InternalError
+
+    def broken(*args, **kwargs):
+        raise InternalError("self-check failed")
+
+    monkeypatch.setattr(cli, "eta_exact", broken)
+    doc = run_cli(capsys, ["eta", "exact", "name:k4"], expect=3)
+    assert doc == {"error": "InternalError", "message": "self-check failed"}
+
+
 def test_mesh_quadrangulate(capsys, tmp_path):
     off = tmp_path / "ico.off"
     off.write_text(off_text(icosahedron()))

@@ -34,6 +34,7 @@ from matchforge.eta import _edge_masks, _support_lp_max
 from matchforge.generators import (
     bridge_join,
     catalog,
+    eta_third_family,
     gp,
     named,
     odd_component_example,
@@ -263,14 +264,56 @@ def test_find_independent_set_bound_nauru():
     assert find_independent_set_bound(named("petersen"), 5) is None
 
 
-def test_cap_certificate_routes_agree():
-    g = named("cube")
-    fast = cap_certificate(g, [0, 6, 11])
-    slow = cap_certificate(g, [0, 6, 11], use_enumeration=True)
-    assert fast == slow
-    assert fast.kind == CAP_UPPER
-    assert fast.cap == 2 and fast.bound == Fraction(2, 3)
-    assert verify(g, fast)[0]
+def test_cap_certificate_matches_enumeration():
+    # reference: the cap is the largest overlap with an enumerated perfect
+    # matching, and verify accepts every certificate
+    rng = random.Random(20)
+    with_sets = 0
+    for g in catalog(20):
+        pms = enumerate_perfect_matchings(g)
+        maximals = enumerate_maximal_matchings(g)
+        for m in rng.sample(maximals, min(30, len(maximals))):
+            cert = cap_certificate(g, m)
+            assert cert.cap == max(len(m & p) for p in pms), g.name
+            assert cert.bound == Fraction(cert.cap, len(m))
+            assert verify(g, cert) == (True, "ok"), g.name
+            with_sets += bool(cert.odd_sets)
+    assert with_sets  # some caps need odd sets in their proof
+    cert = cap_certificate(named("cube"), [0, 6, 11])
+    assert cert.kind == CAP_UPPER
+    assert cert.cap == 2 and cert.bound == Fraction(2, 3)
+
+
+def test_cap_certificate_needs_perfect_matchings():
+    two_triangles = from_edge_list(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    )
+    with pytest.raises(errors.NoPerfectMatching):
+        cap_certificate(two_triangles, [0])
+    with pytest.raises(errors.BadParameters):
+        cap_certificate(named("cube"), [])
+    with pytest.raises(errors.IncludeNotMatching):
+        odd_component_cert(named("cube"), [0, 1])
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_verify_checks_family_caps_by_arithmetic(depth, monkeypatch):
+    from matchforge import blossom, eta, matching
+
+    g, m = eta_third_family(depth)  # 40 and 80 vertices
+    certs = [cap_certificate(g, m), odd_component_cert(g, m)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify must not search")
+
+    monkeypatch.setattr(eta, "enumerate_perfect_matchings", refuse)
+    monkeypatch.setattr(matching, "enumerate_perfect_matchings", refuse)
+    monkeypatch.setattr(blossom, "max_weight_matching_pairs", refuse)
+    monkeypatch.setattr(matching, "max_weight_matching_pairs", refuse)
+    for cert in certs:
+        assert cert.cap * 3 == len(m) and cert.bound == Fraction(1, 3)
+        back = cert_from_json(json.loads(json.dumps(cert_to_json(cert))))
+        assert verify(g, back) == (True, "ok"), cert.kind
 
 
 def test_find_cap_matching_frozen():
@@ -398,6 +441,68 @@ def test_cert_json_malformed():
         cert_from_json({"kind": "cap_upper", "bound": {"num": "1"}})
     with pytest.raises(errors.ParseError):
         cert_from_json([])
+
+
+def _cap_with_odd_set():
+    # blanusa2 and the matching (0, 8, 12): cap 2, proved with one odd set
+    g = named("blanusa2")
+    cert = cap_certificate(g, [0, 8, 12])
+    assert cert.cap == 2 and len(cert.odd_sets) == 1
+    assert verify(g, cert) == (True, "ok")
+    return g, cert
+
+
+def test_verify_rejects_a_tampered_dual():
+    g, cert = _cap_with_odd_set()
+    zeroed = tuple((b, Fraction(0)) for b, _ in cert.odd_sets)
+    ok, why = verify(g, replace(cert, odd_sets=zeroed))
+    assert not ok and "dual" in why
+    assert verify(g, replace(cert, potentials=None)) == (False, "missing payload")
+    short = replace(cert, potentials=cert.potentials[:-1])
+    assert not verify(g, short)[0]
+    lowered = replace(cert, potentials=(cert.potentials[0] - 1,) + cert.potentials[1:])
+    assert not verify(g, lowered)[0]
+    # a perfect matching that misses the stated cap, or is not perfect
+    other = tuple(sorted(next(
+        p for p in enumerate_perfect_matchings(g) if not p & {0, 8, 12}
+    )))
+    assert not verify(g, replace(cert, perfect_matching=other))[0]
+    assert not verify(g, replace(cert, perfect_matching=(0, 8)))[0]
+    # a forged cap 0: attained by other, but the all-zero dual covers no
+    # edge of the matching
+    zero = (Fraction(0),) * g.n
+    forged = replace(
+        cert, cap=0, bound=Fraction(0), perfect_matching=other, potentials=zero,
+        odd_sets=(),
+    )
+    assert verify(g, forged) == (False, "dual value is None, certificate says cap 0")
+
+
+def test_verify_rejects_a_certificate_file_without_dual():
+    g, cert = _cap_with_odd_set()
+    for field in ("potentials", "odd_sets", "perfect_matching"):
+        data = cert_to_json(cert)
+        del data[field]
+        assert verify(g, cert_from_json(data)) == (False, "missing payload")
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("potentials", 5),
+        ("potentials", "1/2"),
+        ("potentials", [{"num": "1"}]),
+        ("potentials", [{"num": "1", "den": "0"}]),
+        ("odd_sets", [{"vertices": [0, 1, 2]}]),
+        ("perfect_matching", ["x"]),
+    ],
+)
+def test_cert_json_rejects_a_malformed_dual(field, bad):
+    _, cert = _cap_with_odd_set()
+    data = cert_to_json(cert)
+    data[field] = bad
+    with pytest.raises(errors.ParseError):
+        cert_from_json(data)
 
 
 def test_eta_result_json_shape():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from matchforge import errors
+from matchforge.blossom import dual_objective
 from matchforge.generators import catalog, gp, named, random_cubic
 from matchforge.graphs import from_edge_list
 from matchforge.matching import (
@@ -22,6 +23,7 @@ from matchforge.matching import (
     max_weight_matching,
     max_weight_perfect_matching,
     parse_weight_csv,
+    perfect_matching_dual,
     pm_with_forced_edges,
     random_weights,
     saturated,
@@ -152,6 +154,19 @@ def test_shift_route_matches_enumeration(seed=1212):
             assert saturated(g, got) == frozenset(range(g.n))
             best = max(matching_weight(w, p) for p in pms)
             assert matching_weight(w, got) == best
+
+
+def test_perfect_matching_dual_proves_the_optimum(seed=1213):
+    rng = random.Random(seed)
+    for g in catalog(16):
+        pms = enumerate_perfect_matchings(g)
+        for _ in range(10):
+            w = random_weights(g, rng)
+            pm, potentials, odd_sets = perfect_matching_dual(g, w)
+            weights = dict(zip(g.edges, w))
+            value = dual_objective(weights, potentials, odd_sets)
+            assert value == matching_weight(w, pm)
+            assert value == max(matching_weight(w, p) for p in pms)
 
 
 def test_blossom_route_matches_enumeration(seed=77):
