@@ -37,7 +37,6 @@ from .errors import (
     InternalError,
     MatchforgeError,
     NoPerfectMatching,
-    NotCubic,
     SearchTimeout,
 )
 from .eta import (
@@ -64,7 +63,6 @@ from .matching import (
     parse_weight_csv,
     random_weights,
     uniform_weights,
-    validate_weights,
 )
 from .mesh import dual_graph, load_off, quad_weights, quadrangulate, save_obj
 from .reproduce import CHECKS, run_checks

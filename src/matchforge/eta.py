@@ -73,7 +73,8 @@ ODD_COMPONENT_UPPER = "odd_component_upper"
 class EtaResult:
     """eta value plus a witness weighting that attains it.
 
-    argmax_matching is a best matching under the witness, and
+    argmax_matching is the lexicographically first maximum-weight
+    maximal matching under the witness, of weight argmax_weight, and
     worst_pm_weight the best perfect matching weight; their quotient
     reproduces value exactly.
     """
@@ -272,23 +273,8 @@ def eta_exact(
     """
     zero, bad_edge = is_eta_zero(g)
     if zero:
-        assert bad_edge is not None
-        w = tuple(
-            Fraction(1) if e == bad_edge else Fraction(0) for e in range(g.m)
-        )
-        arg = max_weight_matching(g, w)
-        arg_w = matching_weight(w, arg)
-        worst = max_weight_perfect_matching(g, w)
-        worst_w = matching_weight(w, worst)
-        if (arg_w, worst_w) != (1, 0):
-            raise InternalError("eta-zero witness does not re-evaluate to 0")
-        return EtaResult(
-            value=Fraction(0),
-            witness_weights=w,
-            argmax_matching=tuple(sorted(arg)),
-            argmax_weight=arg_w,
-            worst_pm_weight=worst_w,
-        )
+        w = [Fraction(int(e == bad_edge)) for e in range(g.m)]
+        return _witness_result(g, w, Fraction(1), Fraction(0))
 
     pm_kw = {"count_budget": perfect_count}
     mm_kw = {"count_budget": maximal_count}
@@ -315,27 +301,33 @@ def eta_exact(
     if best_s is None or best_edges is None or best_s < 1:
         raise InternalError(f"LP scan ended with s = {best_s}, expected >= 1")
 
-    w_list = [Fraction(0)] * g.m
+    w = [Fraction(0)] * g.m
     for e, val in zip(best_edges, best_assignment):
-        w_list[e] = val
-    w = validate_weights(g, w_list)
-    value = 1 / best_s
+        w[e] = val
+    return _witness_result(g, w, best_s, Fraction(1))
 
-    # independent re-evaluation of the witness
+
+def _witness_result(
+    g: Graph, weights: Sequence[Fraction], best: Fraction, worst: Fraction
+) -> EtaResult:
+    """The EtaResult of a witness weighting, re-evaluated independently:
+    the matching engines must find a best matching of weight best and a
+    best perfect matching of weight worst, or InternalError is raised.
+    """
+    w = validate_weights(g, weights)
     arg = max_weight_matching(g, w)
-    arg_w = matching_weight(w, arg)
-    worst = max_weight_perfect_matching(g, w)
-    worst_w = matching_weight(w, worst)
-    if arg_w != best_s:
-        raise InternalError("witness argmax disagrees with the LP scan")
-    if worst_w != 1:
-        raise InternalError("witness should make the best perfect matching tight")
+    pm = max_weight_perfect_matching(g, w)
+    got = (matching_weight(w, arg), matching_weight(w, pm))
+    if got != (best, worst):
+        raise InternalError(
+            f"witness re-evaluates to {got[1]}/{got[0]}, the scan found {worst}/{best}"
+        )
     return EtaResult(
-        value=value,
+        value=worst / best,
         witness_weights=w,
         argmax_matching=tuple(sorted(arg)),
-        argmax_weight=arg_w,
-        worst_pm_weight=worst_w,
+        argmax_weight=best,
+        worst_pm_weight=worst,
     )
 
 

@@ -259,11 +259,6 @@ def load_edge_list(path: str) -> Graph:
         return parse_edge_list(fh.read())
 
 
-def save_edge_list(g: Graph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g))
-
-
 def from_graph6(line: str) -> Graph:
     """Decode one graph in graph6 format (optionally with the >>graph6<< tag).
 

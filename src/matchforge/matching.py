@@ -6,11 +6,13 @@ entry.  Every operation is deterministic: enumeration streams are
 sorted lexicographically by their sorted edge-id tuples, and argmax
 selections take the lexicographically first optimum.
 
-Small graphs are optimised by exhaustive enumeration, larger ones by
-the blossom method; the two routes must agree wherever both run, and
-the test suite holds them to that.  The blossom runs on integers:
-_blossom_argmax scales each weight vector by the LCM of its
-denominators, the only place where rationals become ints.
+Every optimisation runs the blossom method, at any graph size; the
+enumerators serve the exact eta scan and the tests.  The argmax
+functions add an exact tie-break to the weights (_lex_tiebreak), so
+the blossom's unique optimum is the lexicographically first one.  The
+blossom runs on integers: _blossom_argmax scales each weight vector by
+the LCM of its denominators, the only place where rationals become
+ints.
 """
 
 from __future__ import annotations
@@ -218,16 +220,22 @@ def _blossom_argmax(g: Graph, weights: Sequence[Fraction]) -> tuple:
     return frozenset(out), tuple(Fraction(y, unit) for y in potentials), odd_sets
 
 
-def _enum_argmax(
-    stream: Iterable[frozenset[int]], weights: Sequence[Fraction]
-) -> frozenset[int] | None:
-    best: frozenset[int] | None = None
-    best_w = None
-    for m in stream:
-        w = matching_weight(weights, m)
-        if best_w is None or w > best_w:
-            best, best_w = m, w
-    return best
+def _lex_tiebreak(weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Weights whose unique optimum is the lexicographically first
+    optimum of the given ones.
+
+    With L the LCM of the denominators, two matching weights differ by
+    a multiple of 1/L.  Edge e gains 2**(m-1-e) / (2**m L), and one
+    matching's gains add up to less than 1/L, so an optimum of the new
+    weights is an optimum of the old ones.  Among those it holds the
+    lowest-numbered edge where two differ: the first sorted edge tuple
+    among matchings of one size, and among maximal matchings too, since
+    no two of them are nested.  Every new weight is positive, so the
+    new optimum is maximal.
+    """
+    m = len(weights)
+    unit = math.lcm(*(w.denominator for w in weights)) << m
+    return tuple(w + Fraction(1 << (m - 1 - e), unit) for e, w in enumerate(weights))
 
 
 def blossom_max_matching(g: Graph, weights: Sequence) -> frozenset[int]:
@@ -236,17 +244,11 @@ def blossom_max_matching(g: Graph, weights: Sequence) -> frozenset[int]:
 
 
 def max_weight_matching(g: Graph, weights: Sequence) -> frozenset[int]:
-    """A matching of maximum total weight.
-
-    Enumeration below the maximal-matching vertex limit, blossom above
-    it.  With nonnegative weights some maximal matching is optimal, so
-    the small route scans those.
+    """A matching of maximum total weight: the lexicographically first
+    optimum among the maximal matchings, one of which is optimal because
+    the weights are nonnegative.
     """
-    w = validate_weights(g, weights)
-    if g.n <= MAXIMAL_VERTEX_LIMIT:
-        best = _enum_argmax(enumerate_maximal_matchings(g), w)
-        return best if best is not None else frozenset()
-    return _blossom_argmax(g, w)[0]
+    return _blossom_argmax(g, _lex_tiebreak(validate_weights(g, weights)))[0]
 
 
 def perfect_matching_dual(g: Graph, weights: Sequence) -> tuple:
@@ -277,20 +279,10 @@ def shift_perfect_matching(g: Graph, weights: Sequence) -> frozenset[int]:
 
 
 def max_weight_perfect_matching(g: Graph, weights: Sequence) -> frozenset[int]:
-    """A perfect matching of maximum total weight.
-
-    Enumeration below the perfect-matching vertex limit, the shifted
-    blossom route above it.  Raises NoPerfectMatching when none exists.
+    """The lexicographically first perfect matching of maximum total
+    weight.  Raises NoPerfectMatching when none exists.
     """
-    w = validate_weights(g, weights)
-    if g.n % 2:
-        raise NoPerfectMatching("odd vertex count")
-    if g.n <= PERFECT_VERTEX_LIMIT:
-        best = _enum_argmax(enumerate_perfect_matchings(g), w)
-        if best is None:
-            raise NoPerfectMatching("no perfect matching exists")
-        return best
-    return shift_perfect_matching(g, w)
+    return shift_perfect_matching(g, _lex_tiebreak(validate_weights(g, weights)))
 
 
 def has_perfect_matching(g: Graph) -> bool:

@@ -85,6 +85,16 @@ def test_eta_petersen_exact():
     assert sum(1 for w in r.witness_weights if w) == 3
 
 
+def test_eta_exact_rejects_a_witness_that_does_not_re_evaluate(monkeypatch):
+    # the argmax re-evaluation is an explicit check: it also holds under -O
+    monkeypatch.setattr(
+        "matchforge.eta.max_weight_matching", lambda g, w: frozenset({0})
+    )
+    message = "re-evaluates to 1/1, the scan found 1/3"
+    with pytest.raises(errors.InternalError, match=message):
+        eta_exact(named("petersen"))
+
+
 def test_eta_frozen_catalog_values():
     for g in catalog(16):
         r = eta_exact(g)

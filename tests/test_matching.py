@@ -144,6 +144,25 @@ def test_perfect_vs_unrestricted_gap():
     assert matching_weight(w, best_pm) == 1
 
 
+def _first_optimum(stream, w):
+    """Reference argmax: the first optimum of a sorted matching stream."""
+    totals = [sum(w[e] for e in m) for m in stream]
+    return stream[totals.index(max(totals))]
+
+
+@pytest.mark.parametrize("g", catalog(), ids=lambda g: g.name)
+def test_argmax_is_the_first_optimum(g, seed=2025):
+    # nauru has 24 vertices, more than the maximal-matching enumeration
+    # takes by default; the argmax has no such limit
+    maxi = enumerate_maximal_matchings(g, vertex_limit=24)
+    pms = enumerate_perfect_matchings(g)
+    rng = random.Random(seed)
+    draws = [[1] * g.m] + [[rng.randint(0, 1) for _ in range(g.m)] for _ in range(5)]
+    for w in filter(any, draws):
+        assert max_weight_matching(g, w) == _first_optimum(maxi, w)
+        assert max_weight_perfect_matching(g, w) == _first_optimum(pms, w)
+
+
 def test_shift_route_matches_enumeration(seed=1212):
     rng = random.Random(seed)
     for g in catalog(16):
