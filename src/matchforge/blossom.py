@@ -9,44 +9,31 @@ parity; every S-vertex is tied by tight edges to an exposed vertex, all
 of which share one dual, so the slack of an S-S edge is even and
 halving it with // is exact (and checked).  Every call returns its
 final duals, which dual_objective (also used by eta.verify) must show
-to be optimal, or InternalError is raised.
+to be optimal, or InternalError is raised, as it is when any label,
+base or mate invariant of the search breaks.
 
 Vertices are 0..n-1.  Weights arrive as a mapping from ordered pairs
 (u, v), u < v, to nonnegative ints.
+
+Layout.  All state lives in flat lists indexed by id.  Vertices are
+0..n-1; a nontrivial blossom takes an id in n..2n-1 from a free list
+when it forms and returns it when it expands, so "b >= n" tells a
+blossom from a vertex.  A missing entry is 0 (labels), -1 (mate,
+parent, base) or None.  nbrs[v] holds (u, 2 * w_vu) in adjacency[v]
+order, and best edges are stored as (v, u, 2 * w_vu), so every slack
+dualvar[v] + dualvar[u] - 2 * w_vu is computed inline.
+
+Tie order.  Each dual step keeps the first candidate that is strictly
+smaller, so the scan order decides ties: vertices 0..n-1 first, then
+live blossoms in creation order.  The blossomdual dict supplies that
+order (a key is inserted when its blossom forms and deleted when it
+expands, so a reused id still sorts by its new creation), and every
+pass over blossoms, as well as the odd_sets output, iterates it.
 """
 
 from __future__ import annotations
 
 from .errors import InternalError
-
-
-class _Blossom:
-    """A nontrivial blossom: odd cycle of sub-blossoms.
-
-    childs lists the sub-blossoms, edges the connecting edge per child
-    (edges[0] joins childs[-1] to childs[0] through the original
-    tight edge that closed the cycle).
-    """
-
-    __slots__ = ("childs", "edges", "mybestedges")
-
-    def __init__(self):
-        self.childs: list = []
-        self.edges: list = []
-        self.mybestedges: list | None = None
-
-    def leaves(self):
-        stack = [*self.childs]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, _Blossom):
-                stack.extend(t.childs)
-            else:
-                yield t
-
-
-class _NoNode:
-    """Sentinel distinct from every vertex and blossom."""
 
 
 def dual_objective(weights, potentials, odd_sets):
@@ -90,38 +77,59 @@ def max_weight_matching_pairs(
     if n == 0 or not weights:
         return set(), [0] * n, []
 
-    gnodes = list(range(n))
-
-    def wt(i: int, j: int) -> int:
-        return weights[(i, j) if i < j else (j, i)]
-
     maxweight = max(0, max(weights.values()))
+    # nbrs[v]: (u, 2 * w_vu) for each neighbour u, in adjacency[v] order
+    nbrs = [
+        [(u, 2 * weights[(v, u) if v < u else (u, v)]) for u in adjacency[v]]
+        for v in range(n)
+    ]
+    size = 2 * n
+    zeros = [0] * size
+    nones = [None] * size
 
-    # mate[v]: vertex matched to v.
-    mate: dict[int, int] = {}
+    # mate[v]: vertex matched to v, or -1.
+    mate = [-1] * n
     # label on top-level blossoms: 1 = S, 2 = T (5 marks scan breadcrumbs).
-    label: dict = {}
-    # labeledge[b]: edge through which b obtained its label.
-    labeledge: dict = {}
+    label = zeros[:]
+    # labeledge[b]: edge (v, w) through which b obtained its label.
+    labeledge = nones[:]
     # inblossom[v]: top-level blossom containing vertex v.
-    inblossom: dict = {v: v for v in gnodes}
-    blossomparent: dict = {v: None for v in gnodes}
-    blossombase: dict = {v: v for v in gnodes}
-    bestedge: dict = {}
-    dualvar: dict = {v: maxweight for v in gnodes}
-    blossomdual: dict = {}
+    inblossom = list(range(n))
+    blossomparent = [-1] * size
+    blossombase = list(range(n)) + [-1] * n
+    # sub-blossoms of a blossom, and the edge joining each child to the
+    # previous one (edges[0] joins childs[-1] to childs[0] through the
+    # tight edge that closed the cycle)
+    blossomchilds: list = nones[:]
+    blossomedges: list = nones[:]
+    # least-slack (v, u, 2 * w) edges to other S-blossoms, per blossom
+    mybestedges: list = nones[:]
+    bestedge: list = nones[:]
+    dualvar = [maxweight] * n
+    # live blossom -> dual; iteration follows creation order
+    blossomdual: dict[int, int] = {}
+    freeids = list(range(size - 1, n - 1, -1))
     # edges that became tight and may be traversed.
-    allowedge: dict = {}
+    allowedge: set[tuple[int, int]] = set()
     queue: list[int] = []
 
-    def slack(v: int, w: int) -> int:
-        return dualvar[v] + dualvar[w] - 2 * wt(v, w)
+    def leaves(b: int) -> list[int]:
+        out = []
+        stack = [*blossomchilds[b]]
+        while stack:
+            t = stack.pop()
+            if t >= n:
+                stack.extend(blossomchilds[t])
+            else:
+                out.append(t)
+        return out
 
-    def assign_label(w, t, v) -> None:
+    def assign_label(w: int, t: int, v) -> None:
         # a T label passes an S label on to the mate of its base
         while True:
             b = inblossom[w]
-            assert label.get(w) is None and label.get(b) is None
+            if label[w] or label[b]:
+                raise InternalError("blossom: labelling a labelled vertex")
             label[w] = label[b] = t
             if v is not None:
                 labeledge[w] = labeledge[b] = (v, w)
@@ -129,59 +137,67 @@ def max_weight_matching_pairs(
                 labeledge[w] = labeledge[b] = None
             bestedge[w] = bestedge[b] = None
             if t == 1:
-                if isinstance(b, _Blossom):
-                    queue.extend(b.leaves())
+                if b >= n:
+                    queue.extend(leaves(b))
                 else:
                     queue.append(b)
                 return
             v = blossombase[b]
             w, t = mate[v], 1
 
-    def scan_blossom(v, w):
-        """Walk both alternating paths to find a common ancestor S-blossom."""
+    def scan_blossom(v: int, w: int) -> int:
+        """Walk both alternating paths to find a common ancestor
+        S-blossom; return its base, or -1 if the paths reach two
+        different exposed vertices."""
         path = []
-        base = _NoNode
-        while v is not _NoNode:
+        base = -1
+        while v != -1:
             b = inblossom[v]
             if label[b] & 4:
                 base = blossombase[b]
                 break
-            assert label[b] == 1
+            if label[b] != 1:
+                raise InternalError("blossom: scan reached a non-S blossom")
             path.append(b)
             label[b] = 5
             if labeledge[b] is None:
-                assert blossombase[b] not in mate
-                v = _NoNode
+                if mate[blossombase[b]] != -1:
+                    raise InternalError("blossom: a root S-blossom has a matched base")
+                v = -1
             else:
-                assert labeledge[b][0] == mate[blossombase[b]]
+                if labeledge[b][0] != mate[blossombase[b]]:
+                    raise InternalError("blossom: an S label not via the base's mate")
                 v = labeledge[b][0]
                 b = inblossom[v]
-                assert label[b] == 2
+                if label[b] != 2:
+                    raise InternalError("blossom: an S-blossom's parent is not T")
                 v = labeledge[b][0]
-            if w is not _NoNode:
+            if w != -1:
                 v, w = w, v
         for b in path:
             label[b] = 1
         return base
 
-    def add_blossom(base, v, w) -> None:
+    def add_blossom(base: int, v: int, w: int) -> None:
         """Fold the cycle through (v, w) and their paths to base into one blossom."""
         bb = inblossom[base]
         bv = inblossom[v]
         bw = inblossom[w]
-        b = _Blossom()
+        b = freeids.pop()
         blossombase[b] = base
-        blossomparent[b] = None
+        blossomparent[b] = -1
         blossomparent[bb] = b
-        b.childs = path = []
-        b.edges = edgs = [(v, w)]
+        blossomchilds[b] = path = []
+        blossomedges[b] = edgs = [(v, w)]
         while bv != bb:
             blossomparent[bv] = b
             path.append(bv)
             edgs.append(labeledge[bv])
-            assert label[bv] == 2 or (
-                label[bv] == 1 and labeledge[bv][0] == mate[blossombase[bv]]
-            )
+            if not (
+                label[bv] == 2
+                or (label[bv] == 1 and labeledge[bv][0] == mate[blossombase[bv]])
+            ):
+                raise InternalError("blossom: a bad label on the cycle's first path")
             v = labeledge[bv][0]
             bv = inblossom[v]
         path.append(bb)
@@ -191,127 +207,133 @@ def max_weight_matching_pairs(
             blossomparent[bw] = b
             path.append(bw)
             edgs.append((labeledge[bw][1], labeledge[bw][0]))
-            assert label[bw] == 2 or (
-                label[bw] == 1 and labeledge[bw][0] == mate[blossombase[bw]]
-            )
+            if not (
+                label[bw] == 2
+                or (label[bw] == 1 and labeledge[bw][0] == mate[blossombase[bw]])
+            ):
+                raise InternalError("blossom: a bad label on the cycle's second path")
             w = labeledge[bw][0]
             bw = inblossom[w]
-        assert label[bb] == 1
+        if label[bb] != 1:
+            raise InternalError("blossom: the new blossom's base is not S")
         label[b] = 1
         labeledge[b] = labeledge[bb]
         blossomdual[b] = 0
-        for leaf in b.leaves():
+        for leaf in leaves(b):
             if label[inblossom[leaf]] == 2:
                 queue.append(leaf)
             inblossom[leaf] = b
         # recompute best edges out of the new blossom
-        bestedgeto: dict = {}
+        bestedgeto: dict[int, tuple[int, int, int]] = {}
         for bv in path:
-            if isinstance(bv, _Blossom):
-                if bv.mybestedges is not None:
-                    nblist = bv.mybestedges
-                    bv.mybestedges = None
+            if bv >= n:
+                if mybestedges[bv] is not None:
+                    nblist = mybestedges[bv]
+                    mybestedges[bv] = None
                 else:
                     nblist = [
-                        (leaf, nb)
-                        for leaf in bv.leaves()
-                        for nb in adjacency[leaf]
+                        (leaf, u, w2) for leaf in leaves(bv) for u, w2 in nbrs[leaf]
                     ]
             else:
-                nblist = [(bv, nb) for nb in adjacency[bv]]
+                nblist = [(bv, u, w2) for u, w2 in nbrs[bv]]
             for k in nblist:
-                (i, j) = k
+                i, j, w2 = k
                 if inblossom[j] == b:
                     i, j = j, i
                 bj = inblossom[j]
-                if (
-                    bj != b
-                    and label.get(bj) == 1
-                    and (bj not in bestedgeto or slack(i, j) < slack(*bestedgeto[bj]))
-                ):
-                    bestedgeto[bj] = k
+                if bj != b and label[bj] == 1:
+                    e = bestedgeto.get(bj)
+                    if e is None or dualvar[i] + dualvar[j] - w2 < (
+                        dualvar[e[0]] + dualvar[e[1]] - e[2]
+                    ):
+                        bestedgeto[bj] = k
             bestedge[bv] = None
-        b.mybestedges = list(bestedgeto.values())
+        mybestedges[b] = best = list(bestedgeto.values())
         mybestedge = None
         mybestslack = None
-        bestedge[b] = None
-        for k in b.mybestedges:
-            kslack = slack(*k)
+        for k in best:
+            kslack = dualvar[k[0]] + dualvar[k[1]] - k[2]
             if mybestedge is None or kslack < mybestslack:
                 mybestedge = k
                 mybestslack = kslack
         bestedge[b] = mybestedge
 
-    def expand_blossom(bloss, endstage: bool) -> None:
+    def expand_blossom(bloss: int, endstage: bool) -> None:
         """Dissolve a blossom, relabelling its pieces if mid-stage."""
 
         def _recurse(b, endstage):
-            for s in b.childs:
-                blossomparent[s] = None
-                if isinstance(s, _Blossom):
+            childs = blossomchilds[b]
+            for s in childs:
+                blossomparent[s] = -1
+                if s >= n:
                     if endstage and blossomdual[s] == 0:
                         yield s
                     else:
-                        for leaf in s.leaves():
+                        for leaf in leaves(s):
                             inblossom[leaf] = s
                 else:
                     inblossom[s] = s
-            if (not endstage) and label.get(b) == 2:
+            if (not endstage) and label[b] == 2:
                 # relabel along the even-length side of the cycle from
                 # the entry child to the base
+                edges = blossomedges[b]
                 entrychild = inblossom[labeledge[b][1]]
-                j = b.childs.index(entrychild)
+                j = childs.index(entrychild)
                 if j & 1:
-                    j -= len(b.childs)
+                    j -= len(childs)
                     jstep = 1
                 else:
                     jstep = -1
                 v, w = labeledge[b]
                 while j != 0:
                     if jstep == 1:
-                        p, q = b.edges[j]
+                        p, q = edges[j]
                     else:
-                        q, p = b.edges[j - 1]
-                    label[w] = None
-                    label[q] = None
+                        q, p = edges[j - 1]
+                    label[w] = 0
+                    label[q] = 0
                     assign_label(w, 2, v)
-                    allowedge[(p, q)] = allowedge[(q, p)] = True
+                    allowedge.add((p, q))
+                    allowedge.add((q, p))
                     j += jstep
                     if jstep == 1:
-                        v, w = b.edges[j]
+                        v, w = edges[j]
                     else:
-                        w, v = b.edges[j - 1]
-                    allowedge[(v, w)] = allowedge[(w, v)] = True
+                        w, v = edges[j - 1]
+                    allowedge.add((v, w))
+                    allowedge.add((w, v))
                     j += jstep
-                bw = b.childs[j]
+                bw = childs[j]
                 label[w] = label[bw] = 2
                 labeledge[w] = labeledge[bw] = (v, w)
                 bestedge[bw] = None
                 j += jstep
-                while b.childs[j] != entrychild:
-                    bv = b.childs[j]
-                    if label.get(bv) == 1:
+                while childs[j] != entrychild:
+                    bv = childs[j]
+                    if label[bv] == 1:
                         j += jstep
                         continue
-                    if isinstance(bv, _Blossom):
-                        for leaf in bv.leaves():
-                            if label.get(leaf):
+                    if bv >= n:
+                        for leaf in leaves(bv):
+                            if label[leaf]:
                                 break
                     else:
                         leaf = bv
-                    if label.get(leaf):
-                        assert label[leaf] == 2
-                        assert inblossom[leaf] == bv
-                        label[leaf] = None
-                        label[mate[blossombase[bv]]] = None
+                    if label[leaf]:
+                        if label[leaf] != 2:
+                            raise InternalError("blossom: a reached child is not T")
+                        if inblossom[leaf] != bv:
+                            raise InternalError("blossom: a T leaf outside its child")
+                        label[leaf] = 0
+                        label[mate[blossombase[bv]]] = 0
                         assign_label(leaf, 2, labeledge[leaf][0])
                     j += jstep
-            label.pop(b, None)
-            labeledge.pop(b, None)
-            bestedge.pop(b, None)
-            del blossomparent[b]
-            del blossombase[b]
+            label[b] = 0
+            labeledge[b] = bestedge[b] = mybestedges[b] = None
+            blossomchilds[b] = blossomedges[b] = None
+            blossomparent[b] = blossombase[b] = -1
             del blossomdual[b]
+            freeids.append(b)
 
         stack = [_recurse(bloss, endstage)]
         while stack:
@@ -322,40 +344,43 @@ def max_weight_matching_pairs(
             else:
                 stack.pop()
 
-    def augment_blossom(bloss, v: int) -> None:
+    def augment_blossom(bloss: int, v: int) -> None:
         """Swap matched/unmatched edges inside bloss so v becomes its base."""
 
         def _recurse(b, v):
             t = v
             while blossomparent[t] != b:
                 t = blossomparent[t]
-            if isinstance(t, _Blossom):
+            if t >= n:
                 yield (t, v)
-            i = j = b.childs.index(t)
+            childs = blossomchilds[b]
+            edges = blossomedges[b]
+            i = j = childs.index(t)
             if i & 1:
-                j -= len(b.childs)
+                j -= len(childs)
                 jstep = 1
             else:
                 jstep = -1
             while j != 0:
                 j += jstep
-                t = b.childs[j]
+                t = childs[j]
                 if jstep == 1:
-                    w, x = b.edges[j]
+                    w, x = edges[j]
                 else:
-                    x, w = b.edges[j - 1]
-                if isinstance(t, _Blossom):
+                    x, w = edges[j - 1]
+                if t >= n:
                     yield (t, w)
                 j += jstep
-                t = b.childs[j]
-                if isinstance(t, _Blossom):
+                t = childs[j]
+                if t >= n:
                     yield (t, x)
                 mate[w] = x
                 mate[x] = w
-            b.childs = b.childs[i:] + b.childs[:i]
-            b.edges = b.edges[i:] + b.edges[:i]
-            blossombase[b] = blossombase[b.childs[0]]
-            assert blossombase[b] == v
+            blossomchilds[b] = childs = childs[i:] + childs[:i]
+            blossomedges[b] = edges[i:] + edges[:i]
+            blossombase[b] = blossombase[childs[0]]
+            if blossombase[b] != v:
+                raise InternalError("blossom: augmenting did not rebase the blossom")
 
         stack = [_recurse(bloss, v)]
         while stack:
@@ -371,155 +396,156 @@ def max_weight_matching_pairs(
         for (s, j) in ((v, w), (w, v)):
             while 1:
                 bs = inblossom[s]
-                assert label[bs] == 1
-                assert (labeledge[bs] is None and blossombase[bs] not in mate) or (
-                    labeledge[bs][0] == mate[blossombase[bs]]
-                )
-                if isinstance(bs, _Blossom):
+                if label[bs] != 1:
+                    raise InternalError("blossom: an augmenting path leaves S")
+                if labeledge[bs] is None:
+                    if mate[blossombase[bs]] != -1:
+                        raise InternalError("blossom: a root S-blossom has a matched base")
+                elif labeledge[bs][0] != mate[blossombase[bs]]:
+                    raise InternalError("blossom: an S label not via the base's mate")
+                if bs >= n:
                     augment_blossom(bs, s)
                 mate[s] = j
                 if labeledge[bs] is None:
                     break
                 t = labeledge[bs][0]
                 bt = inblossom[t]
-                assert label[bt] == 2
+                if label[bt] != 2:
+                    raise InternalError("blossom: an S-blossom's parent is not T")
                 s, j = labeledge[bt]
-                assert blossombase[bt] == t
-                if isinstance(bt, _Blossom):
+                if blossombase[bt] != t:
+                    raise InternalError("blossom: a T-blossom entered off its base")
+                if bt >= n:
                     augment_blossom(bt, j)
                 mate[j] = s
 
     # Each stage tries to find one augmenting path.
     while 1:
-        label.clear()
-        labeledge.clear()
-        bestedge.clear()
+        label[:] = zeros
+        labeledge[:] = nones
+        bestedge[:] = nones
         for b in blossomdual:
-            b.mybestedges = None
+            mybestedges[b] = None
         allowedge.clear()
-        queue[:] = []
+        queue.clear()
 
-        for v in gnodes:
-            if (v not in mate) and label.get(inblossom[v]) is None:
+        for v in [v for v, u in enumerate(mate) if u == -1]:
+            if label[inblossom[v]] == 0:
                 assign_label(v, 1, None)
 
         augmented = 0
         while 1:
             while queue and (not augmented):
                 v = queue.pop()
-                assert label[inblossom[v]] == 1
-                for w in adjacency[v]:
-                    bv = inblossom[v]
+                if label[inblossom[v]] != 1:
+                    raise InternalError("blossom: a queued vertex is not S")
+                bv = inblossom[v]
+                for w, w2 in nbrs[v]:
                     bw = inblossom[w]
                     if bv == bw:
                         continue
-                    if (v, w) not in allowedge:
-                        kslack = slack(v, w)
+                    tight = (v, w) in allowedge
+                    if not tight:
+                        kslack = dualvar[v] + dualvar[w] - w2
                         if kslack <= 0:
-                            allowedge[(v, w)] = allowedge[(w, v)] = True
-                    if (v, w) in allowedge:
-                        if label.get(bw) is None:
+                            allowedge.add((v, w))
+                            allowedge.add((w, v))
+                            tight = True
+                    if tight:
+                        lbw = label[bw]
+                        if lbw == 0:
                             assign_label(w, 2, v)
-                        elif label.get(bw) == 1:
+                        elif lbw == 1:
                             base = scan_blossom(v, w)
-                            if base is not _NoNode:
+                            if base != -1:
                                 add_blossom(base, v, w)
+                                bv = inblossom[v]
                             else:
                                 augment_matching(v, w)
                                 augmented = 1
                                 break
-                        elif label.get(w) is None:
-                            assert label.get(bw) == 2
+                        elif label[w] == 0:
+                            if lbw != 2:
+                                raise InternalError("blossom: a tight edge into a non-T blossom")
                             label[w] = 2
                             labeledge[w] = (v, w)
-                    elif label.get(bw) == 1:
-                        if bestedge.get(bv) is None or kslack < slack(*bestedge[bv]):
-                            bestedge[bv] = (v, w)
-                    elif label.get(w) is None:
-                        if bestedge.get(w) is None or kslack < slack(*bestedge[w]):
-                            bestedge[w] = (v, w)
+                    elif label[bw] == 1:
+                        e = bestedge[bv]
+                        if e is None or kslack < dualvar[e[0]] + dualvar[e[1]] - e[2]:
+                            bestedge[bv] = (v, w, w2)
+                    elif label[w] == 0:
+                        e = bestedge[w]
+                        if e is None or kslack < dualvar[e[0]] + dualvar[e[1]] - e[2]:
+                            bestedge[w] = (v, w, w2)
             if augmented:
                 break
 
             # no augmenting path under the current duals: pick the
-            # smallest dual step that changes the structure
+            # smallest dual step that changes the structure; a tie keeps
+            # the first candidate, vertices before blossoms and blossoms
+            # in creation order
+            lbls = [label[b] for b in inblossom]
             deltatype = 1
-            delta = max(0, min(dualvar.values()))
-            deltaedge = deltablossom = None
-            for v in gnodes:
-                if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
-                    d = slack(*bestedge[v])
+            delta = max(0, min(dualvar))
+            for v in range(n):
+                e = bestedge[v]
+                if e is not None and lbls[v] == 0:
+                    d = dualvar[e[0]] + dualvar[e[1]] - e[2]
                     if d < delta:
-                        delta = d
-                        deltatype = 2
-                        deltaedge = bestedge[v]
-            for b in blossomparent:
-                if (
-                    blossomparent[b] is None
-                    and label.get(b) == 1
-                    and bestedge.get(b) is not None
-                ):
-                    kslack = slack(*bestedge[b])
+                        delta, deltatype, deltaedge = d, 2, e
+            for b in (*range(n), *blossomdual):
+                e = bestedge[b]
+                if e is not None and blossomparent[b] == -1 and label[b] == 1:
+                    kslack = dualvar[e[0]] + dualvar[e[1]] - e[2]
                     if kslack % 2:
                         raise InternalError("blossom: odd slack on an S-S edge")
-                    d = kslack // 2
-                    if d < delta:
-                        delta = d
-                        deltatype = 3
-                        deltaedge = bestedge[b]
+                    if kslack // 2 < delta:
+                        delta, deltatype, deltaedge = kslack // 2, 3, e
+            for b, z in blossomdual.items():
+                if blossomparent[b] == -1 and label[b] == 2 and z < delta:
+                    delta, deltatype, deltablossom = z, 4, b
+            dualvar[:] = [
+                y - delta if lbl == 1 else y + delta if lbl == 2 else y
+                for y, lbl in zip(dualvar, lbls)
+            ]
             for b in blossomdual:
-                if (
-                    blossomparent[b] is None
-                    and label.get(b) == 2
-                    and blossomdual[b] < delta
-                ):
-                    delta = blossomdual[b]
-                    deltatype = 4
-                    deltablossom = b
-            for v in gnodes:
-                lbl = label.get(inblossom[v])
-                if lbl == 1:
-                    dualvar[v] -= delta
-                elif lbl == 2:
-                    dualvar[v] += delta
-            for b in blossomdual:
-                if blossomparent[b] is None:
-                    if label.get(b) == 1:
+                if blossomparent[b] == -1:
+                    if label[b] == 1:
                         blossomdual[b] += delta
-                    elif label.get(b) == 2:
+                    elif label[b] == 2:
                         blossomdual[b] -= delta
 
             if deltatype == 1:
                 break
-            elif deltatype == 2:
-                (v, w) = deltaedge
-                assert label[inblossom[v]] == 1
-                allowedge[(v, w)] = allowedge[(w, v)] = True
-                queue.append(v)
-            elif deltatype == 3:
-                (v, w) = deltaedge
-                allowedge[(v, w)] = allowedge[(w, v)] = True
-                assert label[inblossom[v]] == 1
+            elif deltatype == 2 or deltatype == 3:
+                v, w, _ = deltaedge
+                if label[inblossom[v]] != 1:
+                    raise InternalError("blossom: a least-slack edge off S")
+                allowedge.add((v, w))
+                allowedge.add((w, v))
                 queue.append(v)
             else:
                 expand_blossom(deltablossom, False)
 
-        for v in mate:
-            assert mate[mate[v]] == v
+        if any(mate[u] != v for v, u in enumerate(mate) if u != -1):
+            raise InternalError("blossom: the matching is not symmetric")
         if not augmented:
             break
 
         # discard blossoms that no longer pay their way
-        for b in list(blossomdual.keys()):
-            if b not in blossomdual:
-                continue
-            if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
+        for b in list(blossomdual):
+            if (
+                b in blossomdual
+                and blossomparent[b] == -1
+                and label[b] == 1
+                and blossomdual[b] == 0
+            ):
                 expand_blossom(b, True)
 
-    pairs = {(v, mate[v]) for v in mate if v < mate[v]}
+    pairs = {(v, mate[v]) for v in range(n) if v < mate[v]}
     covered = {v for p in pairs for v in p}
-    potentials = [dualvar[v] for v in gnodes]
-    odd_sets = [(tuple(sorted(b.leaves())), 2 * z) for b, z in blossomdual.items() if z]
+    potentials = dualvar
+    odd_sets = [(tuple(sorted(leaves(b))), 2 * z) for b, z in blossomdual.items() if z]
     value = dual_objective({e: 2 * w for e, w in weights.items()}, potentials, odd_sets)
     weight = sum(weights[p] for p in pairs)
     if len(covered) != 2 * len(pairs) or min(potentials) < 0 or value != 2 * weight:

@@ -1,7 +1,9 @@
 """Structure checks: bridges, bipartiteness, edge colouring, cycles.
 
 The colouring and cycle searches are exhaustive backtrackers with a
-node budget.  Hitting the budget raises SearchTimeout, which the
+node budget, run with explicit cursors rather than recursion, so their
+depth (one level per edge or per vertex) is not bounded by Python's
+recursion limit.  Hitting the budget raises SearchTimeout, which the
 callers must treat as "unknown", never as "no".  Branch orders are
 fixed (lowest id first), so returned witnesses are reproducible.
 """
@@ -95,39 +97,47 @@ def tait_coloring(
     # used[v] is a bitmask of colours present at v
     used = [0] * g.n
     pin = g.incident(0) if g.n else ()
-    nodes = 0
-
-    def place(eid: int) -> bool:
-        nonlocal nodes
-        if eid == m:
-            return True
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchTimeout(nodes)
+    options = [(0, 1, 2)] * m
+    if len(pin) >= 2:
+        options[pin[0]] = (0,)
+        options[pin[1]] = (1,)
+    # depth-first over edge ids with an explicit cursor per edge: try
+    # the next colour at eid, then go on to eid + 1 or back to eid - 1
+    cursor = [0] * m
+    eid = 0
+    nodes = 1
+    if nodes > node_budget:
+        raise SearchTimeout(nodes)
+    while True:
         u, v = g.edges[eid]
-        if len(pin) >= 2 and eid == pin[0]:
-            options = (0,)
-        elif len(pin) >= 2 and eid == pin[1]:
-            options = (1,)
-        else:
-            options = (0, 1, 2)
-        for c in options:
+        c = colour[eid]
+        if c != -1:
             bit = 1 << c
-            if used[u] & bit or used[v] & bit:
-                continue
-            colour[eid] = c
-            used[u] |= bit
-            used[v] |= bit
-            if place(eid + 1):
-                return True
             colour[eid] = -1
             used[u] &= ~bit
             used[v] &= ~bit
-        return False
-
-    if place(0):
-        return tuple(colour)
-    return None
+        opts = options[eid]
+        while cursor[eid] < len(opts):
+            c = opts[cursor[eid]]
+            cursor[eid] += 1
+            bit = 1 << c
+            if not (used[u] & bit or used[v] & bit):
+                colour[eid] = c
+                used[u] |= bit
+                used[v] |= bit
+                break
+        if colour[eid] == -1:
+            if eid == 0:
+                return None
+            eid -= 1
+            continue
+        if eid + 1 == m:
+            return tuple(colour)
+        eid += 1
+        cursor[eid] = 0
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchTimeout(nodes)
 
 
 def is_snark(g: CubicGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
@@ -143,8 +153,8 @@ def hamiltonian_cycle(
 ) -> tuple[int, ...] | None:
     """A hamiltonian cycle as a vertex sequence starting at 0, or None.
 
-    Backtracking extends the path by the lowest-numbered unvisited
-    neighbour first.  The cycle's second vertex is forced below its
+    Backtracking extends the path by the first unvisited neighbour in
+    g.adj order, which is edge-id order, not neighbour order.  The cycle's second vertex is forced below its
     last, which removes the reversal twin of each cycle.
     """
     n = g.n
@@ -155,26 +165,33 @@ def hamiltonian_cycle(
     path = [0]
     visited = [False] * n
     visited[0] = True
-    nodes = 0
-
-    def extend() -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchTimeout(nodes)
+    # cursor[i] is the next index into g.adj[path[i]] to try
+    cursor = [0]
+    nodes = 1
+    if nodes > node_budget:
+        raise SearchTimeout(nodes)
+    while True:
         v = path[-1]
         if len(path) == n:
-            return g.has_edge(v, 0) and path[1] < path[-1]
-        for u, _ in g.adj[v]:
-            if not visited[u]:
+            if g.has_edge(v, 0) and path[1] < path[-1]:
+                return tuple(path)
+        else:
+            adj = g.adj[v]
+            i = cursor[-1]
+            while i < len(adj) and visited[adj[i][0]]:
+                i += 1
+            if i < len(adj):
+                cursor[-1] = i + 1
+                u = adj[i][0]
                 visited[u] = True
                 path.append(u)
-                if extend():
-                    return True
-                path.pop()
-                visited[u] = False
-        return False
-
-    if extend():
-        return tuple(path)
-    return None
+                cursor.append(0)
+                nodes += 1
+                if nodes > node_budget:
+                    raise SearchTimeout(nodes)
+                continue
+        # v is exhausted: step back to its parent
+        if len(path) == 1:
+            return None
+        cursor.pop()
+        visited[path.pop()] = False

@@ -6,6 +6,7 @@ per-check wall-clock limits are asserted too.  Gated long jobs run only
 with MATCHFORGE_FULL=1 in the environment.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -101,3 +102,33 @@ def test_checks_survive_python_optimize():
     assert proc.returncode == 1, proc.stderr
     (outcome,) = json.loads(proc.stdout)["checks"]
     assert not outcome["ok"] and outcome["detail"] == "CheckFailed: eta 1/4"
+
+
+def test_no_module_relies_on_assert():
+    # python -O strips assert statements, so no engine check may be one
+    package = Path(matchforge.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert not found, found
+
+
+def test_classify_large_prism_ends_without_a_traceback():
+    # the colouring and cycle searches go one level deeper per edge and
+    # per vertex; gp(400, 1) has 1200 edges and 800 vertices
+    src = str(Path(matchforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchforge.cli", "classify", "gp:400,1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        doc = json.loads(proc.stdout)
+        assert doc["tait_colorable"] is True and doc["hamiltonian"] is True

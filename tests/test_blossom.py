@@ -1,5 +1,6 @@
 """The integer blossom engine: scale invariance and its dual check."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import pytest
 from matchforge import errors
 from matchforge import blossom
 from matchforge.blossom import dual_objective, max_weight_matching_pairs
+from matchforge.matching import random_weights
+from matchforge.mesh import dual_graph, icosahedron, quadrangulate
 
 
 def _adjacency(n, weights):
@@ -120,3 +123,46 @@ def test_blossom_raises_when_its_duals_do_not_check(monkeypatch):
     monkeypatch.setattr(blossom, "dual_objective", lambda *args: None)
     with pytest.raises(errors.InternalError):
         max_weight_matching_pairs(3, PATH, _adjacency(3, PATH))
+
+
+def _decision_stream():
+    """(pairs, potentials, odd_sets) of 200 seeded tie-heavy random
+    graphs, then both quadrangulate modes on the icosahedron (every
+    quality ties) and on it under the seeded weighting of
+    test_mesh.test_quadrangulate_counts_add_up."""
+    rng = random.Random(20261018)
+    tops = (1, 2, 10, 10**6)  # all-ones, 0..2, 0..10, 0..10**6
+    for i in range(200):
+        n = rng.randint(2, 40)
+        p = rng.uniform(0.05, 0.6)
+        top = tops[i % 4]
+        low = 1 if top == 1 else 0
+        weights = {
+            (u, v): rng.randint(low, top)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < p
+        }
+        pairs, potentials, odd_sets = max_weight_matching_pairs(
+            n, weights, _adjacency(n, weights)
+        )
+        yield sorted(pairs), potentials, odd_sets
+    ico = icosahedron()
+    draws = random.Random(2468)
+    weightings = [None] + [random_weights(dual_graph(ico).graph, draws) for _ in range(3)]
+    for w in weightings:
+        for mode in ("perfect", "maximum"):
+            qm, report = quadrangulate(ico, mode=mode, weights=w)
+            yield qm.quads, qm.triangles, report
+
+
+# Digest of _decision_stream computed on the dict-keyed engine of
+# commit 4654029; the list-indexed rewrite must make the same choices.
+DECISIONS_SHA256 = "ee7df50b5324c004cf78acc6ba64c092476637a690e9cc1d46d829ccff56fc88"
+
+
+def test_decisions_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for item in _decision_stream():
+        digest.update(repr(item).encode())
+    assert digest.hexdigest() == DECISIONS_SHA256
