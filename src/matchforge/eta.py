@@ -22,6 +22,18 @@ contains it, so the dropped rows never change s(M) or the feasible set.
 The returned witness is re-evaluated through the independent matching
 engines before the result is accepted; a mismatch raises InternalError.
 
+The scan meets each automorphism orbit of maximal matchings once.  An
+automorphism sigma of g permutes the perfect matchings, so s(sigma M)
+= s(M).  When M is met, the masks of its whole orbit (its closure under
+the generators from symmetry.edge_automorphisms) join a set of seen
+masks, and a later M in that set is skipped before its greedy cover
+or its LP.  This changes no output.  The best s so far never
+decreases, and once M is met it is at least s(M): either M's LP was
+solved, or M's greedy cover, an upper bound on s(M), was at most the
+best s.  So a skipped orbit-mate would fail the strict s > best test
+that picks the result, and the value, the argmax and its LP
+assignment are those of the full scan.
+
 Certificates bound eta from one side and carry enough raw data for
 verify() to recheck the claim from scratch.  A cap comes from one
 blossom call, with the Edmonds dual that proves it (see cap_certificate).
@@ -62,6 +74,7 @@ from .matching import (
     unsaturated,
     validate_weights,
 )
+from .symmetry import edge_automorphisms
 
 CAP_UPPER = "cap_upper"
 INDEPENDENT_SET_UPPER = "independent_set_upper"
@@ -210,7 +223,7 @@ def _greedy_cover_count(mask: int, pm_masks: Sequence[int]) -> int:
         best_gain = 0
         best_pm = 0
         for pm in pm_masks:
-            gain = bin(pm & remaining).count("1")
+            gain = (pm & remaining).bit_count()
             if gain > best_gain:
                 best_gain = gain
                 best_pm = pm
@@ -257,6 +270,22 @@ def _support_lp_max(
     return -sol.value, sol.assignment
 
 
+def _add_orbit(
+    edges: tuple[int, ...], gens: Sequence[Sequence[int]], seen: set[int]
+) -> None:
+    """Add the mask of every image of edges under the group <gens>."""
+    seen.add(sum(1 << e for e in edges))
+    frontier = [edges]
+    while frontier:
+        m = frontier.pop()
+        for perm in gens:
+            image = tuple(perm[e] for e in m)
+            mask = sum(1 << e for e in image)
+            if mask not in seen:
+                seen.add(mask)
+                frontier.append(image)
+
+
 def eta_exact(
     g: Graph,
     *,
@@ -284,13 +313,18 @@ def eta_exact(
     pms = enumerate_perfect_matchings(g, **pm_kw)
     maximals = enumerate_maximal_matchings(g, **mm_kw)
     pm_masks = _edge_masks(pms)
+    gens = edge_automorphisms(g)
 
     best_s: Fraction | None = None
     best_edges: tuple[int, ...] | None = None
     best_assignment: tuple[Fraction, ...] | None = None
+    seen: set[int] = set()  # masks of the orbits met so far
     for m in maximals:
         edges = tuple(sorted(m))
         mask = sum(1 << e for e in edges)
+        if mask in seen:
+            continue
+        _add_orbit(edges, gens, seen)
         if best_s is not None and _greedy_cover_count(mask, pm_masks) <= best_s:
             continue
         s, assignment = _support_lp_max(edges, pm_masks)
@@ -438,7 +472,7 @@ def find_independent_set_bound(
 
 
 def _cap_by_masks(m_mask: int, pm_masks: Sequence[int]) -> int:
-    return max(bin(m_mask & pm).count("1") for pm in pm_masks)
+    return max((m_mask & pm).bit_count() for pm in pm_masks)
 
 
 def cap_certificate(g: Graph, m: Iterable[int]) -> BoundCertificate:

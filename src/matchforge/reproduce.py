@@ -3,7 +3,7 @@
 Each check recomputes a documented value from scratch and fails loudly
 on any mismatch.  run_checks drives them with per-check wall clocks;
 the gated checks run past the default enumeration budgets (the exact
-eta of nauru, about six seconds, among them) and only run on request.
+eta of nauru, about a second, among them) and only run on request.
 """
 
 from __future__ import annotations
@@ -288,9 +288,19 @@ def _check_family_d2_snark() -> str:
     return f"depth-2 member ({g.n} vertices) is a snark"
 
 
+# the exact-eta witness of nauru: 1/3 on six edges, computed by the
+# full scan; the orbit scan must reproduce it
+NAURU_ARGMAX = (0, 2, 4, 6, 20, 22, 24, 30, 33)
+NAURU_WITNESS = frozenset((0, 4, 20, 22, 30, 33))
+
+
 def _check_nauru_eta() -> str:
-    r = eta_exact(named("nauru"), vertex_limit=24)
+    g = named("nauru")
+    r = eta_exact(g, vertex_limit=24)
     check(r.value == HALF, r.value)
+    check(r.argmax_matching == NAURU_ARGMAX, r.argmax_matching)
+    expected = tuple(THIRD if e in NAURU_WITNESS else 0 for e in range(g.m))
+    check(r.witness_weights == expected, r.witness_weights)
     return "exact eta(nauru) = 1/2, matching its exposed-set bound"
 
 

@@ -166,3 +166,37 @@ def test_decisions_match_the_pinned_digest():
     for item in _decision_stream():
         digest.update(repr(item).encode())
     assert digest.hexdigest() == DECISIONS_SHA256
+
+
+def _dense_tie_stream():
+    """(pairs, potentials, odd_sets) of 1000 seeded dense graphs with
+    14..32 vertices and weights 0..2, where most slacks tie and the
+    order of equal-slack candidates decides the result."""
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        n = rng.randint(14, 32)
+        p = rng.uniform(0.3, 0.9)
+        weights = {
+            (u, v): rng.randint(0, 2)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < p
+        }
+        pairs, potentials, odd_sets = max_weight_matching_pairs(
+            n, weights, _adjacency(n, weights)
+        )
+        yield sorted(pairs), potentials, odd_sets
+
+
+# Digest of _dense_tie_stream computed on the engine of commit 4914484.
+# Unlike DECISIONS_SHA256 it changes when a strict slack comparison in
+# the S-S bestedge update or in add_blossom's best-edge minimum becomes
+# <= (a mutation of either moves 3 to 6 of the 1000 calls).
+DENSE_TIES_SHA256 = "32a5da5e736903f8e0d927a287a1ebc79408d7cc6829900261218c7953594bb3"
+
+
+def test_dense_tie_decisions_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for item in _dense_tie_stream():
+        digest.update(repr(item).encode())
+    assert digest.hexdigest() == DENSE_TIES_SHA256
