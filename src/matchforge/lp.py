@@ -3,16 +3,43 @@
 Two-phase tableau simplex.  Pivoting follows Bland's rule (lowest
 eligible column, ties in the ratio test broken by lowest basic
 variable), which guarantees termination even on degenerate programs
-and makes every run deterministic.  All arithmetic is Fraction, so an
-Optimal status comes with an assignment that satisfies every row
-exactly; solve() re-checks that before returning and raises
-InternalError if it does not hold.
+and makes every run deterministic.  An Optimal status comes with an
+assignment that satisfies every row exactly; solve() re-checks that,
+over Fractions and against the rows as given, before returning, and
+raises InternalError if it does not hold.
 
-The tableau is stored dense, but a pivot only touches the nonzero
-entries of the pivot row: slack and artificial columns and 0/1 rows
-are mostly zero, and a zero entry leaves the other rows unchanged.
-Column and row choices do not look at that, so the pivot sequence and
-every value are those of the plain dense update.
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968): integer
+rows over one shared positive denominator det, so each stored row is
+det times the rational tableau row.
+
+- Integer start.  Each row is multiplied by the LCM of its
+  denominators, and its slack or artificial entry stays +-1.  That
+  only rescales that slack or artificial variable by a positive
+  constant, and the artificial of row i costs K / L_i in phase 1 (L_i
+  its row's scale, K the LCM of those), a positive multiple of the
+  rational phase-1 cost.  The phase-2 objective is multiplied by the
+  LCM of its denominators.  Positive scalings keep the sign of every
+  reduced cost, and every ratio of the ratio test keeps its order
+  (a row's scale cancels, a column's scale is the same in every row),
+  so Bland's rule enters and leaves exactly as over the rationals.
+  The ratio test cross-multiplies instead of dividing.
+- Pivot on p.  Every other row y, and the cost row, becomes
+  (p * y - f * x) // det, where x is the pivot row and f is y's entry
+  in the pivot column; then det = p.  Each division is exact: with the
+  start basis the identity, det is |det B| of the current basis B of
+  the integer matrix, and every stored entry is det times an entry of
+  B^-1 times that matrix, a determinant by Cramer's rule (Sylvester's
+  identity).  The cost row counts as one more row of that matrix,
+  with a basic column of its own.  Bland's pivots are positive; a
+  leftover artificial may leave on a negative one, which first
+  negates its row, so det stays positive.  Deleting a redundant row
+  removes an artificial column with a single 1 in that row, which
+  leaves |det B| unchanged.
+- Values.  A basic variable's value is Fraction(rhs, det).
+
+Entries are minors of the integer program, so on the 0/1 rows that eta
+builds they stay small.  When p == det only the pivot row's nonzero
+columns change; otherwise every other row is rescaled as well.
 
 Programs are stated as: minimise c.x subject to rows (a, rel, b) with
 rel one of <=, =, >=, and x >= 0 implicitly.
@@ -20,6 +47,7 @@ rel one of <=, =, >=, and x >= 0 implicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -68,38 +96,55 @@ def program(
     return LinearProgram(objective=obj, rows=tuple(out))
 
 
-def _pivot(
-    tab: list[list[Fraction]], basis: list[int], r: int, c: int
-) -> list[tuple[int, Fraction]]:
-    """Pivot on tab[r][c]; returns the normalised row's nonzero entries.
+def _scaled(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """xs times the LCM of their denominators, and that LCM."""
+    scale = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (scale // x.denominator) for x in xs], scale
 
-    Only the columns listed there change in the other rows, so those
-    are the only ones updated.
+
+def _pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:
+    """Pivot on rows[r][c] over the shared denominator det.
+
+    Every other row becomes (p * row - f * rows[r]) // det, with p the
+    pivot and f the row's entry in column c; a row with f = 0 only
+    changes when p != det.  A negative pivot first negates its row,
+    so the denominator stays positive.  Returns the new denominator.
     """
-    row_r = tab[r]
-    piv = row_r[c]
-    if piv != 1:
-        row_r[:] = [x / piv if x else x for x in row_r]
+    row_r = rows[r]
+    p = row_r[c]
+    if p < 0:
+        row_r[:] = [-x for x in row_r]
+        p = -p
     nonzero = [(j, x) for j, x in enumerate(row_r) if x]
-    for i, row_i in enumerate(tab):
+    for i, row_i in enumerate(rows):
         if i == r:
             continue
         f = row_i[c]
-        if f:
-            for j, x in nonzero:
-                row_i[j] -= f * x
-    basis[r] = c
-    return nonzero
+        if p == det:
+            if f:
+                for j, x in nonzero:
+                    row_i[j] -= f * x // det
+        elif f:
+            row_i[:] = [(p * y - f * x) // det for y, x in zip(row_i, row_r)]
+        else:
+            row_i[:] = [p * y // det if y else 0 for y in row_i]
+    return p
 
 
 def _run_simplex(
-    tab: list[list[Fraction]],
+    tab: list[list[int]],
     basis: list[int],
-    cost: list[Fraction],
+    cost: list[int],
     blocked: set[int],
-) -> str:
-    """Minimise cost over the tableau in place.  cost[-1] is -objective."""
+    det: int,
+) -> tuple[str, int]:
+    """Minimise cost over the tableau in place; returns (status, det).
+
+    cost is kept reduced over the same denominator, so cost[-1] is
+    -objective times det times the cost's own positive scale.
+    """
     ncols = len(cost) - 1
+    rows = [*tab, cost]
     while True:
         enter = -1
         for j in range(ncols):
@@ -109,26 +154,22 @@ def _run_simplex(
                 enter = j
                 break
         if enter == -1:
-            return OPTIMAL
+            return OPTIMAL, det
+        # Bland's ratio test, cross-multiplied: rhs_i / a_i < rhs_k / a_k
         leave = -1
-        best = None
         for i, row in enumerate(tab):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+                if leave == -1:
+                    leave, num, den = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, row[-1], a
         if leave == -1:
-            return UNBOUNDED
-        nonzero = _pivot(tab, basis, leave, enter)
-        # keep the cost row reduced
-        f = cost[enter]
-        if f:
-            for j, x in nonzero:
-                cost[j] -= f * x
+            return UNBOUNDED, det
+        det = _pivot(rows, leave, enter, det)
+        basis[leave] = enter
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -140,46 +181,47 @@ def solve(lp: LinearProgram) -> LpSolution:
             coeffs = tuple(-x for x in coeffs)
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append((coeffs, rel, rhs))
+        rows.append((*_scaled((*coeffs, rhs)), rel))
 
-    n_slack = sum(1 for _, rel, _ in rows if rel != "=")
+    n_slack = sum(1 for _, _, rel in rows if rel != "=")
     ncols = nv + n_slack + len(rows)  # artificials for every row, used as needed
     art0 = nv + n_slack
 
-    tab: list[list[Fraction]] = []
+    tab: list[list[int]] = []
     basis: list[int] = []
     slack_at = 0
-    zero = Fraction(0)
-    artificial_cols: set[int] = set()
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        row = [zero] * (ncols + 1)
-        for j, x in enumerate(coeffs):
-            row[j] = x
+    # an artificial of row i stands for scale_i artificials of the
+    # rational row, so its phase-1 cost is k // scale_i (k the LCM)
+    art_scale: dict[int, int] = {}
+    for i, (ints, scale, rel) in enumerate(rows):
+        row = ints[:nv] + [0] * (ncols - nv) + ints[nv:]
         if rel != "=":
-            row[nv + slack_at] = Fraction(1) if rel == "<=" else Fraction(-1)
+            row[nv + slack_at] = 1 if rel == "<=" else -1
             slack_at += 1
-        row[-1] = rhs
         if rel == "<=":
             basis.append(nv + slack_at - 1)
         else:
             col = art0 + i
-            row[col] = Fraction(1)
-            artificial_cols.add(col)
+            row[col] = 1
+            art_scale[col] = scale
             basis.append(col)
         tab.append(row)
+    artificial_cols = set(art_scale)
+    det = 1
 
     # phase 1: minimise the artificial sum
     if artificial_cols:
-        cost = [zero] * (ncols + 1)
-        for col in artificial_cols:
-            cost[col] = Fraction(1)
+        k = math.lcm(*art_scale.values())
+        cost = [0] * (ncols + 1)
         for i, b in enumerate(basis):
             if b in artificial_cols:
-                cost = [c - t for c, t in zip(cost, tab[i])]
-        status = _run_simplex(tab, basis, cost, blocked=set())
+                f = k // art_scale[b]
+                cost = [x - f * t for x, t in zip(cost, tab[i])]
+                cost[b] = 0
+        status, det = _run_simplex(tab, basis, cost, set(), det)
         if status != OPTIMAL:  # phase 1 is bounded below by 0
             raise InternalError(f"phase 1 ended {status}")
-        if -cost[-1] != 0:
+        if cost[-1] != 0:
             return LpSolution(status=INFEASIBLE)
         # remove leftover artificials from the basis
         drop: list[int] = []
@@ -193,27 +235,28 @@ def solve(lp: LinearProgram) -> LpSolution:
             if piv is None:
                 drop.append(i)  # redundant row
             else:
-                _pivot(tab, basis, i, piv)
+                det = _pivot(tab, i, piv, det)
+                basis[i] = piv
         for i in reversed(drop):
             del tab[i]
             del basis[i]
 
-    # phase 2
-    cost = [zero] * (ncols + 1)
-    for j, c in enumerate(lp.objective):
-        cost[j] = c
+    # phase 2, over the objective times the LCM of its denominators
+    obj, _ = _scaled(lp.objective)
+    cost = [det * c for c in obj] + [0] * (ncols + 1 - nv)
     for i, b in enumerate(basis):
-        if cost[b]:
-            f = cost[b]
-            cost = [c - f * t for c, t in zip(cost, tab[i])]
-    status = _run_simplex(tab, basis, cost, blocked=artificial_cols)
+        if b < nv and obj[b]:
+            f = obj[b]
+            cost = [x - f * t for x, t in zip(cost, tab[i])]
+    status, det = _run_simplex(tab, basis, cost, artificial_cols, det)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
 
+    zero = Fraction(0)
     assignment = [zero] * nv
     for i, b in enumerate(basis):
         if b < nv:
-            assignment[b] = tab[i][-1]
+            assignment[b] = Fraction(tab[i][-1], det)
     value = sum(
         (c * x for c, x in zip(lp.objective, assignment)), zero
     )

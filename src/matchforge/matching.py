@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .blossom import max_weight_matching_pairs
 from .errors import (
@@ -109,7 +110,9 @@ def enumerate_perfect_matchings(
 
     Branches on the lowest unsaturated vertex, so each matching is
     produced exactly once.  Raises BudgetExceeded if the graph is over
-    vertex_limit or more than count_budget matchings exist.
+    vertex_limit or more than count_budget matchings exist.  The search
+    keeps its own stack, one frame per matched pair, so its depth is
+    not bounded by the interpreter's recursion limit.
     """
     if g.n > vertex_limit:
         raise BudgetExceeded(
@@ -117,33 +120,42 @@ def enumerate_perfect_matchings(
         )
     if g.n % 2:
         return ()
+    n, adj = g.n, g.adj
     found: list[frozenset[int]] = []
-    sat = [False] * g.n
+    sat = [False] * n
     chosen: list[int] = []
-
-    def extend() -> None:
-        v = next((u for u in range(g.n) if not sat[u]), None)
-        if v is None:
+    partner: list[int] = []  # partner of each branch vertex on the path
+    stack: list[tuple[int, Iterator]] = []  # branch vertex, neighbours left
+    v = 0  # every vertex below v is saturated
+    while True:
+        while v < n and sat[v]:
+            v += 1
+        if v == n:
             if len(found) >= count_budget:
                 raise BudgetExceeded(f"more than {count_budget} perfect matchings")
             found.append(frozenset(chosen))
-            return
-        sat[v] = True
-        for u, eid in g.adj[v]:
-            if sat[u]:
+        else:
+            sat[v] = True
+            stack.append((v, iter(adj[v])))
+        # backtrack to the deepest branch vertex with a neighbour left
+        while stack:
+            v, neighbours = stack[-1]
+            if len(partner) == len(stack):  # undo its last branch
+                sat[partner.pop()] = False
+                chosen.pop()
+            for u, eid in neighbours:
+                if not sat[u]:
+                    sat[u] = True
+                    partner.append(u)
+                    chosen.append(eid)
+                    break
+            else:
+                sat[v] = False
+                stack.pop()
                 continue
-            sat[u] = True
-            chosen.append(eid)
-            extend()
-            chosen.pop()
-            sat[u] = False
-        sat[v] = False
-
-    try:
-        extend()
-    finally:
-        del extend  # extend refers to itself; free found without a GC pass
-    return _sorted_stream(found)
+            break
+        else:
+            return _sorted_stream(found)
 
 
 def enumerate_maximal_matchings(
@@ -156,43 +168,59 @@ def enumerate_maximal_matchings(
 
     Each vertex is either matched or committed to stay exposed; an
     exposed vertex may never see an exposed neighbour, which is exactly
-    maximality.  Budgets as in enumerate_perfect_matchings.
+    maximality.  The lowest undecided vertex is matched to each
+    undecided neighbour in adjacency order, then left exposed.  Budgets
+    and the explicit stack as in enumerate_perfect_matchings.
     """
     if g.n > vertex_limit:
         raise BudgetExceeded(
             f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
         )
     UNDECIDED, MATCHED, EXPOSED = 0, 1, 2
-    state = [UNDECIDED] * g.n
+    n, adj = g.n, g.adj
+    state = [UNDECIDED] * n
     found: list[frozenset[int]] = []
     chosen: list[int] = []
-
-    def extend() -> None:
-        v = next((u for u in range(g.n) if state[u] == UNDECIDED), None)
-        if v is None:
+    partner: list[int] = []  # as in enumerate_perfect_matchings; -1: exposed
+    stack: list[tuple[int, Iterator]] = []
+    v = 0  # every vertex below v is decided
+    while True:
+        while v < n and state[v] != UNDECIDED:
+            v += 1
+        if v == n:
             if len(found) >= count_budget:
                 raise BudgetExceeded(f"more than {count_budget} maximal matchings")
             found.append(frozenset(chosen))
-            return
-        state[v] = MATCHED
-        for u, eid in g.adj[v]:
-            if state[u] != UNDECIDED:
+        else:
+            state[v] = MATCHED
+            # the neighbours, then (-1, -1): the branch that leaves v exposed
+            stack.append((v, chain(adj[v], ((-1, -1),))))
+        while stack:
+            v, options = stack[-1]
+            if len(partner) == len(stack):
+                u = partner.pop()
+                if u >= 0:
+                    state[u] = UNDECIDED
+                    chosen.pop()
+            for u, eid in options:
+                if u >= 0:
+                    if state[u] != UNDECIDED:
+                        continue
+                    state[u] = MATCHED
+                    chosen.append(eid)
+                elif any(state[w] == EXPOSED for w, _ in adj[v]):
+                    continue
+                else:
+                    state[v] = EXPOSED
+                partner.append(u)
+                break
+            else:
+                state[v] = UNDECIDED
+                stack.pop()
                 continue
-            state[u] = MATCHED
-            chosen.append(eid)
-            extend()
-            chosen.pop()
-            state[u] = UNDECIDED
-        if all(state[u] != EXPOSED for u, _ in g.adj[v]):
-            state[v] = EXPOSED
-            extend()
-        state[v] = UNDECIDED
-
-    try:
-        extend()
-    finally:
-        del extend  # extend refers to itself; free found without a GC pass
-    return _sorted_stream(found)
+            break
+        else:
+            return _sorted_stream(found)
 
 
 def _blossom_argmax(g: Graph, weights: Sequence[Fraction]) -> tuple:

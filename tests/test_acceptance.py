@@ -118,17 +118,35 @@ def test_no_module_relies_on_assert():
     assert not found, found
 
 
-def test_classify_large_prism_ends_without_a_traceback():
-    # the colouring and cycle searches go one level deeper per edge and
-    # per vertex; gp(400, 1) has 1200 edges and 800 vertices
+# Searches that go one level deeper per step.  The colouring and cycle
+# searches step per edge and per vertex: gp(400, 1) has 1200 edges and
+# 800 vertices.  The two enumerations step per matched pair: gp(1100, 1)
+# has 2200 vertices, and count budgets of 1 stop each at its second
+# matching (10^5 perfect matchings of 1100 edges each would take
+# gigabytes).
+DEEP_SEARCHES = {
+    "classify": ["classify", "gp:400,1"],
+    "berge-witness": [
+        "eta", "witness", "gp:1100,1", "--kind", "berge",
+        "--vertex-limit", "3000", "--perfect-count", "1",
+    ],
+    "bounds": [
+        "eta", "bounds", "gp:1100,1", "--vertex-limit", "3000",
+        "--perfect-count", "1", "--maximal-count", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", DEEP_SEARCHES.values(), ids=DEEP_SEARCHES)
+def test_classify_large_prism_ends_without_a_traceback(argv):
     src = str(Path(matchforge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-m", "matchforge.cli", "classify", "gp:400,1"],
+        [sys.executable, "-m", "matchforge.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode in (0, 2), proc.stderr
     assert "Traceback" not in proc.stderr
-    if proc.returncode == 0:
+    if proc.returncode == 0 and argv[0] == "classify":
         doc = json.loads(proc.stdout)
         assert doc["tait_colorable"] is True and doc["hamiltonian"] is True

@@ -7,16 +7,19 @@ import pytest
 
 from matchforge import lp as lp_module
 from matchforge.errors import InternalError
+from matchforge.generators import named
 from matchforge.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    LpSolution,
     _check_exact,
     dual_program,
     program,
     solve,
 )
+from matchforge.matching import enumerate_perfect_matchings
 
 
 def _satisfies(lp: LinearProgram, x) -> bool:
@@ -144,29 +147,123 @@ def test_dual_of_infeasible_primal_unbounded_or_infeasible():
     assert d.status in (UNBOUNDED, INFEASIBLE)
 
 
-def _dense_pivot(tab, basis, r, c, seen=None):
-    """Reference pivot: every entry of every row, as a plain dense update.
+# The Fraction simplex that lp.solve replaced, kept as the reference:
+# the integer tableau must make the same pivots and return the same
+# values.  pivots, if given, records each (row, column) pivoted on.
 
-    Returns the whole pivot row, zeros included, so solve()'s cost-row
-    update is dense too.  seen, if given, counts non-unit and degenerate
-    (zero right-hand side) pivots.
-    """
-    piv = tab[r][c]
-    if seen is not None:
-        seen["non_unit"] += piv != 1
-        seen["degenerate"] += tab[r][-1] == 0
-    inv = 1 / piv
-    tab[r] = [x * inv for x in tab[r]]
+
+def _fraction_pivot(tab, basis, r, c, pivots=None):
+    if pivots is not None:
+        pivots.append((r, c))
     row_r = tab[r]
-    for i in range(len(tab)):
+    piv = row_r[c]
+    if piv != 1:
+        row_r[:] = [x / piv if x else x for x in row_r]
+    nonzero = [(j, x) for j, x in enumerate(row_r) if x]
+    for i, row_i in enumerate(tab):
         if i == r:
             continue
-        f = tab[i][c]
+        f = row_i[c]
         if f:
-            row_i = tab[i]
-            tab[i] = [a - f * b for a, b in zip(row_i, row_r)]
+            for j, x in nonzero:
+                row_i[j] -= f * x
     basis[r] = c
-    return list(enumerate(row_r))
+    return nonzero
+
+
+def _fraction_run_simplex(tab, basis, cost, blocked, pivots):
+    ncols = len(cost) - 1
+    while True:
+        enter = next(
+            (j for j in range(ncols) if j not in blocked and cost[j] < 0), -1
+        )
+        if enter == -1:
+            return OPTIMAL
+        leave = -1
+        best = None
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave == -1:
+            return UNBOUNDED
+        nonzero = _fraction_pivot(tab, basis, leave, enter, pivots)
+        f = cost[enter]
+        if f:
+            for j, x in nonzero:
+                cost[j] -= f * x
+
+
+def _fraction_solve(lp, pivots=None):
+    nv = lp.num_vars
+    rows = []
+    for coeffs, rel, rhs in lp.rows:
+        if rhs < 0:
+            coeffs = tuple(-x for x in coeffs)
+            rhs = -rhs
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        rows.append((coeffs, rel, rhs))
+    n_slack = sum(1 for _, rel, _ in rows if rel != "=")
+    ncols = nv + n_slack + len(rows)
+    art0 = nv + n_slack
+    tab, basis, artificial_cols = [], [], set()
+    zero = Fraction(0)
+    slack_at = 0
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        row = [zero] * (ncols + 1)
+        row[:nv] = coeffs
+        if rel != "=":
+            row[nv + slack_at] = Fraction(1 if rel == "<=" else -1)
+            slack_at += 1
+        row[-1] = rhs
+        if rel == "<=":
+            basis.append(nv + slack_at - 1)
+        else:
+            row[art0 + i] = Fraction(1)
+            artificial_cols.add(art0 + i)
+            basis.append(art0 + i)
+        tab.append(row)
+    if artificial_cols:
+        cost = [zero] * (ncols + 1)
+        for col in artificial_cols:
+            cost[col] = Fraction(1)
+        for i, b in enumerate(basis):
+            if b in artificial_cols:
+                cost = [c - t for c, t in zip(cost, tab[i])]
+        assert _fraction_run_simplex(tab, basis, cost, set(), pivots) == OPTIMAL
+        if cost[-1] != 0:
+            return LpSolution(status=INFEASIBLE)
+        drop = []
+        for i, b in enumerate(basis):
+            if b not in artificial_cols:
+                continue
+            piv = next((j for j in range(art0) if tab[i][j] != 0), None)
+            if piv is None:
+                drop.append(i)
+            else:
+                _fraction_pivot(tab, basis, i, piv, pivots)
+        for i in reversed(drop):
+            del tab[i]
+            del basis[i]
+    cost = [zero] * (ncols + 1)
+    cost[:nv] = lp.objective
+    for i, b in enumerate(basis):
+        if cost[b]:
+            f = cost[b]
+            cost = [c - f * t for c, t in zip(cost, tab[i])]
+    if _fraction_run_simplex(tab, basis, cost, artificial_cols, pivots) == UNBOUNDED:
+        return LpSolution(status=UNBOUNDED)
+    assignment = [zero] * nv
+    for i, b in enumerate(basis):
+        if b < nv:
+            assignment[b] = tab[i][-1]
+    value = sum((c * x for c, x in zip(lp.objective, assignment)), zero)
+    return LpSolution(OPTIMAL, value, tuple(assignment))
 
 
 def _random_program(rng):
@@ -181,26 +278,77 @@ def _random_program(rng):
     return program(obj, rows)
 
 
-def test_sparse_pivot_matches_dense_reference(monkeypatch, seed=77):
-    rng = random.Random(seed)
-    seen = {"non_unit": 0, "degenerate": 0}
+def _berge_shaped_program(rng):
+    # 0/1 columns (perfect matchings), one `=` row per edge with rhs 1/3,
+    # plus a row whose denominators differ entry by entry
+    nv = rng.randint(2, 10)
+    rows = [
+        ([int(rng.random() < 0.4) for _ in range(nv)], "=", Fraction(1, 3))
+        for _ in range(rng.randint(1, 8))
+    ]
+    mixed = [Fraction(rng.randint(-2, 3), rng.choice((1, 2, 3, 5, 7))) for _ in range(nv)]
+    rhs = Fraction(rng.randint(-2, 4), rng.choice((1, 4, 9)))
+    rows.insert(rng.randrange(len(rows) + 1), (mixed, rng.choice(("<=", ">=")), rhs))
+    obj = [Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(nv)]
+    return program(obj if rng.random() < 0.5 else [0] * nv, rows)
+
+
+def _same_as_reference(monkeypatch, programs):
+    """Solve each program both ways; require the same pivots and results.
+
+    Returns the statuses met and what the integer pivots looked like.
+    """
+    pivot = lp_module._pivot
+    seen = {"non_unit": 0, "degenerate": 0, "negative": 0}
+    got_pivots: list = []
+
+    def spy(rows, r, c, det):
+        p = rows[r][c]
+        got_pivots.append((r, c))
+        seen["non_unit"] += p != det
+        seen["degenerate"] += rows[r][-1] == 0
+        seen["negative"] += p < 0
+        return pivot(rows, r, c, det)
+
+    monkeypatch.setattr(lp_module, "_pivot", spy)
     statuses = set()
-    for _ in range(300):
-        p = _random_program(rng)
+    for p in programs:
+        got_pivots.clear()
         got = solve(p)
-        with monkeypatch.context() as m:
-            m.setattr(
-                lp_module, "_pivot", lambda *a: _dense_pivot(*a, seen=seen)
-            )
-            want = solve(p)
+        want_pivots: list = []
+        want = _fraction_solve(p, want_pivots)
+        assert got_pivots == want_pivots
         assert (got.status, got.value, got.assignment) == (
             want.status,
             want.value,
             want.assignment,
         )
         statuses.add(got.status)
+    return statuses, seen
+
+
+def test_integer_tableau_matches_fraction_reference(monkeypatch, seed=77):
+    rng = random.Random(seed)
+    programs = [_random_program(rng) for _ in range(300)]
+    statuses, seen = _same_as_reference(monkeypatch, programs)
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
-    assert seen["non_unit"] > 0 and seen["degenerate"] > 0
+    assert all(seen.values()), seen
+
+
+def test_berge_shaped_programs_match_fraction_reference(monkeypatch, seed=78):
+    rng = random.Random(seed)
+    programs = [_berge_shaped_program(rng) for _ in range(150)]
+    for name in ("petersen", "cube", "blanusa1"):
+        # the lower-bound LP itself: coverage 1/3 on every edge
+        g = named(name)
+        pms = enumerate_perfect_matchings(g)
+        rows = [
+            ([int(e in pm) for pm in pms], "=", Fraction(1, 3)) for e in range(g.m)
+        ]
+        programs.append(program([0] * len(pms), rows))
+    statuses, seen = _same_as_reference(monkeypatch, programs)
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert seen["non_unit"] and seen["degenerate"], seen
 
 
 def test_check_exact_raises_on_violated_row():
