@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 from .blossom import dual_objective
@@ -258,12 +258,11 @@ def _support_lp_max(
 
     One row per inclusion-maximal trace, which is exact because w >= 0.
     """
-    one, zero = Fraction(1), Fraction(0)
     rows = [
-        ([one if t >> e & 1 else zero for e in edges], "<=", one)
+        ([t >> e & 1 for e in edges], 1)
         for t in _maximal_traces(sum(1 << e for e in edges), pm_masks)
     ]
-    lp = program([Fraction(-1)] * len(edges), rows)
+    lp = program([-1] * len(edges), rows)
     sol = solve(lp)
     if sol.status != OPTIMAL or sol.assignment is None:
         raise InternalError(f"support LP for {tuple(edges)} ended {sol.status}")
@@ -305,13 +304,12 @@ def eta_exact(
         w = [Fraction(int(e == bad_edge)) for e in range(g.m)]
         return _witness_result(g, w, Fraction(1), Fraction(0))
 
-    pm_kw = {"count_budget": perfect_count}
-    mm_kw = {"count_budget": maximal_count}
-    if vertex_limit is not None:
-        pm_kw["vertex_limit"] = vertex_limit
-        mm_kw["vertex_limit"] = vertex_limit
-    pms = enumerate_perfect_matchings(g, **pm_kw)
-    maximals = enumerate_maximal_matchings(g, **mm_kw)
+    pms = enumerate_perfect_matchings(
+        g, count_budget=perfect_count, vertex_limit=vertex_limit
+    )
+    maximals = enumerate_maximal_matchings(
+        g, count_budget=maximal_count, vertex_limit=vertex_limit
+    )
     pm_masks = _edge_masks(pms)
     gens = edge_automorphisms(g)
 
@@ -408,10 +406,9 @@ def best_maximal_matching_bound(
     the first maximal matching of minimum size (the stream is sorted,
     which fixes the tie-break).
     """
-    kw = {"count_budget": maximal_count}
-    if vertex_limit is not None:
-        kw["vertex_limit"] = vertex_limit
-    maximals = enumerate_maximal_matchings(g, **kw)
+    maximals = enumerate_maximal_matchings(
+        g, count_budget=maximal_count, vertex_limit=vertex_limit
+    )
     best = min(maximals, key=lambda m: (len(m), tuple(sorted(m))))
     return maximal_matching_bound(g, best)
 
@@ -521,10 +518,9 @@ def find_cap_matching(
     """
     if size < 1 or max_cap < 0:
         raise BadParameters("need size >= 1 and max_cap >= 0")
-    kw = {"count_budget": perfect_count}
-    if vertex_limit is not None:
-        kw["vertex_limit"] = vertex_limit
-    pms = enumerate_perfect_matchings(g, **kw)
+    pms = enumerate_perfect_matchings(
+        g, count_budget=perfect_count, vertex_limit=vertex_limit
+    )
     if not pms:
         raise NoPerfectMatching("cap search needs perfect matchings")
     pm_masks = _edge_masks(pms)
@@ -588,35 +584,35 @@ def berge_witness(
 ) -> BoundCertificate:
     """A family of perfect matchings covering every edge equally often.
 
-    Solves for a rational convex combination of perfect matchings whose
-    edge coverage is exactly 1/3 everywhere (feasible on every
-    bridgeless cubic graph), then clears denominators: 3k matchings
-    covering each edge k times.  Uniform weights then show that no
-    weighting pushes the best perfect matching below a third of the
-    best matching, hence eta >= 1/3.
+    Solves the packing LP: maximise the total weight of a rational
+    combination mu of perfect matchings, with the coverage of every
+    edge at most 1/3.  Each perfect matching meets each vertex once, so
+    the three edges at a vertex carry coverage summing to sum(mu); the
+    optimum is at most 1, and optimum 1 forces coverage exactly 1/3
+    everywhere (attained on every bridgeless cubic graph).  Clearing
+    denominators gives 3k matchings covering each edge k times.
+    Uniform weights then show that no weighting pushes the best perfect
+    matching below a third of the best matching, hence eta >= 1/3.
+    Raises BadParameters on a graph with a bridge, a vertex of degree
+    other than 3, or an optimum below 1.
     """
     ok, bridge = is_bridgeless(g)
     if not ok:
         raise BadParameters(f"graph has a bridge (edge {bridge})")
-    kw = {"count_budget": perfect_count}
-    if vertex_limit is not None:
-        kw["vertex_limit"] = vertex_limit
-    pms = enumerate_perfect_matchings(g, **kw)
+    if any(g.degree(v) != 3 for v in range(g.n)):
+        raise BadParameters("the uniform cover needs every degree to be 3")
+    pms = enumerate_perfect_matchings(
+        g, count_budget=perfect_count, vertex_limit=vertex_limit
+    )
     if not pms:
         raise NoPerfectMatching("no perfect matchings to combine")
-    rows = []
     third = Fraction(1, 3)
-    for eid in range(g.m):
-        coeffs = [Fraction(1) if eid in p else Fraction(0) for p in pms]
-        rows.append((coeffs, "=", third))
-    sol = solve(program([Fraction(0)] * len(pms), rows))
-    if sol.status != OPTIMAL or sol.assignment is None:
+    rows = [([int(eid in p) for p in pms], third) for eid in range(g.m)]
+    sol = solve(program([-1] * len(pms), rows))
+    if sol.status != OPTIMAL or sol.value != -1:
         raise BadParameters("no uniform fractional cover; graph not as claimed")
     mu = sol.assignment
-    denom_lcm = 1
-    for x in mu:
-        if x:
-            denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
+    denom_lcm = lcm(*(x.denominator for x in mu))
     scale = denom_lcm if denom_lcm % 3 == 0 else 3 * denom_lcm
     lam = [int(x * scale) for x in mu]
     families = tuple(

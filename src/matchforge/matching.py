@@ -103,17 +103,20 @@ def _sorted_stream(found: list[frozenset[int]]) -> tuple[frozenset[int], ...]:
 def enumerate_perfect_matchings(
     g: Graph,
     *,
-    vertex_limit: int = PERFECT_VERTEX_LIMIT,
+    vertex_limit: int | None = PERFECT_VERTEX_LIMIT,
     count_budget: int = PERFECT_COUNT_BUDGET,
 ) -> tuple[frozenset[int], ...]:
     """All perfect matchings, lexicographically sorted.
 
     Branches on the lowest unsaturated vertex, so each matching is
     produced exactly once.  Raises BudgetExceeded if the graph is over
-    vertex_limit or more than count_budget matchings exist.  The search
-    keeps its own stack, one frame per matched pair, so its depth is
-    not bounded by the interpreter's recursion limit.
+    vertex_limit (None: PERFECT_VERTEX_LIMIT) or more than count_budget
+    matchings exist.  The search keeps its own stack, one frame per
+    matched pair, so its depth is not bounded by the interpreter's
+    recursion limit.
     """
+    if vertex_limit is None:
+        vertex_limit = PERFECT_VERTEX_LIMIT
     if g.n > vertex_limit:
         raise BudgetExceeded(
             f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
@@ -161,7 +164,7 @@ def enumerate_perfect_matchings(
 def enumerate_maximal_matchings(
     g: Graph,
     *,
-    vertex_limit: int = MAXIMAL_VERTEX_LIMIT,
+    vertex_limit: int | None = MAXIMAL_VERTEX_LIMIT,
     count_budget: int = MAXIMAL_COUNT_BUDGET,
 ) -> tuple[frozenset[int], ...]:
     """All maximal matchings, lexicographically sorted.
@@ -170,8 +173,11 @@ def enumerate_maximal_matchings(
     exposed vertex may never see an exposed neighbour, which is exactly
     maximality.  The lowest undecided vertex is matched to each
     undecided neighbour in adjacency order, then left exposed.  Budgets
-    and the explicit stack as in enumerate_perfect_matchings.
+    and the explicit stack as in enumerate_perfect_matchings; a
+    vertex_limit of None means MAXIMAL_VERTEX_LIMIT.
     """
+    if vertex_limit is None:
+        vertex_limit = MAXIMAL_VERTEX_LIMIT
     if g.n > vertex_limit:
         raise BudgetExceeded(
             f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"

@@ -1,6 +1,7 @@
 """Worst-case ratio: exact values, bound certificates, verification, JSON."""
 
 import gc
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from matchforge import errors
+from matchforge.classify import is_bridgeless
 from matchforge.eta import (
     BERGE_COVER_LOWER,
     CAP_UPPER,
@@ -139,7 +141,7 @@ def _all_trace_rows(edges, pms):
         if key in seen_rows:
             continue
         seen_rows.add(key)
-        rows.append((coeffs, "<=", Fraction(1)))
+        rows.append((coeffs, Fraction(1)))
     return rows
 
 
@@ -157,7 +159,7 @@ def test_maximal_trace_rows_keep_support_lp_value(g):
         rows = _all_trace_rows(edges, pms)
         full = solve(program([-1] * len(edges), rows))
         assert -full.value == s, edges
-        for coeffs, _, rhs in rows:
+        for coeffs, rhs in rows:
             assert sum(c * x for c, x in zip(coeffs, w)) <= rhs, edges
 
 
@@ -396,6 +398,57 @@ def test_berge_witness_needs_bridgeless():
     g = bridge_join(named("k4"), 0, named("k4"), 0)
     with pytest.raises(errors.BadParameters):
         berge_witness(g)
+
+
+def _cube_with_a_diagonal():
+    g = named("cube")
+    return from_edge_list(g.n, [*g.edges, (0, 2)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # bridgeless with a uniform fractional cover (each of its 15
+        # perfect matchings at 1/9), but of total 5/3, not 1
+        from_edge_list(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]),
+        # the cube's own cover reaches total 1 and leaves the diagonal
+        # uncovered, so only the degree check stops it
+        _cube_with_a_diagonal(),
+    ],
+    ids=["k6", "cube+diagonal"],
+)
+def test_berge_witness_needs_degree_three(g):
+    with pytest.raises(errors.BadParameters):
+        berge_witness(g)
+
+
+def _berge_certificates():
+    """cert_to_json(berge_witness(g)) over catalog(20) and 200 seeded
+    bridgeless cubic graphs with 8..20 vertices."""
+    for g in catalog(20):
+        yield cert_to_json(berge_witness(g))
+    rng = random.Random(20261018)
+    made = 0
+    while made < 200:
+        g = random_cubic(rng.randrange(8, 21, 2), rng)
+        if is_bridgeless(g)[0]:
+            made += 1
+            yield cert_to_json(berge_witness(g))
+
+
+# Digest of _berge_certificates computed with the two-phase simplex of
+# commit 2360fff, which solved the Berge LP as coverage = 1/3 by phase
+# 1.  The packing LP must pick the very same vertex of the polytope.
+BERGE_CERTIFICATES_SHA256 = (
+    "aa1abe114c371d116b00f20979641ca84a3cb03410f5c11403fd65c369d1bbde"
+)
+
+
+def test_berge_certificates_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for doc in _berge_certificates():
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == BERGE_CERTIFICATES_SHA256
 
 
 def test_verify_rejects_tampering():

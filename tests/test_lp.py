@@ -1,78 +1,63 @@
-"""Exact simplex: statuses, exactness, degeneracy, duality."""
+"""Exact simplex on packing programs: statuses, exactness, degeneracy, duality."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from matchforge import eta
 from matchforge import lp as lp_module
 from matchforge.errors import InternalError
 from matchforge.generators import named
 from matchforge.lp import (
-    INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
     LpSolution,
     _check_exact,
-    dual_program,
     program,
     solve,
 )
 from matchforge.matching import enumerate_perfect_matchings
 
+INFEASIBLE = "infeasible"  # a status of the general reference below only
+
 
 def _satisfies(lp: LinearProgram, x) -> bool:
-    for coeffs, rel, rhs in lp.rows:
-        lhs = sum(c * v for c, v in zip(coeffs, x))
-        if rel == "<=" and lhs > rhs:
-            return False
-        if rel == ">=" and lhs < rhs:
-            return False
-        if rel == "=" and lhs != rhs:
+    for coeffs, rhs in lp.rows:
+        if sum(c * v for c, v in zip(coeffs, x)) > rhs:
             return False
     return all(v >= 0 for v in x)
 
 
 def test_program_coercion_and_validation():
-    p = program(["1/2", 3], [((1, 1), "<=", "7/2")])
+    p = program(["1/2", 3], [((1, 1), "7/2")])
     assert p.objective == (Fraction(1, 2), Fraction(3))
-    assert p.rows[0][2] == Fraction(7, 2)
+    assert p.rows[0] == ((Fraction(1), Fraction(1)), Fraction(7, 2))
     with pytest.raises(ValueError):
-        program([1], [((1,), "<", 0)])
+        program([1], [((1,), -1)])
     with pytest.raises(ValueError):
-        program([1, 2], [((1,), "<=", 0)])
+        program([1, 2], [((1,), 0)])
 
 
 def test_two_variable_polytope():
     # maximise x+y over x+2y<=4, x<=3: optimum at (3, 1/2)
-    p = program([-1, -1], [((1, 2), "<=", 4), ((1, 0), "<=", 3)])
+    p = program([-1, -1], [((1, 2), 4), ((1, 0), 3)])
     s = solve(p)
     assert s.status == OPTIMAL
     assert s.value == Fraction(-7, 2)
     assert s.assignment == (Fraction(3), Fraction(1, 2))
 
 
-def test_equality_rows():
-    p = program([2, 3], [((1, 1), "=", 5), ((1, 0), ">=", 2)])
-    s = solve(p)
-    assert s.status == OPTIMAL
-    assert s.value == 2 * 5  # push everything into the cheaper variable
-    assert s.assignment == (Fraction(5), Fraction(0))
-
-
-def test_infeasible():
-    s = solve(program([1], [((1,), "<=", -1)]))
-    assert s.status == INFEASIBLE
-    assert s.value is None and s.assignment is None
-    s = solve(program([0, 0], [((1, 1), "=", 1), ((1, 1), "=", 2)]))
-    assert s.status == INFEASIBLE
-
-
 def test_unbounded():
-    s = solve(program([-1], [((1,), ">=", 1)]))
+    # x0 <= x1 leaves x0 free to grow along with x1
+    p = program([-1, 0], [((1, -1), 0)])
+    s = solve(p)
     assert s.status == UNBOUNDED
+    assert s.value is None and s.assignment is None
     assert solve(program([-1], [])).status == UNBOUNDED
+    # and the dual of an unbounded program is infeasible
+    assert _fraction_solve(*dual_program(*_general(p))).status == INFEASIBLE
 
 
 def test_empty_row_list():
@@ -82,17 +67,21 @@ def test_empty_row_list():
     assert s.assignment == (Fraction(0), Fraction(0))
 
 
-def test_degenerate_cycling_instance():
-    # the classic cycling trap for naive pivot rules; Bland's rule
-    # terminates at value -1/20
-    p = program(
+def _cycling_program():
+    # the classic cycling trap for naive pivot rules
+    return program(
         ["-3/4", 150, "-1/50", 6],
         [
-            (["1/4", -60, "-1/25", 9], "<=", 0),
-            (["1/2", -90, "-1/50", 3], "<=", 0),
-            ([0, 0, 1, 0], "<=", 1),
+            (["1/4", -60, "-1/25", 9], 0),
+            (["1/2", -90, "-1/50", 3], 0),
+            ([0, 0, 1, 0], 1),
         ],
     )
+
+
+def test_degenerate_cycling_instance():
+    # Bland's rule terminates at value -1/20
+    p = _cycling_program()
     s = solve(p)
     assert s.status == OPTIMAL
     assert s.value == Fraction(-1, 20)
@@ -103,7 +92,7 @@ def test_degenerate_cycling_instance():
 def test_exact_awkward_denominators():
     p = program(
         [Fraction(-1, 3), Fraction(-1, 7)],
-        [((Fraction(1, 11), Fraction(1, 13)), "<=", Fraction(1, 2))],
+        [((Fraction(1, 11), Fraction(1, 13)), Fraction(1, 2))],
     )
     s = solve(p)
     assert s.status == OPTIMAL
@@ -113,43 +102,52 @@ def test_exact_awkward_denominators():
 
 
 def test_objective_matches_assignment():
-    p = program([5, -2, 1], [((1, 1, 1), "=", 3), ((0, 1, 0), "<=", 2)])
+    p = program([5, -2, 1], [((1, 1, 1), 3), ((0, 1, 0), 2)])
     s = solve(p)
     assert s.status == OPTIMAL
+    assert s.assignment == (Fraction(0), Fraction(2), Fraction(0))
     assert sum(c * v for c, v in zip(p.objective, s.assignment)) == s.value
     assert _satisfies(p, s.assignment)
 
 
-def test_strong_duality_random(seed=2024):
-    # box-bounded minimisation is always feasible and bounded
-    rng = random.Random(seed)
-    for _ in range(25):
-        nv = rng.randint(1, 4)
-        obj = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nv)]
-        rows = []
-        for j in range(nv):
-            unit = tuple(1 if i == j else 0 for i in range(nv))
-            rows.append((unit, "<=", Fraction(rng.randint(1, 8), rng.randint(1, 3))))
-        for _ in range(rng.randint(0, 3)):
-            coeffs = tuple(Fraction(rng.randint(0, 4)) for _ in range(nv))
-            rows.append((coeffs, "<=", Fraction(rng.randint(1, 10))))
-        p = program(obj, rows)
-        s = solve(p)
-        assert s.status == OPTIMAL
-        d = solve(dual_program(p))
-        assert d.status == OPTIMAL
-        assert d.value == -s.value
+# A general two-phase Fraction simplex, kept as the reference: over
+# packing programs the integer tableau must make the same pivots and
+# return the same values.  It takes (objective, rows) with rows
+# (coeffs, rel, rhs), rel one of <=, =, >=; pivots, if given, records
+# each (row, column) pivoted on.
 
 
-def test_dual_of_infeasible_primal_unbounded_or_infeasible():
-    p = program([1], [((1,), "<=", -1)])
-    d = solve(dual_program(p))
-    assert d.status in (UNBOUNDED, INFEASIBLE)
+def _general(lp):
+    """A packing LinearProgram as (objective, rows) for the reference."""
+    return lp.objective, [(coeffs, "<=", rhs) for coeffs, rhs in lp.rows]
 
 
-# The Fraction simplex that lp.solve replaced, kept as the reference:
-# the integer tableau must make the same pivots and return the same
-# values.  pivots, if given, records each (row, column) pivoted on.
+def dual_program(objective, rows):
+    """The LP dual, re-expressed in the same min/nonneg-variable form.
+
+    Each primal row i yields dual variable y_i (sign depends on the
+    relation; free duals of equality rows split into y+ - y-).  Strong
+    duality makes the dual's optimum the negated primal optimum.
+    """
+    # dual: max b.y  s.t.  A^T y <= c,  y_i <= 0 for <=-rows,
+    #       y_i free for =-rows, y_i >= 0 for >=-rows
+    cols = []
+    for coeffs, rel, rhs in rows:
+        col = tuple(coeffs)
+        if rel == "<=":
+            # y_i = -u, u >= 0
+            cols.append((-rhs, tuple(-a for a in col)))
+        elif rel == ">=":
+            cols.append((rhs, col))
+        else:
+            cols.append((rhs, col))
+            cols.append((-rhs, tuple(-a for a in col)))
+    # variables u_k >= 0; maximise sum b_k u_k => minimise -sum
+    dual_objective = tuple(-b for b, _ in cols)
+    dual_rows = [
+        (tuple(col[j] for _, col in cols), "<=", c) for j, c in enumerate(objective)
+    ]
+    return dual_objective, dual_rows
 
 
 def _fraction_pivot(tab, basis, r, c, pivots=None):
@@ -199,15 +197,18 @@ def _fraction_run_simplex(tab, basis, cost, blocked, pivots):
                 cost[j] -= f * x
 
 
-def _fraction_solve(lp, pivots=None):
-    nv = lp.num_vars
-    rows = []
-    for coeffs, rel, rhs in lp.rows:
+def _fraction_solve(objective, rows, pivots=None):
+    objective = [Fraction(c) for c in objective]
+    nv = len(objective)
+    flipped = []
+    for coeffs, rel, rhs in rows:
+        coeffs, rhs = [Fraction(x) for x in coeffs], Fraction(rhs)
         if rhs < 0:
-            coeffs = tuple(-x for x in coeffs)
+            coeffs = [-x for x in coeffs]
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append((coeffs, rel, rhs))
+        flipped.append((coeffs, rel, rhs))
+    rows = flipped
     n_slack = sum(1 for _, rel, _ in rows if rel != "=")
     ncols = nv + n_slack + len(rows)
     art0 = nv + n_slack
@@ -251,7 +252,7 @@ def _fraction_solve(lp, pivots=None):
             del tab[i]
             del basis[i]
     cost = [zero] * (ncols + 1)
-    cost[:nv] = lp.objective
+    cost[:nv] = objective
     for i, b in enumerate(basis):
         if cost[b]:
             f = cost[b]
@@ -262,8 +263,29 @@ def _fraction_solve(lp, pivots=None):
     for i, b in enumerate(basis):
         if b < nv:
             assignment[b] = tab[i][-1]
-    value = sum((c * x for c, x in zip(lp.objective, assignment)), zero)
+    value = sum((c * x for c, x in zip(objective, assignment)), zero)
     return LpSolution(OPTIMAL, value, tuple(assignment))
+
+
+def test_strong_duality_random(seed=2024):
+    # box-bounded minimisation is always feasible and bounded
+    rng = random.Random(seed)
+    for _ in range(25):
+        nv = rng.randint(1, 4)
+        obj = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nv)]
+        rows = []
+        for j in range(nv):
+            unit = tuple(1 if i == j else 0 for i in range(nv))
+            rows.append((unit, Fraction(rng.randint(1, 8), rng.randint(1, 3))))
+        for _ in range(rng.randint(0, 3)):
+            coeffs = tuple(Fraction(rng.randint(0, 4)) for _ in range(nv))
+            rows.append((coeffs, Fraction(rng.randint(1, 10))))
+        p = program(obj, rows)
+        s = solve(p)
+        assert s.status == OPTIMAL
+        d = _fraction_solve(*dual_program(*_general(p)))
+        assert d.status == OPTIMAL
+        assert d.value == -s.value
 
 
 def _random_program(rng):
@@ -273,24 +295,35 @@ def _random_program(rng):
     rows = []
     for _ in range(rng.randint(0, 5)):
         coeffs = [rng.choice(values) if rng.random() < 0.6 else 0 for _ in range(nv)]
-        rhs = 0 if rng.random() < 0.3 else rng.choice(values)
-        rows.append((coeffs, rng.choice(("<=", "=", ">=")), rhs))
+        rhs = 0 if rng.random() < 0.3 else abs(rng.choice(values))
+        rows.append((coeffs, rhs))
     return program(obj, rows)
 
 
 def _berge_shaped_program(rng):
-    # 0/1 columns (perfect matchings), one `=` row per edge with rhs 1/3,
+    # 0/1 columns (perfect matchings), one row per edge with rhs 1/3,
     # plus a row whose denominators differ entry by entry
     nv = rng.randint(2, 10)
     rows = [
-        ([int(rng.random() < 0.4) for _ in range(nv)], "=", Fraction(1, 3))
+        ([int(rng.random() < 0.4) for _ in range(nv)], Fraction(1, 3))
         for _ in range(rng.randint(1, 8))
     ]
     mixed = [Fraction(rng.randint(-2, 3), rng.choice((1, 2, 3, 5, 7))) for _ in range(nv)]
-    rhs = Fraction(rng.randint(-2, 4), rng.choice((1, 4, 9)))
-    rows.insert(rng.randrange(len(rows) + 1), (mixed, rng.choice(("<=", ">=")), rhs))
+    rhs = Fraction(rng.randint(0, 4), rng.choice((1, 4, 9)))
+    rows.insert(rng.randrange(len(rows) + 1), (mixed, rhs))
     obj = [Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(nv)]
-    return program(obj if rng.random() < 0.5 else [0] * nv, rows)
+    return program(obj if rng.random() < 0.5 else [-1] * nv, rows)
+
+
+def _eta_programs(monkeypatch, names):
+    """The LPs that eta_exact and berge_witness solve on these graphs."""
+    seen = []
+    real = eta.solve
+    monkeypatch.setattr(eta, "solve", lambda lp: seen.append(lp) or real(lp))
+    for name in names:
+        eta.eta_exact(named(name))
+        eta.berge_witness(named(name))
+    return seen
 
 
 def _same_as_reference(monkeypatch, programs):
@@ -299,7 +332,7 @@ def _same_as_reference(monkeypatch, programs):
     Returns the statuses met and what the integer pivots looked like.
     """
     pivot = lp_module._pivot
-    seen = {"non_unit": 0, "degenerate": 0, "negative": 0}
+    seen = {"non_unit": 0, "degenerate": 0}
     got_pivots: list = []
 
     def spy(rows, r, c, det):
@@ -307,7 +340,6 @@ def _same_as_reference(monkeypatch, programs):
         got_pivots.append((r, c))
         seen["non_unit"] += p != det
         seen["degenerate"] += rows[r][-1] == 0
-        seen["negative"] += p < 0
         return pivot(rows, r, c, det)
 
     monkeypatch.setattr(lp_module, "_pivot", spy)
@@ -316,7 +348,7 @@ def _same_as_reference(monkeypatch, programs):
         got_pivots.clear()
         got = solve(p)
         want_pivots: list = []
-        want = _fraction_solve(p, want_pivots)
+        want = _fraction_solve(*_general(p), want_pivots)
         assert got_pivots == want_pivots
         assert (got.status, got.value, got.assignment) == (
             want.status,
@@ -331,28 +363,38 @@ def test_integer_tableau_matches_fraction_reference(monkeypatch, seed=77):
     rng = random.Random(seed)
     programs = [_random_program(rng) for _ in range(300)]
     statuses, seen = _same_as_reference(monkeypatch, programs)
-    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert statuses == {OPTIMAL, UNBOUNDED}
     assert all(seen.values()), seen
 
 
 def test_berge_shaped_programs_match_fraction_reference(monkeypatch, seed=78):
     rng = random.Random(seed)
     programs = [_berge_shaped_program(rng) for _ in range(150)]
-    for name in ("petersen", "cube", "blanusa1"):
-        # the lower-bound LP itself: coverage 1/3 on every edge
-        g = named(name)
-        pms = enumerate_perfect_matchings(g)
-        rows = [
-            ([int(e in pm) for pm in pms], "=", Fraction(1, 3)) for e in range(g.m)
-        ]
-        programs.append(program([0] * len(pms), rows))
-    statuses, seen = _same_as_reference(monkeypatch, programs)
-    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
-    assert seen["non_unit"] and seen["degenerate"], seen
+    programs.append(_cycling_program())
+    real = _eta_programs(monkeypatch, ("petersen", "cube", "blanusa1"))
+    assert len(real) > 3
+    statuses, seen = _same_as_reference(monkeypatch, programs + real)
+    assert OPTIMAL in statuses
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("name", ["petersen", "cube", "blanusa1"])
+def test_packing_berge_lp_ends_where_phase_one_did(name):
+    # coverage <= 1/3 with max sum(mu) has the phase-1 reduced costs of
+    # coverage = 1/3, up to the positive factor n/2, so Bland's rule
+    # takes the same pivots and stops at the same assignment
+    g = named(name)
+    pms = enumerate_perfect_matchings(g)
+    third = Fraction(1, 3)
+    cols = [[int(e in pm) for pm in pms] for e in range(g.m)]
+    packing = solve(program([-1] * len(pms), [(c, third) for c in cols]))
+    equality = _fraction_solve([0] * len(pms), [(c, "=", third) for c in cols])
+    assert packing.value == -1
+    assert packing.assignment == equality.assignment
 
 
 def test_check_exact_raises_on_violated_row():
-    p = program([1, 1], [((1, 1), "<=", 1), ((1, 0), "=", 0)])
+    p = program([1, 1], [((1, 1), 1), ((1, 0), 0)])
     _check_exact(p, (Fraction(0), Fraction(1)))
     with pytest.raises(InternalError):
         _check_exact(p, (Fraction(1), Fraction(1)))
