@@ -29,6 +29,24 @@ live blossoms in creation order.  The blossomdual dict supplies that
 order (a key is inserted when its blossom forms and deleted when it
 expands, so a reused id still sorts by its new creation), and every
 pass over blossoms, as well as the odd_sets output, iterates it.
+
+Resume.  A best perfect matching is a maximum-weight matching under
+w + S for a large enough shift S, and one run can find both optima.
+The run on w + S starts with every dualvar S above the run on w.  With
+S added to every dualvar and 2S to every stored doubled weight, every
+slack, every blossom dual and the parity of every S-S slack stay as
+they were; of the four dual step candidates only the first,
+min(dualvar), changes, and it grows by S.  A step of another type is
+taken only when it is strictly below min(dualvar) (ties keep the first
+candidate), so it is below min(dualvar) + S too.  Hence the run on
+w + S makes the same choices as the run on w, every dualvar S higher,
+until the run on w takes a type-1 step, which is its last.  Called with
+a shift, the engine reads the result for w off at that step, with the
+step applied to copies of the duals; then it adds S to every dualvar
+and 2S to every stored doubled weight and chooses the step again.  From
+there it is the fresh run on w + S.  When no vertex is exposed at that
+step, no label is set and nothing moves, so both results share one
+matching and the second's potentials are the first's plus S.
 """
 
 from __future__ import annotations
@@ -66,16 +84,22 @@ def max_weight_matching_pairs(
     n: int,
     weights: dict[tuple[int, int], int],
     adjacency: list[list[int]],
-) -> tuple[set[tuple[int, int]], list[int], list[tuple[tuple[int, ...], int]]]:
+    shift: int | None = None,
+):
     """Return a maximum-weight matching as a set of (u, v), u < v, with
     its duals against the weights 2 * w: one potential per vertex, and
     (sorted leaves, value) of each blossom whose dual is positive.
 
     adjacency[v] lists v's neighbours in a fixed order; ties in the
     dual updates resolve by that order, so results are deterministic.
+    With an int shift S > 0, return two such results: the one for w,
+    and the one a fresh call on the weights w + S returns (see Resume
+    in the module docstring).
     """
     if n == 0 or not weights:
-        return set(), [0] * n, []
+        if shift is None:
+            return set(), [0] * n, []
+        return (set(), [0] * n, []), (set(), [0] * n, [])
 
     maxweight = max(0, max(weights.values()))
     # nbrs[v]: (u, 2 * w_vu) for each neighbour u, in adjacency[v] order
@@ -419,6 +443,39 @@ def max_weight_matching_pairs(
                     augment_blossom(bt, j)
                 mate[j] = s
 
+    def stepped(delta: int, lbls: list[int]) -> tuple[list[int], dict[int, int]]:
+        """The vertex and blossom duals after a dual step of delta."""
+        ys = [
+            y - delta if lbl == 1 else y + delta if lbl == 2 else y
+            for y, lbl in zip(dualvar, lbls)
+        ]
+        zs = {}
+        for b, z in blossomdual.items():
+            if blossomparent[b] == -1:
+                if label[b] == 1:
+                    z += delta
+                elif label[b] == 2:
+                    z -= delta
+            zs[b] = z
+        return ys, zs
+
+    def finish(ys: list[int], zs: dict[int, int], extra: int) -> tuple:
+        """The matching with duals ys and zs, which must prove it
+        optimal for the weights w + extra."""
+        pairs = {(v, mate[v]) for v in range(n) if v < mate[v]}
+        covered = {v for p in pairs for v in p}
+        odd_sets = [(tuple(sorted(leaves(b))), 2 * z) for b, z in zs.items() if z]
+        doubled = {e: 2 * (w + extra) for e, w in weights.items()}
+        value = dual_objective(doubled, ys, odd_sets)
+        weight = sum(weights[p] + extra for p in pairs)
+        if len(covered) != 2 * len(pairs) or min(ys) < 0 or value != 2 * weight:
+            raise InternalError("blossom: the final duals do not prove optimality")
+        return pairs, ys, odd_sets
+
+    # the result for w when resuming under a shift, and the shift applied
+    first = None
+    extra = 0
+
     # Each stage tries to find one augmenting path.
     while 1:
         label[:] = zeros
@@ -504,16 +561,21 @@ def max_weight_matching_pairs(
             for b, z in blossomdual.items():
                 if blossomparent[b] == -1 and label[b] == 2 and z < delta:
                     delta, deltatype, deltablossom = z, 4, b
-            dualvar[:] = [
-                y - delta if lbl == 1 else y + delta if lbl == 2 else y
-                for y, lbl in zip(dualvar, lbls)
-            ]
-            for b in blossomdual:
-                if blossomparent[b] == -1:
-                    if label[b] == 1:
-                        blossomdual[b] += delta
-                    elif label[b] == 2:
-                        blossomdual[b] -= delta
+            if deltatype == 1 and shift:
+                # the run on w ends here: keep its result, then go on as
+                # the run on w + S
+                first = finish(*stepped(delta, lbls), 0)
+                dualvar[:] = [y + shift for y in dualvar]
+                s2 = 2 * shift
+                nbrs[:] = [[(u, w2 + s2) for u, w2 in row] for row in nbrs]
+                bestedge[:] = [e and (e[0], e[1], e[2] + s2) for e in bestedge]
+                mybestedges[:] = [
+                    es and [(i, j, w2 + s2) for i, j, w2 in es] for es in mybestedges
+                ]
+                extra, shift = shift, None
+                continue
+            dualvar[:], zs = stepped(delta, lbls)
+            blossomdual.update(zs)
 
             if deltatype == 1:
                 break
@@ -542,12 +604,5 @@ def max_weight_matching_pairs(
             ):
                 expand_blossom(b, True)
 
-    pairs = {(v, mate[v]) for v in range(n) if v < mate[v]}
-    covered = {v for p in pairs for v in p}
-    potentials = dualvar
-    odd_sets = [(tuple(sorted(leaves(b))), 2 * z) for b, z in blossomdual.items() if z]
-    value = dual_objective({e: 2 * w for e, w in weights.items()}, potentials, odd_sets)
-    weight = sum(weights[p] for p in pairs)
-    if len(covered) != 2 * len(pairs) or min(potentials) < 0 or value != 2 * weight:
-        raise InternalError("blossom: the final duals do not prove optimality")
-    return pairs, potentials, odd_sets
+    last = finish(dualvar, blossomdual, extra)
+    return last if first is None else (first, last)

@@ -43,8 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .blossom import dual_objective
 from .classify import is_bridgeless, is_independent
@@ -61,12 +62,13 @@ from .lp import OPTIMAL, program, solve
 from .matching import (
     MAXIMAL_COUNT_BUDGET,
     PERFECT_COUNT_BUDGET,
+    _lex_tiebreak,
+    best_matchings,
     enumerate_maximal_matchings,
     enumerate_perfect_matchings,
     has_perfect_matching,
     is_matching,
     matching_weight,
-    max_weight_matching,
     max_weight_perfect_matching,
     perfect_matching_dual,
     pm_with_forced_edges,
@@ -155,52 +157,55 @@ def is_eta_one(
     Searches for a maximal matching that leaves a vertex exposed,
     trying exposure before matching so counterexamples surface early.
     Returns (False, witness) with such a matching, or (True, None).
+    The search keeps its own stack, as enumerate_maximal_matchings
+    does, so its depth is not bounded by the recursion limit.
     """
     if not has_perfect_matching(g):
         raise NoPerfectMatching("eta needs a graph with a perfect matching")
     UNDECIDED, MATCHED, EXPOSED = 0, 1, 2
     state = [UNDECIDED] * g.n
     chosen: list[int] = []
+    partner: list[int] = []  # branch taken at each frame: -1 exposed, else v's mate
+    stack: list[tuple[int, Iterator]] = []  # branch vertex, branches left
     nodes = 0
-
-    def search() -> frozenset[int] | None:
-        nonlocal nodes
+    while True:
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceeded(f"eta-one search passed {node_budget} nodes")
         v = next((u for u in range(g.n) if state[u] == UNDECIDED), None)
         if v is None:
             if 2 * len(chosen) < g.n:
-                return frozenset(chosen)
-            return None
-        if all(state[u] != EXPOSED for u, _ in g.adj[v]):
-            state[v] = EXPOSED
-            hit = search()
-            if hit is not None:
+                return False, frozenset(chosen)
+        else:
+            # (-1, -1), the branch that leaves v exposed, then its neighbours
+            stack.append((v, chain(((-1, -1),), g.adj[v])))
+        # backtrack to the deepest branch vertex with a branch left
+        while stack:
+            v, branches = stack[-1]
+            if len(partner) == len(stack):  # undo its last branch
+                u = partner.pop()
+                if u >= 0:
+                    state[u] = UNDECIDED
+                    chosen.pop()
+            for u, eid in branches:
+                if u < 0:
+                    if any(state[x] == EXPOSED for x, _ in g.adj[v]):
+                        continue
+                    state[v] = EXPOSED
+                else:
+                    if state[u] != UNDECIDED:
+                        continue
+                    state[v] = state[u] = MATCHED
+                    chosen.append(eid)
+                partner.append(u)
+                break
+            else:
                 state[v] = UNDECIDED
-                return hit
-        state[v] = MATCHED
-        for u, eid in g.adj[v]:
-            if state[u] != UNDECIDED:
+                stack.pop()
                 continue
-            state[u] = MATCHED
-            chosen.append(eid)
-            hit = search()
-            chosen.pop()
-            state[u] = UNDECIDED
-            if hit is not None:
-                state[v] = UNDECIDED
-                return hit
-        state[v] = UNDECIDED
-        return None
-
-    try:
-        witness = search()
-    finally:
-        del search  # search refers to itself; break the cycle without a GC pass
-    if witness is None:
-        return True, None
-    return False, witness
+            break
+        else:
+            return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +348,15 @@ def _witness_result(
     g: Graph, weights: Sequence[Fraction], best: Fraction, worst: Fraction
 ) -> EtaResult:
     """The EtaResult of a witness weighting, re-evaluated independently:
-    the matching engines must find a best matching of weight best and a
-    best perfect matching of weight worst, or InternalError is raised.
+    one blossom run on the lexicographically tie-broken weights must find
+    a best matching of weight best and a best perfect matching of weight
+    worst (those of max_weight_matching and max_weight_perfect_matching),
+    or InternalError is raised.
     """
     w = validate_weights(g, weights)
-    arg = max_weight_matching(g, w)
-    pm = max_weight_perfect_matching(g, w)
+    arg, pm = best_matchings(g, _lex_tiebreak(w))
+    if pm is None:
+        raise NoPerfectMatching("no perfect matching exists")
     got = (matching_weight(w, arg), matching_weight(w, pm))
     if got != (best, worst):
         raise InternalError(
@@ -421,47 +429,49 @@ def find_independent_set_bound(
     A perfect matching of g - S is then a maximal matching of g exposing
     exactly S, so it certifies the exposed-set bound without scanning
     every maximal matching.  Vertices are tried in ascending order; the
-    first witness wins.  Returns None if no such set exists.
+    first witness wins.  Returns None if no such set exists.  The search
+    keeps its path in chosen rather than on the interpreter's stack.
     """
     if set_size < 0 or set_size > g.n:
         raise BadParameters(f"set size {set_size} out of range")
     if (g.n - set_size) % 2:
         return None
     chosen: list[int] = []
+    frames = 0  # search nodes whose candidates are still being tried
     nodes = 0
-
-    def search(start: int) -> BoundCertificate | None:
-        nonlocal nodes
+    start = 0  # the lowest vertex the current node may add
+    while True:
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceeded(f"witness search passed {node_budget} nodes")
         if len(chosen) == set_size:
             sub = delete(g, vertices=chosen)
-            if not has_perfect_matching(sub.graph):
-                return None
-            pm = max_weight_perfect_matching(
-                sub.graph, [Fraction(1)] * sub.graph.m
-            )
-            m = frozenset(sub.original_edge(e) for e in pm)
-            return maximal_matching_bound(g, m)
-        if g.n - start < set_size - len(chosen):
-            return None
-        for v in range(start, g.n):
-            if any(g.has_edge(v, u) for u in chosen):
+            if has_perfect_matching(sub.graph):
+                pm = max_weight_perfect_matching(
+                    sub.graph, [Fraction(1)] * sub.graph.m
+                )
+                m = frozenset(sub.original_edge(e) for e in pm)
+                return maximal_matching_bound(g, m)
+        elif g.n - start >= set_size - len(chosen):
+            chosen.append(start - 1)  # a new node, whose first candidate is start
+            frames += 1
+        # go on with the deepest node that has a candidate left; the last
+        # entry of chosen is that node's last candidate
+        while frames:
+            v = chosen.pop() + 1
+            if g.n - v < set_size - len(chosen):
+                frames -= 1
+                continue
+            while v < g.n and any(g.has_edge(v, u) for u in chosen):
+                v += 1
+            if v == g.n:
+                frames -= 1
                 continue
             chosen.append(v)
-            hit = search(v + 1)
-            if hit is not None:
-                return hit
-            chosen.pop()
-            if g.n - v - 1 < set_size - len(chosen):
-                break
-        return None
-
-    try:
-        return search(0)
-    finally:
-        del search  # search refers to itself; break the cycle without a GC pass
+            start = v + 1
+            break
+        else:
+            return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ functions add an exact tie-break to the weights (_lex_tiebreak), so
 the blossom's unique optimum is the lexicographically first one.  The
 blossom runs on integers: _blossom_argmax scales each weight vector by
 the LCM of its denominators, the only place where rationals become
-ints.
+ints.  A best perfect matching is a best matching under a weight
+shift, and one engine run gives the best matching and the best
+perfect matching (best_matchings): the run resumes under the shift
+where the unshifted run ends.
 """
 
 from __future__ import annotations
@@ -229,29 +232,62 @@ def enumerate_maximal_matchings(
             return _sorted_stream(found)
 
 
-def _blossom_argmax(g: Graph, weights: Sequence[Fraction]) -> tuple:
+def _blossom_argmax(
+    g: Graph, weights: Sequence[Fraction], shift: Fraction | None = None
+) -> tuple:
     """Run the integer blossom on the weights times the LCM of their
     denominators; a positive scale keeps every comparison, so the
     engine makes the same choices as it would over the rationals.
     Returns (matching, potentials, odd sets), the duals in the original
-    units."""
+    units.  With a shift > 0 the scale covers its denominator too, and
+    one engine run returns two such results: for the weights, then for
+    the weights plus the shift."""
     fracs = [Fraction(weights[eid]) for eid in range(g.m)]
-    scale = math.lcm(*(w.denominator for w in fracs))
+    dens = [w.denominator for w in fracs]
+    if shift is not None:
+        dens.append(shift.denominator)
+    scale = math.lcm(*dens)
     pair_weight = {
         (u, v): w.numerator * (scale // w.denominator)
         for (u, v), w in zip(g.edges, fracs)
     }
     adjacency = [[u for u, _ in g.adj[v]] for v in range(g.n)]
-    pairs, potentials, odd_sets = max_weight_matching_pairs(g.n, pair_weight, adjacency)
-    out = set()
-    for u, v in pairs:
-        eid = g.edge_id(u, v)
-        if eid is None:
-            raise InternalError(f"blossom matched a non-edge {(u, v)}")
-        out.add(eid)
     unit = 2 * scale  # the blossom's duals are doubled
-    odd_sets = tuple((b, Fraction(z, unit)) for b, z in odd_sets)
-    return frozenset(out), tuple(Fraction(y, unit) for y in potentials), odd_sets
+
+    def result(pairs, potentials, odd_sets):
+        out = set()
+        for u, v in pairs:
+            eid = g.edge_id(u, v)
+            if eid is None:
+                raise InternalError(f"blossom matched a non-edge {(u, v)}")
+            out.add(eid)
+        odd_sets = tuple((b, Fraction(z, unit)) for b, z in odd_sets)
+        return frozenset(out), tuple(Fraction(y, unit) for y in potentials), odd_sets
+
+    if shift is None:
+        return result(*max_weight_matching_pairs(g.n, pair_weight, adjacency))
+    int_shift = shift.numerator * (scale // shift.denominator)
+    first, second = max_weight_matching_pairs(g.n, pair_weight, adjacency, int_shift)
+    return result(*first), result(*second)
+
+
+def _shifted_run(g: Graph, w: tuple[Fraction, ...]) -> tuple:
+    """The maximum-weight matching of w, and (P, potentials, odd sets)
+    of the best perfect matching P with its dual, or None when g has
+    none; one engine run answers both.
+
+    Every weight is shifted by 1 + sum(w): any larger matching then
+    beats any smaller one, so the optimum under the shift has maximum
+    cardinality and, among perfect matchings, maximum original weight.
+    Lowering its potentials by half the shift turns its dual into one
+    of value w(P) for the original weights.
+    """
+    shift = Fraction(1) + sum(w, Fraction(0))
+    (best, _, _), (m, potentials, odd_sets) = _blossom_argmax(g, w, shift)
+    if len(m) * 2 != g.n:
+        return best, None
+    half = shift / 2
+    return best, (m, tuple(y - half for y in potentials), odd_sets)
 
 
 def _lex_tiebreak(weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -277,6 +313,14 @@ def blossom_max_matching(g: Graph, weights: Sequence) -> frozenset[int]:
     return _blossom_argmax(g, validate_weights(g, weights))[0]
 
 
+def best_matchings(g: Graph, weights: Sequence) -> tuple:
+    """(maximum-weight matching, best perfect matching or None) from one
+    engine run: the matchings that blossom_max_matching and
+    shift_perfect_matching return."""
+    best, best_perfect = _shifted_run(g, validate_weights(g, weights))
+    return best, None if best_perfect is None else best_perfect[0]
+
+
 def max_weight_matching(g: Graph, weights: Sequence) -> frozenset[int]:
     """A matching of maximum total weight: the lexicographically first
     optimum among the maximal matchings, one of which is optimal because
@@ -286,24 +330,18 @@ def max_weight_matching(g: Graph, weights: Sequence) -> frozenset[int]:
 
 
 def perfect_matching_dual(g: Graph, weights: Sequence) -> tuple:
-    """Best perfect matching, with a perfect-matching dual that proves it.
-
-    Every weight is shifted by 1 + sum(w): any larger matching then
-    beats any smaller one, so the blossom optimum has maximum
-    cardinality and, among perfect matchings, maximum original weight.
-    Lowering the blossom's potentials by half the shift turns its dual
-    into one of value w(P) for the original weights: returns (P,
-    potentials, odd sets).  Raises NoPerfectMatching when none exists.
+    """Best perfect matching, with a perfect-matching dual that proves it:
+    returns (P, potentials, odd sets), the dual of value w(P).  One
+    engine run under the shift of _shifted_run.  Raises
+    NoPerfectMatching when none exists.
     """
     w = validate_weights(g, weights)
     if g.n % 2:
         raise NoPerfectMatching("odd vertex count")
-    shift = Fraction(1) + sum(w, Fraction(0))
-    m, potentials, odd_sets = _blossom_argmax(g, tuple(x + shift for x in w))
-    if len(m) * 2 != g.n:
+    best_perfect = _shifted_run(g, w)[1]
+    if best_perfect is None:
         raise NoPerfectMatching("no perfect matching exists")
-    half = shift / 2
-    return m, tuple(y - half for y in potentials), odd_sets
+    return best_perfect
 
 
 def shift_perfect_matching(g: Graph, weights: Sequence) -> frozenset[int]:

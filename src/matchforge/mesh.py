@@ -27,11 +27,7 @@ from .errors import (
     ParseError,
 )
 from .graphs import CubicGraph, as_cubic, from_edge_list
-from .matching import (
-    blossom_max_matching,
-    matching_weight,
-    shift_perfect_matching,
-)
+from .matching import best_matchings, matching_weight
 
 Vec = tuple[float, float, float]
 
@@ -291,7 +287,9 @@ def quadrangulate(
     mode 'perfect' pairs every face (raises NoPerfectMatching when the
     dual graph has none); mode 'maximum' takes a maximum-weight matching
     and leaves the rest as triangles.  weights overrides the computed
-    qualities, one rational per dual edge.
+    qualities, one rational per dual edge.  The report's ratio needs
+    both optima, and one blossom run (matching.best_matchings) gives
+    them in either mode.
     """
     if mode not in ("perfect", "maximum"):
         raise BadParameters(f"mode must be perfect or maximum, got {mode!r}")
@@ -308,20 +306,16 @@ def quadrangulate(
     # the engines insist on a positive entry; with every quality zero the
     # empty matching is maximum and any perfect matching is best
     engine_w = tuple(x + 1 for x in w) if all_zero else w
-    # polynomial blossom routes; meshes can dwarf the enumeration limits
-    max_m = frozenset() if all_zero else blossom_max_matching(dual.graph, engine_w)
+    # one blossom run gives both optima; meshes dwarf the enumeration limits
+    best, best_perfect = best_matchings(dual.graph, engine_w)
+    max_m = frozenset() if all_zero else best
     maximum_weight = matching_weight(w, max_m)
     perfect_weight: Fraction | None = None
-    if mode == "perfect":
-        chosen = shift_perfect_matching(dual.graph, engine_w)
-        perfect_weight = matching_weight(w, chosen)
-    else:
-        chosen = max_m
-        try:
-            pm = shift_perfect_matching(dual.graph, engine_w)
-            perfect_weight = matching_weight(w, pm)
-        except NoPerfectMatching:
-            perfect_weight = None
+    if best_perfect is not None:
+        perfect_weight = matching_weight(w, best_perfect)
+    elif mode == "perfect":
+        raise NoPerfectMatching("no perfect matching exists")
+    chosen = best_perfect if mode == "perfect" else max_m
     quads = tuple(
         _quad_cycle(mesh, dual, eid) for eid in sorted(chosen)
     )

@@ -40,6 +40,7 @@ from .generators import (
 )
 from .graphs import from_edge_list
 from .matching import (
+    best_matchings,
     blossom_max_matching,
     enumerate_maximal_matchings,
     enumerate_perfect_matchings,
@@ -242,8 +243,14 @@ def _check_engine_agreement() -> str:
             ws = matching_weight(w, shift_perfect_matching(g, w))
             wp = max(matching_weight(w, p) for p in pms)
             check(ws == wp, g.name)
+            best, pm = best_matchings(g, w)
+            check(pm is not None, g.name)
+            check((matching_weight(w, best), matching_weight(w, pm)) == (we, wp), g.name)
             trials += 1
-    return f"{trials} draws: blossom = enumeration, shift = perfect enumeration"
+    return (
+        f"{trials} draws: blossom = enumeration, shift = perfect enumeration,"
+        " one-run pair = both"
+    )
 
 
 def _check_mesh_pipeline() -> str:

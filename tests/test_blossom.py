@@ -200,3 +200,43 @@ def test_dense_tie_decisions_match_the_pinned_digest():
     for item in _dense_tie_stream():
         digest.update(repr(item).encode())
     assert digest.hexdigest() == DENSE_TIES_SHA256
+
+
+def test_resumed_run_equals_a_fresh_run_on_the_shifted_weights():
+    # the shift is 1 + sum(w), as matching uses it, or 1..3, under which
+    # the second optimum need not have maximum cardinality
+    rng = random.Random(20261019)
+    tops = (1, 2, 10, 10**6)  # all-ones, 0..2, 0..10, 0..10**6
+    seen = {"non-perfect": 0, "odd": 0, "no edges": 0}
+    for i in range(3200):
+        n = rng.randint(1, 18)
+        p = rng.uniform(0.05, 0.7)
+        top = tops[i % 4]
+        low = 1 if top == 1 else 0
+        weights = {
+            (u, v): rng.randint(low, top)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < p
+        }
+        shift = 1 + sum(weights.values()) if i % 3 else rng.randint(1, 3)
+        adj = _adjacency(n, weights)
+        first, second = max_weight_matching_pairs(n, weights, adj, shift)
+        assert first == max_weight_matching_pairs(n, weights, adj)
+        shifted = {e: w + shift for e, w in weights.items()}
+        assert second == max_weight_matching_pairs(n, shifted, adj)
+        if 2 * len(first[0]) == n:
+            # nothing was exposed at the last step: one matching, and
+            # every potential moved by the shift
+            assert second[0] == first[0] and second[2] == first[2]
+            assert second[1] == [y + shift for y in first[1]]
+        seen["non-perfect"] += 2 * len(first[0]) < n
+        seen["odd"] += n % 2
+        seen["no edges"] += not weights
+    assert seen["non-perfect"] >= 2000 and seen["odd"] and seen["no edges"], seen
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_shifted_call_without_edges_returns_two_results(n):
+    empty = (set(), [0] * n, [])
+    assert max_weight_matching_pairs(n, {}, [[] for _ in range(n)], 5) == (empty, empty)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from matchforge import errors
+from matchforge import eta as eta_module
 from matchforge.classify import is_bridgeless
 from matchforge.eta import (
     BERGE_COVER_LOWER,
@@ -89,8 +90,9 @@ def test_eta_petersen_exact():
 
 def test_eta_exact_rejects_a_witness_that_does_not_re_evaluate(monkeypatch):
     # the argmax re-evaluation is an explicit check: it also holds under -O
+    best_matchings = eta_module.best_matchings
     monkeypatch.setattr(
-        "matchforge.eta.max_weight_matching", lambda g, w: frozenset({0})
+        eta_module, "best_matchings", lambda g, w: (frozenset({0}), best_matchings(g, w)[1])
     )
     message = "re-evaluates to 1/1, the scan found 1/3"
     with pytest.raises(errors.InternalError, match=message):
@@ -274,6 +276,34 @@ def test_find_independent_set_bound_nauru():
     assert ok, why
     # the Petersen graph has no independent 5-set
     assert find_independent_set_bound(named("petersen"), 5) is None
+
+
+# Search nodes each search needs to finish, counted by the recursive
+# searches of commit 4f242b7; the iterative ones branch in the same order
+NODES_TO_FINISH = {
+    "independent nauru 8": (find_independent_set_bound, named("nauru"), (8,), 347),
+    "independent blanusa1 6": (find_independent_set_bound, named("blanusa1"), (6,), 120),
+    "eta-one k33": (is_eta_one, named("k33"), (), 52),
+    "eta-one gp(8,3)": (is_eta_one, gp(8, 3), (), 19),
+}
+
+
+@pytest.mark.parametrize("search, g, args, nodes", NODES_TO_FINISH.values(), ids=NODES_TO_FINISH)
+def test_searches_count_the_pinned_nodes(search, g, args, nodes):
+    search(g, *args, node_budget=nodes)
+    with pytest.raises(errors.BudgetExceeded):
+        search(g, *args, node_budget=nodes - 1)
+
+
+def test_deep_searches_end_without_a_recursion_error():
+    # gp(1100, 1) has 2200 vertices; the first witness of the independent
+    # search lies over 1000 levels down, and is_eta_one finds its
+    # witness about 1100 levels down
+    g = gp(1100, 1)
+    with pytest.raises(errors.BudgetExceeded):
+        find_independent_set_bound(g, 1000, node_budget=1200)
+    one, witness = is_eta_one(g)
+    assert not one and is_maximal_matching(g, witness) and 2 * len(witness) < g.n
 
 
 def test_cap_certificate_matches_enumeration():

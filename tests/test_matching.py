@@ -11,7 +11,9 @@ from matchforge import errors
 from matchforge.blossom import dual_objective
 from matchforge.generators import catalog, gp, named, random_cubic
 from matchforge.graphs import from_edge_list
+from matchforge import matching
 from matchforge.matching import (
+    best_matchings,
     blossom_max_matching,
     enumerate_maximal_matchings,
     enumerate_perfect_matchings,
@@ -242,6 +244,43 @@ def test_blossom_shifted_weights_regression(seed=9000):
         assert saturated(g, got) == frozenset(range(g.n))
         direct = blossom_max_matching(g, shifted)
         assert matching_weight(shifted, direct) == matching_weight(shifted, got)
+
+
+def test_best_matchings_agree_with_the_two_routes(seed=1214):
+    # random graphs, many without a perfect matching, and catalog graphs
+    rng = random.Random(seed)
+    graphs = list(catalog(12))
+    while len(graphs) < 60:
+        n = rng.randint(2, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        if pairs:
+            graphs.append(from_edge_list(n, pairs))
+    without = 0
+    for g in graphs:
+        for _ in range(5):
+            w = random_weights(g, rng, max_numerator=3, max_denominator=3)
+            best, pm = best_matchings(g, w)
+            assert best == blossom_max_matching(g, w)
+            try:
+                assert pm == shift_perfect_matching(g, w)
+            except errors.NoPerfectMatching:
+                assert pm is None
+                without += 1
+    assert without >= 50
+
+
+def test_one_engine_run_for_both_optima(monkeypatch):
+    g = named("petersen")
+    w = random_weights(g, random.Random(3))
+    calls = []
+    engine = matching.max_weight_matching_pairs
+    monkeypatch.setattr(
+        matching, "max_weight_matching_pairs", lambda *a: calls.append(a[0]) or engine(*a)
+    )
+    perfect_matching_dual(g, w)
+    assert len(calls) == 1
+    best_matchings(g, w)
+    assert len(calls) == 2
 
 
 def test_shift_perfect_matching_failures():

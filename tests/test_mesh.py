@@ -1,15 +1,18 @@
 """Meshes: OFF parsing, dual graphs, quad quality, quadrangulation, OBJ."""
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from matchforge import errors
+from matchforge import errors, matching
 from matchforge.classify import is_bridgeless
 from matchforge.matching import random_weights
 from matchforge.mesh import (
     QUALITY_DENOMINATOR,
+    TriangleMesh,
     dual_graph,
     icosahedron,
     load_off,
@@ -153,6 +156,17 @@ def test_quadrangulate_perfect_icosahedron():
         assert len(set(quad)) == 4
 
 
+@pytest.mark.parametrize("mode", ["perfect", "maximum"])
+def test_quadrangulate_runs_the_blossom_once(monkeypatch, mode):
+    calls = []
+    engine = matching.max_weight_matching_pairs
+    monkeypatch.setattr(
+        matching, "max_weight_matching_pairs", lambda *a: calls.append(a[0]) or engine(*a)
+    )
+    quadrangulate(icosahedron(), mode=mode)
+    assert calls == [20]  # one run on the 20-vertex dual graph
+
+
 def test_quadrangulate_quads_are_face_pairs():
     ico = icosahedron()
     qm, _ = quadrangulate(ico)
@@ -211,3 +225,58 @@ def test_save_obj(tmp_path):
     # 1-based indexing within range
     for l in fs:
         assert all(1 <= int(tok) <= 12 for tok in l.split()[1:])
+
+
+def _icosphere(levels, jitter, seed):
+    """The icosahedron split at edge midpoints levels times (20 * 4**levels
+    faces), pushed onto the unit sphere, then each vertex moved by up to
+    jitter on each axis with a seeded draw."""
+    ico = icosahedron()
+    pts = [tuple(x / math.hypot(*p) for x in p) for p in ico.vertices]
+    faces = list(ico.faces)
+    for _ in range(levels):
+        mid = {}
+
+        def midpoint(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in mid:
+                p = [(x + y) / 2 for x, y in zip(pts[a], pts[b])]
+                pts.append(tuple(x / math.hypot(*p) for x in p))
+                mid[key] = len(pts) - 1
+            return mid[key]
+
+        out = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            out += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = out
+    rng = random.Random(seed)
+    moved = tuple(tuple(x + jitter * rng.uniform(-1, 1) for x in p) for p in pts)
+    return parse_off(off_text(TriangleMesh(moved, tuple(faces))))
+
+
+# (levels, jitter, seed, mode) of the meshes whose quadrangulations are
+# pinned; the maximum matching of the 80-face mesh with jitter 0.1 leaves
+# two triangles, so there the best perfect matching weighs less
+PINNED_MESHES = (
+    (1, 0.02, 1, "perfect"),
+    (1, 0.02, 1, "maximum"),
+    (1, 0.1, 5, "perfect"),
+    (1, 0.1, 5, "maximum"),
+    (2, 0.01, 2, "perfect"),
+    (2, 0.01, 2, "maximum"),
+    (3, 0.005, 3, "perfect"),
+)
+# Digest of the quads, triangles and report of each PINNED_MESHES entry,
+# computed at commit 4f242b7, where quadrangulate ran the blossom twice
+QUADRANGULATE_SHA256 = "e3292aa24814c1d32c32259e84c9119af7d41514074bb7aec2f312f61c382b27"
+
+
+def test_quadrangulate_matches_the_pinned_digest():
+    digest = hashlib.sha256()
+    for levels, jitter, seed, mode in PINNED_MESHES:
+        mesh = _icosphere(levels, jitter, seed)
+        assert len(mesh.faces) == 20 * 4**levels
+        qm, report = quadrangulate(mesh, mode=mode)
+        digest.update(repr((qm.quads, qm.triangles, report)).encode())
+    assert digest.hexdigest() == QUADRANGULATE_SHA256
