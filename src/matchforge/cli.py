@@ -300,7 +300,8 @@ def _cmd_eta_witness(args, run: _Run, rng: random.Random) -> int:
     if args.kind == "independent":
         if args.size is None:
             raise MatchforgeError("--size is required for kind independent")
-        cert = find_independent_set_bound(g, args.size)
+        run.budgets["node_budget"] = args.node_budget
+        cert = find_independent_set_bound(g, args.size, node_budget=args.node_budget)
     elif args.kind == "cap":
         if args.size is None or args.max_cap is None:
             raise MatchforgeError("--size and --max-cap are required for kind cap")
@@ -487,6 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     q.add_argument("--size", type=int, help="set or matching size to search for")
     q.add_argument("--max-cap", type=int, help="cap target for kind cap")
+    q.add_argument("--node-budget", type=int, default=10**7, metavar="N",
+                   help="search node budget for kind independent")
     q.add_argument("--edges", help="comma-separated edge ids for kind odd")
     q.add_argument("--cert-out", help="write the certificate to a file")
     q.set_defaults(func=_cmd_eta_witness)

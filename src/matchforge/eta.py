@@ -63,6 +63,7 @@ from .matching import (
     MAXIMAL_COUNT_BUDGET,
     PERFECT_COUNT_BUDGET,
     _lex_tiebreak,
+    _perfect_matching,
     best_matchings,
     enumerate_maximal_matchings,
     enumerate_perfect_matchings,
@@ -71,7 +72,6 @@ from .matching import (
     matching_weight,
     max_weight_perfect_matching,
     perfect_matching_dual,
-    pm_with_forced_edges,
     saturated,
     unsaturated,
     validate_weights,
@@ -136,16 +136,30 @@ class BoundCertificate:
 
 
 def is_eta_zero(g: Graph) -> tuple[bool, int | None]:
-    """True with a witness edge that lies in no perfect matching.
+    """True with the first edge, in id order, that lies in no perfect
+    matching.
 
-    Scans edges in id order; each test deletes the edge's endpoints and
-    asks for a perfect matching on the rest.
+    The edges of each perfect matching found are marked, since they lie
+    in one.  Each unmarked edge, in id order, is tested by deleting its
+    endpoints and asking for a perfect matching of the rest; one found
+    there, plus the edge, is a perfect matching of g, marked in turn.
     """
-    if not has_perfect_matching(g):
+    pm = _perfect_matching(g)
+    if pm is None:
         raise NoPerfectMatching("eta needs a graph with a perfect matching")
+    covered = [False] * g.m
+    for e in pm:
+        covered[e] = True
     for eid in range(g.m):
-        if not pm_with_forced_edges(g, (eid,)):
+        if covered[eid]:
+            continue
+        sub = delete(g, vertices=g.endpoints(eid))
+        pm = _perfect_matching(sub.graph)
+        if pm is None:
             return True, eid
+        covered[eid] = True
+        for e in pm:
+            covered[sub.edge_map[e]] = True
     return False, None
 
 

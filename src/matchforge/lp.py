@@ -11,10 +11,7 @@ artificial columns, and the only statuses are optimal and unbounded.
 Tableau simplex.  Pivoting follows Bland's rule (lowest eligible
 column, ties in the ratio test broken by lowest basic variable), which
 guarantees termination even on degenerate programs and makes every
-run deterministic.  An Optimal status comes with an assignment that
-satisfies every row exactly; solve() re-checks that, over Fractions
-and against the rows as given, before returning, and raises
-InternalError if it does not hold.
+run deterministic.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968): integer
 rows over one shared positive denominator det, so each stored row is
@@ -43,10 +40,16 @@ Entries are minors of the integer program, so on the 0/1 rows that eta
 builds they stay small.  When p == det only the pivot row's nonzero
 columns change; otherwise every other row is rescaled as well.
 
-The LP duals need no second solve.  At an optimum, the stored reduced
-cost of row i's slack column is det * K * y_i / L_i, with K the
-objective's scale and L_i row i's.  Here y >= 0 is an optimal solution
-of the dual, max -b.y subject to A^T y >= -c, whose value is c.x.
+Duals and the certificate.  At an optimum, the stored reduced cost Y_i
+of row i's slack is det * K * y_i / L_i, with K the objective's scale,
+L_i row i's, and y an optimal dual: max -b.y s.t. A^T y >= -c, y >= 0.
+Before returning, solve() proves the optimum in integers, on the
+scaled rows (a_i, b_i), the scaled objective c and X = det * x:
+X >= 0 and a_i . X <= b_i * det (x is feasible); Y >= 0 and
+sum_i a_ij * Y_i >= -c_j * det for each column j (y is feasible); and
+c . X == -sum_i b_i * Y_i (equal objectives, so both are optimal).
+Otherwise it raises InternalError, with no assert, so python -O checks
+the same.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ class LpSolution:
     status: str
     value: Fraction | None = None
     assignment: tuple[Fraction, ...] | None = None
+    duals: tuple[Fraction, ...] | None = None  # one y_i >= 0 per row
 
 
 def program(
@@ -101,10 +105,10 @@ def program(
     return LinearProgram(objective=obj, rows=tuple(out))
 
 
-def _scaled(xs: Sequence[Fraction]) -> list[int]:
-    """xs times the LCM of their denominators."""
+def _scaled(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(L, xs times L), L the LCM of their denominators."""
     scale = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (scale // x.denominator) for x in xs]
+    return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
 
 def _pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:
@@ -136,16 +140,18 @@ def solve(lp: LinearProgram) -> LpSolution:
     """One-phase simplex from the slack basis.  Statuses: optimal, unbounded."""
     nv = lp.num_vars
     ncols = nv + len(lp.rows)
+    scaled = [_scaled((*coeffs, rhs)) for coeffs, rhs in lp.rows]  # rhs last
+    ints = [row for _, row in scaled]
     tab: list[list[int]] = []
-    for i, (coeffs, rhs) in enumerate(lp.rows):
-        ints = _scaled((*coeffs, rhs))
-        row = ints[:nv] + [0] * len(lp.rows) + ints[nv:]
+    for i, row in enumerate(ints):
+        row = row[:nv] + [0] * len(lp.rows) + row[nv:]
         row[nv + i] = 1
         tab.append(row)
     basis = list(range(nv, ncols))
     # the slacks cost nothing, so the cost row starts reduced;
     # cost[-1] is -objective times det times the objective's scale
-    cost = _scaled(lp.objective) + [0] * (len(lp.rows) + 1)
+    k, obj = _scaled(lp.objective)
+    cost = obj + [0] * (len(lp.rows) + 1)
     rows = [*tab, cost]
     det = 1
     while True:
@@ -168,25 +174,41 @@ def solve(lp: LinearProgram) -> LpSolution:
         det = _pivot(rows, leave, enter, det)
         basis[leave] = enter
 
-    zero = Fraction(0)
-    assignment = [zero] * nv
+    x = [0] * nv
     for i, b in enumerate(basis):
         if b < nv:
-            assignment[b] = Fraction(tab[i][-1], det)
-    value = sum(
-        (c * x for c, x in zip(lp.objective, assignment)), zero
+            x[b] = tab[i][-1]
+    y = cost[nv:ncols]
+    _check_optimal(ints, obj, x, y, det)
+    zero = Fraction(0)
+    return LpSolution(
+        status=OPTIMAL,
+        value=Fraction(sum(c * v for c, v in zip(obj, x) if v), det * k),
+        assignment=tuple(Fraction(v, det) if v else zero for v in x),
+        duals=tuple(
+            Fraction(s * v, det * k) if v else zero for (s, _), v in zip(scaled, y)
+        ),
     )
-    _check_exact(lp, tuple(assignment))
-    return LpSolution(status=OPTIMAL, value=value, assignment=tuple(assignment))
 
 
-def _check_exact(lp: LinearProgram, x: tuple[Fraction, ...]) -> None:
-    """Optimal assignments must satisfy every row without any tolerance."""
-    if any(v < 0 for v in x):
+def _check_optimal(
+    rows: list[list[int]], obj: list[int], x: list[int], y: list[int], det: int
+) -> None:
+    """The certificate above: rows are (a_i, b_i), x is X and y is Y."""
+    support = [(j, v) for j, v in enumerate(x) if v]
+    if any(v < 0 for _, v in support):
         raise InternalError("optimal assignment has a negative entry")
-    for i, (coeffs, rhs) in enumerate(lp.rows):
-        lhs = sum((a * b for a, b in zip(coeffs, x)), Fraction(0))
-        if lhs > rhs:
-            raise InternalError(
-                f"optimal assignment violates row {i}: {lhs} <= {rhs}"
-            )
+    if any(v < 0 for v in y):
+        raise InternalError("optimal duals have a negative entry")
+    need = [-c * det for c in obj]  # what A^T Y must reach, column by column
+    for i, (row, yi) in enumerate(zip(rows, y)):
+        if sum(row[j] * v for j, v in support) > row[-1] * det:
+            raise InternalError(f"optimal assignment violates row {i}")
+        if yi:
+            need = [n - a * yi if a else n for n, a in zip(need, row)]
+    if any(n > 0 for n in need):
+        raise InternalError("optimal duals violate a column")
+    if sum(obj[j] * v for j, v in support) != -sum(
+        row[-1] * yi for row, yi in zip(rows, y)
+    ):
+        raise InternalError("primal and dual objectives differ")

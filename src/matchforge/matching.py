@@ -357,16 +357,17 @@ def max_weight_perfect_matching(g: Graph, weights: Sequence) -> frozenset[int]:
     return shift_perfect_matching(g, _lex_tiebreak(validate_weights(g, weights)))
 
 
+def _perfect_matching(g: Graph) -> frozenset[int] | None:
+    """A perfect matching of g, or None: a maximum-cardinality matching."""
+    if g.n % 2 or any(g.degree(v) == 0 for v in range(g.n)):
+        return None
+    m = _blossom_argmax(g, uniform_weights(g))[0] if g.n else frozenset()
+    return m if len(m) * 2 == g.n else None
+
+
 def has_perfect_matching(g: Graph) -> bool:
     """Polynomial check via maximum-cardinality matching."""
-    if g.n % 2:
-        return False
-    if g.n == 0:
-        return True
-    if any(g.degree(v) == 0 for v in range(g.n)):
-        return False
-    m = _blossom_argmax(g, uniform_weights(g))[0]
-    return len(m) * 2 == g.n
+    return _perfect_matching(g) is not None
 
 
 def pm_with_forced_edges(

@@ -137,6 +137,24 @@ DEEP_SEARCHES = {
 }
 
 
+def test_independent_witness_search_stops_at_its_node_budget():
+    # every leaf of this search runs a blossom on about 1,200 vertices;
+    # with the default budget it ran past 60 s
+    src = str(Path(matchforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [
+        "eta", "witness", "gp:1100,1", "--kind", "independent",
+        "--size", "1000", "--node-budget", "1200",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchforge.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == "BudgetExceeded"
+
+
 @pytest.mark.parametrize("argv", DEEP_SEARCHES.values(), ids=DEEP_SEARCHES)
 def test_classify_large_prism_ends_without_a_traceback(argv):
     src = str(Path(matchforge.__file__).resolve().parents[1])

@@ -14,7 +14,7 @@ from matchforge.lp import (
     UNBOUNDED,
     LinearProgram,
     LpSolution,
-    _check_exact,
+    _check_optimal,
     program,
     solve,
 )
@@ -286,6 +286,7 @@ def test_strong_duality_random(seed=2024):
         d = _fraction_solve(*dual_program(*_general(p)))
         assert d.status == OPTIMAL
         assert d.value == -s.value
+        _assert_optimal_duals(p, s)
 
 
 def _random_program(rng):
@@ -326,6 +327,16 @@ def _eta_programs(monkeypatch, names):
     return seen
 
 
+def _assert_optimal_duals(p, s):
+    """s.duals, as the reference dual's variables u >= 0 of the <=-rows,
+    are feasible there and meet the primal value (strong duality)."""
+    objective, rows = dual_program(*_general(p))
+    assert len(s.duals) == len(p.rows) and all(u >= 0 for u in s.duals)
+    for coeffs, _, rhs in rows:
+        assert sum(a * u for a, u in zip(coeffs, s.duals)) <= rhs
+    assert sum(b * u for b, u in zip(objective, s.duals)) == -s.value
+
+
 def _same_as_reference(monkeypatch, programs):
     """Solve each program both ways; require the same pivots and results.
 
@@ -355,6 +366,8 @@ def _same_as_reference(monkeypatch, programs):
             want.value,
             want.assignment,
         )
+        if got.status == OPTIMAL:
+            _assert_optimal_duals(p, got)
         statuses.add(got.status)
     return statuses, seen
 
@@ -393,10 +406,53 @@ def test_packing_berge_lp_ends_where_phase_one_did(name):
     assert packing.assignment == equality.assignment
 
 
-def test_check_exact_raises_on_violated_row():
-    p = program([1, 1], [((1, 1), 1), ((1, 0), 0)])
-    _check_exact(p, (Fraction(0), Fraction(1)))
+# max x0 + x1 over x0 + x1 <= 1, x0 <= 0: optimum x = (0, 1), y = (1, 0)
+CHECKED = ([[1, 1, 1], [1, 0, 0]], [-1, -1])
+
+
+def _checked_program():
+    rows, obj = CHECKED
+    return program(obj, [(row[:-1], row[-1]) for row in rows])
+
+
+def test_check_optimal_accepts_a_certificate_and_nothing_else():
+    rows, obj = CHECKED
+    _check_optimal(rows, obj, [0, 1], [1, 0], 1)
+    _check_optimal(rows, obj, [0, 3], [3, 0], 3)  # the same, over det 3
+    bad = {
+        "violates row 0": ([1, 1], [1, 0]),
+        "assignment has a negative entry": ([0, -1], [1, 0]),
+        "duals have a negative entry": ([0, 1], [2, -1]),
+        "duals violate a column": ([0, 1], [0, 1]),
+        # the slack basis, one pivot short of optimal, with optimal duals:
+        # both are feasible but their objectives are 0 and -1
+        "objectives differ": ([0, 0], [1, 0]),
+    }
+    for message, (x, y) in bad.items():
+        with pytest.raises(InternalError, match=message):
+            _check_optimal(rows, obj, x, y, 1)
+
+
+def test_solve_returns_the_certified_duals():
+    s = solve(_checked_program())
+    assert s.assignment == (0, 1) and s.duals == (1, 0) and s.value == -1
+    # row scales and the objective's scale cancel out of the duals
+    q = program(["-1/2", "-1/2"], [(("1/3", "1/3"), "1/3"), ((2, 0), 0)])
+    t = solve(q)
+    assert t.assignment == (0, 1) and t.duals == (Fraction(3, 2), 0)
+    _assert_optimal_duals(q, t)
+    assert solve(program([1, 2], [])).duals == ()
+
+
+def test_solve_raises_when_the_tableau_is_corrupted(monkeypatch):
+    # a wrong final rhs must fail the certificate, not come back as optimal
+    pivot = lp_module._pivot
+
+    def corrupt(rows, r, c, det):
+        det = pivot(rows, r, c, det)
+        rows[r][-1] += det
+        return det
+
+    monkeypatch.setattr(lp_module, "_pivot", corrupt)
     with pytest.raises(InternalError):
-        _check_exact(p, (Fraction(1), Fraction(1)))
-    with pytest.raises(InternalError):
-        _check_exact(p, (Fraction(0), Fraction(-1)))
+        solve(_checked_program())
