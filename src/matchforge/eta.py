@@ -22,12 +22,16 @@ contains it, so the dropped rows never change s(M) or the feasible set.
 The returned witness is re-evaluated through the independent matching
 engines before the result is accepted; a mismatch raises InternalError.
 
-The scan meets each automorphism orbit of maximal matchings once.  An
-automorphism sigma of g permutes the perfect matchings, so s(sigma M)
-= s(M).  When M is met, the masks of its whole orbit (its closure under
-the generators from symmetry.edge_automorphisms) join a set of seen
-masks, and a later M in that set is skipped before its greedy cover
-or its LP.  This changes no output.  The best s so far never
+The scan runs over integer edge masks (bit e for edge e) from start
+to end: it reads the sorted mask streams of matching._maximal_masks
+and matching._perfect_masks, and decodes edge ids only for the LPs
+that run.  It meets each automorphism orbit of maximal matchings once.
+An automorphism sigma of g permutes the perfect matchings, so
+s(sigma M) = s(M).  When M is met, the masks of its whole orbit (its
+closure under the generators from symmetry.edge_automorphisms, each
+applied to a mask through one lookup table per 8 edge ids) join a set
+of seen masks, and a later M in that set is skipped before its greedy
+cover or its LP.  This changes no output.  The best s so far never
 decreases, and once M is met it is at least s(M): either M's LP was
 solved, or M's greedy cover, an upper bound on s(M), was at most the
 best s.  So a skipped orbit-mate would fail the strict s > best test
@@ -62,11 +66,12 @@ from .lp import OPTIMAL, program, solve
 from .matching import (
     MAXIMAL_COUNT_BUDGET,
     PERFECT_COUNT_BUDGET,
+    _decode,
     _lex_tiebreak,
+    _maximal_masks,
+    _perfect_masks,
     _perfect_matching,
     best_matchings,
-    enumerate_maximal_matchings,
-    enumerate_perfect_matchings,
     has_perfect_matching,
     is_matching,
     matching_weight,
@@ -226,10 +231,6 @@ def is_eta_one(
 # exact value
 
 
-def _edge_masks(matchings: Sequence[frozenset[int]]) -> list[int]:
-    return [sum(1 << e for e in m) for m in matchings]
-
-
 def _greedy_cover_count(mask: int, pm_masks: Sequence[int]) -> int:
     """Perfect matchings needed to cover all bits of mask, greedily.
 
@@ -288,19 +289,45 @@ def _support_lp_max(
     return -sol.value, sol.assignment
 
 
+def _orbit_tables(gens: Sequence[Sequence[int]]) -> list[list[list[int]]]:
+    """Per edge permutation, one lookup table per chunk of 8 edge ids:
+    entry b of chunk c is the image of the mask b << 8c.
+
+    A table is filled by doubling: the entries with bit j set are those
+    without it, ORed with the image of that bit.  The last chunk's table
+    covers only the edges it holds.
+    """
+    out = []
+    for perm in gens:
+        tables = []
+        for lo in range(0, len(perm), 8):
+            tab = [0]
+            for e in perm[lo : lo + 8]:
+                bit = 1 << e
+                tab += [x | bit for x in tab]
+            tables.append(tab)
+        out.append(tables)
+    return out
+
+
 def _add_orbit(
-    edges: tuple[int, ...], gens: Sequence[Sequence[int]], seen: set[int]
+    mask: int, tables: Sequence[Sequence[Sequence[int]]], seen: set[int]
 ) -> None:
-    """Add the mask of every image of edges under the group <gens>."""
-    seen.add(sum(1 << e for e in edges))
-    frontier = [edges]
+    """Add every image of mask under the group whose generators gave
+    tables (see _orbit_tables); the image of a mask under one generator
+    is the OR of one lookup per chunk."""
+    seen.add(mask)
+    frontier = [mask]
     while frontier:
         m = frontier.pop()
-        for perm in gens:
-            image = tuple(perm[e] for e in m)
-            mask = sum(1 << e for e in image)
-            if mask not in seen:
-                seen.add(mask)
+        for chunks in tables:
+            image = 0
+            rest = m
+            for tab in chunks:
+                image |= tab[rest & 255]
+                rest >>= 8
+            if image not in seen:
+                seen.add(image)
                 frontier.append(image)
 
 
@@ -323,27 +350,21 @@ def eta_exact(
         w = [Fraction(int(e == bad_edge)) for e in range(g.m)]
         return _witness_result(g, w, Fraction(1), Fraction(0))
 
-    pms = enumerate_perfect_matchings(
-        g, count_budget=perfect_count, vertex_limit=vertex_limit
-    )
-    maximals = enumerate_maximal_matchings(
-        g, count_budget=maximal_count, vertex_limit=vertex_limit
-    )
-    pm_masks = _edge_masks(pms)
-    gens = edge_automorphisms(g)
+    pm_masks = _perfect_masks(g, count_budget=perfect_count, vertex_limit=vertex_limit)
+    maximals = _maximal_masks(g, count_budget=maximal_count, vertex_limit=vertex_limit)
+    tables = _orbit_tables(edge_automorphisms(g))
 
     best_s: Fraction | None = None
     best_edges: tuple[int, ...] | None = None
     best_assignment: tuple[Fraction, ...] | None = None
     seen: set[int] = set()  # masks of the orbits met so far
-    for m in maximals:
-        edges = tuple(sorted(m))
-        mask = sum(1 << e for e in edges)
+    for mask in maximals:
         if mask in seen:
             continue
-        _add_orbit(edges, gens, seen)
+        _add_orbit(mask, tables, seen)
         if best_s is not None and _greedy_cover_count(mask, pm_masks) <= best_s:
             continue
+        edges = _decode(mask)
         s, assignment = _support_lp_max(edges, pm_masks)
         if best_s is None or s > best_s:
             best_s = s
@@ -428,11 +449,8 @@ def best_maximal_matching_bound(
     the first maximal matching of minimum size (the stream is sorted,
     which fixes the tie-break).
     """
-    maximals = enumerate_maximal_matchings(
-        g, count_budget=maximal_count, vertex_limit=vertex_limit
-    )
-    best = min(maximals, key=lambda m: (len(m), tuple(sorted(m))))
-    return maximal_matching_bound(g, best)
+    maximals = _maximal_masks(g, count_budget=maximal_count, vertex_limit=vertex_limit)
+    return maximal_matching_bound(g, _decode(min(maximals, key=int.bit_count)))
 
 
 def find_independent_set_bound(
@@ -538,42 +556,42 @@ def find_cap_matching(
     Matchings are tried in lexicographic edge-id order.  The cap of a
     candidate is its largest overlap with any perfect matching, the
     cap that cap_certificate computes and certifies.  Returns
-    None when no matching of that size passes.
+    None when no matching of that size passes.  The search keeps its
+    path in chosen, and its mask in mask, rather than on the
+    interpreter's stack.
     """
     if size < 1 or max_cap < 0:
         raise BadParameters("need size >= 1 and max_cap >= 0")
-    pms = enumerate_perfect_matchings(
-        g, count_budget=perfect_count, vertex_limit=vertex_limit
-    )
-    if not pms:
+    pm_masks = _perfect_masks(g, count_budget=perfect_count, vertex_limit=vertex_limit)
+    if not pm_masks:
         raise NoPerfectMatching("cap search needs perfect matchings")
-    pm_masks = _edge_masks(pms)
+    edges = g.edges
     used = [False] * g.n
     chosen: list[int] = []
-
-    def search(start: int) -> frozenset[int] | None:
-        if len(chosen) == size:
-            mask = sum(1 << e for e in chosen)
-            if _cap_by_masks(mask, pm_masks) <= max_cap:
-                return frozenset(chosen)
-            return None
-        for eid in range(start, g.m - (size - len(chosen)) + 1):
-            u, v = g.edges[eid]
-            if used[u] or used[v]:
+    mask = 0
+    eid = 0  # the next candidate edge of the deepest node
+    while True:
+        if len(chosen) < size:
+            last = g.m - (size - len(chosen))  # leaves room for the rest
+            while eid <= last and (used[edges[eid][0]] or used[edges[eid][1]]):
+                eid += 1
+            if eid <= last:
+                u, v = edges[eid]
+                used[u] = used[v] = True
+                chosen.append(eid)
+                mask |= 1 << eid
+                eid += 1
                 continue
-            used[u] = used[v] = True
-            chosen.append(eid)
-            hit = search(eid + 1)
-            chosen.pop()
-            used[u] = used[v] = False
-            if hit is not None:
-                return hit
-        return None
-
-    try:
-        return search(0)
-    finally:
-        del search  # search refers to itself; break the cycle without a GC pass
+        elif _cap_by_masks(mask, pm_masks) <= max_cap:
+            return frozenset(chosen)
+        # this node is done: undo its parent's choice and try the next edge
+        if not chosen:
+            return None
+        eid = chosen.pop()
+        u, v = edges[eid]
+        used[u] = used[v] = False
+        mask ^= 1 << eid
+        eid += 1
 
 
 def odd_component_cert(g: Graph, f: Iterable[int]) -> BoundCertificate:
@@ -625,23 +643,19 @@ def berge_witness(
         raise BadParameters(f"graph has a bridge (edge {bridge})")
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise BadParameters("the uniform cover needs every degree to be 3")
-    pms = enumerate_perfect_matchings(
-        g, count_budget=perfect_count, vertex_limit=vertex_limit
-    )
-    if not pms:
+    pm_masks = _perfect_masks(g, count_budget=perfect_count, vertex_limit=vertex_limit)
+    if not pm_masks:
         raise NoPerfectMatching("no perfect matchings to combine")
     third = Fraction(1, 3)
-    rows = [([int(eid in p) for p in pms], third) for eid in range(g.m)]
-    sol = solve(program([-1] * len(pms), rows))
+    rows = [([p >> eid & 1 for p in pm_masks], third) for eid in range(g.m)]
+    sol = solve(program([-1] * len(pm_masks), rows))
     if sol.status != OPTIMAL or sol.value != -1:
         raise BadParameters("no uniform fractional cover; graph not as claimed")
     mu = sol.assignment
     denom_lcm = lcm(*(x.denominator for x in mu))
     scale = denom_lcm if denom_lcm % 3 == 0 else 3 * denom_lcm
     lam = [int(x * scale) for x in mu]
-    families = tuple(
-        (tuple(sorted(p)), l) for p, l in zip(pms, lam) if l > 0
-    )
+    families = tuple((_decode(p), l) for p, l in zip(pm_masks, lam) if l > 0)
     cover = scale // 3
     if sum(l for _, l in families) != 3 * cover:
         raise InternalError("uniform cover does not add up to 3 * cover_count")

@@ -6,6 +6,22 @@ entry.  Every operation is deterministic: enumeration streams are
 sorted lexicographically by their sorted edge-id tuples, and argmax
 selections take the lexicographically first optimum.
 
+The enumerators build integer edge masks (bit e for edge e): one
+depth-first search per kind, _perfect_masks and _maximal_masks, which
+eta.py reads directly; the public enumerators decode them into
+frozensets.  Each search also keeps the reversed mask (bit m-1-e
+for edge e) and sorts on it, descending, by this lemma: on a family of
+sets none of which contains another, ascending order of the sorted
+edge tuples is descending order of the reversed masks.  For two such
+sets the smallest edge of their symmetric difference decides both
+orders, and the set holding it comes first in each: its tuple is the
+smaller one at that position (the other set still has an element
+there, as it is not a subset), and its reversed mask holds the highest
+differing bit.  No maximal matching contains another, and all perfect
+matchings of a graph have n/2 edges, so both streams are sorted
+lexicographically.  Nested sets break the lemma: (0,) comes before
+(0, 1), yet its reversed mask is the smaller.
+
 Every optimisation runs the blossom method, at any graph size; the
 enumerators serve the exact eta scan and the tests.  The argmax
 functions add an exact tie-break to the weights (_lex_tiebreak), so
@@ -23,8 +39,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .blossom import max_weight_matching_pairs
 from .errors import (
@@ -99,8 +114,175 @@ def is_maximal_matching(g: Graph, m: frozenset[int]) -> bool:
     return all(u in sat or v in sat for u, v in g.edges)
 
 
-def _sorted_stream(found: list[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    return tuple(sorted(found, key=lambda s: tuple(sorted(s))))
+def _decode(mask: int) -> tuple[int, ...]:
+    """The edge ids of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _sorted_masks(found: list[tuple[int, int]]) -> list[int]:
+    """The masks of (rmask, mask) pairs in the order of the module
+    docstring's lemma: descending rmask."""
+    found.sort(reverse=True)
+    return [mask for _, mask in found]
+
+
+def _options(g: Graph) -> list[list]:
+    """Per vertex, its branches in adjacency order: (neighbour, mask bit,
+    reversed-mask bit) for each edge, then None."""
+    top = g.m - 1
+    return [
+        [(u, 1 << e, 1 << (top - e)) for u, e in g.adj[v]] + [None] for v in range(g.n)
+    ]
+
+
+def _perfect_masks(
+    g: Graph,
+    *,
+    vertex_limit: int | None = PERFECT_VERTEX_LIMIT,
+    count_budget: int = PERFECT_COUNT_BUDGET,
+) -> list[int]:
+    """The masks of all perfect matchings, in the order of
+    enumerate_perfect_matchings, with its limits and its errors."""
+    if vertex_limit is None:
+        vertex_limit = PERFECT_VERTEX_LIMIT
+    if g.n > vertex_limit:
+        raise BudgetExceeded(
+            f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
+        )
+    if g.n % 2:
+        return []
+    n, options = g.n, _options(g)
+    found: list[tuple[int, int]] = []
+    sat = [False] * n
+    mask = rmask = 0
+    stack: list[list] = []  # [branch vertex, next branch, branch to undo]
+    v = 0  # every vertex below v is saturated
+    while True:
+        while v < n and sat[v]:
+            v += 1
+        if v == n:
+            if len(found) >= count_budget:
+                raise BudgetExceeded(f"more than {count_budget} perfect matchings")
+            found.append((rmask, mask))
+        else:
+            sat[v] = True
+            stack.append([v, 0, None])
+        # backtrack to the deepest branch vertex with a neighbour left
+        while stack:
+            frame = stack[-1]
+            v, i, undo = frame
+            if undo is not None:
+                u, bit, rbit = undo
+                sat[u] = False
+                mask ^= bit
+                rmask ^= rbit
+            row = options[v]
+            while True:
+                option = row[i]
+                i += 1
+                if option is None:
+                    break
+                u, bit, rbit = option
+                if not sat[u]:
+                    sat[u] = True
+                    mask |= bit
+                    rmask |= rbit
+                    frame[1] = i
+                    frame[2] = option
+                    break
+            if option is not None:
+                break
+            sat[v] = False
+            stack.pop()
+        else:
+            return _sorted_masks(found)
+
+
+def _maximal_masks(
+    g: Graph,
+    *,
+    vertex_limit: int | None = MAXIMAL_VERTEX_LIMIT,
+    count_budget: int = MAXIMAL_COUNT_BUDGET,
+) -> list[int]:
+    """The masks of all maximal matchings, in the order of
+    enumerate_maximal_matchings, with its limits and its errors.
+
+    The branch after a vertex's neighbours (None in its row) leaves it
+    exposed, which is allowed only while none of its neighbours is
+    exposed; exposed[v] counts those neighbours.
+    """
+    if vertex_limit is None:
+        vertex_limit = MAXIMAL_VERTEX_LIMIT
+    if g.n > vertex_limit:
+        raise BudgetExceeded(
+            f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
+        )
+    UNDECIDED, MATCHED, EXPOSED = 0, 1, 2
+    n, options = g.n, _options(g)
+    neighbours = [g.neighbors(v) for v in range(n)]
+    state = [UNDECIDED] * n
+    exposed = [0] * n  # exposed neighbours of each vertex
+    found: list[tuple[int, int]] = []
+    mask = rmask = 0
+    # [branch vertex, next branch, branch to undo]; True undoes exposure
+    stack: list[list] = []
+    v = 0  # every vertex below v is decided
+    while True:
+        while v < n and state[v] != UNDECIDED:
+            v += 1
+        if v == n:
+            if len(found) >= count_budget:
+                raise BudgetExceeded(f"more than {count_budget} maximal matchings")
+            found.append((rmask, mask))
+        else:
+            state[v] = MATCHED
+            stack.append([v, 0, None])
+        while stack:
+            frame = stack[-1]
+            v, i, undo = frame
+            if undo is True:  # exposure is the last branch: v is done
+                for w in neighbours[v]:
+                    exposed[w] -= 1
+                state[v] = UNDECIDED
+                stack.pop()
+                continue
+            if undo is not None:
+                u, bit, rbit = undo
+                state[u] = UNDECIDED
+                mask ^= bit
+                rmask ^= rbit
+            row = options[v]
+            while True:
+                option = row[i]
+                i += 1
+                if option is None:
+                    break
+                u, bit, rbit = option
+                if state[u] == UNDECIDED:
+                    state[u] = MATCHED
+                    mask |= bit
+                    rmask |= rbit
+                    frame[1] = i
+                    frame[2] = option
+                    break
+            if option is not None:
+                break
+            if exposed[v]:
+                state[v] = UNDECIDED
+                stack.pop()
+                continue
+            state[v] = EXPOSED
+            for w in neighbours[v]:
+                exposed[w] += 1
+            frame[2] = True
+            break
+        else:
+            return _sorted_masks(found)
 
 
 def enumerate_perfect_matchings(
@@ -116,52 +298,10 @@ def enumerate_perfect_matchings(
     vertex_limit (None: PERFECT_VERTEX_LIMIT) or more than count_budget
     matchings exist.  The search keeps its own stack, one frame per
     matched pair, so its depth is not bounded by the interpreter's
-    recursion limit.
+    recursion limit.  A decode of _perfect_masks.
     """
-    if vertex_limit is None:
-        vertex_limit = PERFECT_VERTEX_LIMIT
-    if g.n > vertex_limit:
-        raise BudgetExceeded(
-            f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
-        )
-    if g.n % 2:
-        return ()
-    n, adj = g.n, g.adj
-    found: list[frozenset[int]] = []
-    sat = [False] * n
-    chosen: list[int] = []
-    partner: list[int] = []  # partner of each branch vertex on the path
-    stack: list[tuple[int, Iterator]] = []  # branch vertex, neighbours left
-    v = 0  # every vertex below v is saturated
-    while True:
-        while v < n and sat[v]:
-            v += 1
-        if v == n:
-            if len(found) >= count_budget:
-                raise BudgetExceeded(f"more than {count_budget} perfect matchings")
-            found.append(frozenset(chosen))
-        else:
-            sat[v] = True
-            stack.append((v, iter(adj[v])))
-        # backtrack to the deepest branch vertex with a neighbour left
-        while stack:
-            v, neighbours = stack[-1]
-            if len(partner) == len(stack):  # undo its last branch
-                sat[partner.pop()] = False
-                chosen.pop()
-            for u, eid in neighbours:
-                if not sat[u]:
-                    sat[u] = True
-                    partner.append(u)
-                    chosen.append(eid)
-                    break
-            else:
-                sat[v] = False
-                stack.pop()
-                continue
-            break
-        else:
-            return _sorted_stream(found)
+    masks = _perfect_masks(g, vertex_limit=vertex_limit, count_budget=count_budget)
+    return tuple(frozenset(_decode(mask)) for mask in masks)
 
 
 def enumerate_maximal_matchings(
@@ -177,59 +317,11 @@ def enumerate_maximal_matchings(
     maximality.  The lowest undecided vertex is matched to each
     undecided neighbour in adjacency order, then left exposed.  Budgets
     and the explicit stack as in enumerate_perfect_matchings; a
-    vertex_limit of None means MAXIMAL_VERTEX_LIMIT.
+    vertex_limit of None means MAXIMAL_VERTEX_LIMIT.  A decode of
+    _maximal_masks.
     """
-    if vertex_limit is None:
-        vertex_limit = MAXIMAL_VERTEX_LIMIT
-    if g.n > vertex_limit:
-        raise BudgetExceeded(
-            f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
-        )
-    UNDECIDED, MATCHED, EXPOSED = 0, 1, 2
-    n, adj = g.n, g.adj
-    state = [UNDECIDED] * n
-    found: list[frozenset[int]] = []
-    chosen: list[int] = []
-    partner: list[int] = []  # as in enumerate_perfect_matchings; -1: exposed
-    stack: list[tuple[int, Iterator]] = []
-    v = 0  # every vertex below v is decided
-    while True:
-        while v < n and state[v] != UNDECIDED:
-            v += 1
-        if v == n:
-            if len(found) >= count_budget:
-                raise BudgetExceeded(f"more than {count_budget} maximal matchings")
-            found.append(frozenset(chosen))
-        else:
-            state[v] = MATCHED
-            # the neighbours, then (-1, -1): the branch that leaves v exposed
-            stack.append((v, chain(adj[v], ((-1, -1),))))
-        while stack:
-            v, options = stack[-1]
-            if len(partner) == len(stack):
-                u = partner.pop()
-                if u >= 0:
-                    state[u] = UNDECIDED
-                    chosen.pop()
-            for u, eid in options:
-                if u >= 0:
-                    if state[u] != UNDECIDED:
-                        continue
-                    state[u] = MATCHED
-                    chosen.append(eid)
-                elif any(state[w] == EXPOSED for w, _ in adj[v]):
-                    continue
-                else:
-                    state[v] = EXPOSED
-                partner.append(u)
-                break
-            else:
-                state[v] = UNDECIDED
-                stack.pop()
-                continue
-            break
-        else:
-            return _sorted_stream(found)
+    masks = _maximal_masks(g, vertex_limit=vertex_limit, count_budget=count_budget)
+    return tuple(frozenset(_decode(mask)) for mask in masks)
 
 
 def _blossom_argmax(

@@ -33,7 +33,7 @@ from matchforge.eta import (
     odd_component_cert,
     verify,
 )
-from matchforge.eta import _edge_masks, _support_lp_max
+from matchforge.eta import _support_lp_max
 from matchforge.generators import (
     bridge_join,
     catalog,
@@ -154,7 +154,7 @@ def _all_trace_rows(edges, pms):
 )
 def test_maximal_trace_rows_keep_support_lp_value(g):
     pms = enumerate_perfect_matchings(g)
-    pm_masks = _edge_masks(pms)
+    pm_masks = [sum(1 << e for e in p) for p in pms]
     for m in enumerate_maximal_matchings(g):
         edges = tuple(sorted(m))
         s, w = _support_lp_max(edges, pm_masks)
@@ -260,6 +260,22 @@ def test_best_maximal_matching_bound_frozen():
     assert verify(b2, cert)[0]
 
 
+def seeded_cubic(count: int, seed: int) -> list:
+    rng = random.Random(seed)
+    return [random_cubic(rng.randrange(8, 21, 2), rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    list(catalog(20)) + seeded_cubic(20, seed=20261019),
+    ids=lambda g: getattr(g, "name", f"random-n{g.n}"),
+)
+def test_best_maximal_matching_bound_is_the_first_smallest_matching(g):
+    maximals = enumerate_maximal_matchings(g)
+    first = min(maximals, key=lambda m: (len(m), tuple(sorted(m))))
+    assert best_maximal_matching_bound(g) == maximal_matching_bound(g, first)
+
+
 def test_perfect_maximal_matching_gives_trivial_bound():
     g = named("k4")
     cert = best_maximal_matching_bound(g)
@@ -348,7 +364,8 @@ def test_verify_checks_family_caps_by_arithmetic(depth, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify must not search")
 
-    monkeypatch.setattr(eta, "enumerate_perfect_matchings", refuse)
+    monkeypatch.setattr(eta, "_perfect_masks", refuse)
+    monkeypatch.setattr(matching, "_perfect_masks", refuse)
     monkeypatch.setattr(matching, "enumerate_perfect_matchings", refuse)
     monkeypatch.setattr(blossom, "max_weight_matching_pairs", refuse)
     monkeypatch.setattr(matching, "max_weight_matching_pairs", refuse)
@@ -375,6 +392,13 @@ def test_find_cap_matching_frozen():
         assert verify(g, cert)[0], label
     # no size-3 matching of the cube avoids every perfect matching twice
     assert find_cap_matching(named("cube"), 3, 1) is None
+
+
+def test_find_cap_matching_on_a_long_path():
+    # 1000 levels deep: the search keeps its own stack
+    g = from_edge_list(2000, [(v, v + 1) for v in range(1999)])
+    m = find_cap_matching(g, 1000, 1000, vertex_limit=2000)
+    assert m == frozenset(range(0, 1999, 2))
 
 
 def test_find_cap_matching_leaves_no_garbage_cycles():

@@ -4,6 +4,7 @@ import gc
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -95,6 +96,208 @@ def test_enumeration_leaves_no_garbage_cycles(enumerate_):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the mask cores against the frozenset searches they replaced
+
+
+def _sorted_stream(found):
+    return tuple(sorted(found, key=lambda s: tuple(sorted(s))))
+
+
+def reference_perfect_matchings(
+    g,
+    *,
+    vertex_limit=matching.PERFECT_VERTEX_LIMIT,
+    count_budget=matching.PERFECT_COUNT_BUDGET,
+):
+    """The frozenset search that enumerate_perfect_matchings ran before
+    its mask core: branch on the lowest unsaturated vertex, then sort."""
+    if vertex_limit is None:
+        vertex_limit = matching.PERFECT_VERTEX_LIMIT
+    if g.n > vertex_limit:
+        raise errors.BudgetExceeded(
+            f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
+        )
+    if g.n % 2:
+        return ()
+    n, adj = g.n, g.adj
+    found = []
+    sat = [False] * n
+    chosen = []
+    partner = []
+    stack = []
+    v = 0
+    while True:
+        while v < n and sat[v]:
+            v += 1
+        if v == n:
+            if len(found) >= count_budget:
+                raise errors.BudgetExceeded(f"more than {count_budget} perfect matchings")
+            found.append(frozenset(chosen))
+        else:
+            sat[v] = True
+            stack.append((v, iter(adj[v])))
+        while stack:
+            v, neighbours = stack[-1]
+            if len(partner) == len(stack):
+                sat[partner.pop()] = False
+                chosen.pop()
+            for u, eid in neighbours:
+                if not sat[u]:
+                    sat[u] = True
+                    partner.append(u)
+                    chosen.append(eid)
+                    break
+            else:
+                sat[v] = False
+                stack.pop()
+                continue
+            break
+        else:
+            return _sorted_stream(found)
+
+
+def reference_maximal_matchings(
+    g,
+    *,
+    vertex_limit=matching.MAXIMAL_VERTEX_LIMIT,
+    count_budget=matching.MAXIMAL_COUNT_BUDGET,
+):
+    """The frozenset search that enumerate_maximal_matchings ran before
+    its mask core: match the lowest undecided vertex to each undecided
+    neighbour, then leave it exposed if no neighbour is, then sort."""
+    if vertex_limit is None:
+        vertex_limit = matching.MAXIMAL_VERTEX_LIMIT
+    if g.n > vertex_limit:
+        raise errors.BudgetExceeded(
+            f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
+        )
+    UNDECIDED, MATCHED, EXPOSED = 0, 1, 2
+    n, adj = g.n, g.adj
+    state = [UNDECIDED] * n
+    found = []
+    chosen = []
+    partner = []
+    stack = []
+    v = 0
+    while True:
+        while v < n and state[v] != UNDECIDED:
+            v += 1
+        if v == n:
+            if len(found) >= count_budget:
+                raise errors.BudgetExceeded(f"more than {count_budget} maximal matchings")
+            found.append(frozenset(chosen))
+        else:
+            state[v] = MATCHED
+            stack.append((v, chain(adj[v], ((-1, -1),))))
+        while stack:
+            v, options = stack[-1]
+            if len(partner) == len(stack):
+                u = partner.pop()
+                if u >= 0:
+                    state[u] = UNDECIDED
+                    chosen.pop()
+            for u, eid in options:
+                if u >= 0:
+                    if state[u] != UNDECIDED:
+                        continue
+                    state[u] = MATCHED
+                    chosen.append(eid)
+                elif any(state[w] == EXPOSED for w, _ in adj[v]):
+                    continue
+                else:
+                    state[v] = EXPOSED
+                partner.append(u)
+                break
+            else:
+                state[v] = UNDECIDED
+                stack.pop()
+                continue
+            break
+        else:
+            return _sorted_stream(found)
+
+
+def _complete(n):
+    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def _path(n):
+    return from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def _cycle(n):
+    return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def _reference_graphs():
+    rng = random.Random(20261018)
+    graphs = [(g.name, g) for g in catalog(20)]
+    graphs += [(f"cubic{i}", random_cubic(rng.randrange(4, 21, 2), rng)) for i in range(30)]
+    graphs += [(f"complete{n}", _complete(n)) for n in range(1, 9)]
+    graphs += [(f"path{n}", _path(n)) for n in range(1, 13)]
+    graphs += [(f"cycle{n}", _cycle(n)) for n in (3, 5, 7, 9)]
+    graphs += [("empty", from_edge_list(0, [])), ("edgeless5", from_edge_list(5, []))]
+    return [pytest.param(g, id=name) for name, g in graphs]
+
+
+STREAMS = [
+    (matching.enumerate_perfect_matchings, reference_perfect_matchings),
+    (matching.enumerate_maximal_matchings, reference_maximal_matchings),
+]
+
+
+@pytest.mark.parametrize("g", _reference_graphs())
+def test_mask_cores_give_the_reference_streams(g):
+    for enumerate_, reference in STREAMS:
+        assert enumerate_(g) == reference(g), enumerate_.__name__
+
+
+def _outcome(enumerate_, g, **kw):
+    try:
+        return enumerate_(g, **kw)
+    except errors.BudgetExceeded as exc:
+        return ("BudgetExceeded", str(exc))
+
+
+@pytest.mark.parametrize("label", ["k4", "cube", "petersen", "blanusa1"])
+def test_mask_cores_stop_where_the_references_stop(label):
+    g = named(label)
+    for enumerate_, reference in STREAMS:
+        count = len(reference(g))
+        for budget in (0, 1, count - 1, count):
+            got = _outcome(enumerate_, g, count_budget=budget)
+            assert got == _outcome(reference, g, count_budget=budget), budget
+            assert (got[0] == "BudgetExceeded") == (budget < count)
+        for limit in (g.n - 1, g.n, None):
+            got = _outcome(enumerate_, g, vertex_limit=limit)
+            assert got == _outcome(reference, g, vertex_limit=limit), limit
+
+
+def _mask(s):
+    return sum(1 << e for e in s)
+
+
+def _rmask(s, m):
+    return sum(1 << (m - 1 - e) for e in s)
+
+
+def test_reversed_mask_order_is_tuple_order_on_antichains(seed=6):
+    rng = random.Random(seed)
+    for _ in range(200):
+        m = rng.randint(1, 12)
+        sets = {frozenset(rng.sample(range(m), rng.randint(0, m))) for _ in range(20)}
+        # keep the sets that no other set contains: an antichain
+        family = [a for a in sets if not any(a < b for b in sets)]
+        by_tuple = sorted(family, key=lambda s: tuple(sorted(s)))
+        pairs = [(_rmask(s, m), _mask(s)) for s in family]
+        assert matching._sorted_masks(pairs) == [_mask(s) for s in by_tuple]
+    # nested sets break it: (0,) precedes (0, 1), but has the smaller rmask
+    nested = [frozenset({0}), frozenset({0, 1})]
+    assert sorted(nested, key=lambda s: tuple(sorted(s)))[0] == frozenset({0})
+    assert matching._sorted_masks([(_rmask(s, 2), _mask(s)) for s in nested])[0] == 0b11
 
 
 def test_enumeration_vertex_limits():

@@ -7,7 +7,7 @@ import pytest
 
 from matchforge import errors, eta, symmetry
 from matchforge.classify import is_bridgeless
-from matchforge.eta import _add_orbit, eta_exact
+from matchforge.eta import _add_orbit, _orbit_tables, eta_exact
 from matchforge.generators import catalog, gp, named, random_cubic
 from matchforge.graphs import from_edge_list
 from matchforge.matching import enumerate_maximal_matchings
@@ -60,13 +60,13 @@ def closure(gens: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
 
 def orbit_count_from_generators(g, matchings) -> int:
     seen: set[int] = set()
-    gens = edge_automorphisms(g)
+    tables = _orbit_tables(edge_automorphisms(g))
     count = 0
     for m in matchings:
-        edges = tuple(sorted(m))
-        if sum(1 << e for e in edges) not in seen:
+        mask = sum(1 << e for e in m)
+        if mask not in seen:
             count += 1
-            _add_orbit(edges, gens, seen)
+            _add_orbit(mask, tables, seen)
     return count
 
 
@@ -88,6 +88,19 @@ def test_orbit_counts_match_the_brute_force_group(ng):
     maximals = enumerate_maximal_matchings(ng)
     reference = orbit_count_reference(ng, maximals)
     assert orbit_count_from_generators(ng, maximals) == reference
+
+
+@pytest.mark.parametrize("ng", catalog(20), ids=lambda ng: ng.name)
+def test_table_images_are_the_edge_images(ng):
+    gens = edge_automorphisms(ng)
+    for perm, chunks in zip(gens, _orbit_tables(gens)):
+        assert len(chunks) == -(-ng.m // 8)
+        for m in enumerate_maximal_matchings(ng):
+            rest, image = sum(1 << e for e in m), 0
+            for tab in chunks:
+                image |= tab[rest & 255]
+                rest >>= 8
+            assert image == sum(1 << perm[e] for e in m)
 
 
 @pytest.mark.parametrize(
