@@ -47,9 +47,39 @@ and 2S to every stored doubled weight and chooses the step again.  From
 there it is the fresh run on w + S.  When no vertex is exposed at that
 step, no label is set and nothing moves, so both results share one
 matching and the second's potentials are the first's plus S.
+
+Greedy prefix.  While no blossom has formed and every matched vertex
+is unlabelled, a stage labels each exposed vertex S and nothing else;
+the exposed vertices share one dual D and the matched ones keep the
+dual they had when matched, which is at least D.  If no exposed vertex
+has a tight edge to a matched one, no T label can appear, and the stage
+is one of two kinds, which _greedy_prefix replays from a sorted edge
+list instead of rescanning every vertex.  The queue pops the largest
+exposed vertex first and a scan takes its first tight neighbour in nbrs
+order, so when some exposed-exposed edge is tight (2w = 2D, the largest
+weight left between exposed vertices) the stage matches the largest
+exposed vertex with a tight exposed edge to the first such neighbour.
+Otherwise every exposed vertex is scanned and the dual step follows.
+Type 1 offers D; type 2 offers the least slack D + y_u - 2w of an
+exposed-to-matched edge; type 3 offers half the least exposed-exposed
+slack, D - w for the heaviest such edge.  Type 3 is taken only when it
+is strictly below both.  Its edge is the best edge of the smallest
+vertex on a heaviest edge, which is that edge's lower end, and a best
+edge is the first strict minimum in nbrs order, so the edge is the
+first under the key (-2w, lower end, position of the upper end in
+nbrs[lower]).  After the step D = w and the edge is tight, no edge to
+a matched vertex is, and no tight edge comes before it in its lower
+end's nbrs, so the rescan of that end matches it.  The replay hands over
+to the stage loop as soon as an exposed vertex has a tight edge to a
+matched one, a type-1 or type-2 step would win or tie, or no two
+exposed vertices are adjacent.  Every stage starts by clearing labels,
+best edges, tight edges and the queue, and no blossom exists yet, so
+the loop goes on exactly as it would have after the same stages.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 from .errors import InternalError
 
@@ -78,6 +108,68 @@ def dual_objective(weights, potentials, odd_sets):
         if cover < w:
             return None
     return total
+
+
+def _greedy_prefix(n, nbrs, maxweight, mate, dualvar) -> None:
+    """Replay the engine's leading stages that match one edge between
+    two exposed vertices (see Greedy prefix in the module docstring),
+    writing only mate and dualvar.  A replayed stage costs a few heap
+    steps and a scan of the matched pair's neighbours, not a pass over
+    every vertex."""
+    # every edge once, in the order a type-3 step prefers it
+    edges = sorted(
+        (-w2, v, i, u) for v in range(n) for i, (u, w2) in enumerate(nbrs[v]) if u > v
+    )
+    head = 0
+    # (y_u - 2w_xu, x) per edge from an exposed x to a matched u: its
+    # slack is d plus the key, and entries whose x got matched are stale
+    heap: list[tuple[int, int]] = []
+    d = maxweight
+    tight = None  # the doubled weight that cands was built for
+    cands: list[int] = []  # upper ends of the edges of weight tight
+    while True:
+        while head < len(edges) and (
+            mate[edges[head][1]] != -1 or mate[edges[head][3]] != -1
+        ):
+            head += 1
+        if head == len(edges):
+            break
+        while heap and mate[heap[0][1]] != -1:
+            heappop(heap)
+        step2 = d + heap[0][0] if heap else None
+        if step2 is not None and step2 <= 0:
+            break  # the next stage sets a T label
+        w2 = -edges[head][0]
+        if w2 > 2 * d:
+            raise InternalError("blossom: an exposed edge above the greedy dual")
+        if w2 == 2 * d:
+            if tight != w2:
+                tight, k, cands = w2, head, []
+                while k < len(edges) and edges[k][0] == -w2:
+                    cands.append(edges[k][3])
+                    k += 1
+                cands.sort()
+            while True:
+                v = cands.pop()
+                if mate[v] == -1:
+                    u = next((u for u, x2 in nbrs[v] if x2 == w2 and mate[u] == -1), -1)
+                    if u != -1:
+                        break
+        else:
+            delta = d - w2 // 2
+            if delta >= d or (step2 is not None and delta >= step2):
+                break  # a type-1 or type-2 step comes first
+            d -= delta
+            _, v, _, u = edges[head]
+        mate[v], mate[u] = u, v
+        dualvar[v] = dualvar[u] = d
+        for s in (v, u):
+            for x, x2 in nbrs[s]:
+                if mate[x] == -1:
+                    heappush(heap, (d - x2, x))
+    for v in range(n):
+        if mate[v] == -1:
+            dualvar[v] = d
 
 
 def max_weight_matching_pairs(
@@ -471,6 +563,8 @@ def max_weight_matching_pairs(
         if len(covered) != 2 * len(pairs) or min(ys) < 0 or value != 2 * weight:
             raise InternalError("blossom: the final duals do not prove optimality")
         return pairs, ys, odd_sets
+
+    _greedy_prefix(n, nbrs, maxweight, mate, dualvar)
 
     # the result for w when resuming under a shift, and the shift applied
     first = None

@@ -45,12 +45,11 @@ from .blossom import max_weight_matching_pairs
 from .errors import (
     BadWeights,
     BudgetExceeded,
-    IncludeNotMatching,
     InternalError,
     NoPerfectMatching,
     ParseError,
 )
-from .graphs import Graph, delete
+from .graphs import Graph
 
 # Enumeration refuses larger graphs unless the caller raises the limits.
 PERFECT_VERTEX_LIMIT = 26
@@ -460,27 +459,6 @@ def _perfect_matching(g: Graph) -> frozenset[int] | None:
 def has_perfect_matching(g: Graph) -> bool:
     """Polynomial check via maximum-cardinality matching."""
     return _perfect_matching(g) is not None
-
-
-def pm_with_forced_edges(
-    g: Graph, include: Iterable[int], exclude: Iterable[int] = ()
-) -> bool:
-    """Does some perfect matching contain all of include and none of exclude?
-
-    include must be a matching and disjoint from exclude.  Decided by
-    deleting include's endpoints and the excluded edges, then testing
-    the remainder for a perfect matching.
-    """
-    inc = frozenset(include)
-    exc = frozenset(exclude)
-    if not is_matching(g, inc):
-        raise IncludeNotMatching("forced edges do not form a matching")
-    if inc & exc:
-        raise IncludeNotMatching("forced and excluded edges overlap")
-    for e in exc:
-        g.endpoints(e)  # id validation
-    sub = delete(g, vertices=saturated(g, inc), edges=exc)
-    return has_perfect_matching(sub.graph)
 
 
 # ---------------------------------------------------------------------------

@@ -240,3 +240,128 @@ def test_resumed_run_equals_a_fresh_run_on_the_shifted_weights():
 def test_shifted_call_without_edges_returns_two_results(n):
     empty = (set(), [0] * n, [])
     assert max_weight_matching_pairs(n, {}, [[] for _ in range(n)], 5) == (empty, empty)
+
+
+def _engine_state_after_prefix(n, weights, adj):
+    """mate and dualvar as _greedy_prefix leaves them, and its nbrs."""
+    maxweight = max(weights.values())
+    nbrs = [[(u, 2 * weights[min(u, v), max(u, v)]) for u in adj[v]] for v in range(n)]
+    mate, dualvar = [-1] * n, [maxweight] * n
+    blossom._greedy_prefix(n, nbrs, maxweight, mate, dualvar)
+    return mate, dualvar, nbrs
+
+
+def _hand_over_reason(n, weights, adj):
+    """Why the greedy prefix stopped, read off the state it left: the
+    first stage the loop then runs must set a T label, take a type-1 or
+    type-2 dual step, or has no two adjacent exposed vertices."""
+    mate, dualvar, nbrs = _engine_state_after_prefix(n, weights, adj)
+    exposed = [v for v in range(n) if mate[v] == -1]
+    if len({dualvar[v] for v in exposed}) > 1:
+        return "unequal exposed duals"
+    heads = [w2 for v in exposed for u, w2 in nbrs[v] if mate[u] == -1]
+    if not heads:
+        return "no exposed pair"
+    d = dualvar[exposed[0]]
+    step2 = min(
+        (d + dualvar[u] - w2 for v in exposed for u, w2 in nbrs[v] if mate[u] != -1),
+        default=None,
+    )
+    if step2 == 0:
+        return "T label"
+    if max(heads) == 2 * d:
+        return "tight exposed pair left"  # the prefix should have matched it
+    step3 = d - max(heads) // 2
+    if step2 is not None and step2 < d and step2 <= step3:
+        return "type 2"
+    if d <= step3 and (step2 is None or d <= step2):
+        return "type 1"
+    return "type 3 left"  # the prefix should have taken it
+
+
+def _results_with_and_without_prefix(monkeypatch, calls):
+    """Engine results for each (n, weights, adj, shift) call, with the
+    greedy prefix and with it replaced by a no-op."""
+    run = lambda: [max_weight_matching_pairs(*call) for call in calls]
+    replayed = run()
+    with monkeypatch.context() as m:
+        m.setattr(blossom, "_greedy_prefix", lambda *args: None)
+        plain = run()
+    return replayed, plain
+
+
+# one hand-built graph per way the greedy prefix hands over; n, edge
+# weights, and the neighbour order where it decides a tie
+HAND_OVERS = {
+    # 3-2 is matched first (largest vertex on a tight edge); then 1-2 is
+    # tight from exposed 1 to matched 2 while 0-1 is still free
+    "T label": (4, {(0, 1): 1, (1, 2): 1, (2, 3): 1}, None),
+    # 1-2 goes first; then 0 reaches matched 1 with slack 2, below the
+    # type-3 step 3 of the light edge 0-3
+    "type 2": (4, {(0, 1): 3, (1, 2): 4, (2, 3): 1, (0, 3): 1}, None),
+    # 0-1 goes first; the exposed pair 2-3 weighs 0, so the type-3 step
+    # ties the type-1 step D and the type-1 step wins
+    "type 1": (4, {(0, 1): 2, (2, 3): 0}, None),
+    # 0-1 and 2-3 tie at the head and 3-2 goes first; then 0-1
+    "no exposed pair": (4, {(0, 1): 2, (1, 2): 1, (2, 3): 2}, None),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(HAND_OVERS))
+def test_greedy_prefix_hands_over_like_the_stage_loop(monkeypatch, reason):
+    n, weights, _ = HAND_OVERS[reason]
+    adj = _adjacency(n, weights)
+    assert _hand_over_reason(n, weights, adj) == reason
+    mate, _, _ = _engine_state_after_prefix(n, weights, adj)
+    assert any(u != -1 for u in mate)  # the prefix matched something
+    calls = [(n, weights, adj, None), (n, weights, adj, 1 + sum(weights.values()))]
+    replayed, plain = _results_with_and_without_prefix(monkeypatch, calls)
+    assert replayed == plain
+
+
+@pytest.mark.parametrize("order", [(3, 2, 5), (2, 5, 3), (5, 3, 2)])
+def test_greedy_prefix_breaks_head_ties_in_neighbour_order(monkeypatch, order):
+    # 6-7 (weight 9) is matched first; then three weight-5 edges from 0
+    # tie at the head, the type-3 step matches 0 to its first such
+    # neighbour in adjacency order, and the other two stay tight
+    weights = {(6, 7): 9, (0, 2): 5, (0, 3): 5, (0, 5): 5, (1, 2): 5, (3, 4): 1, (4, 5): 2}
+    n = 8
+    adj = _adjacency(n, weights)
+    adj[0] = list(order)
+    mate, _, _ = _engine_state_after_prefix(n, weights, adj)
+    assert mate[0] == order[0] and mate[6] == 7
+    calls = [(n, weights, adj, None), (n, weights, adj, 3)]
+    replayed, plain = _results_with_and_without_prefix(monkeypatch, calls)
+    assert replayed == plain
+
+
+def test_greedy_prefix_changes_no_result(monkeypatch):
+    # seeded graphs with shuffled neighbour lists, shifted and not; the
+    # no-op prefix is the engine that runs every stage in the loop
+    rng = random.Random(20261020)
+    tops = (1, 2, 10, 10**6)  # all-ones, 0..2, 0..10, 0..10**6
+    calls = []
+    for i in range(3200):
+        n = rng.randint(2, 26)
+        p = rng.uniform(0.08, 0.6)
+        top = tops[i % 4]
+        low = 1 if top == 1 else 0
+        weights = {
+            (u, v): rng.randint(low, top)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < p
+        }
+        adj = _adjacency(n, weights)
+        for row in adj:
+            rng.shuffle(row)
+        shift = None if i % 2 else 1 + sum(weights.values()) if i % 3 else rng.randint(1, 3)
+        calls.append((n, weights, adj, shift))
+    replayed, plain = _results_with_and_without_prefix(monkeypatch, calls)
+    assert replayed == plain
+    reasons = {}
+    for n, weights, adj, _ in calls:
+        if weights:
+            reason = _hand_over_reason(n, weights, adj)
+            reasons[reason] = reasons.get(reason, 0) + 1
+    assert set(reasons) == {"T label", "type 1", "type 2", "no exposed pair"}, reasons

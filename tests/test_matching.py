@@ -27,7 +27,6 @@ from matchforge.matching import (
     max_weight_perfect_matching,
     parse_weight_csv,
     perfect_matching_dual,
-    pm_with_forced_edges,
     random_weights,
     saturated,
     shift_perfect_matching,
@@ -501,20 +500,6 @@ def test_has_perfect_matching_random_agreement(seed=31):
     for _ in range(20):
         g = random_cubic(rng.choice([6, 8, 10, 12]), rng)
         assert has_perfect_matching(g) == bool(enumerate_perfect_matchings(g))
-
-
-def test_pm_with_forced_edges():
-    g = named("petersen")
-    assert pm_with_forced_edges(g, [0])
-    assert pm_with_forced_edges(g, [0, 2])
-    # edges 0 and 3 both lie on the outer cycle with a vertex gap; no PM
-    # contains both (none of the six frozen PMs does)
-    assert not pm_with_forced_edges(g, [0, 3], exclude=[7, 13, 14])
-    assert not pm_with_forced_edges(g, [0], exclude=[2, 3])
-    with pytest.raises(errors.IncludeNotMatching):
-        pm_with_forced_edges(g, [0, 1])
-    with pytest.raises(errors.IncludeNotMatching):
-        pm_with_forced_edges(g, [0], exclude=[0])
 
 
 def test_weight_csv_round_trip(seed=5):

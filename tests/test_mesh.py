@@ -280,3 +280,47 @@ def test_quadrangulate_matches_the_pinned_digest():
         qm, report = quadrangulate(mesh, mode=mode)
         digest.update(repr((qm.quads, qm.triangles, report)).encode())
     assert digest.hexdigest() == QUADRANGULATE_SHA256
+
+
+def _torus(major, minor, jitter, seed):
+    """A torus with radii 3 and 1 cut into 2 * major * minor outward
+    triangles, each vertex then moved by up to jitter on each axis with
+    a seeded draw."""
+    pts = []
+    for i in range(major):
+        a = 2 * math.pi * i / major
+        for j in range(minor):
+            b = 2 * math.pi * j / minor
+            r = 3 + math.cos(b)
+            pts.append((r * math.cos(a), r * math.sin(a), math.sin(b)))
+    faces = []
+    for i in range(major):
+        for j in range(minor):
+            p00 = i * minor + j
+            p10 = (i + 1) % major * minor + j
+            p11 = (i + 1) % major * minor + (j + 1) % minor
+            p01 = i * minor + (j + 1) % minor
+            faces += [(p00, p10, p11), (p00, p11, p01)]
+    rng = random.Random(seed)
+    moved = tuple(tuple(x + jitter * rng.uniform(-1, 1) for x in p) for p in pts)
+    return parse_off(off_text(TriangleMesh(moved, tuple(faces))))
+
+
+# (mesh, mode) pairs where the blossom's greedy start covers most of the
+# run: on the genus-1 torus nearly every stage matches one edge
+GREEDY_MESHES = (
+    (lambda: _torus(24, 12, 0.03, 7), "perfect"),
+    (lambda: _torus(24, 12, 0.03, 7), "maximum"),
+    (lambda: _icosphere(3, 0.005, 3), "maximum"),
+)
+# Digest of the quads, triangles and report of each GREEDY_MESHES entry,
+# computed at commit 40918d9, before the engine replayed its greedy stages
+GREEDY_MESHES_SHA256 = "e2cd664a0bc83dcbacd4d1157615c2dcc0c502a9d8e7960989f3cfff8e0100ba"
+
+
+def test_greedy_start_meshes_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for build, mode in GREEDY_MESHES:
+        qm, report = quadrangulate(build(), mode=mode)
+        digest.update(repr((qm.quads, qm.triangles, report)).encode())
+    assert digest.hexdigest() == GREEDY_MESHES_SHA256
