@@ -3,14 +3,14 @@
 The colouring and cycle searches are exhaustive backtrackers with a
 node budget, run with explicit cursors rather than recursion, so their
 depth (one level per edge or per vertex) is not bounded by Python's
-recursion limit.  Hitting the budget raises SearchTimeout, which the
+recursion limit.  Hitting the budget raises BudgetExceeded, which the
 callers must treat as "unknown", never as "no".  Branch orders are
 fixed (lowest id first), so returned witnesses are reproducible.
 """
 
 from __future__ import annotations
 
-from .errors import SearchTimeout
+from .errors import BudgetExceeded
 from .graphs import CubicGraph, Graph
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -81,6 +81,10 @@ def is_independent(g: Graph, vertices) -> bool:
     return all(not (u in vs and v in vs) for u, v in g.edges)
 
 
+def _exhausted(nodes: int) -> BudgetExceeded:
+    return BudgetExceeded(f"search budget exhausted after {nodes} nodes")
+
+
 def tait_coloring(
     g: CubicGraph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[int, ...] | None:
@@ -107,7 +111,7 @@ def tait_coloring(
     eid = 0
     nodes = 1
     if nodes > node_budget:
-        raise SearchTimeout(nodes)
+        raise _exhausted(nodes)
     while True:
         u, v = g.edges[eid]
         c = colour[eid]
@@ -137,7 +141,7 @@ def tait_coloring(
         cursor[eid] = 0
         nodes += 1
         if nodes > node_budget:
-            raise SearchTimeout(nodes)
+            raise _exhausted(nodes)
 
 
 def is_snark(g: CubicGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
@@ -169,7 +173,7 @@ def hamiltonian_cycle(
     cursor = [0]
     nodes = 1
     if nodes > node_budget:
-        raise SearchTimeout(nodes)
+        raise _exhausted(nodes)
     while True:
         v = path[-1]
         if len(path) == n:
@@ -188,7 +192,7 @@ def hamiltonian_cycle(
                 cursor.append(0)
                 nodes += 1
                 if nodes > node_budget:
-                    raise SearchTimeout(nodes)
+                    raise _exhausted(nodes)
                 continue
         # v is exhausted: step back to its parent
         if len(path) == 1:

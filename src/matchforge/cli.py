@@ -37,7 +37,6 @@ from .errors import (
     InternalError,
     MatchforgeError,
     NoPerfectMatching,
-    SearchTimeout,
 )
 from .eta import (
     BoundCertificate,
@@ -207,13 +206,13 @@ def _cmd_classify(args, run: _Run, rng: random.Random) -> int:
             doc["tait_colorable"] = tait is not None
             doc["tait_coloring"] = list(tait) if tait else None
             doc["snark"] = ok and tait is None
-        except SearchTimeout:
+        except BudgetExceeded:
             doc["search_timeout"] = True
     try:
         cycle = hamiltonian_cycle(g, node_budget=args.node_budget)
         doc["hamiltonian"] = cycle is not None
         doc["hamiltonian_cycle"] = list(cycle) if cycle else None
-    except SearchTimeout:
+    except BudgetExceeded:
         doc["hamiltonian"] = None
         doc["hamiltonian_cycle"] = None
         doc["search_timeout"] = True
@@ -240,21 +239,18 @@ def _cmd_match(args, run: _Run, rng: random.Random) -> int:
     return EXIT_OK
 
 
-def _eta_budget_kwargs(args, run: _Run) -> dict:
-    kw: dict = {}
-    if args.maximal_count is not None:
-        kw["maximal_count"] = args.maximal_count
-    if args.perfect_count is not None:
-        kw["perfect_count"] = args.perfect_count
-    if args.vertex_limit is not None:
-        kw["vertex_limit"] = args.vertex_limit
+def _eta_budget_kwargs(args, run: _Run, *names: str) -> dict:
+    """The budget flags among names that were given, as keyword
+    arguments; records them in the manifest."""
+    kw = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
     run.budgets.update(kw)
     return kw
 
 
 def _cmd_eta_exact(args, run: _Run, rng: random.Random) -> int:
     g = _load_graph(args.graph, run, rng)
-    r = eta_exact(g, **_eta_budget_kwargs(args, run))
+    kw = _eta_budget_kwargs(args, run, "maximal_count", "perfect_count", "vertex_limit")
+    r = eta_exact(g, **kw)
     doc = {"eta": eta_result_to_json(r)}
     _emit(doc, run, f"eta = {r.value}")
     return EXIT_OK
@@ -262,26 +258,22 @@ def _cmd_eta_exact(args, run: _Run, rng: random.Random) -> int:
 
 def _cmd_eta_bounds(args, run: _Run, rng: random.Random) -> int:
     g = _load_graph(args.graph, run, rng)
-    kw = _eta_budget_kwargs(args, run)
     doc: dict = {"lower": None, "upper": None, "notes": []}
     lower = upper = None
     cubic = all(g.degree(v) == 3 for v in range(g.n))
     bridgeless, _ = is_bridgeless(g)
     if cubic and bridgeless:
+        kw = _eta_budget_kwargs(args, run, "perfect_count", "vertex_limit")
         try:
-            lower = berge_witness(
-                as_cubic(g),
-                **{k: v for k, v in kw.items() if k in ("perfect_count", "vertex_limit")},
-            )
+            lower = berge_witness(as_cubic(g), **kw)
             doc["lower"] = cert_to_json(lower)
         except BudgetExceeded as exc:
             doc["notes"].append(f"lower bound skipped: {exc}")
     else:
         doc["notes"].append("lower bound needs a bridgeless cubic graph")
+    kw = _eta_budget_kwargs(args, run, "maximal_count", "vertex_limit")
     try:
-        upper = best_maximal_matching_bound(
-            g, **{k: v for k, v in kw.items() if k in ("maximal_count", "vertex_limit")}
-        )
+        upper = best_maximal_matching_bound(g, **kw)
         doc["upper"] = cert_to_json(upper)
     except BudgetExceeded as exc:
         doc["notes"].append(f"upper bound skipped: {exc}")
@@ -295,7 +287,6 @@ def _cmd_eta_bounds(args, run: _Run, rng: random.Random) -> int:
 
 def _cmd_eta_witness(args, run: _Run, rng: random.Random) -> int:
     g = _load_graph(args.graph, run, rng)
-    kw = _eta_budget_kwargs(args, run)
     cert: BoundCertificate | None
     if args.kind == "independent":
         if args.size is None:
@@ -305,12 +296,12 @@ def _cmd_eta_witness(args, run: _Run, rng: random.Random) -> int:
     elif args.kind == "cap":
         if args.size is None or args.max_cap is None:
             raise MatchforgeError("--size and --max-cap are required for kind cap")
-        pm_kw = {k: v for k, v in kw.items() if k in ("perfect_count", "vertex_limit")}
-        m = find_cap_matching(g, args.size, args.max_cap, **pm_kw)
+        kw = _eta_budget_kwargs(args, run, "perfect_count", "vertex_limit")
+        m = find_cap_matching(g, args.size, args.max_cap, **kw)
         cert = cap_certificate(g, sorted(m)) if m is not None else None
     elif args.kind == "berge":
-        pm_kw = {k: v for k, v in kw.items() if k in ("perfect_count", "vertex_limit")}
-        cert = berge_witness(as_cubic(g), **pm_kw)
+        kw = _eta_budget_kwargs(args, run, "perfect_count", "vertex_limit")
+        cert = berge_witness(as_cubic(g), **kw)
     else:
         if not args.edges:
             raise MatchforgeError("--edges is required for kind odd")

@@ -65,20 +65,13 @@ class SpecInvalid(MatchforgeError):
 # searches and enumeration
 
 
-class SearchTimeout(MatchforgeError):
-    """An exhaustive search exceeded its node budget.
+class BudgetExceeded(MatchforgeError):
+    """An enumeration or search refused to run or to continue past its
+    stated limit.
 
     Deliberately distinct from a negative answer: the caller must not
     confuse "no witness exists" with "gave up looking".
     """
-
-    def __init__(self, nodes: int):
-        super().__init__(f"search budget exhausted after {nodes} nodes")
-        self.nodes = nodes
-
-
-class BudgetExceeded(MatchforgeError):
-    """An enumeration refused to run or to continue past its stated limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +83,7 @@ class NoPerfectMatching(MatchforgeError):
 
 
 class IncludeNotMatching(MatchforgeError):
-    """A forced edge set is not a matching, or overlaps the excluded set."""
+    """An edge set given as a matching is not one."""
 
 
 # ---------------------------------------------------------------------------

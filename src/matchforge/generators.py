@@ -394,17 +394,8 @@ def _family_join(
         raise SpecInvalid("no join edge with exactly one saturated endpoint")
     cut, sat, unsat = joint
     off = g.n
-    pairs: list[tuple[int, int]] = []
-    for eid, (u, v) in enumerate(g.edges):
-        if eid != cut:
-            pairs.append((u, v))
-    for eid, (u, v) in enumerate(g.edges):
-        if eid != cut:
-            pairs.append((off + u, off + v))
     # saturated end gains the other copy's unsaturated end and vice versa
-    pairs.append((sat, off + unsat))
-    pairs.append((unsat, off + sat))
-    out = as_cubic(from_edge_list(2 * g.n, pairs))
+    out = edge_join(g, cut, g, cut, [(sat, unsat), (unsat, sat)])
     new_m = set()
     for eid in m:
         u, v = g.endpoints(eid)

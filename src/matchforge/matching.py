@@ -106,13 +106,6 @@ def unsaturated(g: Graph, m: Iterable[int]) -> tuple[int, ...]:
     return tuple(v for v in range(g.n) if v not in sat)
 
 
-def is_maximal_matching(g: Graph, m: frozenset[int]) -> bool:
-    if not is_matching(g, m):
-        return False
-    sat = saturated(g, m)
-    return all(u in sat or v in sat for u, v in g.edges)
-
-
 def _decode(mask: int) -> tuple[int, ...]:
     """The edge ids of a mask, ascending."""
     out = []
@@ -399,15 +392,11 @@ def _lex_tiebreak(weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(w + Fraction(1 << (m - 1 - e), unit) for e, w in enumerate(weights))
 
 
-def blossom_max_matching(g: Graph, weights: Sequence) -> frozenset[int]:
-    """Maximum-weight matching via the blossom engine, any graph size."""
-    return _blossom_argmax(g, validate_weights(g, weights))[0]
-
-
 def best_matchings(g: Graph, weights: Sequence) -> tuple:
     """(maximum-weight matching, best perfect matching or None) from one
-    engine run: the matchings that blossom_max_matching and
-    shift_perfect_matching return."""
+    engine run.  These are the engine's own optima, without the
+    lexicographic tie-break of the argmax functions; the second is the
+    matching of perfect_matching_dual."""
     best, best_perfect = _shifted_run(g, validate_weights(g, weights))
     return best, None if best_perfect is None else best_perfect[0]
 
@@ -435,17 +424,11 @@ def perfect_matching_dual(g: Graph, weights: Sequence) -> tuple:
     return best_perfect
 
 
-def shift_perfect_matching(g: Graph, weights: Sequence) -> frozenset[int]:
-    """Best perfect matching via the blossom engine and a weight shift;
-    perfect_matching_dual without the dual."""
-    return perfect_matching_dual(g, weights)[0]
-
-
 def max_weight_perfect_matching(g: Graph, weights: Sequence) -> frozenset[int]:
     """The lexicographically first perfect matching of maximum total
     weight.  Raises NoPerfectMatching when none exists.
     """
-    return shift_perfect_matching(g, _lex_tiebreak(validate_weights(g, weights)))
+    return perfect_matching_dual(g, _lex_tiebreak(validate_weights(g, weights)))[0]
 
 
 def _perfect_matching(g: Graph) -> frozenset[int] | None:

@@ -79,6 +79,19 @@ def test_runner_reports_a_failed_self_check(monkeypatch):
     assert outcome.detail == "InternalError: self-check failed"
 
 
+def test_runner_reports_a_classifier_out_of_budget(monkeypatch):
+    # a stopped search is a failed check, not an abort of the whole run
+    from matchforge import reproduce
+
+    real = reproduce.tait_coloring
+    monkeypatch.setattr(
+        reproduce, "tait_coloring", lambda g, **kw: real(g, node_budget=5)
+    )
+    (outcome,) = run_checks(ids=["9"])
+    assert not outcome.ok
+    assert outcome.detail.startswith("BudgetExceeded: search budget exhausted")
+
+
 SABOTAGE = """
 import sys
 from dataclasses import replace

@@ -74,7 +74,7 @@ def test_tait_coloring_none_on_snarks():
 
 
 def test_tait_coloring_budget():
-    with pytest.raises(errors.SearchTimeout):
+    with pytest.raises(errors.BudgetExceeded, match="search budget exhausted"):
         tait_coloring(named("petersen"), node_budget=5)
 
 
@@ -103,7 +103,7 @@ def test_hamiltonian_cycle_absent():
 
 
 def test_hamiltonian_cycle_budget():
-    with pytest.raises(errors.SearchTimeout):
+    with pytest.raises(errors.BudgetExceeded, match="search budget exhausted"):
         hamiltonian_cycle(named("nauru"), node_budget=3)
 
 

@@ -151,6 +151,20 @@ def test_eta_bounds_petersen(capsys):
     assert doc["notes"] == []
 
 
+def test_eta_manifest_records_only_the_budgets_used(capsys, tmp_path):
+    budgets = ["--maximal-count", "10000", "--perfect-count", "100"]
+    doc = run_cli(
+        capsys, ["eta", "witness", "name:petersen", "--kind", "berge", *budgets]
+    )
+    assert doc["manifest"]["budgets"] == {"perfect_count": 100}
+    path = tmp_path / "path.txt"  # not cubic: no lower bound is searched
+    path.write_text("4 3\n0 1\n1 2\n2 3\n")
+    doc = run_cli(capsys, ["eta", "bounds", str(path), *budgets])
+    assert doc["manifest"]["budgets"] == {"maximal_count": 10000}
+    doc = run_cli(capsys, ["eta", "bounds", "name:petersen", *budgets])
+    assert doc["manifest"]["budgets"] == {"maximal_count": 10000, "perfect_count": 100}
+
+
 def test_eta_bounds_skips_oversized_scan(capsys):
     doc = run_cli(capsys, ["eta", "bounds", "name:nauru"])
     assert doc["lower"]["bound"] == {"num": "1", "den": "3"}

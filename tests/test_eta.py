@@ -11,7 +11,7 @@ import pytest
 
 from matchforge import errors
 from matchforge import eta as eta_module
-from matchforge.classify import is_bridgeless
+from matchforge.classify import is_bridgeless, is_independent
 from matchforge.eta import (
     BERGE_COVER_LOWER,
     CAP_UPPER,
@@ -48,12 +48,18 @@ from matchforge.lp import program, solve
 from matchforge.matching import (
     enumerate_maximal_matchings,
     enumerate_perfect_matchings,
-    is_maximal_matching,
+    is_matching,
     matching_weight,
     max_weight_matching,
     max_weight_perfect_matching,
     random_weights,
+    unsaturated,
 )
+
+
+def _is_maximal(g, m):
+    return is_matching(g, m) and is_independent(g, unsaturated(g, m))
+
 
 # Exact ratios computed once with this engine and pinned; independent
 # replay happens through the witness identities checked below.
@@ -209,7 +215,7 @@ def test_eta_one_detection():
         one, witness = is_eta_one(g)
         assert not one
         # the witness is maximal but leaves vertices exposed
-        assert is_maximal_matching(g, witness)
+        assert _is_maximal(g, witness)
         assert 2 * len(witness) < g.n
 
 
@@ -319,7 +325,7 @@ def test_deep_searches_end_without_a_recursion_error():
     with pytest.raises(errors.BudgetExceeded):
         find_independent_set_bound(g, 1000, node_budget=1200)
     one, witness = is_eta_one(g)
-    assert not one and is_maximal_matching(g, witness) and 2 * len(witness) < g.n
+    assert not one and _is_maximal(g, witness) and 2 * len(witness) < g.n
 
 
 def test_cap_certificate_matches_enumeration():

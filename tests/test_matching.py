@@ -1,4 +1,4 @@
-"""Matching engines: enumeration, blossom, forced edges, weight I/O."""
+"""Matching engines: enumeration, blossom optima with their duals, weight I/O."""
 
 import gc
 import math
@@ -15,13 +15,11 @@ from matchforge.graphs import from_edge_list
 from matchforge import matching
 from matchforge.matching import (
     best_matchings,
-    blossom_max_matching,
     enumerate_maximal_matchings,
     enumerate_perfect_matchings,
     format_weight_csv,
     has_perfect_matching,
     is_matching,
-    is_maximal_matching,
     matching_weight,
     max_weight_matching,
     max_weight_perfect_matching,
@@ -29,7 +27,6 @@ from matchforge.matching import (
     perfect_matching_dual,
     random_weights,
     saturated,
-    shift_perfect_matching,
     uniform_weights,
     unsaturated,
     validate_weights,
@@ -53,14 +50,20 @@ PETERSEN_PMS = [
 ]
 
 
+def _is_maximal(g, m):
+    """Reference check: a matching that no edge of g can extend."""
+    sat = saturated(g, m)
+    return is_matching(g, m) and all(u in sat or v in sat for u, v in g.edges)
+
+
 def test_matching_predicates():
     g = named("petersen")
     assert is_matching(g, [0, 2])
     assert not is_matching(g, [0, 1])  # share vertex 1
     assert saturated(g, [0]) == frozenset({0, 1})
     assert unsaturated(g, [0]) == tuple(range(2, 10))
-    assert not is_maximal_matching(g, frozenset({0}))
-    assert is_maximal_matching(g, frozenset(PETERSEN_PMS[0]))
+    assert not _is_maximal(g, frozenset({0}))
+    assert _is_maximal(g, frozenset(PETERSEN_PMS[0]))
 
 
 def test_enumeration_frozen_counts():
@@ -73,7 +76,7 @@ def test_enumeration_frozen_counts():
         assert sorted({len(m) for m in maxi}) == sizes, label
         assert set(pms) <= set(maxi)
         for m in maxi:
-            assert is_maximal_matching(g, m)
+            assert _is_maximal(g, m)
 
 
 def test_petersen_perfect_matchings_exact():
@@ -373,7 +376,7 @@ def test_shift_route_matches_enumeration(seed=1212):
         pms = enumerate_perfect_matchings(g)
         for _ in range(25):
             w = random_weights(g, rng)
-            got = shift_perfect_matching(g, w)
+            got = perfect_matching_dual(g, w)[0]
             assert saturated(g, got) == frozenset(range(g.n))
             best = max(matching_weight(w, p) for p in pms)
             assert matching_weight(w, got) == best
@@ -398,7 +401,7 @@ def test_blossom_route_matches_enumeration(seed=77):
         maxi = enumerate_maximal_matchings(g)
         for _ in range(25):
             w = random_weights(g, rng)
-            got = blossom_max_matching(g, w)
+            got = best_matchings(g, w)[0]
             best = max(matching_weight(w, m) for m in maxi)
             assert matching_weight(w, got) == best
 
@@ -427,9 +430,9 @@ def test_blossom_scaling_with_mixed_large_denominators(seed):
         for _ in range(8):
             w = _mixed_weights(g, rng)
             best = max(matching_weight(w, m) for m in maxi)
-            assert matching_weight(w, blossom_max_matching(g, w)) == best
+            assert matching_weight(w, best_matchings(g, w)[0]) == best
             best_pm = max(matching_weight(w, p) for p in pms)
-            assert matching_weight(w, shift_perfect_matching(g, w)) == best_pm
+            assert matching_weight(w, perfect_matching_dual(g, w)[0]) == best_pm
     assert math.lcm(*MIXED_DENOMINATORS) > 2**64
 
 
@@ -442,9 +445,9 @@ def test_blossom_shifted_weights_regression(seed=9000):
         w = list(random_weights(g, rng))
         shift = 1 + sum(w)
         shifted = [x + shift for x in w]
-        got = shift_perfect_matching(g, w)
+        got = perfect_matching_dual(g, w)[0]
         assert saturated(g, got) == frozenset(range(g.n))
-        direct = blossom_max_matching(g, shifted)
+        direct = best_matchings(g, shifted)[0]
         assert matching_weight(shifted, direct) == matching_weight(shifted, got)
 
 
@@ -462,9 +465,10 @@ def test_best_matchings_agree_with_the_two_routes(seed=1214):
         for _ in range(5):
             w = random_weights(g, rng, max_numerator=3, max_denominator=3)
             best, pm = best_matchings(g, w)
-            assert best == blossom_max_matching(g, w)
+            # a run without the shift, and the perfect-matching route
+            assert best == matching._blossom_argmax(g, validate_weights(g, w))[0]
             try:
-                assert pm == shift_perfect_matching(g, w)
+                assert pm == perfect_matching_dual(g, w)[0]
             except errors.NoPerfectMatching:
                 assert pm is None
                 without += 1
@@ -485,14 +489,14 @@ def test_one_engine_run_for_both_optima(monkeypatch):
     assert len(calls) == 2
 
 
-def test_shift_perfect_matching_failures():
+def test_perfect_matching_dual_failures():
     with pytest.raises(errors.NoPerfectMatching):
-        shift_perfect_matching(from_edge_list(3, [(0, 1), (1, 2)]), [1, 1])
+        perfect_matching_dual(from_edge_list(3, [(0, 1), (1, 2)]), [1, 1])
     two_triangles = from_edge_list(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     )
     with pytest.raises(errors.NoPerfectMatching):
-        shift_perfect_matching(two_triangles, [1] * 6)
+        perfect_matching_dual(two_triangles, [1] * 6)
 
 
 def test_has_perfect_matching_random_agreement(seed=31):
