@@ -15,6 +15,13 @@ base or mate invariant of the search breaks.
 Vertices are 0..n-1.  Weights arrive as a mapping from ordered pairs
 (u, v), u < v, to nonnegative ints.
 
+Scaling.  If every weight, and the shift, is c times another call's
+for one positive rational c, every dual, slack and step of the run is
+c times the other run's: each is a sum, difference, minimum or half
+of such quantities, and a halved S-S slack is even in both runs.  So
+every comparison and tie goes the same way, and the two calls return
+the same matchings, with duals c times apart.
+
 Layout.  All state lives in flat lists indexed by id.  Vertices are
 0..n-1; a nontrivial blossom takes an id in n..2n-1 from a free list
 when it forms and returns it when it expands, so "b >= n" tells a
@@ -24,11 +31,12 @@ order, and best edges are stored as (v, u, 2 * w_vu), so every slack
 dualvar[v] + dualvar[u] - 2 * w_vu is computed inline.
 
 Tie order.  Each dual step keeps the first candidate that is strictly
-smaller, so the scan order decides ties: vertices 0..n-1 first, then
-live blossoms in creation order.  The blossomdual dict supplies that
-order (a key is inserted when its blossom forms and deleted when it
-expands, so a reused id still sorts by its new creation), and every
-pass over blossoms, as well as the odd_sets output, iterates it.
+smaller, so the scan order decides ties: a lower type before a higher
+one, and within a type vertices 0..n-1 first, then live blossoms in
+creation order.  The blossomdual dict supplies that order (a key is
+inserted when its blossom forms and deleted when it expands, so a
+reused id still sorts by its new creation), and every pass over
+blossoms, as well as the odd_sets output, iterates it.
 
 Resume.  A best perfect matching is a maximum-weight matching under
 w + S for a large enough shift S, and one run can find both optima.
@@ -633,28 +641,47 @@ def max_weight_matching_pairs(
 
             # no augmenting path under the current duals: pick the
             # smallest dual step that changes the structure; a tie keeps
-            # the first candidate, vertices before blossoms and blossoms
-            # in creation order
+            # the first candidate, type 1 before 2 before 3 before 4,
+            # and within a type vertices before blossoms and blossoms in
+            # creation order.  Each type keeps its own first strict
+            # minimum below the type-1 step, so one pass over the
+            # vertices and one over the blossoms find them all.
             lbls = [label[b] for b in inblossom]
-            deltatype = 1
-            delta = max(0, min(dualvar))
+            delta = d2 = d3 = d4 = max(0, min(dualvar))
             for v in range(n):
                 e = bestedge[v]
-                if e is not None and lbls[v] == 0:
+                if e is None:
+                    continue
+                if lbls[v] == 0:
                     d = dualvar[e[0]] + dualvar[e[1]] - e[2]
-                    if d < delta:
-                        delta, deltatype, deltaedge = d, 2, e
-            for b in (*range(n), *blossomdual):
-                e = bestedge[b]
-                if e is not None and blossomparent[b] == -1 and label[b] == 1:
+                    if d < d2:
+                        d2, e2 = d, e
+                elif label[v] == 1 and blossomparent[v] == -1:
                     kslack = dualvar[e[0]] + dualvar[e[1]] - e[2]
                     if kslack % 2:
                         raise InternalError("blossom: odd slack on an S-S edge")
-                    if kslack // 2 < delta:
-                        delta, deltatype, deltaedge = kslack // 2, 3, e
+                    if kslack // 2 < d3:
+                        d3, e3 = kslack // 2, e
             for b, z in blossomdual.items():
-                if blossomparent[b] == -1 and label[b] == 2 and z < delta:
-                    delta, deltatype, deltablossom = z, 4, b
+                if blossomparent[b] != -1:
+                    continue
+                if label[b] == 1:
+                    e = bestedge[b]
+                    if e is not None:
+                        kslack = dualvar[e[0]] + dualvar[e[1]] - e[2]
+                        if kslack % 2:
+                            raise InternalError("blossom: odd slack on an S-S edge")
+                        if kslack // 2 < d3:
+                            d3, e3 = kslack // 2, e
+                elif label[b] == 2 and z < d4:
+                    d4, b4 = z, b
+            deltatype = 1
+            if d2 < delta:
+                delta, deltatype, deltaedge = d2, 2, e2
+            if d3 < delta:
+                delta, deltatype, deltaedge = d3, 3, e3
+            if d4 < delta:
+                delta, deltatype, deltablossom = d4, 4, b4
             if deltatype == 1 and shift:
                 # the run on w ends here: keep its result, then go on as
                 # the run on w + S

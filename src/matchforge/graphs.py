@@ -119,13 +119,18 @@ def as_cubic(g: Graph) -> CubicGraph:
     """Check 3-regularity and connectivity, then rebrand the graph.
 
     Raises NotCubic with the first offending vertex, or NotConnected.
+    The CubicGraph shares g's edges, adjacency and pair index, which
+    are never changed after construction, rather than building them
+    again.
     """
     for v in range(g.n):
         if g.degree(v) != 3:
             raise NotCubic(v, g.degree(v))
     if g.n > 0 and len(components(g)) != 1:
         raise NotConnected(f"{len(components(g))} components")
-    return CubicGraph(g.n, g.edges)
+    out = object.__new__(CubicGraph)
+    out.n, out.edges, out.adj, out._pair_index = g.n, g.edges, g.adj, g._pair_index
+    return out
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,15 @@ Every optimisation runs the blossom method, at any graph size; the
 enumerators serve the exact eta scan and the tests.  The argmax
 functions add an exact tie-break to the weights (_lex_tiebreak), so
 the blossom's unique optimum is the lexicographically first one.  The
-blossom runs on integers: _blossom_argmax scales each weight vector by
+blossom runs on integers: integer_weights scales each weight vector by
 the LCM of its denominators, the only place where rationals become
 ints.  A best perfect matching is a best matching under a weight
 shift, and one engine run gives the best matching and the best
 perfect matching (best_matchings): the run resumes under the shift
-where the unshifted run ends.
+where the unshifted run ends.  Callers whose weights are already ints
+over a common scale (mesh qualities) enter at best_integer_matchings.
+Only the matchings are decoded from an engine run, except in
+perfect_matching_dual, which returns the dual too.
 """
 
 from __future__ import annotations
@@ -316,62 +319,63 @@ def enumerate_maximal_matchings(
     return tuple(frozenset(_decode(mask)) for mask in masks)
 
 
-def _blossom_argmax(
-    g: Graph, weights: Sequence[Fraction], shift: Fraction | None = None
-) -> tuple:
-    """Run the integer blossom on the weights times the LCM of their
-    denominators; a positive scale keeps every comparison, so the
-    engine makes the same choices as it would over the rationals.
-    Returns (matching, potentials, odd sets), the duals in the original
-    units.  With a shift > 0 the scale covers its denominator too, and
-    one engine run returns two such results: for the weights, then for
-    the weights plus the shift."""
-    fracs = [Fraction(weights[eid]) for eid in range(g.m)]
-    dens = [w.denominator for w in fracs]
-    if shift is not None:
-        dens.append(shift.denominator)
-    scale = math.lcm(*dens)
-    pair_weight = {
-        (u, v): w.numerator * (scale // w.denominator)
-        for (u, v), w in zip(g.edges, fracs)
-    }
-    adjacency = [[u for u, _ in g.adj[v]] for v in range(g.n)]
-    unit = 2 * scale  # the blossom's duals are doubled
-
-    def result(pairs, potentials, odd_sets):
-        out = set()
-        for u, v in pairs:
-            eid = g.edge_id(u, v)
-            if eid is None:
-                raise InternalError(f"blossom matched a non-edge {(u, v)}")
-            out.add(eid)
-        odd_sets = tuple((b, Fraction(z, unit)) for b, z in odd_sets)
-        return frozenset(out), tuple(Fraction(y, unit) for y in potentials), odd_sets
-
-    if shift is None:
-        return result(*max_weight_matching_pairs(g.n, pair_weight, adjacency))
-    int_shift = shift.numerator * (scale // shift.denominator)
-    first, second = max_weight_matching_pairs(g.n, pair_weight, adjacency, int_shift)
-    return result(*first), result(*second)
+def integer_weights(weights: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, scale): Fraction weights times scale, the LCM of their
+    denominators, so ints[e] / scale == weights[e].  The only place
+    where rationals become ints; a positive scale keeps every
+    comparison, so the engine makes the same choices as it would over
+    the rationals."""
+    scale = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (scale // w.denominator) for w in weights], scale
 
 
-def _shifted_run(g: Graph, w: tuple[Fraction, ...]) -> tuple:
-    """The maximum-weight matching of w, and (P, potentials, odd sets)
-    of the best perfect matching P with its dual, or None when g has
-    none; one engine run answers both.
+def _engine(g: Graph, ints: Sequence[int], shift: int | None = None):
+    """The blossom's raw result(s) on int edge weights (see
+    blossom.max_weight_matching_pairs): one without a shift, two with."""
+    pair_weight = dict(zip(g.edges, ints))
+    adjacency = [[u for u, _ in row] for row in g.adj]
+    return max_weight_matching_pairs(g.n, pair_weight, adjacency, shift)
 
-    Every weight is shifted by 1 + sum(w): any larger matching then
-    beats any smaller one, so the optimum under the shift has maximum
-    cardinality and, among perfect matchings, maximum original weight.
-    Lowering its potentials by half the shift turns its dual into one
-    of value w(P) for the original weights.
+
+def _edge_ids(g: Graph, pairs) -> frozenset[int]:
+    """The engine's matched pairs as edge ids."""
+    out = set()
+    for u, v in pairs:
+        eid = g.edge_id(u, v)
+        if eid is None:
+            raise InternalError(f"blossom matched a non-edge {(u, v)}")
+        out.add(eid)
+    return frozenset(out)
+
+
+def _shifted_engine(g: Graph, ints: Sequence[int], scale: int) -> tuple:
+    """One engine run on ints and on ints shifted by scale + sum(ints):
+    the two raw results and the shift.
+
+    In the units of the weights ints / scale the shift is 1 + sum(w):
+    any larger matching then beats any smaller one, so the optimum
+    under the shift has maximum cardinality and, among perfect
+    matchings, maximum original weight.
     """
-    shift = Fraction(1) + sum(w, Fraction(0))
-    (best, _, _), (m, potentials, odd_sets) = _blossom_argmax(g, w, shift)
-    if len(m) * 2 != g.n:
-        return best, None
-    half = shift / 2
-    return best, (m, tuple(y - half for y in potentials), odd_sets)
+    shift = scale + sum(ints)
+    first, second = _engine(g, ints, shift)
+    return first, second, shift
+
+
+def best_integer_matchings(g: Graph, ints: Sequence[int], scale: int) -> tuple:
+    """best_matchings for the weights ints[e] / scale: one nonnegative
+    int per edge, at least one positive, over a positive int scale.
+    Decodes only the two matchings.  When scale is a multiple of the
+    LCM that integer_weights would take, ints and the shift are the
+    same multiple of its, so by Scaling in the blossom module the
+    matchings are those of best_matchings."""
+    if len(ints) != g.m or min(ints, default=0) < 0 or (g.m and not any(ints)):
+        raise BadWeights("expected one nonnegative int per edge, one positive")
+    if scale < 1:
+        raise BadWeights(f"scale must be a positive int, got {scale}")
+    first, second, _ = _shifted_engine(g, ints, scale)
+    best_perfect = _edge_ids(g, second[0])
+    return _edge_ids(g, first[0]), best_perfect if len(best_perfect) * 2 == g.n else None
 
 
 def _lex_tiebreak(weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -397,8 +401,7 @@ def best_matchings(g: Graph, weights: Sequence) -> tuple:
     engine run.  These are the engine's own optima, without the
     lexicographic tie-break of the argmax functions; the second is the
     matching of perfect_matching_dual."""
-    best, best_perfect = _shifted_run(g, validate_weights(g, weights))
-    return best, None if best_perfect is None else best_perfect[0]
+    return best_integer_matchings(g, *integer_weights(validate_weights(g, weights)))
 
 
 def max_weight_matching(g: Graph, weights: Sequence) -> frozenset[int]:
@@ -406,36 +409,53 @@ def max_weight_matching(g: Graph, weights: Sequence) -> frozenset[int]:
     optimum among the maximal matchings, one of which is optimal because
     the weights are nonnegative.
     """
-    return _blossom_argmax(g, _lex_tiebreak(validate_weights(g, weights)))[0]
+    ints, _ = integer_weights(_lex_tiebreak(validate_weights(g, weights)))
+    return _edge_ids(g, _engine(g, ints)[0])
 
 
 def perfect_matching_dual(g: Graph, weights: Sequence) -> tuple:
     """Best perfect matching, with a perfect-matching dual that proves it:
     returns (P, potentials, odd sets), the dual of value w(P).  One
-    engine run under the shift of _shifted_run.  Raises
+    engine run under the shift of best_matchings; lowering its
+    potentials by half the shift turns the shifted run's dual into
+    one of value w(P) for the original weights.  Raises
     NoPerfectMatching when none exists.
     """
     w = validate_weights(g, weights)
     if g.n % 2:
         raise NoPerfectMatching("odd vertex count")
-    best_perfect = _shifted_run(g, w)[1]
-    if best_perfect is None:
+    ints, scale = integer_weights(w)
+    _, (pairs, potentials, odd_sets), shift = _shifted_engine(g, ints, scale)
+    pm = _edge_ids(g, pairs)
+    if len(pm) * 2 != g.n:
         raise NoPerfectMatching("no perfect matching exists")
-    return best_perfect
+    unit = 2 * scale  # the blossom's duals are doubled
+    return (
+        pm,
+        tuple(Fraction(y - shift, unit) for y in potentials),
+        tuple((b, Fraction(z, unit)) for b, z in odd_sets),
+    )
 
 
 def max_weight_perfect_matching(g: Graph, weights: Sequence) -> frozenset[int]:
     """The lexicographically first perfect matching of maximum total
-    weight.  Raises NoPerfectMatching when none exists.
+    weight.  Raises NoPerfectMatching when none exists.  The matching
+    of perfect_matching_dual under _lex_tiebreak, without its dual.
     """
-    return perfect_matching_dual(g, _lex_tiebreak(validate_weights(g, weights)))[0]
+    w = _lex_tiebreak(validate_weights(g, weights))
+    if g.n % 2:
+        raise NoPerfectMatching("odd vertex count")
+    best_perfect = best_integer_matchings(g, *integer_weights(w))[1]
+    if best_perfect is None:
+        raise NoPerfectMatching("no perfect matching exists")
+    return best_perfect
 
 
 def _perfect_matching(g: Graph) -> frozenset[int] | None:
     """A perfect matching of g, or None: a maximum-cardinality matching."""
     if g.n % 2 or any(g.degree(v) == 0 for v in range(g.n)):
         return None
-    m = _blossom_argmax(g, uniform_weights(g))[0] if g.n else frozenset()
+    m = _edge_ids(g, _engine(g, [1] * g.m)[0]) if g.n else frozenset()
     return m if len(m) * 2 == g.n else None
 
 

@@ -5,8 +5,11 @@ pairwise edge-disjoint merges is a matching in the dual graph, which is
 cubic whenever the mesh is closed.  Perfect matchings give all-quad
 meshes; maximum-weight matchings trade leftover triangles for better
 quads.  Quad quality is scored in [0, 1] from corner angles and the
-bend across the removed edge, then snapped to an exact rational so the
-matching layer stays in exact arithmetic.
+bend across the removed edge, then snapped to an int numerator over
+QUALITY_DENOMINATOR, so the matching layer stays in exact arithmetic.
+quad_quality and quad_weights return these as Fractions;
+quadrangulate hands the int numerators straight to the blossom engine
+(matching.best_integer_matchings), and decodes only the two matchings.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     ParseError,
 )
 from .graphs import CubicGraph, as_cubic, from_edge_list
-from .matching import best_matchings, matching_weight
+from .matching import best_integer_matchings, integer_weights
 
 Vec = tuple[float, float, float]
 
@@ -82,9 +85,11 @@ def parse_off(text: str) -> TriangleMesh:
     """Parse OFF text into a validated TriangleMesh.
 
     Accepts '#' comments and blank lines.  Raises ParseError on
-    malformed input, NotTriangular on non-triangle faces, Degenerate on
-    repeated face vertices or zero-area triangles, NotClosed unless
-    every edge is shared by exactly two consistently oriented faces.
+    malformed input (a non-finite coordinate included, and a face line
+    with fewer indices than its count), NotTriangular on non-triangle
+    faces, Degenerate on repeated face vertices or zero-area triangles,
+    NotClosed unless every edge is shared by exactly two consistently
+    oriented faces.
     """
     lines = []
     for raw in text.splitlines():
@@ -111,9 +116,12 @@ def parse_off(text: str) -> TriangleMesh:
         if len(parts) != 3:
             raise ParseError(f"vertex line {i}: expected 3 coordinates")
         try:
-            vertices.append((float(parts[0]), float(parts[1]), float(parts[2])))
+            point = (float(parts[0]), float(parts[1]), float(parts[2]))
         except ValueError as exc:
             raise ParseError(f"vertex line {i}: bad coordinate") from exc
+        if not all(map(math.isfinite, point)):
+            raise ParseError(f"vertex line {i}: non-finite coordinate")
+        vertices.append(point)
     pos += nv
     faces: list[tuple[int, int, int]] = []
     for i in range(nf):
@@ -123,7 +131,9 @@ def parse_off(text: str) -> TriangleMesh:
             ids = [int(x) for x in parts[1 : 1 + count]]
         except (IndexError, ValueError) as exc:
             raise ParseError(f"face line {i}: bad index") from exc
-        if count != 3 or len(parts) < 1 + count:
+        if len(parts) < 1 + count:
+            raise ParseError(f"face line {i}: truncated")
+        if count != 3:
             raise NotTriangular(f"face line {i}: {count} vertices")
         if any(not 0 <= v < nv for v in ids):
             raise ParseError(f"face line {i}: vertex index out of range")
@@ -185,14 +195,45 @@ def _face_normal(mesh: TriangleMesh, face: Sequence[int]) -> Vec:
     return _cross(_sub(p1, p0), _sub(p2, p0))
 
 
-def _corner_angle_deg(prev: Vec, corner: Vec, nxt: Vec) -> float:
-    u = _sub(prev, corner)
-    v = _sub(nxt, corner)
-    nu, nv = _norm(u), _norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    cos = max(-1.0, min(1.0, _dot(u, v) / (nu * nv)))
-    return math.degrees(math.acos(cos))
+def _quality_numerator(pa: Vec, pu: Vec, pb: Vec, pv: Vec) -> int:
+    """quad_quality times QUALITY_DENOMINATOR, an int.
+
+    The vector arithmetic is written out inline for speed, term by term
+    and in the order of _sub, _cross, _dot and _norm, so every float
+    is the one those helpers give.
+    """
+    sqrt, acos, degrees = math.sqrt, math.acos, math.degrees
+    angle = 1.0
+    for prev, corner, nxt in ((pv, pa, pu), (pa, pu, pb), (pu, pb, pv), (pb, pv, pa)):
+        cx, cy, cz = corner
+        ux, uy, uz = prev[0] - cx, prev[1] - cy, prev[2] - cz
+        vx, vy, vz = nxt[0] - cx, nxt[1] - cy, nxt[2] - cz
+        nu = sqrt(ux * ux + uy * uy + uz * uz)
+        nv = sqrt(vx * vx + vy * vy + vz * vz)
+        if nu == 0.0 or nv == 0.0:
+            angle = 0.0
+            break
+        cos = max(-1.0, min(1.0, (ux * vx + uy * vy + uz * vz) / (nu * nv)))
+        theta = degrees(acos(cos))
+        if theta == 0.0:
+            angle = 0.0
+            break
+        angle = min(angle, theta / 90.0, 90.0 / theta)
+    # the normals n1 = (u - a) x (v - a) and n2 = (b - u) x (v - u) of
+    # the triangles (a, u, v) and (u, b, v)
+    px, py, pz = pu[0] - pa[0], pu[1] - pa[1], pu[2] - pa[2]
+    qx, qy, qz = pv[0] - pa[0], pv[1] - pa[1], pv[2] - pa[2]
+    n1x, n1y, n1z = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+    px, py, pz = pb[0] - pu[0], pb[1] - pu[1], pb[2] - pu[2]
+    qx, qy, qz = pv[0] - pu[0], pv[1] - pu[1], pv[2] - pu[2]
+    n2x, n2y, n2z = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+    m1 = sqrt(n1x * n1x + n1y * n1y + n1z * n1z)
+    m2 = sqrt(n2x * n2x + n2y * n2y + n2z * n2z)
+    if m1 == 0.0 or m2 == 0.0:
+        return 0
+    planar = max(0.0, (n1x * n2x + n1y * n2y + n1z * n2z) / (m1 * m2))
+    q = max(0.0, min(1.0, angle * planar))
+    return round(q * QUALITY_DENOMINATOR)
 
 
 def quad_quality(pa: Vec, pu: Vec, pb: Vec, pv: Vec) -> Fraction:
@@ -203,22 +244,7 @@ def quad_quality(pa: Vec, pu: Vec, pb: Vec, pv: Vec) -> Fraction:
     triangles (a, u, v) and (u, b, v) that the quad replaces.  Their
     product is snapped to a rational with denominator 10**6.
     """
-    corners = (pa, pu, pb, pv)
-    angle = 1.0
-    for i in range(4):
-        theta = _corner_angle_deg(corners[i - 1], corners[i], corners[(i + 1) % 4])
-        if theta == 0.0:
-            angle = 0.0
-            break
-        angle = min(angle, theta / 90.0, 90.0 / theta)
-    n1 = _cross(_sub(pu, pa), _sub(pv, pa))
-    n2 = _cross(_sub(pb, pu), _sub(pv, pu))
-    m1, m2 = _norm(n1), _norm(n2)
-    if m1 == 0.0 or m2 == 0.0:
-        return Fraction(0)
-    planar = max(0.0, _dot(n1, n2) / (m1 * m2))
-    q = max(0.0, min(1.0, angle * planar))
-    return Fraction(round(q * QUALITY_DENOMINATOR), QUALITY_DENOMINATOR)
+    return Fraction(_quality_numerator(pa, pu, pb, pv), QUALITY_DENOMINATOR)
 
 
 # ---------------------------------------------------------------------------
@@ -247,34 +273,31 @@ def dual_graph(mesh: TriangleMesh) -> DualGraph:
 
 def quad_weights(mesh: TriangleMesh, dual: DualGraph) -> tuple[Fraction, ...]:
     """Quality per dual edge, in dual edge id order."""
-    out = []
-    for eid in range(dual.graph.m):
-        out.append(quad_quality(*_quad_corners(mesh, dual, eid)))
-    return tuple(out)
+    return tuple(
+        Fraction(q, QUALITY_DENOMINATOR)
+        for q in _quality_numerators(mesh, _quad_cycles(mesh, dual))
+    )
 
 
-def _third_vertex(face: tuple[int, int, int], u: int, v: int) -> int:
-    return next(x for x in face if x != u and x != v)
-
-
-def _quad_cycle(mesh: TriangleMesh, dual: DualGraph, eid: int) -> tuple[int, int, int, int]:
-    # orient the quad like the face that traverses the shared edge u -> v
-    f1, f2 = dual.graph.endpoints(eid)
-    u, v = dual.shared_edge[eid]
-    face1 = mesh.faces[f1]
-    forward = (u, v) in ((face1[0], face1[1]), (face1[1], face1[2]), (face1[2], face1[0]))
-    if not forward:
-        f1, f2 = f2, f1
-        face1 = mesh.faces[f1]
-    a = _third_vertex(face1, u, v)
-    b = _third_vertex(mesh.faces[f2], u, v)
-    return a, u, b, v
-
-
-def _quad_corners(mesh: TriangleMesh, dual: DualGraph, eid: int) -> tuple[Vec, Vec, Vec, Vec]:
-    a, u, b, v = _quad_cycle(mesh, dual, eid)
+def _quality_numerators(mesh: TriangleMesh, cycles) -> list[int]:
+    """The quality numerator over QUALITY_DENOMINATOR of each quad cycle."""
     pts = mesh.vertices
-    return pts[a], pts[u], pts[b], pts[v]
+    return [_quality_numerator(pts[a], pts[u], pts[b], pts[v]) for a, u, b, v in cycles]
+
+
+def _quad_cycles(mesh: TriangleMesh, dual: DualGraph) -> list[tuple[int, int, int, int]]:
+    """The corner cycle (a, u, b, v) of the quad of each dual edge, in
+    dual edge id order, oriented like the face that traverses the
+    shared edge u -> v.  A face's third vertex is its vertex sum less
+    u and v."""
+    faces = mesh.faces
+    out = []
+    for (f1, f2), (u, v) in zip(dual.graph.edges, dual.shared_edge):
+        x, y, z = faces[f1]
+        if (u, v) not in ((x, y), (y, z), (z, x)):
+            f1, f2 = f2, f1
+        out.append((sum(faces[f1]) - u - v, u, sum(faces[f2]) - u - v, v))
+    return out
 
 
 def quadrangulate(
@@ -288,37 +311,41 @@ def quadrangulate(
     dual graph has none); mode 'maximum' takes a maximum-weight matching
     and leaves the rest as triangles.  weights overrides the computed
     qualities, one rational per dual edge.  The report's ratio needs
-    both optima, and one blossom run (matching.best_matchings) gives
-    them in either mode.
+    both optima, and one blossom run (matching.best_integer_matchings)
+    gives them in either mode.  The computed qualities reach the engine
+    as their int numerators over QUALITY_DENOMINATOR; given weights are
+    scaled to ints by matching.integer_weights.
     """
     if mode not in ("perfect", "maximum"):
         raise BadParameters(f"mode must be perfect or maximum, got {mode!r}")
     dual = dual_graph(mesh)
-    raw = quad_weights(mesh, dual) if weights is None else weights
-    # unlike the ratio analysis, an all-zero quality vector is fine here:
-    # every pairing ties and the report's ratio field stays None
-    if len(raw) != dual.graph.m:
-        raise BadWeights(f"expected {dual.graph.m} weights, got {len(raw)}")
-    w = tuple(Fraction(x) for x in raw)
-    if any(x < 0 for x in w):
-        raise BadWeights("weights must be nonnegative")
-    all_zero = all(x == 0 for x in w)
+    cycles = _quad_cycles(mesh, dual)
+    if weights is None:
+        w, scale = _quality_numerators(mesh, cycles), QUALITY_DENOMINATOR
+    else:
+        if len(weights) != dual.graph.m:
+            raise BadWeights(f"expected {dual.graph.m} weights, got {len(weights)}")
+        fracs = [Fraction(x) for x in weights]
+        if any(x < 0 for x in fracs):
+            raise BadWeights("weights must be nonnegative")
+        w, scale = integer_weights(fracs)
+    # the weights are w[e] / scale from here on.  Unlike the ratio
+    # analysis, an all-zero quality vector is fine here: every pairing
+    # ties and the report's ratio field stays None
+    all_zero = not any(w)
     # the engines insist on a positive entry; with every quality zero the
     # empty matching is maximum and any perfect matching is best
-    engine_w = tuple(x + 1 for x in w) if all_zero else w
-    # one blossom run gives both optima; meshes dwarf the enumeration limits
-    best, best_perfect = best_matchings(dual.graph, engine_w)
+    engine = ([1] * len(w), 1) if all_zero else (w, scale)
+    best, best_perfect = best_integer_matchings(dual.graph, *engine)
     max_m = frozenset() if all_zero else best
-    maximum_weight = matching_weight(w, max_m)
+    maximum_weight = Fraction(sum(w[e] for e in max_m), scale)
     perfect_weight: Fraction | None = None
     if best_perfect is not None:
-        perfect_weight = matching_weight(w, best_perfect)
+        perfect_weight = Fraction(sum(w[e] for e in best_perfect), scale)
     elif mode == "perfect":
         raise NoPerfectMatching("no perfect matching exists")
     chosen = best_perfect if mode == "perfect" else max_m
-    quads = tuple(
-        _quad_cycle(mesh, dual, eid) for eid in sorted(chosen)
-    )
+    quads = tuple(cycles[eid] for eid in sorted(chosen))
     merged = set()
     for eid in chosen:
         merged.update(dual.graph.endpoints(eid))

@@ -253,6 +253,31 @@ def test_mesh_quadrangulate(capsys, tmp_path):
     assert entry["path"] == str(off)
 
 
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        ("nan", "vertex line 0: non-finite coordinate"),
+        ("inf", "vertex line 0: non-finite coordinate"),
+    ],
+)
+def test_mesh_quadrangulate_rejects_non_finite_input(capsys, tmp_path, broken, message):
+    lines = off_text(icosahedron()).splitlines()
+    lines[2] = f"0 0 {broken}"  # the first vertex line
+    off = tmp_path / "bad.off"
+    off.write_text("\n".join(lines) + "\n")
+    doc = run_cli(capsys, ["mesh", "quadrangulate", str(off)], expect=2)
+    assert doc == {"error": "ParseError", "message": message}
+
+
+def test_mesh_quadrangulate_rejects_a_truncated_face(capsys, tmp_path):
+    lines = off_text(icosahedron()).splitlines()
+    lines[-1] = " ".join(lines[-1].split()[:3])  # the last face loses an index
+    off = tmp_path / "bad.off"
+    off.write_text("\n".join(lines) + "\n")
+    doc = run_cli(capsys, ["mesh", "quadrangulate", str(off)], expect=2)
+    assert doc == {"error": "ParseError", "message": "face line 19: truncated"}
+
+
 def test_mesh_weights_csv(capsys, tmp_path):
     off = tmp_path / "ico.off"
     off.write_text(off_text(icosahedron()))

@@ -74,6 +74,19 @@ def test_as_cubic_accepts_petersen():
     assert g.edges == petersen().edges
 
 
+def test_as_cubic_keeps_every_answer():
+    g = petersen()
+    c = as_cubic(g)
+    assert (c.n, c.m, c.edges, c.adj) == (g.n, g.m, g.edges, g.adj)
+    for u in range(-1, g.n + 1):
+        for v in range(-1, g.n + 1):
+            assert c.edge_id(u, v) == g.edge_id(u, v)
+            assert c.has_edge(u, v) == g.has_edge(u, v)
+    assert [c.endpoints(e) for e in range(c.m)] == list(g.edges)
+    assert c == g and hash(c) == hash(g)
+    assert repr(c) == "CubicGraph(n=10, m=15)"
+
+
 def test_as_cubic_reports_offending_vertex():
     with pytest.raises(errors.NotCubic) as exc:
         as_cubic(from_edge_list(3, [(0, 1), (1, 2), (0, 2)]))

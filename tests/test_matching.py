@@ -466,7 +466,8 @@ def test_best_matchings_agree_with_the_two_routes(seed=1214):
             w = random_weights(g, rng, max_numerator=3, max_denominator=3)
             best, pm = best_matchings(g, w)
             # a run without the shift, and the perfect-matching route
-            assert best == matching._blossom_argmax(g, validate_weights(g, w))[0]
+            ints, _ = matching.integer_weights(validate_weights(g, w))
+            assert best == matching._edge_ids(g, matching._engine(g, ints)[0])
             try:
                 assert pm == perfect_matching_dual(g, w)[0]
             except errors.NoPerfectMatching:
@@ -536,3 +537,19 @@ def test_random_weights_in_range(seed=16):
         for x in w:
             assert 0 <= x <= 5
             assert x.denominator <= 3
+
+
+def test_best_integer_matchings_is_best_matchings_in_ints(seed=1215):
+    rng = random.Random(seed)
+    for g in catalog(12):
+        w = random_weights(g, rng)
+        ints, scale = matching.integer_weights(validate_weights(g, w))
+        assert [Fraction(x, scale) for x in ints] == list(w)
+        got = matching.best_integer_matchings(g, ints, scale)
+        assert got == best_matchings(g, w)
+        # a common positive factor changes no choice
+        assert matching.best_integer_matchings(g, [7 * x for x in ints], 7 * scale) == got
+    g = named("petersen")
+    for ints, scale in (([1] * 14, 1), ([-1] + [1] * 14, 1), ([0] * 15, 1), ([1] * 15, 0)):
+        with pytest.raises(errors.BadWeights):
+            matching.best_integer_matchings(g, ints, scale)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -65,6 +66,22 @@ def test_parse_off_errors():
         parse_off(TETRA_OFF.replace("3 1 2 3", "4 1 2 3 0"))
     with pytest.raises(errors.Degenerate):
         parse_off(TETRA_OFF.replace("3 1 2 3", "3 1 2 2"))
+
+
+def test_parse_off_truncated_face_line():
+    # fewer indices than the count is malformed input, not a non-triangle
+    with pytest.raises(errors.ParseError, match="face line 3: truncated"):
+        parse_off(TETRA_OFF.replace("3 1 2 3", "3 1 2"))
+    with pytest.raises(errors.ParseError, match="face line 3: truncated"):
+        parse_off(TETRA_OFF.replace("3 1 2 3", "4 1 2 3"))
+    with pytest.raises(errors.ParseError, match="face line 0: truncated"):
+        parse_off(TETRA_OFF.replace("3 0 2 1", "3"))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_parse_off_non_finite_coordinate(bad):
+    with pytest.raises(errors.ParseError, match="vertex line 3: non-finite coordinate"):
+        parse_off(TETRA_OFF.replace("0 0 1", f"0 0 {bad}"))
 
 
 def test_parse_off_open_surface_rejected():
@@ -145,6 +162,45 @@ def test_quad_weights_frozen():
     assert set(quad_weights(t, dual_graph(t))) == {Fraction(0)}
 
 
+def _quality_reference(pa, pu, pb, pv):
+    """quad_quality written with the mesh module's vector helpers."""
+    from matchforge.mesh import _cross, _dot, _norm, _sub
+
+    corners = (pa, pu, pb, pv)
+    angle = 1.0
+    for i in range(4):
+        u = _sub(corners[i - 1], corners[i])
+        v = _sub(corners[(i + 1) % 4], corners[i])
+        nu, nv = _norm(u), _norm(v)
+        theta = 0.0
+        if nu != 0.0 and nv != 0.0:
+            cos = max(-1.0, min(1.0, _dot(u, v) / (nu * nv)))
+            theta = math.degrees(math.acos(cos))
+        if theta == 0.0:
+            angle = 0.0
+            break
+        angle = min(angle, theta / 90.0, 90.0 / theta)
+    n1 = _cross(_sub(pu, pa), _sub(pv, pa))
+    n2 = _cross(_sub(pb, pu), _sub(pv, pu))
+    m1, m2 = _norm(n1), _norm(n2)
+    if m1 == 0.0 or m2 == 0.0:
+        return Fraction(0)
+    planar = max(0.0, _dot(n1, n2) / (m1 * m2))
+    q = max(0.0, min(1.0, angle * planar))
+    return Fraction(round(q * QUALITY_DENOMINATOR), QUALITY_DENOMINATOR)
+
+
+def test_quad_quality_matches_the_helper_reference(seed=1357):
+    rng = random.Random(seed)
+    for _ in range(3000):
+        kind = rng.random()
+        if kind < 0.6:
+            pts = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(4)]
+        else:  # small grids give right angles, folds and repeated corners
+            pts = [tuple(float(rng.randint(-1, 1)) for _ in range(3)) for _ in range(4)]
+        assert quad_quality(*pts) == _quality_reference(*pts)
+
+
 def test_quadrangulate_perfect_icosahedron():
     qm, report = quadrangulate(icosahedron())
     assert report.mode == "perfect"
@@ -211,6 +267,34 @@ def test_quadrangulate_counts_add_up(seed=2468):
             assert report.maximum_weight >= (report.perfect_weight or 0)
             if report.ratio is not None:
                 assert Fraction(1, 3) <= report.ratio <= 1
+
+
+# Digest of quadrangulate on the icosahedron under 20 seeded random_weights
+# draws (seed 2468) in both modes, computed at commit eee7350, before
+# given weights and computed qualities shared one integer route
+CUSTOM_WEIGHTS_SHA256 = "0e7bbad0f6ef09ed6c31b2e20852b10171ba807c92397f0b7d6dd70015cdd83f"
+
+
+def test_zero_and_custom_weights_keep_their_results():
+    t = tetrahedron()
+    for weights in (None, [0] * 6):
+        qm, _ = quadrangulate(t, weights=weights)
+        assert qm.quads == ((1, 0, 2, 3), (0, 1, 3, 2))
+        qm, _ = quadrangulate(t, mode="maximum", weights=weights)
+        assert qm.quads == () and qm.triangles == t.faces
+    for mode in ("perfect", "maximum"):
+        qm, report = quadrangulate(t, mode=mode, weights=[1, 0, 0, 0, 0, 1])
+        assert qm.quads == ((2, 0, 3, 1), (0, 2, 1, 3))
+        assert report.maximum_weight == report.perfect_weight == report.ratio * 2 == 2
+    ico = icosahedron()
+    dual = dual_graph(ico)
+    rng = random.Random(2468)
+    digest = hashlib.sha256()
+    for _ in range(20):
+        w = random_weights(dual.graph, rng)
+        for mode in ("perfect", "maximum"):
+            digest.update(repr(quadrangulate(ico, mode=mode, weights=w)).encode())
+    assert digest.hexdigest() == CUSTOM_WEIGHTS_SHA256
 
 
 def test_save_obj(tmp_path):
@@ -324,3 +408,59 @@ def test_greedy_start_meshes_match_the_pinned_digest():
         qm, report = quadrangulate(build(), mode=mode)
         digest.update(repr((qm.quads, qm.triangles, report)).encode())
     assert digest.hexdigest() == GREEDY_MESHES_SHA256
+
+
+ROUTE_MESHES = (
+    lambda: _icosphere(1, 0.1, 5),
+    lambda: _icosphere(2, 0.01, 2),
+    lambda: _torus(24, 12, 0.03, 7),
+)
+
+
+@pytest.mark.parametrize("build", ROUTE_MESHES)
+def test_quad_weights_are_quad_quality_per_edge(build):
+    mesh = build()
+    dual = dual_graph(mesh)
+    w = quad_weights(mesh, dual)
+    assert len(w) == dual.graph.m
+    pts = mesh.vertices
+    for eid, (f1, f2) in enumerate(dual.graph.edges):
+        u, v = dual.shared_edge[eid]
+        # the face that traverses u -> v holds corner a, the other b
+        if (u, v) not in zip(mesh.faces[f1], mesh.faces[f1][1:] + mesh.faces[f1][:1]):
+            f1, f2 = f2, f1
+        (a,) = set(mesh.faces[f1]) - {u, v}
+        (b,) = set(mesh.faces[f2]) - {u, v}
+        assert w[eid] == quad_quality(pts[a], pts[u], pts[b], pts[v])
+
+
+@pytest.mark.parametrize("build", ROUTE_MESHES)
+@pytest.mark.parametrize("mode", ["perfect", "maximum"])
+def test_given_quad_weights_match_the_default_route(build, mode):
+    # the default route scores in ints over QUALITY_DENOMINATOR; the
+    # same qualities passed as Fractions go through the LCM scaling
+    mesh = build()
+    default = quadrangulate(mesh, mode=mode)
+    given = quadrangulate(mesh, mode=mode, weights=quad_weights(mesh, dual_graph(mesh)))
+    assert given == default
+
+
+# Digest of the quads, triangles and report of _icosphere(4, 0.005, 3)
+# (5,120 faces) in perfect then maximum mode, computed at commit eee7350,
+# before the qualities reached the engine as ints; the 1,280-face mesh
+# of the same draw is pinned in both modes by QUADRANGULATE_SHA256 and
+# GREEDY_MESHES_SHA256
+LARGE_MESH_SHA256 = "eecca8429e692e920eb9b0b59a643c5048b978fcbc6f3519ce9f4453fe437072"
+
+
+@pytest.mark.skipif(
+    os.environ.get("MATCHFORGE_FULL") != "1", reason="about 20 s; set MATCHFORGE_FULL=1"
+)
+def test_large_mesh_matches_the_pinned_digest():
+    mesh = _icosphere(4, 0.005, 3)
+    assert len(mesh.faces) == 5120
+    digest = hashlib.sha256()
+    for mode in ("perfect", "maximum"):
+        qm, report = quadrangulate(mesh, mode=mode)
+        digest.update(repr((qm.quads, qm.triangles, report)).encode())
+    assert digest.hexdigest() == LARGE_MESH_SHA256
