@@ -47,9 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .blossom import dual_objective
 from .classify import is_bridgeless, is_independent
@@ -75,6 +74,7 @@ from .matching import (
     has_perfect_matching,
     is_matching,
     matching_weight,
+    max_weight_matching,
     max_weight_perfect_matching,
     perfect_matching_dual,
     saturated,
@@ -168,63 +168,51 @@ def is_eta_zero(g: Graph) -> tuple[bool, int | None]:
     return False, None
 
 
-def is_eta_one(
-    g: Graph, *, node_budget: int = 10**7
-) -> tuple[bool, frozenset[int] | None]:
+def is_eta_one(g: Graph) -> tuple[bool, frozenset[int] | None]:
     """True iff every maximal matching is perfect.
 
-    Searches for a maximal matching that leaves a vertex exposed,
-    trying exposure before matching so counterexamples surface early.
-    Returns (False, witness) with such a matching, or (True, None).
-    The search keeps its own stack, as enumerate_maximal_matchings
-    does, so its depth is not bounded by the recursion limit.
+    Returns (True, None), or (False, witness) with a maximal matching
+    that is not perfect.  For connected g the answer is True exactly
+    for K_2n and K_n,n (Sumner, "Randomly matchable graphs", 1979).
+
+    A maximal matching leaves v exposed exactly when its edges saturate
+    N(v), or vu could join it for an exposed neighbour u.  Conversely a
+    matching of g - v that saturates N(v) grows greedily over g - v into
+    a maximal matching of g that exposes v: every edge at v ends in a
+    matched vertex.  Such a matching exists iff one exists among the
+    edges of g - v that touch N(v), the local graph of v.  Weighted by
+    the number of N(v) vertices it covers, a matching of the local graph
+    weighs as many N(v) vertices as it saturates, so a maximum-weight
+    one saturates N(v) iff any does.
+
+    So each v, in id order, costs one max_weight_matching on its local
+    graph, relabelled onto its own endpoints so that the blossom's size
+    follows v's neighbourhood, not g.  The first optimum that saturates
+    N(v), extended greedily in edge-id order over g - v, is the witness.
     """
     if not has_perfect_matching(g):
         raise NoPerfectMatching("eta needs a graph with a perfect matching")
-    UNDECIDED, MATCHED, EXPOSED = 0, 1, 2
-    state = [UNDECIDED] * g.n
-    chosen: list[int] = []
-    partner: list[int] = []  # branch taken at each frame: -1 exposed, else v's mate
-    stack: list[tuple[int, Iterator]] = []  # branch vertex, branches left
-    nodes = 0
-    while True:
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded(f"eta-one search passed {node_budget} nodes")
-        v = next((u for u in range(g.n) if state[u] == UNDECIDED), None)
-        if v is None:
-            if 2 * len(chosen) < g.n:
-                return False, frozenset(chosen)
-        else:
-            # (-1, -1), the branch that leaves v exposed, then its neighbours
-            stack.append((v, chain(((-1, -1),), g.adj[v])))
-        # backtrack to the deepest branch vertex with a branch left
-        while stack:
-            v, branches = stack[-1]
-            if len(partner) == len(stack):  # undo its last branch
-                u = partner.pop()
-                if u >= 0:
-                    state[u] = UNDECIDED
-                    chosen.pop()
-            for u, eid in branches:
-                if u < 0:
-                    if any(state[x] == EXPOSED for x, _ in g.adj[v]):
-                        continue
-                    state[v] = EXPOSED
-                else:
-                    if state[u] != UNDECIDED:
-                        continue
-                    state[v] = state[u] = MATCHED
-                    chosen.append(eid)
-                partner.append(u)
-                break
-            else:
-                state[v] = UNDECIDED
-                stack.pop()
-                continue
-            break
-        else:
-            return True, None
+    for v in range(g.n):
+        nbrs = set(g.neighbors(v))
+        local = sorted({eid for u in nbrs for x, eid in g.adj[u] if x != v})
+        if not local:
+            continue  # no edge of g - v touches N(v)
+        pairs = [g.edges[eid] for eid in local]
+        ends = sorted({x for pair in pairs for x in pair})
+        new_id = {x: i for i, x in enumerate(ends)}
+        sub = Graph(len(ends), tuple((new_id[a], new_id[b]) for a, b in pairs))
+        weights = [(a in nbrs) + (b in nbrs) for a, b in pairs]
+        best = max_weight_matching(sub, weights)
+        if sum(weights[e] for e in best) < len(nbrs):
+            continue
+        chosen = {local[e] for e in best}
+        busy = {v}.union(*(g.edges[eid] for eid in chosen))
+        for eid, (a, b) in enumerate(g.edges):
+            if a not in busy and b not in busy:
+                chosen.add(eid)
+                busy.update((a, b))
+        return False, frozenset(chosen)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

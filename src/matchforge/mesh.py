@@ -7,6 +7,8 @@ meshes; maximum-weight matchings trade leftover triangles for better
 quads.  Quad quality is scored in [0, 1] from corner angles and the
 bend across the removed edge, then snapped to an int numerator over
 QUALITY_DENOMINATOR, so the matching layer stays in exact arithmetic.
+Scoring and parse_off's zero-area check read the coordinates times one
+power of two (see _unit_scaled), so neither depends on the mesh's size.
 quad_quality and quad_weights return these as Fractions;
 quadrangulate hands the int numerators straight to the blossom engine
 (matching.best_integer_matchings), and decodes only the two matchings.
@@ -142,8 +144,9 @@ def parse_off(text: str) -> TriangleMesh:
         faces.append((ids[0], ids[1], ids[2]))
     mesh = TriangleMesh(tuple(vertices), tuple(faces))
     _check_closed(mesh)
+    points = _unit_scaled(mesh.vertices)
     for fid, face in enumerate(mesh.faces):
-        if _norm(_face_normal(mesh, face)) == 0.0:
+        if _norm(_face_normal(points, face)) == 0.0:
             raise Degenerate(f"face {fid} has zero area")
     return mesh
 
@@ -152,17 +155,23 @@ def load_off(path: str | Path) -> TriangleMesh:
     return parse_off(Path(path).read_text())
 
 
-def _check_closed(mesh: TriangleMesh) -> None:
-    # each undirected edge must be used once in each direction
-    use: dict[tuple[int, int], list[int]] = {}
+def _edge_faces(mesh: TriangleMesh) -> dict[tuple[int, int], list[tuple[int, bool]]]:
+    """Each undirected edge (u, v), u < v, in order of first use -> the
+    faces on it in id order, each as (face id, whether it runs u -> v)."""
+    uses: dict[tuple[int, int], list[tuple[int, bool]]] = {}
     for fid, (a, b, c) in enumerate(mesh.faces):
         for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            use.setdefault(key, []).append(1 if u < v else -1)
-    for key, dirs in use.items():
-        if len(dirs) != 2:
-            raise NotClosed(f"edge {key} lies on {len(dirs)} faces")
-        if dirs[0] + dirs[1] != 0:
+            key = (u, v) if u < v else (v, u)
+            uses.setdefault(key, []).append((fid, u < v))
+    return uses
+
+
+def _check_closed(mesh: TriangleMesh) -> None:
+    # each undirected edge must be used once in each direction
+    for key, faces in _edge_faces(mesh).items():
+        if len(faces) != 2:
+            raise NotClosed(f"edge {key} lies on {len(faces)} faces")
+        if faces[0][1] == faces[1][1]:
             raise NotClosed(f"edge {key} traversed twice the same way")
 
 
@@ -190,9 +199,21 @@ def _norm(a: Vec) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def _face_normal(mesh: TriangleMesh, face: Sequence[int]) -> Vec:
-    p0, p1, p2 = (mesh.vertices[v] for v in face)
+def _face_normal(points: Sequence[Vec], face: Sequence[int]) -> Vec:
+    p0, p1, p2 = (points[v] for v in face)
     return _cross(_sub(p1, p0), _sub(p2, p0))
+
+
+def _unit_scaled(points: Sequence[Vec]) -> list[Vec]:
+    """The points times the power of two that brings the largest
+    |coordinate| into [0.5, 1), so that squares and squared normals
+    neither over- nor underflow.  Scaling by 2**k is exact, and each
+    ratio in the quality has the same power above and below, so where
+    nothing over- or underflowed the result is unchanged."""
+    top = max((abs(c) for p in points for c in p), default=0.0)
+    k = -math.frexp(top)[1]
+    ldexp = math.ldexp
+    return [(ldexp(x, k), ldexp(y, k), ldexp(z, k)) for x, y, z in points]
 
 
 def _quality_numerator(pa: Vec, pu: Vec, pb: Vec, pv: Vec) -> int:
@@ -242,9 +263,10 @@ def quad_quality(pa: Vec, pu: Vec, pb: Vec, pv: Vec) -> Fraction:
     The angle term is the worst corner's min(angle/90, 90/angle); the
     planarity term is the clamped cosine of the bend between the two
     triangles (a, u, v) and (u, b, v) that the quad replaces.  Their
-    product is snapped to a rational with denominator 10**6.
+    product is snapped to a rational with denominator 10**6.  The
+    corners are scaled first (see _unit_scaled).
     """
-    return Fraction(_quality_numerator(pa, pu, pb, pv), QUALITY_DENOMINATOR)
+    return Fraction(_quality_numerator(*_unit_scaled((pa, pu, pb, pv))), QUALITY_DENOMINATOR)
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +279,11 @@ def dual_graph(mesh: TriangleMesh) -> DualGraph:
     Raises DuplicateEdge if two faces share more than one edge and
     NotConnected on disconnected surfaces.
     """
-    owner: dict[tuple[int, int], list[int]] = {}
-    for fid, (a, b, c) in enumerate(mesh.faces):
-        for u, v in ((a, b), (b, c), (c, a)):
-            owner.setdefault((min(u, v), max(u, v)), []).append(fid)
+    uses = _edge_faces(mesh)
     pairs = []
     shared = []
-    for key in sorted(owner):
-        f1, f2 = owner[key]
+    for key in sorted(uses):
+        (f1, _), (f2, _) = uses[key]
         pairs.append((f1, f2))
         shared.append(key)
     graph = as_cubic(from_edge_list(len(mesh.faces), pairs))
@@ -281,7 +300,7 @@ def quad_weights(mesh: TriangleMesh, dual: DualGraph) -> tuple[Fraction, ...]:
 
 def _quality_numerators(mesh: TriangleMesh, cycles) -> list[int]:
     """The quality numerator over QUALITY_DENOMINATOR of each quad cycle."""
-    pts = mesh.vertices
+    pts = _unit_scaled(mesh.vertices)
     return [_quality_numerator(pts[a], pts[u], pts[b], pts[v]) for a, u, b, v in cycles]
 
 

@@ -10,7 +10,7 @@ from matchforge.cli import main
 from matchforge.generators import named
 from matchforge.graphs import load_edge_list
 from matchforge.matching import format_weight_csv, parse_weight_csv
-from matchforge.mesh import icosahedron, off_text
+from matchforge.mesh import TriangleMesh, icosahedron, off_text
 
 
 def run_cli(capsys, argv, expect=0):
@@ -251,6 +251,19 @@ def test_mesh_quadrangulate(capsys, tmp_path):
     assert obj.exists()
     (entry,) = doc["manifest"]["inputs"]
     assert entry["path"] == str(off)
+
+
+@pytest.mark.parametrize("scale", [1e100, 3.7e150, 1e-100, 1e-150, 1e-300])
+def test_mesh_quadrangulate_at_far_scales(capsys, tmp_path, scale):
+    ico = icosahedron()
+    scaled = TriangleMesh(tuple(tuple(c * scale for c in p) for p in ico.vertices), ico.faces)
+    off = tmp_path / "ico.off"
+    off.write_text(off_text(scaled))
+    # maximum mode merges no face whose quality reads 0
+    doc = run_cli(capsys, ["mesh", "quadrangulate", str(off), "--mode", "maximum"])
+    assert doc["report"]["quad_count"] == 10
+    assert doc["report"]["triangle_count"] == 0
+    assert doc["report"]["perfect_weight"] == {"num": "62113", "den": "12500"}
 
 
 @pytest.mark.parametrize(

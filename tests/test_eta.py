@@ -2,8 +2,10 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import pytest
 
 from matchforge import errors
 from matchforge import eta as eta_module
-from matchforge.classify import is_bridgeless, is_independent
+from matchforge.classify import is_bipartite, is_bridgeless, is_independent
 from matchforge.eta import (
     BERGE_COVER_LOWER,
     CAP_UPPER,
@@ -43,7 +45,7 @@ from matchforge.generators import (
     odd_component_example,
     random_cubic,
 )
-from matchforge.graphs import from_edge_list
+from matchforge.graphs import components, delete, from_edge_list
 from matchforge.lp import program, solve
 from matchforge.matching import (
     enumerate_maximal_matchings,
@@ -226,6 +228,125 @@ def test_eta_boundary_agreement():
         assert (r.value == 1) == is_eta_one(g)[0], g.name
 
 
+def _eta_one_reference(g):
+    """The backtracking search is_eta_one used to run, without its node
+    budget: a maximal matching that leaves a vertex exposed, trying
+    exposure before matching, or (True, None)."""
+    UNDECIDED, MATCHED, EXPOSED = 0, 1, 2
+    state = [UNDECIDED] * g.n
+    chosen = []
+    partner = []  # branch taken at each frame: -1 exposed, else v's mate
+    stack = []  # branch vertex, branches left
+    while True:
+        v = next((u for u in range(g.n) if state[u] == UNDECIDED), None)
+        if v is None:
+            if 2 * len(chosen) < g.n:
+                return False, frozenset(chosen)
+        else:
+            # (-1, -1), the branch that leaves v exposed, then its neighbours
+            stack.append((v, itertools.chain(((-1, -1),), g.adj[v])))
+        # backtrack to the deepest branch vertex with a branch left
+        while stack:
+            v, branches = stack[-1]
+            if len(partner) == len(stack):  # undo its last branch
+                u = partner.pop()
+                if u >= 0:
+                    state[u] = UNDECIDED
+                    chosen.pop()
+            for u, eid in branches:
+                if u < 0:
+                    if any(state[x] == EXPOSED for x, _ in g.adj[v]):
+                        continue
+                    state[v] = EXPOSED
+                else:
+                    if state[u] != UNDECIDED:
+                        continue
+                    state[v] = state[u] = MATCHED
+                    chosen.append(eid)
+                partner.append(u)
+                break
+            else:
+                state[v] = UNDECIDED
+                stack.pop()
+                continue
+            break
+        else:
+            return True, None
+
+
+def _disjoint_union(parts):
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return from_edge_list(offset, edges)
+
+
+def test_eta_one_on_many_components_needs_no_search():
+    # the backtracking search branched over every component at once and
+    # never finished here; one local blossom run per vertex takes
+    # milliseconds
+    g = _disjoint_union([named("k4"), named("k33")] * 25)
+    start = time.perf_counter()
+    assert is_eta_one(g) == (True, None)
+    assert time.perf_counter() - start < 5
+
+
+def test_eta_one_agrees_with_the_reference_search(seed=20261018):
+    rng = random.Random(seed)
+    drawn = ones = 0
+    while drawn < 1500:
+        n = rng.randrange(2, 11, 2)
+        p = rng.random()
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = from_edge_list(n, pairs)
+        try:
+            one, witness = is_eta_one(g)
+        except errors.NoPerfectMatching:
+            continue
+        drawn += 1
+        assert one == _eta_one_reference(g)[0], pairs
+        if one:
+            ones += 1
+            assert witness is None
+        else:
+            assert _is_maximal(g, witness) and 2 * len(witness) < g.n, pairs
+    assert 200 < ones < drawn - 200
+
+
+def _sumner(g):
+    """Every component of the cubic graph g is K4 or K3,3."""
+    for comp in components(g):
+        sub = delete(g, vertices=set(range(g.n)) - set(comp)).graph
+        if not (sub.n == 4 or (sub.n == 6 and is_bipartite(sub)[0])):
+            return False
+    return True
+
+
+def test_eta_one_on_cubic_graphs_is_sumners_theorem(seed=1979):
+    # a connected graph whose maximal matchings are all perfect is
+    # K_2n or K_n,n (Sumner 1979): among cubic graphs, K4 and K3,3
+    rng = random.Random(seed)
+    # gp(3, 1), the prism, is the other cubic graph on six vertices
+    pool = [named("k4"), named("k33"), gp(3, 1), named("cube"), named("petersen")]
+    ones = 0
+    for _ in range(200):
+        parts = [
+            rng.choice(pool) if rng.random() < 0.6 else random_cubic(rng.randrange(4, 13, 2), rng)
+            for _ in range(rng.randint(1, 4))
+        ]
+        g = _disjoint_union(parts)
+        try:
+            one, witness = is_eta_one(g)
+        except errors.NoPerfectMatching:
+            continue
+        assert one == _sumner(g)
+        ones += one
+        if not one:
+            assert _is_maximal(g, witness) and 2 * len(witness) < g.n
+    assert ones >= 10
+
+
 def test_eta_budget_refusals():
     with pytest.raises(errors.BudgetExceeded):
         eta_exact(named("nauru"))  # 24 vertices over the default limit
@@ -305,8 +426,6 @@ def test_find_independent_set_bound_nauru():
 NODES_TO_FINISH = {
     "independent nauru 8": (find_independent_set_bound, named("nauru"), (8,), 347),
     "independent blanusa1 6": (find_independent_set_bound, named("blanusa1"), (6,), 120),
-    "eta-one k33": (is_eta_one, named("k33"), (), 52),
-    "eta-one gp(8,3)": (is_eta_one, gp(8, 3), (), 19),
 }
 
 
@@ -319,8 +438,8 @@ def test_searches_count_the_pinned_nodes(search, g, args, nodes):
 
 def test_deep_searches_end_without_a_recursion_error():
     # gp(1100, 1) has 2200 vertices; the first witness of the independent
-    # search lies over 1000 levels down, and is_eta_one finds its
-    # witness about 1100 levels down
+    # search lies over 1000 levels down, and is_eta_one's witness, grown
+    # greedily from one local blossom run at vertex 0, has 1099 edges
     g = gp(1100, 1)
     with pytest.raises(errors.BudgetExceeded):
         find_independent_set_bound(g, 1000, node_budget=1200)

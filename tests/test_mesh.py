@@ -212,6 +212,34 @@ def test_quadrangulate_perfect_icosahedron():
         assert len(set(quad)) == 4
 
 
+def _scaled(mesh, scale):
+    return TriangleMesh(tuple(tuple(c * scale for c in p) for p in mesh.vertices), mesh.faces)
+
+
+# scales at which squared coordinates, or the squared norms of face
+# normals, over- or underflow: unscaled scoring gave every quality 0 at
+# each of them, and parse_off rejected the last three as zero-area
+FAR_SCALES = (1e100, 3.7e150, 1e-100, 1e-150, 1e-300)
+
+
+@pytest.mark.parametrize("scale", FAR_SCALES)
+def test_quad_quality_does_not_depend_on_the_scale(scale):
+    mesh = parse_off(off_text(_scaled(icosahedron(), scale)))
+    assert set(quad_weights(mesh, dual_graph(mesh))) == {Fraction(62113, 125000)}
+    qm, report = quadrangulate(mesh)
+    assert report.quad_count == 10 and report.triangle_count == 0
+    assert report.perfect_weight == Fraction(62113, 12500)
+    assert qm.quads == quadrangulate(icosahedron())[0].quads
+
+
+@pytest.mark.parametrize("scale", FAR_SCALES)
+def test_zero_area_is_found_at_any_scale(scale):
+    mesh = parse_off(TETRA_OFF)
+    flat = TriangleMesh((*mesh.vertices[:3], (2.0, 0.0, 0.0)), mesh.faces)
+    with pytest.raises(errors.Degenerate, match="zero area"):
+        parse_off(off_text(_scaled(flat, scale)))
+
+
 @pytest.mark.parametrize("mode", ["perfect", "maximum"])
 def test_quadrangulate_runs_the_blossom_once(monkeypatch, mode):
     calls = []
