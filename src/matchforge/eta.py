@@ -415,6 +415,8 @@ def maximal_matching_bound(g: Graph, m: Iterable[int]) -> BoundCertificate:
     exposed = unsaturated(g, mm)
     if not is_independent(g, exposed):
         raise BadParameters("matching is not maximal")
+    if not mm:
+        raise BadParameters("graph has no edges, so eta is undefined")
     return BoundCertificate(
         kind=INDEPENDENT_SET_UPPER,
         bound=_exposed_bound(g.n, len(exposed)),
@@ -454,10 +456,12 @@ def find_independent_set_bound(
         raise BadParameters(f"set size {set_size} out of range")
     if (g.n - set_size) % 2:
         return None
+    # bit u of nbrs[v] is set when u is a neighbour of v
+    nbrs = [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
     chosen: list[int] = []
-    frames = 0  # search nodes whose candidates are still being tried
+    taken = 0  # the mask of chosen
     nodes = 0
-    start = 0  # the lowest vertex the current node may add
+    v = 0  # the first candidate of the node being visited
     while True:
         nodes += 1
         if nodes > node_budget:
@@ -470,34 +474,27 @@ def find_independent_set_bound(
                 )
                 m = frozenset(sub.original_edge(e) for e in pm)
                 return maximal_matching_bound(g, m)
-        elif g.n - start >= set_size - len(chosen):
-            chosen.append(start - 1)  # a new node, whose first candidate is start
-            frames += 1
-        # go on with the deepest node that has a candidate left; the last
-        # entry of chosen is that node's last candidate
-        while frames:
-            v = chosen.pop() + 1
-            if g.n - v < set_size - len(chosen):
-                frames -= 1
-                continue
-            while v < g.n and any(g.has_edge(v, u) for u in chosen):
-                v += 1
-            if v == g.n:
-                frames -= 1
-                continue
-            chosen.append(v)
-            start = v + 1
-            break
-        else:
-            return None
+            v = g.n  # a full node adds no vertex
+        # the next vertex to add: this node's first candidate from v, else
+        # the next candidate of the deepest ancestor that has one left
+        while True:
+            if g.n - v >= set_size - len(chosen):  # room for the rest
+                while v < g.n and nbrs[v] & taken:
+                    v += 1
+                if v < g.n:
+                    break
+            if not chosen:
+                return None
+            u = chosen.pop()
+            taken ^= 1 << u
+            v = u + 1
+        chosen.append(v)
+        taken |= 1 << v
+        v += 1
 
 
 # ---------------------------------------------------------------------------
 # cap bounds
-
-
-def _cap_by_masks(m_mask: int, pm_masks: Sequence[int]) -> int:
-    return max((m_mask & pm).bit_count() for pm in pm_masks)
 
 
 def cap_certificate(g: Graph, m: Iterable[int]) -> BoundCertificate:
@@ -541,10 +538,20 @@ def find_cap_matching(
 
     Matchings are tried in lexicographic edge-id order.  The cap of a
     candidate is its largest overlap with any perfect matching, the
-    cap that cap_certificate computes and certifies.  Returns
-    None when no matching of that size passes.  The search keeps its
-    path in chosen, and its mask in mask, rather than on the
-    interpreter's stack.
+    cap that cap_certificate computes and certifies.  Returns None when
+    no matching of that size passes.
+
+    The search prunes on partial caps.  Adding edges never lowers an
+    overlap, so once some perfect matching meets the partial matching
+    in more than max_cap edges, no matching below that node passes.
+    Skipping such a node skips no passing matching, and the order of
+    the rest is kept, so the first answer is the one the unpruned
+    search returns.  One overlap counter per perfect matching is
+    raised when an edge is pushed and lowered when it is popped; an
+    edge is refused when a perfect matching through it is already at
+    max_cap.  Every matching that reaches full size has passed.  The
+    search keeps its path in chosen rather than on the interpreter's
+    stack.
     """
     if size < 1 or max_cap < 0:
         raise BadParameters("need size >= 1 and max_cap >= 0")
@@ -552,31 +559,40 @@ def find_cap_matching(
     if not pm_masks:
         raise NoPerfectMatching("cap search needs perfect matchings")
     edges = g.edges
+    # the perfect matchings through each edge, by index into pm_masks
+    through = [
+        [i for i, pm in enumerate(pm_masks) if pm >> eid & 1] for eid in range(g.m)
+    ]
+    overlap = [0] * len(pm_masks)
     used = [False] * g.n
     chosen: list[int] = []
-    mask = 0
     eid = 0  # the next candidate edge of the deepest node
     while True:
-        if len(chosen) < size:
-            last = g.m - (size - len(chosen))  # leaves room for the rest
-            while eid <= last and (used[edges[eid][0]] or used[edges[eid][1]]):
-                eid += 1
-            if eid <= last:
-                u, v = edges[eid]
-                used[u] = used[v] = True
-                chosen.append(eid)
-                mask |= 1 << eid
-                eid += 1
-                continue
-        elif _cap_by_masks(mask, pm_masks) <= max_cap:
+        if len(chosen) == size:
             return frozenset(chosen)
+        last = g.m - (size - len(chosen))  # leaves room for the rest
+        while eid <= last and (
+            used[edges[eid][0]]
+            or used[edges[eid][1]]
+            or any(overlap[i] == max_cap for i in through[eid])
+        ):
+            eid += 1
+        if eid <= last:
+            u, v = edges[eid]
+            used[u] = used[v] = True
+            chosen.append(eid)
+            for i in through[eid]:
+                overlap[i] += 1
+            eid += 1
+            continue
         # this node is done: undo its parent's choice and try the next edge
         if not chosen:
             return None
         eid = chosen.pop()
         u, v = edges[eid]
         used[u] = used[v] = False
-        mask ^= 1 << eid
+        for i in through[eid]:
+            overlap[i] -= 1
         eid += 1
 
 
@@ -621,6 +637,16 @@ def berge_witness(
     denominators gives 3k matchings covering each edge k times.
     Uniform weights then show that no weighting pushes the best perfect
     matching below a third of the best matching, hence eta >= 1/3.
+
+    The LP is stated on unit rows, coverage at most 1 with optimum 3,
+    and mu = x / 3 is read from its solution x.  That is the same LP
+    with every variable scaled by 3: its integer tableau starts as the
+    1/3 rows' tableau with each matching's column divided by 3, which
+    keeps the sign of every reduced cost and the order of every ratio
+    test, so Bland's rule takes the same pivots to the same vertex.
+    On unit rows more pivots have p == det, which lp._pivot does
+    without rescaling the other rows.
+
     Raises BadParameters on a graph with a bridge, a vertex of degree
     other than 3, or an optimum below 1.
     """
@@ -632,12 +658,11 @@ def berge_witness(
     pm_masks = _perfect_masks(g, count_budget=perfect_count, vertex_limit=vertex_limit)
     if not pm_masks:
         raise NoPerfectMatching("no perfect matchings to combine")
-    third = Fraction(1, 3)
-    rows = [([p >> eid & 1 for p in pm_masks], third) for eid in range(g.m)]
+    rows = [([p >> eid & 1 for p in pm_masks], 1) for eid in range(g.m)]
     sol = solve(program([-1] * len(pm_masks), rows))
-    if sol.status != OPTIMAL or sol.value != -1:
+    if sol.status != OPTIMAL or sol.value != -3:
         raise BadParameters("no uniform fractional cover; graph not as claimed")
-    mu = sol.assignment
+    mu = [x / 3 for x in sol.assignment]
     denom_lcm = lcm(*(x.denominator for x in mu))
     scale = denom_lcm if denom_lcm % 3 == 0 else 3 * denom_lcm
     lam = [int(x * scale) for x in mu]
@@ -647,7 +672,7 @@ def berge_witness(
         raise InternalError("uniform cover does not add up to 3 * cover_count")
     return BoundCertificate(
         kind=BERGE_COVER_LOWER,
-        bound=third,
+        bound=Fraction(1, 3),
         families=families,
         cover_count=cover,
     )

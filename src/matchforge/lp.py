@@ -2,11 +2,12 @@
 
 Programs are stated as: minimise c.x subject to rows (a, b), each
 meaning a.x <= b with b >= 0, and x >= 0 implicitly.  Both LPs that
-eta builds have this form: the support LP of eta_exact (one row per
-trace, rhs 1) and the Berge LP of berge_witness (coverage <= 1/3 on
-every edge).  Since every rhs is nonnegative, the origin is feasible
-and the slack basis is a feasible start.  So no phase 1 is needed: no
-artificial columns, and the only statuses are optimal and unbounded.
+eta builds have this form, both on 0/1 rows with rhs 1: the support
+LP of eta_exact (one row per trace) and the Berge LP of berge_witness
+(coverage <= 1 on every edge).  Since every rhs is nonnegative, the
+origin is feasible and the slack basis is a feasible start.  So no
+phase 1 is needed: no artificial columns, and the only statuses are
+optimal and unbounded.
 
 Tableau simplex.  Pivoting follows Bland's rule (lowest eligible
 column, ties in the ratio test broken by lowest basic variable), which

@@ -200,6 +200,22 @@ def test_witness_not_found(capsys):
     assert doc["certificate"] is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["eta", "bounds"], ["eta", "witness", "--kind", "independent", "--size", "2"]],
+    ids=["bounds", "witness"],
+)
+def test_edgeless_graph_is_a_typed_error(capsys, tmp_path, argv):
+    # its only maximal matching is empty, which bounds nothing
+    path = tmp_path / "edgeless.txt"
+    path.write_text("2 0\n")
+    doc = run_cli(capsys, [*argv[:2], str(path), *argv[2:]], expect=2)
+    assert doc == {
+        "error": "BadParameters",
+        "message": "graph has no edges, so eta is undefined",
+    }
+
+
 def test_witness_odd_kind(capsys):
     doc = run_cli(
         capsys,

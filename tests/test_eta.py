@@ -421,6 +421,38 @@ def test_find_independent_set_bound_nauru():
     assert find_independent_set_bound(named("petersen"), 5) is None
 
 
+def test_find_independent_set_bound_is_the_first_witness(seed=20261019):
+    # reference: the first independent set, in itertools.combinations
+    # order, whose deletion leaves a graph with a perfect matching
+    rng = random.Random(seed)
+    found = 0
+    for _ in range(150):
+        n = rng.randrange(1, 11)
+        p = rng.random()
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = from_edge_list(n, pairs)
+        for k in range(n + 1):
+            want = next(
+                (
+                    s
+                    for s in itertools.combinations(range(n), k)
+                    if is_independent(g, s)
+                    and enumerate_perfect_matchings(delete(g, vertices=s).graph)
+                ),
+                None,
+            )
+            if want is not None and len(want) == n:
+                # edgeless: the only witness is the empty matching
+                with pytest.raises(errors.BadParameters):
+                    find_independent_set_bound(g, k)
+                continue
+            cert = find_independent_set_bound(g, k)
+            got = None if cert is None else cert.independent_set
+            assert got == want, (pairs, k)
+            found += cert is not None
+    assert found
+
+
 # Search nodes each search needs to finish, counted by the recursive
 # searches of commit 4f242b7; the iterative ones branch in the same order
 NODES_TO_FINISH = {
@@ -517,6 +549,59 @@ def test_find_cap_matching_frozen():
         assert verify(g, cert)[0], label
     # no size-3 matching of the cube avoids every perfect matching twice
     assert find_cap_matching(named("cube"), 3, 1) is None
+    # nor any size-8 matching of nauru three times; the search prunes
+    # every node below a partial cap of 4
+    assert find_cap_matching(named("nauru"), 8, 3) is None
+
+
+def _first_cap_matchings(g):
+    """{(size, max_cap): the first matching of that size, in
+    itertools.combinations order, whose largest overlap with an
+    enumerated perfect matching is at most max_cap, or None}, for every
+    size from 1 to n/2 and every max_cap from 0 to size."""
+    pms = enumerate_perfect_matchings(g)
+    want = {}
+    for size in range(1, g.n // 2 + 1):
+        first = [None] * (size + 1)
+        for combo in itertools.combinations(range(g.m), size):
+            if len({v for e in combo for v in g.edges[e]}) < 2 * size:
+                continue  # not a matching
+            cap = max(len(pm.intersection(combo)) for pm in pms)
+            for c in range(cap, size + 1):
+                if first[c] is None:
+                    first[c] = frozenset(combo)
+            if first[0] is not None:
+                break
+        for c, m in enumerate(first):
+            want[size, c] = m
+    return want
+
+
+def _cap_search_graphs(seed=20261019):
+    """Seeded graphs with a perfect matching and at most 14 vertices:
+    random cubic ones, and sparser and denser random ones with at most
+    24 edges, which keeps the brute force small."""
+    rng = random.Random(seed)
+    for n in (4, 6, 8, 8, 10, 10, 12, 12, 14):
+        yield random_cubic(n, rng)
+    made = 0
+    while made < 30:
+        n = rng.randrange(2, 13, 2)
+        p = rng.choice((0.3, 0.5, 0.8))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = from_edge_list(n, pairs)
+        if g.m <= 24 and enumerate_perfect_matchings(g):
+            made += 1
+            yield g
+
+
+def test_find_cap_matching_agrees_with_brute_force():
+    outcomes = set()
+    for g in _cap_search_graphs():
+        for (size, max_cap), want in _first_cap_matchings(g).items():
+            assert find_cap_matching(g, size, max_cap) == want, (g.edges, size, max_cap)
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 def test_find_cap_matching_on_a_long_path():

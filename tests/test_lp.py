@@ -7,8 +7,9 @@ import pytest
 
 from matchforge import eta
 from matchforge import lp as lp_module
+from matchforge.classify import is_bridgeless
 from matchforge.errors import InternalError
-from matchforge.generators import named
+from matchforge.generators import catalog, named, random_cubic
 from matchforge.lp import (
     OPTIMAL,
     UNBOUNDED,
@@ -404,6 +405,49 @@ def test_packing_berge_lp_ends_where_phase_one_did(name):
     equality = _fraction_solve([0] * len(pms), [(c, "=", third) for c in cols])
     assert packing.value == -1
     assert packing.assignment == equality.assignment
+
+
+def _berge_graphs(seed=20261019):
+    """catalog(20) and 60 seeded bridgeless cubic graphs with 8..20 vertices."""
+    yield from catalog(20)
+    rng = random.Random(seed)
+    made = 0
+    while made < 60:
+        g = random_cubic(rng.randrange(8, 21, 2), rng)
+        if is_bridgeless(g)[0]:
+            made += 1
+            yield g
+
+
+def test_berge_lp_on_unit_rows_takes_the_one_third_pivots(monkeypatch):
+    # coverage <= 1 is coverage <= 1/3 with every variable scaled by 3:
+    # each matching's column of the integer tableau starts at a third of
+    # its entries on the 1/3 rows, which keeps every reduced cost's sign
+    # and every ratio test's order, so Bland's rule pivots alike
+    pivot = lp_module._pivot
+    pivots: list = []
+    sparse = {Fraction(1, 3): 0, 1: 0}  # pivots with p == det, per rhs
+
+    def spy(rows, r, c, det):
+        pivots.append((r, c))
+        sparse[rhs] += rows[r][c] == det
+        return pivot(rows, r, c, det)
+
+    monkeypatch.setattr(lp_module, "_pivot", spy)
+    for i, g in enumerate(_berge_graphs()):
+        pms = enumerate_perfect_matchings(g)
+        cols = [[int(e in pm) for pm in pms] for e in range(g.m)]
+        runs = []
+        for rhs in sparse:
+            pivots.clear()
+            sol = solve(program([-1] * len(pms), [(c, rhs) for c in cols]))
+            runs.append((sol, list(pivots)))
+        (third, third_pivots), (unit, unit_pivots) = runs
+        assert unit_pivots == third_pivots, i
+        assert (third.value, unit.value) == (-1, -3), i
+        assert unit.assignment == tuple(3 * x for x in third.assignment), i
+    # the point of the unit rows: more pivots skip rescaling the other rows
+    assert sparse[1] > sparse[Fraction(1, 3)], sparse
 
 
 # max x0 + x1 over x0 + x1 <= 1, x0 <= 0: optimum x = (0, 1), y = (1, 0)
