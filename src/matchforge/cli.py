@@ -4,9 +4,10 @@ Every command prints one JSON document to stdout and a short human
 summary to stderr.  Exit status: 0 for a positive answer, 1 for a
 negative one (invalid certificate, no perfect matching, failed checks),
 2 for unusable input or refused budgets, 3 when an engine's own
-exactness check fails (InternalError); errors print {"error",
-"message"}.  Rational numbers appear as {"num": "...", "den": "..."}
-string pairs so arbitrary precision survives JSON.
+exactness check fails (InternalError), 141 when the reader of stdout
+closes it early (as in `matchforge gen ... | head -c 10`); errors
+print {"error", "message"}.  Rational numbers appear as {"num": "...",
+"den": "..."} string pairs so arbitrary precision survives JSON.
 
 Each document carries a manifest: argv, sha256 of file inputs, the
 seed, budget settings, package version and wall time, so a run can be
@@ -70,6 +71,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def _seed_from(args) -> int:
@@ -515,6 +517,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        try:
+            return _dispatch(argv)
+        finally:
+            sys.stdout.flush()  # a reader that left raises here, not at exit
+    except BrokenPipeError:
+        # The reader of stdout has closed it.  Point stdout at devnull so
+        # that the flush at exit cannot raise again (the recipe in the
+        # documentation of Python's signal module).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+
+
+def _dispatch(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -22,6 +22,17 @@ contains it, so the dropped rows never change s(M) or the feasible set.
 The returned witness is re-evaluated through the independent matching
 engines before the result is accepted; a mismatch raises InternalError.
 
+eta = 0 is decided before the scan, from the perfect matchings it needs
+anyway: eta is 0 iff the OR of their masks misses an edge, and the
+lowest missing bit is the first edge, in id order, that is_eta_zero
+would name.  No blossom runs for it.  Only when the perfect-matching
+enumeration is over budget does is_eta_zero decide, with its blossom
+runs, so that an eta-zero graph past the enumeration limits still gets
+its answer; a graph it finds eta-zero-free gets the enumeration's
+error.  Deciding eta = 0 before the maximal enumeration, which by
+default refuses from 21 vertices rather than 27, keeps its answer
+there too.
+
 The scan runs over integer edge masks (bit e for edge e) from start
 to end: it reads the sorted mask streams of matching._maximal_masks
 and matching._perfect_masks, and decodes edge ids only for the LPs
@@ -47,7 +58,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import or_
 from typing import Iterable, Sequence
 
 from .blossom import dual_objective
@@ -70,7 +83,7 @@ from .matching import (
     _maximal_masks,
     _perfect_masks,
     _perfect_matching,
-    best_matchings,
+    best_integer_matchings,
     has_perfect_matching,
     is_matching,
     matching_weight,
@@ -332,13 +345,30 @@ def eta_exact(
     vertex_limit explicitly to run past the default enumeration sizes.
     The result carries a witness weighting, re-evaluated through the
     matching engines before returning.
+
+    eta = 0 is read off the perfect-matching masks: the first edge that
+    none of them covers carries the witness weight.  When that
+    enumeration is over budget, is_eta_zero decides instead; if it
+    finds no such edge, the enumeration's BudgetExceeded is raised.
+    Raises NoPerfectMatching when g has no perfect matching.
     """
-    zero, bad_edge = is_eta_zero(g)
+    try:
+        pm_masks = _perfect_masks(
+            g, count_budget=perfect_count, vertex_limit=vertex_limit
+        )
+    except BudgetExceeded:
+        zero, bad_edge = is_eta_zero(g)
+        if not zero:
+            raise
+    else:
+        if not pm_masks:
+            raise NoPerfectMatching("eta needs a graph with a perfect matching")
+        missing = ((1 << g.m) - 1) & ~reduce(or_, pm_masks)
+        zero, bad_edge = missing != 0, (missing & -missing).bit_length() - 1
     if zero:
         w = [Fraction(int(e == bad_edge)) for e in range(g.m)]
         return _witness_result(g, w, Fraction(1), Fraction(0))
 
-    pm_masks = _perfect_masks(g, count_budget=perfect_count, vertex_limit=vertex_limit)
     maximals = _maximal_masks(g, count_budget=maximal_count, vertex_limit=vertex_limit)
     tables = _orbit_tables(edge_automorphisms(g))
 
@@ -371,13 +401,14 @@ def _witness_result(
     g: Graph, weights: Sequence[Fraction], best: Fraction, worst: Fraction
 ) -> EtaResult:
     """The EtaResult of a witness weighting, re-evaluated independently:
-    one blossom run on the lexicographically tie-broken weights must find
-    a best matching of weight best and a best perfect matching of weight
-    worst (those of max_weight_matching and max_weight_perfect_matching),
-    or InternalError is raised.
+    one blossom run on the lexicographically tie-broken int weights
+    (matching._lex_tiebreak) must find a best matching of weight best
+    and a best perfect matching of weight worst (those of
+    max_weight_matching and max_weight_perfect_matching), or
+    InternalError is raised.
     """
     w = validate_weights(g, weights)
-    arg, pm = best_matchings(g, _lex_tiebreak(w))
+    arg, pm = best_integer_matchings(g, *_lex_tiebreak(w))
     if pm is None:
         raise NoPerfectMatching("no perfect matching exists")
     got = (matching_weight(w, arg), matching_weight(w, pm))

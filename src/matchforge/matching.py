@@ -23,17 +23,18 @@ lexicographically.  Nested sets break the lemma: (0,) comes before
 (0, 1), yet its reversed mask is the smaller.
 
 Every optimisation runs the blossom method, at any graph size; the
-enumerators serve the exact eta scan and the tests.  The argmax
-functions add an exact tie-break to the weights (_lex_tiebreak), so
-the blossom's unique optimum is the lexicographically first one.  The
-blossom runs on integers: integer_weights scales each weight vector by
-the LCM of its denominators, the only place where rationals become
-ints.  A best perfect matching is a best matching under a weight
-shift, and one engine run gives the best matching and the best
-perfect matching (best_matchings): the run resumes under the shift
-where the unshifted run ends.  Callers whose weights are already ints
-over a common scale (mesh qualities) enter at best_integer_matchings.
-Only the matchings are decoded from an engine run, except in
+enumerators serve the exact eta scan and the tests.  The blossom runs
+on integers: integer_weights scales each weight vector by the LCM of
+its denominators, the only place where rationals become ints.  The
+argmax functions, and eta's witness re-evaluation, add an exact
+tie-break to those ints (_lex_tiebreak), so the blossom's unique
+optimum is the lexicographically first one.  A best perfect matching
+is a best matching under a weight shift, and one engine run gives the
+best matching and the best perfect matching (best_matchings): the run
+resumes under the shift where the unshifted run ends.  Callers whose
+weights are already ints over a common scale (mesh qualities, the
+tie-broken weights) enter at best_integer_matchings.  Only the
+matchings are decoded from an engine run, except in
 perfect_matching_dual, which returns the dual too.
 """
 
@@ -378,9 +379,9 @@ def best_integer_matchings(g: Graph, ints: Sequence[int], scale: int) -> tuple:
     return _edge_ids(g, first[0]), best_perfect if len(best_perfect) * 2 == g.n else None
 
 
-def _lex_tiebreak(weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Weights whose unique optimum is the lexicographically first
-    optimum of the given ones.
+def _lex_tiebreak(weights: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, scale): int weights over a common scale whose unique
+    optimum is the lexicographically first optimum of the given ones.
 
     With L the LCM of the denominators, two matching weights differ by
     a multiple of 1/L.  Edge e gains 2**(m-1-e) / (2**m L), and one
@@ -390,10 +391,18 @@ def _lex_tiebreak(weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
     among matchings of one size, and among maximal matchings too, since
     no two of them are nested.  Every new weight is positive, so the
     new optimum is maximal.
+
+    The new weights are built as ints over scale 2**m L: ints[e] is
+    integer_weights' ints[e] << m, plus 2**(m-1-e).  As Fractions in
+    lowest terms, the same weights have denominators whose LCM, the
+    scale integer_weights takes, is 2**m L / c for a positive int c,
+    and integer_weights' ints are these divided by c.  The shift of
+    best_integer_matchings is c times apart too, so by Scaling in the
+    blossom module the engine returns the same matchings on both.
     """
-    m = len(weights)
-    unit = math.lcm(*(w.denominator for w in weights)) << m
-    return tuple(w + Fraction(1 << (m - 1 - e), unit) for e, w in enumerate(weights))
+    ints, scale = integer_weights(weights)
+    m = len(ints)
+    return [(x << m) + (1 << (m - 1 - e)) for e, x in enumerate(ints)], scale << m
 
 
 def best_matchings(g: Graph, weights: Sequence) -> tuple:
@@ -409,7 +418,7 @@ def max_weight_matching(g: Graph, weights: Sequence) -> frozenset[int]:
     optimum among the maximal matchings, one of which is optimal because
     the weights are nonnegative.
     """
-    ints, _ = integer_weights(_lex_tiebreak(validate_weights(g, weights)))
+    ints, _ = _lex_tiebreak(validate_weights(g, weights))
     return _edge_ids(g, _engine(g, ints)[0])
 
 
@@ -442,10 +451,10 @@ def max_weight_perfect_matching(g: Graph, weights: Sequence) -> frozenset[int]:
     weight.  Raises NoPerfectMatching when none exists.  The matching
     of perfect_matching_dual under _lex_tiebreak, without its dual.
     """
-    w = _lex_tiebreak(validate_weights(g, weights))
+    tiebroken = _lex_tiebreak(validate_weights(g, weights))
     if g.n % 2:
         raise NoPerfectMatching("odd vertex count")
-    best_perfect = best_integer_matchings(g, *integer_weights(w))[1]
+    best_perfect = best_integer_matchings(g, *tiebroken)[1]
     if best_perfect is None:
         raise NoPerfectMatching("no perfect matching exists")
     return best_perfect

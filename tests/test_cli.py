@@ -1,16 +1,22 @@
 """Command line: JSON output, manifests, seeds, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from matchforge import DEFAULT_SEED, __version__
+import matchforge
+from matchforge import DEFAULT_SEED, __version__, cli
 from matchforge.cli import main
 from matchforge.generators import named
 from matchforge.graphs import load_edge_list
 from matchforge.matching import format_weight_csv, parse_weight_csv
 from matchforge.mesh import TriangleMesh, icosahedron, off_text
+
+SRC = os.path.dirname(os.path.dirname(matchforge.__file__))
 
 
 def run_cli(capsys, argv, expect=0):
@@ -253,6 +259,28 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "eta_exact", broken)
     doc = run_cli(capsys, ["eta", "exact", "name:k4"], expect=3)
     assert doc == {"error": "InternalError", "message": "self-check failed"}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv", [["gen", "name:petersen"], ["eta", "exact", "name:nauru"]], ids=["gen", "error"]
+)
+def test_closed_stdout_is_a_documented_exit(argv, unbuffered):
+    # a reader that closes the pipe at once, as `| head -c 10` may; with
+    # buffered stdout the write fails at the last flush, not in json.dump
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "matchforge.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_mesh_quadrangulate(capsys, tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 from matchforge import errors
 from matchforge import eta as eta_module
+from matchforge import matching as matching_module
 from matchforge.classify import is_bipartite, is_bridgeless, is_independent
 from matchforge.eta import (
     BERGE_COVER_LOWER,
@@ -50,6 +51,7 @@ from matchforge.lp import program, solve
 from matchforge.matching import (
     enumerate_maximal_matchings,
     enumerate_perfect_matchings,
+    has_perfect_matching,
     is_matching,
     matching_weight,
     max_weight_matching,
@@ -98,9 +100,11 @@ def test_eta_petersen_exact():
 
 def test_eta_exact_rejects_a_witness_that_does_not_re_evaluate(monkeypatch):
     # the argmax re-evaluation is an explicit check: it also holds under -O
-    best_matchings = eta_module.best_matchings
+    engine = eta_module.best_integer_matchings
     monkeypatch.setattr(
-        eta_module, "best_matchings", lambda g, w: (frozenset({0}), best_matchings(g, w)[1])
+        eta_module,
+        "best_integer_matchings",
+        lambda g, ints, scale: (frozenset({0}), engine(g, ints, scale)[1]),
     )
     message = "re-evaluates to 1/1, the scan found 1/3"
     with pytest.raises(errors.InternalError, match=message):
@@ -352,6 +356,99 @@ def test_eta_budget_refusals():
         eta_exact(named("nauru"))  # 24 vertices over the default limit
     with pytest.raises(errors.BudgetExceeded):
         eta_exact(named("petersen"), maximal_count=70)
+
+
+def _eta_exact_inputs():
+    """catalog(20), 30 seeded bridgeless cubic graphs (n <= 20) and 20
+    seeded bridge_join graphs with a perfect matching (eta = 0)."""
+    yield from catalog(20)
+    rng = random.Random(20261020)
+    made = 0
+    while made < 30:
+        g = random_cubic(rng.randrange(8, 21, 2), rng)
+        if is_bridgeless(g)[0]:
+            made += 1
+            yield g
+    made = 0
+    while made < 20:
+        left = random_cubic(rng.choice([4, 6, 8]), rng)
+        right = random_cubic(rng.choice([4, 6, 8]), rng)
+        g = bridge_join(left, rng.randrange(left.m), right, rng.randrange(right.m))
+        if has_perfect_matching(g):
+            made += 1
+            yield g
+
+
+# Digest of repr(eta_exact(g)) over _eta_exact_inputs, computed at commit
+# eb8142a, where eta_exact tested eta = 0 with is_eta_zero's blossom runs
+# and re-evaluated the witness on Fraction tie-break weights
+ETA_EXACT_SHA256 = "cc7fb986dd7d64d1aa22a417cae25e82009fac3fbb1fdb3907fd273a11f413b4"
+
+
+def test_eta_exact_results_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    zeros = 0
+    for g in _eta_exact_inputs():
+        r = eta_exact(g)
+        zeros += r.value == 0
+        digest.update(repr(r).encode())
+    assert zeros == 20
+    assert digest.hexdigest() == ETA_EXACT_SHA256
+
+
+def test_eta_exact_runs_one_blossom_per_bridgeless_graph(monkeypatch):
+    # eta = 0 is read off the perfect-matching masks; the one engine run
+    # left is the witness re-evaluation
+    calls = []
+    engine = matching_module.max_weight_matching_pairs
+    monkeypatch.setattr(
+        matching_module,
+        "max_weight_matching_pairs",
+        lambda *a: calls.append(a[0]) or engine(*a),
+    )
+    for g in catalog(20):
+        if not is_bridgeless(g)[0]:
+            continue
+        calls.clear()
+        eta_exact(g)
+        assert calls == [g.n], g.name
+
+
+def test_eta_zero_past_the_enumeration_limits():
+    # 34 vertices: past the perfect-matching limit, so is_eta_zero decides
+    g = bridge_join(gp(8, 1), 0, gp(8, 1), 0)
+    assert g.n == 34 and is_eta_zero(g) == (True, 46)
+    r = eta_exact(g)
+    assert r.value == 0 and r.witness_weights[46] == 1
+    assert sum(r.witness_weights) == 1
+    # 24 vertices: past the maximal-matching limit only
+    g = bridge_join(gp(5, 1), 0, gp(6, 1), 0)
+    assert g.n == 24 and is_eta_zero(g) == (True, 9)
+    r = eta_exact(g)
+    assert r.value == 0 and r.witness_weights[9] == 1
+    assert sum(r.witness_weights) == 1
+    # past the count budget; a graph with eta > 0 gets the enumeration's error
+    assert eta_exact(g, perfect_count=1) == r
+    with pytest.raises(errors.BudgetExceeded, match="more than 1 perfect matchings"):
+        eta_exact(named("petersen"), perfect_count=1)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        from_edge_list(4, [(0, 1), (0, 2), (0, 3)]),
+        from_edge_list(3, [(0, 1), (1, 2)]),
+        from_edge_list(28, [(0, 1), (0, 2), (0, 3)] + [(v, v + 1) for v in range(4, 28, 2)]),
+        from_edge_list(27, [(v, v + 1) for v in range(26)]),
+    ],
+    ids=["star", "odd path", "28-vertex star", "27-vertex path"],
+)
+def test_eta_exact_needs_a_perfect_matching(g):
+    # the same error within the enumeration limit and past it
+    message = "^eta needs a graph with a perfect matching$"
+    for limit in (g.n, g.n - 1):
+        with pytest.raises(errors.NoPerfectMatching, match=message):
+            eta_exact(g, vertex_limit=limit)
 
 
 def test_maximal_matching_bound_petersen():

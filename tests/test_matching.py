@@ -553,3 +553,47 @@ def test_best_integer_matchings_is_best_matchings_in_ints(seed=1215):
     for ints, scale in (([1] * 14, 1), ([-1] + [1] * 14, 1), ([0] * 15, 1), ([1] * 15, 0)):
         with pytest.raises(errors.BadWeights):
             matching.best_integer_matchings(g, ints, scale)
+
+
+def _lex_tiebreak_reference(weights):
+    """The tie-break in Fractions that _lex_tiebreak's ints replace: edge
+    e gains 2**(m-1-e) / (2**m L), with L the LCM of the denominators."""
+    m = len(weights)
+    unit = math.lcm(*(w.denominator for w in weights)) << m
+    return tuple(w + Fraction(1 << (m - 1 - e), unit) for e, w in enumerate(weights))
+
+
+# tie-heavy small ints, and mixed denominators: when every numerator
+# 2**(m-1-e) + 2**m L w_e of the reference shares a factor of 3 with L,
+# the reference's LCM is a proper divisor of the int route's scale
+TIEBREAK_POOLS = ((0, 1, 2), (Fraction(1, 3), Fraction(1, 6), Fraction(2, 9)))
+
+
+def test_int_tiebreak_agrees_with_the_fraction_reference(seed=1216):
+    rng = random.Random(seed)
+    common_factor = without = 0
+    for _ in range(600):
+        n = rng.randint(2, 16)
+        p = rng.uniform(0.1, 0.6)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = from_edge_list(n, pairs or [(0, 1)])
+        pool = rng.choice(TIEBREAK_POOLS)
+        w = [rng.choice(pool) for _ in range(g.m)]
+        w = validate_weights(g, w if any(w) else w[:-1] + [1])
+        ref_ints, ref_scale = matching.integer_weights(_lex_tiebreak_reference(w))
+        ints, scale = matching._lex_tiebreak(w)
+        # one common factor apart, so by Scaling the engine picks the same
+        factor = scale // ref_scale
+        assert ints == [factor * x for x in ref_ints] and scale == factor * ref_scale
+        common_factor += factor > 1
+        reference = matching._edge_ids(g, matching._engine(g, ref_ints)[0])
+        assert max_weight_matching(g, w) == reference
+        best, pm = matching.best_integer_matchings(g, ref_ints, ref_scale)
+        assert matching.best_integer_matchings(g, ints, scale) == (best, pm)
+        try:
+            assert max_weight_perfect_matching(g, w) == pm
+        except errors.NoPerfectMatching:
+            assert pm is None
+            without += 1
+    # at least 100 graphs with a perfect matching and 100 without
+    assert common_factor >= 20 and 100 <= without <= 500
