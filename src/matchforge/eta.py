@@ -74,7 +74,7 @@ from .errors import (
     ParseError,
 )
 from .graphs import CubicGraph, Graph, components, delete
-from .lp import OPTIMAL, program, solve
+from .lp import OPTIMAL, program, solve, solve_ints
 from .matching import (
     MAXIMAL_COUNT_BUDGET,
     PERFECT_COUNT_BUDGET,
@@ -278,13 +278,13 @@ def _support_lp_max(
     """max sum(w_e) over e in edges, s.t. each PM's restriction <= 1.
 
     One row per inclusion-maximal trace, which is exact because w >= 0.
+    The rows are built as 0/1 ints and solved by lp.solve_ints.
     """
     rows = [
-        ([t >> e & 1 for e in edges], 1)
+        [*(t >> e & 1 for e in edges), 1]
         for t in _maximal_traces(sum(1 << e for e in edges), pm_masks)
     ]
-    lp = program([-1] * len(edges), rows)
-    sol = solve(lp)
+    sol = solve_ints([-1] * len(edges), rows)
     if sol.status != OPTIMAL or sol.assignment is None:
         raise InternalError(f"support LP for {tuple(edges)} ended {sol.status}")
     return -sol.value, sol.assignment
@@ -373,6 +373,7 @@ def eta_exact(
     tables = _orbit_tables(edge_automorphisms(g))
 
     best_s: Fraction | None = None
+    best_floor = 0  # floor(best_s): a cover count is <= best_s iff <= this
     best_edges: tuple[int, ...] | None = None
     best_assignment: tuple[Fraction, ...] | None = None
     seen: set[int] = set()  # masks of the orbits met so far
@@ -380,12 +381,13 @@ def eta_exact(
         if mask in seen:
             continue
         _add_orbit(mask, tables, seen)
-        if best_s is not None and _greedy_cover_count(mask, pm_masks) <= best_s:
+        if best_s is not None and _greedy_cover_count(mask, pm_masks) <= best_floor:
             continue
         edges = _decode(mask)
         s, assignment = _support_lp_max(edges, pm_masks)
         if best_s is None or s > best_s:
             best_s = s
+            best_floor = s.numerator // s.denominator
             best_edges = edges
             best_assignment = assignment
     if best_s is None or best_edges is None or best_s < 1:
@@ -482,6 +484,9 @@ def find_independent_set_bound(
     every maximal matching.  Vertices are tried in ascending order; the
     first witness wins.  Returns None if no such set exists.  The search
     keeps its path in chosen rather than on the interpreter's stack.
+    A full node whose remainder g - S has a component of odd size has
+    no perfect matching there, so it is refused before the subgraph is
+    built or the blossom runs.
     """
     if set_size < 0 or set_size > g.n:
         raise BadParameters(f"set size {set_size} out of range")
@@ -489,6 +494,7 @@ def find_independent_set_bound(
         return None
     # bit u of nbrs[v] is set when u is a neighbour of v
     nbrs = [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
+    full = (1 << g.n) - 1
     chosen: list[int] = []
     taken = 0  # the mask of chosen
     nodes = 0
@@ -498,13 +504,14 @@ def find_independent_set_bound(
         if nodes > node_budget:
             raise BudgetExceeded(f"witness search passed {node_budget} nodes")
         if len(chosen) == set_size:
-            sub = delete(g, vertices=chosen)
-            if has_perfect_matching(sub.graph):
-                pm = max_weight_perfect_matching(
-                    sub.graph, [Fraction(1)] * sub.graph.m
-                )
-                m = frozenset(sub.original_edge(e) for e in pm)
-                return maximal_matching_bound(g, m)
+            if not _has_odd_component(nbrs, full & ~taken):
+                sub = delete(g, vertices=chosen)
+                if has_perfect_matching(sub.graph):
+                    pm = max_weight_perfect_matching(
+                        sub.graph, [Fraction(1)] * sub.graph.m
+                    )
+                    m = frozenset(sub.original_edge(e) for e in pm)
+                    return maximal_matching_bound(g, m)
             v = g.n  # a full node adds no vertex
         # the next vertex to add: this node's first candidate from v, else
         # the next candidate of the deepest ancestor that has one left
@@ -522,6 +529,26 @@ def find_independent_set_bound(
         chosen.append(v)
         taken |= 1 << v
         v += 1
+
+
+def _has_odd_component(nbrs: Sequence[int], rest: int) -> bool:
+    """Whether the vertices of the mask rest induce a component of odd
+    size, found by a flood fill over nbrs (bit u of nbrs[v] set for
+    each neighbour u of v).  Such a remainder has no perfect matching."""
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        if comp.bit_count() % 2:
+            return True
+        rest &= ~comp
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,13 @@ origin is feasible and the slack basis is a feasible start.  So no
 phase 1 is needed: no artificial columns, and the only statuses are
 optimal and unbounded.
 
+Two entries run the same simplex.  solve_ints(objective, rows) takes
+ints, each row its coefficients followed by its rhs; eta_exact's
+support LPs call it, since their 0/1 rows are built as ints.  solve(lp)
+takes the Fractions of a LinearProgram from program(), as
+berge_witness does; it scales them to ints (below), calls solve_ints
+and scales the value and the duals back.
+
 Tableau simplex.  Pivoting follows Bland's rule (lowest eligible
 column, ties in the ratio test broken by lowest basic variable), which
 guarantees termination even on degenerate programs and makes every
@@ -18,7 +25,7 @@ The tableau is fraction-free (Edmonds 1967; Bareiss 1968): integer
 rows over one shared positive denominator det, so each stored row is
 det times the rational tableau row.
 
-- Integer start.  Each row is multiplied by the LCM of its
+- Integer start.  solve multiplies each row by the LCM of its
   denominators, and its slack entry stays 1.  That only rescales that
   slack variable by a positive constant.  The objective is multiplied
   by the LCM of its denominators.  Positive scalings keep the sign of
@@ -44,7 +51,7 @@ columns change; otherwise every other row is rescaled as well.
 Duals and the certificate.  At an optimum, the stored reduced cost Y_i
 of row i's slack is det * K * y_i / L_i, with K the objective's scale,
 L_i row i's, and y an optimal dual: max -b.y s.t. A^T y >= -c, y >= 0.
-Before returning, solve() proves the optimum in integers, on the
+Before returning, solve_ints proves the optimum in integers, on the
 scaled rows (a_i, b_i), the scaled objective c and X = det * x:
 X >= 0 and a_i . X <= b_i * det (x is feasible); Y >= 0 and
 sum_i a_ij * Y_i >= -c_j * det for each column j (y is feasible); and
@@ -138,22 +145,49 @@ def _pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """One-phase simplex from the slack basis.  Statuses: optimal, unbounded."""
-    nv = lp.num_vars
-    ncols = nv + len(lp.rows)
+    """One-phase simplex from the slack basis.  Statuses: optimal, unbounded.
+
+    solve_ints on the scaled rows and objective; its value and duals
+    are scaled back (a row's dual by L_i / K, the value by 1 / K).
+    """
     scaled = [_scaled((*coeffs, rhs)) for coeffs, rhs in lp.rows]  # rhs last
-    ints = [row for _, row in scaled]
+    k, obj = _scaled(lp.objective)
+    sol = solve_ints(obj, [row for _, row in scaled])
+    if sol.status != OPTIMAL:
+        return sol
+    return LpSolution(
+        status=OPTIMAL,
+        value=sol.value / k,
+        assignment=sol.assignment,
+        duals=tuple(y * s / k if y else y for (s, _), y in zip(scaled, sol.duals)),
+    )
+
+
+def solve_ints(objective: Sequence[int], rows: Sequence[Sequence[int]]) -> LpSolution:
+    """solve() on a program given in ints: min objective . x subject to
+    row[:-1] . x <= row[-1] for each row, and x >= 0.
+
+    Raises ValueError, as program() does, on a negative rhs or a row of
+    the wrong length.  No scaling is needed: every K and L_i of the
+    module docstring is 1.
+    """
+    nv = len(objective)
+    ncols = nv + len(rows)
+    for row in rows:
+        if len(row) != nv + 1:
+            raise ValueError(f"row has {len(row) - 1} coefficients, expected {nv}")
+        if row[-1] < 0:
+            raise ValueError(f"rhs must be nonnegative, got {row[-1]}")
     tab: list[list[int]] = []
-    for i, row in enumerate(ints):
-        row = row[:nv] + [0] * len(lp.rows) + row[nv:]
+    for i, row in enumerate(rows):
+        row = [*row[:nv], *[0] * len(rows), row[-1]]
         row[nv + i] = 1
         tab.append(row)
     basis = list(range(nv, ncols))
     # the slacks cost nothing, so the cost row starts reduced;
-    # cost[-1] is -objective times det times the objective's scale
-    k, obj = _scaled(lp.objective)
-    cost = obj + [0] * (len(lp.rows) + 1)
-    rows = [*tab, cost]
+    # cost[-1] is -objective times det
+    cost = [*objective, *[0] * (len(rows) + 1)]
+    pivot_rows = [*tab, cost]
     det = 1
     while True:
         enter = next((j for j in range(ncols) if cost[j] < 0), -1)
@@ -172,7 +206,7 @@ def solve(lp: LinearProgram) -> LpSolution:
                     leave, num, den = i, row[-1], a
         if leave == -1:
             return LpSolution(status=UNBOUNDED)
-        det = _pivot(rows, leave, enter, det)
+        det = _pivot(pivot_rows, leave, enter, det)
         basis[leave] = enter
 
     x = [0] * nv
@@ -180,15 +214,13 @@ def solve(lp: LinearProgram) -> LpSolution:
         if b < nv:
             x[b] = tab[i][-1]
     y = cost[nv:ncols]
-    _check_optimal(ints, obj, x, y, det)
+    _check_optimal(rows, objective, x, y, det)
     zero = Fraction(0)
     return LpSolution(
         status=OPTIMAL,
-        value=Fraction(sum(c * v for c, v in zip(obj, x) if v), det * k),
+        value=Fraction(sum(c * v for c, v in zip(objective, x) if v), det),
         assignment=tuple(Fraction(v, det) if v else zero for v in x),
-        duals=tuple(
-            Fraction(s * v, det * k) if v else zero for (s, _), v in zip(scaled, y)
-        ),
+        duals=tuple(Fraction(v, det) if v else zero for v in y),
     )
 
 

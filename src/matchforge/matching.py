@@ -9,15 +9,20 @@ selections take the lexicographically first optimum.
 The enumerators build integer edge masks (bit e for edge e): one
 depth-first search per kind, _perfect_masks and _maximal_masks, which
 eta.py reads directly; the public enumerators decode them into
-frozensets.  Each search also keeps the reversed mask (bit m-1-e
-for edge e) and sorts on it, descending, by this lemma: on a family of
-sets none of which contains another, ascending order of the sorted
-edge tuples is descending order of the reversed masks.  For two such
-sets the smallest edge of their symmetric difference decides both
-orders, and the set holding it comes first in each: its tuple is the
-smaller one at that position (the other set still has an element
-there, as it is not a subset), and its reversed mask holds the highest
-differing bit.  No maximal matching contains another, and all perfect
+frozensets.  Each search runs on an explicit stack of int tuples: the
+free vertices as a vertex mask (bit v for vertex v), the exposed
+vertices as another (_maximal_masks only), the edge mask and the
+reversed mask.  A node branches on the lowest bit of its free mask and
+pushes its children in reverse, so they pop in g.adj order, exposure
+last.  No tuple changes once pushed, so backtracking is a pop with
+nothing to undo.  The reversed mask (bit m-1-e for edge e) is the sort
+key, descending, by this lemma: on a family of sets none of which
+contains another, ascending order of the sorted edge tuples is
+descending order of the reversed masks.  For two such sets the
+smallest edge of their symmetric difference decides both orders, and
+the set holding it comes first in each: its tuple is the smaller one
+at that position (the other set still has an element there, as it is
+not a subset), and its reversed mask holds the highest differing bit.  No maximal matching contains another, and all perfect
 matchings of a graph have n/2 edges, so both streams are sorted
 lexicographically.  Nested sets break the lemma: (0,) comes before
 (0, 1), yet its reversed mask is the smaller.
@@ -127,12 +132,14 @@ def _sorted_masks(found: list[tuple[int, int]]) -> list[int]:
     return [mask for _, mask in found]
 
 
-def _options(g: Graph) -> list[list]:
-    """Per vertex, its branches in adjacency order: (neighbour, mask bit,
-    reversed-mask bit) for each edge, then None."""
+def _options(g: Graph) -> list[list[tuple[int, int, int]]]:
+    """Per vertex, its matching branches in reversed adjacency order:
+    (neighbour's vertex bit, mask bit, reversed-mask bit) for each edge.
+    Pushed in this order, they pop in adjacency order."""
     top = g.m - 1
     return [
-        [(u, 1 << e, 1 << (top - e)) for u, e in g.adj[v]] + [None] for v in range(g.n)
+        [(1 << u, 1 << e, 1 << (top - e)) for u, e in reversed(g.adj[v])]
+        for v in range(g.n)
     ]
 
 
@@ -143,7 +150,11 @@ def _perfect_masks(
     count_budget: int = PERFECT_COUNT_BUDGET,
 ) -> list[int]:
     """The masks of all perfect matchings, in the order of
-    enumerate_perfect_matchings, with its limits and its errors."""
+    enumerate_perfect_matchings, with its limits and its errors.
+
+    The search of _maximal_masks without exposure: a node is (free
+    vertices, mask, reversed mask).
+    """
     if vertex_limit is None:
         vertex_limit = PERFECT_VERTEX_LIMIT
     if g.n > vertex_limit:
@@ -152,51 +163,23 @@ def _perfect_masks(
         )
     if g.n % 2:
         return []
-    n, options = g.n, _options(g)
+    options = _options(g)
     found: list[tuple[int, int]] = []
-    sat = [False] * n
-    mask = rmask = 0
-    stack: list[list] = []  # [branch vertex, next branch, branch to undo]
-    v = 0  # every vertex below v is saturated
-    while True:
-        while v < n and sat[v]:
-            v += 1
-        if v == n:
+    stack = [((1 << g.n) - 1, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        free, mask, rmask = pop()
+        if not free:
             if len(found) >= count_budget:
                 raise BudgetExceeded(f"more than {count_budget} perfect matchings")
             found.append((rmask, mask))
-        else:
-            sat[v] = True
-            stack.append([v, 0, None])
-        # backtrack to the deepest branch vertex with a neighbour left
-        while stack:
-            frame = stack[-1]
-            v, i, undo = frame
-            if undo is not None:
-                u, bit, rbit = undo
-                sat[u] = False
-                mask ^= bit
-                rmask ^= rbit
-            row = options[v]
-            while True:
-                option = row[i]
-                i += 1
-                if option is None:
-                    break
-                u, bit, rbit = option
-                if not sat[u]:
-                    sat[u] = True
-                    mask |= bit
-                    rmask |= rbit
-                    frame[1] = i
-                    frame[2] = option
-                    break
-            if option is not None:
-                break
-            sat[v] = False
-            stack.pop()
-        else:
-            return _sorted_masks(found)
+            continue
+        low = free & -free
+        free ^= low
+        for ubit, bit, rbit in options[low.bit_length() - 1]:
+            if free & ubit:
+                push((free ^ ubit, mask | bit, rmask | rbit))
+    return _sorted_masks(found)
 
 
 def _maximal_masks(
@@ -208,9 +191,15 @@ def _maximal_masks(
     """The masks of all maximal matchings, in the order of
     enumerate_maximal_matchings, with its limits and its errors.
 
-    The branch after a vertex's neighbours (None in its row) leaves it
-    exposed, which is allowed only while none of its neighbours is
-    exposed; exposed[v] counts those neighbours.
+    A node of the search is a tuple of ints: (free vertices, exposed
+    vertices, mask, reversed mask), bit v of a vertex mask for vertex
+    v.  A node branches on its lowest free vertex v: matched to each
+    free neighbour, then left exposed, which is allowed only while no
+    neighbour of v is exposed.  Its children are pushed in reverse, so
+    they pop in adjacency order with exposure last.  A child is built
+    as a new tuple from its parent's ints, and no tuple changes once
+    pushed, so a node needs no undo step: when its subtree is done,
+    the next pop is its next sibling, in the state it was pushed with.
     """
     if vertex_limit is None:
         vertex_limit = MAXIMAL_VERTEX_LIMIT
@@ -218,67 +207,27 @@ def _maximal_masks(
         raise BudgetExceeded(
             f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
         )
-    UNDECIDED, MATCHED, EXPOSED = 0, 1, 2
-    n, options = g.n, _options(g)
-    neighbours = [g.neighbors(v) for v in range(n)]
-    state = [UNDECIDED] * n
-    exposed = [0] * n  # exposed neighbours of each vertex
+    options = _options(g)
+    nbrs = [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
     found: list[tuple[int, int]] = []
-    mask = rmask = 0
-    # [branch vertex, next branch, branch to undo]; True undoes exposure
-    stack: list[list] = []
-    v = 0  # every vertex below v is decided
-    while True:
-        while v < n and state[v] != UNDECIDED:
-            v += 1
-        if v == n:
+    stack = [((1 << g.n) - 1, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        free, exposed, mask, rmask = pop()
+        if not free:
             if len(found) >= count_budget:
                 raise BudgetExceeded(f"more than {count_budget} maximal matchings")
             found.append((rmask, mask))
-        else:
-            state[v] = MATCHED
-            stack.append([v, 0, None])
-        while stack:
-            frame = stack[-1]
-            v, i, undo = frame
-            if undo is True:  # exposure is the last branch: v is done
-                for w in neighbours[v]:
-                    exposed[w] -= 1
-                state[v] = UNDECIDED
-                stack.pop()
-                continue
-            if undo is not None:
-                u, bit, rbit = undo
-                state[u] = UNDECIDED
-                mask ^= bit
-                rmask ^= rbit
-            row = options[v]
-            while True:
-                option = row[i]
-                i += 1
-                if option is None:
-                    break
-                u, bit, rbit = option
-                if state[u] == UNDECIDED:
-                    state[u] = MATCHED
-                    mask |= bit
-                    rmask |= rbit
-                    frame[1] = i
-                    frame[2] = option
-                    break
-            if option is not None:
-                break
-            if exposed[v]:
-                state[v] = UNDECIDED
-                stack.pop()
-                continue
-            state[v] = EXPOSED
-            for w in neighbours[v]:
-                exposed[w] += 1
-            frame[2] = True
-            break
-        else:
-            return _sorted_masks(found)
+            continue
+        low = free & -free
+        free ^= low
+        v = low.bit_length() - 1
+        if not nbrs[v] & exposed:
+            push((free, exposed | low, mask, rmask))
+        for ubit, bit, rbit in options[v]:
+            if free & ubit:
+                push((free ^ ubit, exposed, mask | bit, rmask | rbit))
+    return _sorted_masks(found)
 
 
 def enumerate_perfect_matchings(
@@ -292,9 +241,9 @@ def enumerate_perfect_matchings(
     Branches on the lowest unsaturated vertex, so each matching is
     produced exactly once.  Raises BudgetExceeded if the graph is over
     vertex_limit (None: PERFECT_VERTEX_LIMIT) or more than count_budget
-    matchings exist.  The search keeps its own stack, one frame per
-    matched pair, so its depth is not bounded by the interpreter's
-    recursion limit.  A decode of _perfect_masks.
+    matchings exist.  The search keeps its own stack of pending nodes,
+    so its depth is not bounded by the interpreter's recursion limit.
+    A decode of _perfect_masks.
     """
     masks = _perfect_masks(g, vertex_limit=vertex_limit, count_budget=count_budget)
     return tuple(frozenset(_decode(mask)) for mask in masks)

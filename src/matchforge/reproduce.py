@@ -3,7 +3,8 @@
 Each check recomputes a documented value from scratch and fails loudly
 on any mismatch.  run_checks drives them with per-check wall clocks;
 the gated checks run past the default enumeration budgets (the exact
-eta of nauru, about a second, among them) and only run on request.
+eta of nauru, and of gp(13,5) and gp(14,3) at 26 and 28 vertices,
+among them) and only run on request.
 """
 
 from __future__ import annotations
@@ -311,6 +312,33 @@ def _check_nauru_eta() -> str:
     return "exact eta(nauru) = 1/2, matching its exposed-set bound"
 
 
+# exact eta past 24 vertices, where the tests do not enumerate: per
+# gp(n, k), the value, the argmax matching and the witness weights
+GP_ETA = {
+    (13, 5): (
+        Fraction(4, 9),
+        (0, 2, 6, 18, 22, 24, 27, 29, 36, 38),
+        {**dict.fromkeys((0, 6, 18, 22, 24, 29, 38), Fraction(1, 4)), 36: HALF},
+    ),
+    (14, 3): (
+        Fraction(3, 7),
+        (0, 2, 4, 6, 9, 26, 31, 32, 36, 41),
+        dict.fromkeys((0, 9, 26, 31, 32, 36, 41), THIRD),
+    ),
+}
+
+
+def _check_gp_eta() -> str:
+    for (n, k), (value, argmax, witness) in GP_ETA.items():
+        g = gp(n, k)
+        r = eta_exact(g, vertex_limit=g.n)
+        check(r.value == value, (n, k, r.value))
+        check(r.argmax_matching == argmax, (n, k, r.argmax_matching))
+        expected = tuple(witness.get(e, 0) for e in range(g.m))
+        check(r.witness_weights == expected, (n, k, r.witness_weights))
+    return "exact eta gp(13,5) = 4/9, gp(14,3) = 3/7"
+
+
 @dataclass(frozen=True)
 class Check:
     check_id: str
@@ -336,6 +364,7 @@ CHECKS: tuple[Check, ...] = (
     Check("4-full", "nauru full maximal scan", None, True, _check_nauru_full_scan),
     Check("8-full", "family depth-2 snark", None, True, _check_family_d2_snark),
     Check("nauru-eta", "exact eta of nauru", None, True, _check_nauru_eta),
+    Check("gp-eta", "exact eta of gp(13,5) and gp(14,3)", None, True, _check_gp_eta),
 )
 
 

@@ -518,6 +518,28 @@ def test_find_independent_set_bound_nauru():
     assert find_independent_set_bound(named("petersen"), 5) is None
 
 
+def test_odd_components_are_refused_before_the_subgraph(monkeypatch, seed=20261020):
+    # the flood fill agrees with graphs.components on random remainders
+    rng = random.Random(seed)
+    for _ in range(200):
+        n = rng.randrange(1, 13)
+        p = rng.random()
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = from_edge_list(n, pairs)
+        removed = [v for v in range(n) if rng.random() < 0.3]
+        rest = sum(1 << v for v in range(n) if v not in removed)
+        nbrs = [sum(1 << u for u in g.neighbors(v)) for v in range(n)]
+        want = any(len(c) % 2 for c in components(delete(g, vertices=removed).graph))
+        assert eta_module._has_odd_component(nbrs, rest) == want, (pairs, removed)
+    # on nauru, 148 of the 149 full nodes leave an odd component; only
+    # the witness's remainder is built and matched
+    built = []
+    real = eta_module.delete
+    monkeypatch.setattr(eta_module, "delete", lambda *a, **k: built.append(1) or real(*a, **k))
+    assert find_independent_set_bound(named("nauru"), 8) is not None
+    assert len(built) == 1
+
+
 def test_find_independent_set_bound_is_the_first_witness(seed=20261019):
     # reference: the first independent set, in itertools.combinations
     # order, whose deletion leaves a graph with a perfect matching

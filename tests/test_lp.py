@@ -18,6 +18,7 @@ from matchforge.lp import (
     _check_optimal,
     program,
     solve,
+    solve_ints,
 )
 from matchforge.matching import enumerate_perfect_matchings
 
@@ -318,10 +319,17 @@ def _berge_shaped_program(rng):
 
 
 def _eta_programs(monkeypatch, names):
-    """The LPs that eta_exact and berge_witness solve on these graphs."""
+    """The LPs that eta_exact (through solve_ints) and berge_witness
+    (through solve) solve on these graphs, as LinearPrograms."""
     seen = []
-    real = eta.solve
+    real, real_ints = eta.solve, eta.solve_ints
+
+    def spy_ints(objective, rows):
+        seen.append(program(objective, [(row[:-1], row[-1]) for row in rows]))
+        return real_ints(objective, rows)
+
     monkeypatch.setattr(eta, "solve", lambda lp: seen.append(lp) or real(lp))
+    monkeypatch.setattr(eta, "solve_ints", spy_ints)
     for name in names:
         eta.eta_exact(named(name))
         eta.berge_witness(named(name))
@@ -500,3 +508,91 @@ def test_solve_raises_when_the_tableau_is_corrupted(monkeypatch):
     monkeypatch.setattr(lp_module, "_pivot", corrupt)
     with pytest.raises(InternalError):
         solve(_checked_program())
+
+
+def _support_programs(monkeypatch):
+    """The int programs that eta_exact hands to solve_ints on catalog(20)."""
+    seen = []
+    real = eta.solve_ints
+
+    def spy(objective, rows):
+        seen.append((list(objective), [list(row) for row in rows]))
+        return real(objective, rows)
+
+    monkeypatch.setattr(eta, "solve_ints", spy)
+    for g in catalog(20):
+        eta.eta_exact(g)
+    monkeypatch.setattr(eta, "solve_ints", real)
+    return seen
+
+
+def _int_scaled(p):
+    """p's objective and rows (rhs last), each times the LCM of its
+    denominators."""
+    rows = [lp_module._scaled((*coeffs, rhs))[1] for coeffs, rhs in p.rows]
+    return lp_module._scaled(p.objective)[1], rows
+
+
+def _with_pivots(monkeypatch, run):
+    """run()'s solution and the (row, column, det) of each of its pivots."""
+    pivot = lp_module._pivot
+    pivots: list = []
+
+    def spy(rows, r, c, det):
+        pivots.append((r, c, det))
+        return pivot(rows, r, c, det)
+
+    monkeypatch.setattr(lp_module, "_pivot", spy)
+    try:
+        return run(), pivots
+    finally:
+        monkeypatch.setattr(lp_module, "_pivot", pivot)
+
+
+def test_solve_ints_is_solve_on_the_same_numbers(monkeypatch, seed=79):
+    support = _support_programs(monkeypatch)
+    assert len(support) > 20
+    rng = random.Random(seed)
+    fractional = [_random_program(rng) for _ in range(150)]
+    fractional += [_berge_shaped_program(rng) for _ in range(150)]
+    statuses = set()
+    for objective, rows in support + [_int_scaled(p) for p in fractional]:
+        p = program(objective, [(row[:-1], row[-1]) for row in rows])
+        got = _with_pivots(monkeypatch, lambda: solve_ints(objective, rows))
+        assert got == _with_pivots(monkeypatch, lambda: solve(p))
+        statuses.add(got[0].status)
+    assert statuses == {OPTIMAL, UNBOUNDED}
+
+
+def test_solve_scales_the_int_solution_back(monkeypatch, seed=80):
+    # solve on Fraction rows pivots as solve_ints on their int scaling;
+    # the value comes back over the objective's scale K, and row i's
+    # dual over K / L_i
+    rng = random.Random(seed)
+    scaled_rows = 0
+    for _ in range(200):
+        p = _berge_shaped_program(rng)
+        k = lp_module._scaled(p.objective)[0]
+        scales = [lp_module._scaled((*c, b))[0] for c, b in p.rows]
+        got, got_pivots = _with_pivots(monkeypatch, lambda: solve(p))
+        ints, int_pivots = _with_pivots(monkeypatch, lambda: solve_ints(*_int_scaled(p)))
+        assert got_pivots == int_pivots
+        assert (got.status, got.assignment) == (ints.status, ints.assignment)
+        if got.status == OPTIMAL:
+            assert got.value == ints.value / k
+            assert got.duals == tuple(y * s / k for y, s in zip(ints.duals, scales))
+            scaled_rows += any(s != 1 for s in scales)
+    assert scaled_rows > 50
+
+
+def test_solve_ints_validates_like_program():
+    for objective, rows in [
+        ([1], [[1, -1]]),  # negative rhs
+        ([1, 2], [[1, 0]]),  # one coefficient short
+        ([1], [[1, 2, 3]]),  # one coefficient too many
+    ]:
+        with pytest.raises(ValueError):
+            program(objective, [(row[:-1], row[-1]) for row in rows])
+        with pytest.raises(ValueError):
+            solve_ints(objective, rows)
+    assert solve_ints([1, 2], []) == solve(program([1, 2], []))

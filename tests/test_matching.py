@@ -257,6 +257,64 @@ def test_mask_cores_give_the_reference_streams(g):
         assert enumerate_(g) == reference(g), enumerate_.__name__
 
 
+def _mixed_degree_graphs(seed=20261019, count=200):
+    """Seeded random graphs on at most 12 vertices: a random core, some
+    isolated vertices and some pendant ones, relabelled at random.  The
+    edges are listed in shuffled order, and edge ids follow the list, so
+    a vertex's adjacency order is not the order of its neighbours."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        isolated = min(rng.choice((0, 0, 0, 1, 2)), n - 1)
+        pendant = rng.randint(0, min(3, n - isolated - 1))
+        core = n - isolated - pendant
+        p = rng.uniform(0.3, 1.0)
+        pairs = [(u, v) for u in range(core) for v in range(u + 1, core) if rng.random() < p]
+        pairs += [(core + i, rng.randrange(core)) for i in range(pendant)]
+        label = list(range(n))
+        rng.shuffle(label)
+        rng.shuffle(pairs)
+        yield from_edge_list(n, [(label[u], label[v]) for u, v in pairs])
+
+
+def test_mask_cores_give_the_reference_streams_on_mixed_degrees():
+    seen = {"isolated": 0, "pendant": 0, "irregular": 0, "unsorted": 0, "perfect": 0}
+    for i, g in enumerate(_mixed_degree_graphs()):
+        degrees = {g.degree(v) for v in range(g.n)}
+        seen["isolated"] += 0 in degrees
+        seen["pendant"] += 1 in degrees
+        seen["irregular"] += len(degrees) > 1
+        seen["unsorted"] += any(
+            list(g.neighbors(v)) != sorted(g.neighbors(v)) for v in range(g.n)
+        )
+        seen["perfect"] += bool(reference_perfect_matchings(g))
+        for enumerate_, reference in STREAMS:
+            assert enumerate_(g) == reference(g), (i, enumerate_.__name__)
+    assert min(seen.values()) >= 30, seen
+
+
+def _disjoint_union(*graphs):
+    pairs, offset = [], 0
+    for g in graphs:
+        pairs += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return from_edge_list(offset, pairs)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("k4", "k4", "k4"), ("k33", "cube"), ("k4", "petersen"), ("petersen", "cube")],
+)
+def test_mask_cores_on_disjoint_unions(names):
+    parts = [named(name) for name in names]
+    g = _disjoint_union(*parts)
+    for enumerate_, reference in STREAMS:
+        stream = enumerate_(g)
+        assert stream == reference(g), enumerate_.__name__
+        # a matching of a disjoint union is one matching per part
+        assert len(stream) == math.prod(len(enumerate_(h)) for h in parts)
+
+
 def _outcome(enumerate_, g, **kw):
     try:
         return enumerate_(g, **kw)

@@ -158,9 +158,11 @@ def test_orbit_scan_changes_no_result(monkeypatch, g):
 
 def test_gp83_meets_each_orbit_once(monkeypatch):
     calls = []
-    solve = eta.solve
+    solve_ints = eta.solve_ints
     greedy = eta._greedy_cover_count
-    monkeypatch.setattr(eta, "solve", lambda lp: calls.append("lp") or solve(lp))
+    monkeypatch.setattr(
+        eta, "solve_ints", lambda *a: calls.append("lp") or solve_ints(*a)
+    )
     monkeypatch.setattr(
         eta, "_greedy_cover_count", lambda *a: calls.append("greedy") or greedy(*a)
     )
