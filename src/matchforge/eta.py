@@ -49,6 +49,16 @@ best s.  So a skipped orbit-mate would fail the strict s > best test
 that picks the result, and the value, the argmax and its LP
 assignment are those of the full scan.
 
+On a bridgeless graph with every degree 3, the scan also stops once
+the best s reaches 3.  There every odd vertex set has an odd number of
+boundary edges, at least 3 of them, so the all-1/3 vector lies in the
+perfect-matching polytope (Edmonds): it is a convex combination of
+perfect matchings P.  A feasible w has w(P) <= 1 for each of them, so
+w(E)/3 <= 1, and s(M) <= w(E) <= 3 for every M.  No later M can pass
+the strict s > best test, so the value, the argmax and its LP
+assignment are again those of the full scan.  The paper's lower bound
+eta >= 1/3 is the same fact.
+
 Certificates bound eta from one side and carry enough raw data for
 verify() to recheck the claim from scratch.  A cap comes from one
 blossom call, with the Edmonds dual that proves it (see cap_certificate).
@@ -232,15 +242,20 @@ def is_eta_one(g: Graph) -> tuple[bool, frozenset[int] | None]:
 # exact value
 
 
-def _greedy_cover_count(mask: int, pm_masks: Sequence[int]) -> int:
+def _greedy_cover_count(mask: int, pm_masks: Sequence[int], bound: int) -> int:
     """Perfect matchings needed to cover all bits of mask, greedily.
 
     Any such cover is a feasible dual for s(M), so its size bounds s(M)
-    from above; used only to skip hopeless LPs.
+    from above; used only to skip hopeless LPs, when the count is at
+    most bound.  Past bound the count does not matter, so it returns
+    bound + 1 as soon as the cover needs more than bound perfect
+    matchings, or 1 << 60 once it meets an edge that none covers.
     """
     count = 0
     remaining = mask
     while remaining:
+        if count == bound:
+            return bound + 1
         best_gain = 0
         best_pm = 0
         for pm in pm_masks:
@@ -371,6 +386,9 @@ def eta_exact(
 
     maximals = _maximal_masks(g, count_budget=maximal_count, vertex_limit=vertex_limit)
     tables = _orbit_tables(edge_automorphisms(g))
+    # s(M) <= 3 on a bridgeless cubic graph (see the module docstring)
+    cubic = all(len(row) == 3 for row in g.adj)
+    ceiling = 3 if cubic and is_bridgeless(g)[0] else None
 
     best_s: Fraction | None = None
     best_floor = 0  # floor(best_s): a cover count is <= best_s iff <= this
@@ -381,7 +399,10 @@ def eta_exact(
         if mask in seen:
             continue
         _add_orbit(mask, tables, seen)
-        if best_s is not None and _greedy_cover_count(mask, pm_masks) <= best_floor:
+        if (
+            best_s is not None
+            and _greedy_cover_count(mask, pm_masks, best_floor) <= best_floor
+        ):
             continue
         edges = _decode(mask)
         s, assignment = _support_lp_max(edges, pm_masks)
@@ -390,6 +411,8 @@ def eta_exact(
             best_floor = s.numerator // s.denominator
             best_edges = edges
             best_assignment = assignment
+            if best_s == ceiling:
+                break
     if best_s is None or best_edges is None or best_s < 1:
         raise InternalError(f"LP scan ended with s = {best_s}, expected >= 1")
 

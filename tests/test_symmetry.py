@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from matchforge.classify import is_bridgeless
 from matchforge.eta import _add_orbit, _orbit_tables, eta_exact
 from matchforge.generators import catalog, gp, named, random_cubic
 from matchforge.graphs import from_edge_list
-from matchforge.matching import enumerate_maximal_matchings
+from matchforge.matching import _perfect_masks, enumerate_maximal_matchings
 from matchforge.symmetry import edge_automorphisms, edge_permutation
 
 K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -81,6 +82,138 @@ def test_generators_generate_the_whole_group(ng):
     gens = symmetry._vertex_generators(ng)
     assert len(gens) < ng.n
     assert closure(gens, ng.n) == brute_force_group(ng)
+
+
+def coarsest_equitable(adj, cells):
+    """Reference refinement: every round splits every cell by the sorted
+    cells of its vertices' neighbours, until no cell splits."""
+    while True:
+        colour = {v: i for i, cell in enumerate(cells) for v in cell}
+        split = []
+        for cell in cells:
+            groups = {}
+            for v in cell:
+                groups.setdefault(tuple(sorted(colour[u] for u in adj[v])), []).append(v)
+            split.extend(groups[sig] for sig in sorted(groups))
+        if len(split) == len(cells):
+            return cells
+        cells = split
+
+
+def cells_of(node):
+    lab, _, end = node
+    out, s = [], 0
+    while s < len(lab):
+        out.append(lab[s : end[s]])
+        s = end[s]
+    return out
+
+
+def is_equitable(adj, cells):
+    colour = {v: i for i, cell in enumerate(cells) for v in cell}
+    return all(
+        len({tuple(sorted(colour[u] for u in adj[v])) for v in cell}) == 1
+        for cell in cells
+    )
+
+
+def mixed_graphs(count, seed):
+    """Seeded graphs of mixed degrees, isolated vertices included."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        out.append(from_edge_list(n, rng.sample(pairs, rng.randint(0, len(pairs)))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "g",
+    list(catalog(20)) + mixed_graphs(40, 20261019) + [five_k4()],
+    ids=lambda g: getattr(g, "name", f"graph-n{g.n}-m{g.m}"),
+)
+def test_refine_gives_the_coarsest_equitable_partition(g):
+    adj = [g.neighbors(v) for v in range(g.n)]
+    nbrs = [sum(1 << u for u in row) for row in adj]
+    node, _ = symmetry._root(adj, nbrs)
+    rng = random.Random(g.n * 1000 + g.m)
+    while True:
+        cells = cells_of(node)
+        assert sorted(v for cell in cells for v in cell) == list(range(g.n))
+        assert is_equitable(adj, cells)
+        assert {frozenset(c) for c in coarsest_equitable(adj, cells)} == {
+            frozenset(c) for c in cells
+        }
+        t = symmetry._target(node)
+        if t < 0:
+            break
+        # the target is the first smallest non-singleton cell
+        sizes = [len(c) for c in cells]
+        i = [sum(sizes[:j]) for j in range(len(cells))].index(t)
+        assert sizes[i] == min(k for k in sizes if k > 1)
+        assert min(k for k in sizes[:i] + [g.n + 1] if k > 1) > sizes[i]
+        parent_cells = [frozenset(c) for c in cells]
+        node = symmetry._child(node, t, rng.choice(node[0][t : node[2][t]]))
+        symmetry._refine(adj, node, [t], None)
+        # the child refines the parent with one vertex made a singleton
+        assert all(any(frozenset(c) <= p for p in parent_cells) for c in cells_of(node))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_refine_is_equitable_from_any_colouring(seed):
+    rng = random.Random(seed)
+    for g in mixed_graphs(40, seed) + seeded_cubic(10, seed):
+        adj = [g.neighbors(v) for v in range(g.n)]
+        colour = [rng.randrange(rng.randint(1, 3)) for _ in range(g.n)]
+        node, queue = symmetry._partition(colour)
+        before = cells_of(node)
+        symmetry._refine(adj, node, queue, None)
+        cells = cells_of(node)
+        assert is_equitable(adj, cells)
+        assert {frozenset(c) for c in coarsest_equitable(adj, before)} == {
+            frozenset(c) for c in cells
+        }
+
+
+def relabelled(g, rng):
+    sigma = list(range(g.n))
+    rng.shuffle(sigma)
+    pairs = [(sigma[u], sigma[v]) for u, v in g.edges]
+    rng.shuffle(pairs)
+    return sigma, from_edge_list(g.n, pairs)
+
+
+def vertex_orbits(gens, n):
+    return {frozenset(symmetry._orbit({v}, gens)) for v in range(n)}
+
+
+def seeded_cubic(count, seed):
+    rng = random.Random(seed)
+    return [random_cubic(rng.choice((4, 6, 8, 10, 12)), rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    list(catalog(20)) + seeded_cubic(50, 20261020),
+    ids=lambda g: getattr(g, "name", f"cubic-n{g.n}"),
+)
+def test_generators_are_exact_under_relabelling(g):
+    group = brute_force_group(g)
+    orbits = vertex_orbits(symmetry._vertex_generators(g), g.n)
+    assert orbits == vertex_orbits(list(group), g.n)
+    rng = random.Random(g.n * 100 + len(group))
+    for _ in range(20):
+        sigma, h = relabelled(g, rng)
+        gens = symmetry._vertex_generators(h)
+        inverse = sorted(range(g.n), key=sigma.__getitem__)
+        conjugates = {
+            tuple(sigma[p[inverse[x]]] for x in range(g.n)) for p in group
+        }
+        assert closure(gens, g.n) == conjugates
+        assert vertex_orbits(gens, g.n) == {
+            frozenset(sigma[v] for v in orbit) for orbit in orbits
+        }
 
 
 @pytest.mark.parametrize("ng", catalog(20), ids=lambda ng: ng.name)
@@ -170,6 +303,95 @@ def test_gp83_meets_each_orbit_once(monkeypatch):
     assert 0 < calls.count("lp") <= 12
     # 15 orbits: the first one is solved without a greedy cover
     assert calls.count("greedy") <= 14
+
+
+def scan_calls(monkeypatch):
+    """Record each support LP, with its value s, and each greedy cover."""
+    calls = []
+    solve_ints = eta.solve_ints
+    greedy = eta._greedy_cover_count
+
+    def lp(*a):
+        sol = solve_ints(*a)
+        calls.append(("lp", -sol.value))
+        return sol
+
+    monkeypatch.setattr(eta, "solve_ints", lp)
+    monkeypatch.setattr(
+        eta, "_greedy_cover_count", lambda *a: calls.append(("greedy",)) or greedy(*a)
+    )
+    return calls
+
+
+def first_bridgeless_cubic(n, seed):
+    rng = random.Random(seed)
+    while True:
+        g = random_cubic(n, rng)
+        if is_bridgeless(g)[0]:
+            return g
+
+
+@pytest.mark.parametrize(
+    "g, orbits",
+    [(named("petersen"), 3), (first_bridgeless_cubic(12, 3), 70)],
+    ids=["petersen", "random-n12"],
+)
+def test_scan_stops_at_the_floor(monkeypatch, g, orbits):
+    assert orbit_count_reference(g, enumerate_maximal_matchings(g)) == orbits
+    calls = scan_calls(monkeypatch)
+    stopped = eta_exact(g)
+    # the LP that reached s = 3 is the last LP or greedy cover to run
+    assert calls[-1] == ("lp", 3)
+    assert ("lp", 3) not in calls[:-1]
+    assert len(calls) < 2 * orbits
+    # without the stop the scan meets every orbit, to the same result
+    calls.clear()
+    monkeypatch.setattr(eta, "is_bridgeless", lambda g: (False, 0))
+    assert eta_exact(g) == stopped
+    assert sum(call[0] == "greedy" for call in calls) == orbits - 1
+
+
+def test_scan_meets_every_orbit_off_cubic_graphs(monkeypatch):
+    # Petersen plus a chord: bridgeless and connected, with degrees 3
+    # and 4; s reaches 3 at the third of 24 orbits
+    g = from_edge_list(10, list(named("petersen").edges) + [(1, 9)])
+    orbits = orbit_count_reference(g, enumerate_maximal_matchings(g))
+    assert orbits == 24
+    calls = scan_calls(monkeypatch)
+    assert eta_exact(g).value == Fraction(1, 3)
+    assert ("lp", 3) in calls[:-1]
+    assert sum(call[0] == "greedy" for call in calls) == orbits - 1
+
+
+def greedy_cover_reference(mask, pm_masks):
+    """The greedy cover counted to the end; 1 << 60 if it cannot cover."""
+    count = 0
+    while mask:
+        gain, best = max(((pm & mask).bit_count(), -i) for i, pm in enumerate(pm_masks))
+        if gain == 0:
+            return 1 << 60
+        mask &= ~pm_masks[-best]
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("ng", catalog(20), ids=lambda ng: ng.name)
+def test_greedy_cover_stops_past_its_bound(ng):
+    pms = _perfect_masks(ng)
+    rng = random.Random(ng.m)
+    for _ in range(200):
+        mask = rng.getrandbits(ng.m)
+        # a few perfect matchings leave some edges uncoverable
+        cover = pms if rng.random() < 0.7 else pms[: rng.randint(1, 3)]
+        full = greedy_cover_reference(mask, cover)
+        for bound in range(6):
+            got = eta._greedy_cover_count(mask, cover, bound)
+            if full <= bound:
+                assert got == full
+            elif full < 1 << 60:
+                assert got == bound + 1
+            else:  # uncoverable: any count past the bound skips nothing
+                assert got > bound
 
 
 @pytest.mark.parametrize(
