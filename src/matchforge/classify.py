@@ -158,8 +158,9 @@ def hamiltonian_cycle(
     """A hamiltonian cycle as a vertex sequence starting at 0, or None.
 
     Backtracking extends the path by the first unvisited neighbour in
-    g.adj order, which is edge-id order, not neighbour order.  The cycle's second vertex is forced below its
-    last, which removes the reversal twin of each cycle.
+    g.adj order, which is edge-id order, not neighbour order.  The
+    cycle's second vertex is forced below its last, which removes the
+    reversal twin of each cycle.
     """
     n = g.n
     if n == 0:

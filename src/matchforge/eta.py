@@ -71,7 +71,7 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .blossom import dual_objective
 from .classify import is_bridgeless, is_independent
@@ -83,7 +83,7 @@ from .errors import (
     NoPerfectMatching,
     ParseError,
 )
-from .graphs import CubicGraph, Graph, components, delete
+from .graphs import CubicGraph, Graph
 from .lp import OPTIMAL, program, solve, solve_ints
 from .matching import (
     MAXIMAL_COUNT_BUDGET,
@@ -168,8 +168,8 @@ def is_eta_zero(g: Graph) -> tuple[bool, int | None]:
     matching.
 
     The edges of each perfect matching found are marked, since they lie
-    in one.  Each unmarked edge, in id order, is tested by deleting its
-    endpoints and asking for a perfect matching of the rest; one found
+    in one.  Each unmarked edge, in id order, is tested by asking for a
+    perfect matching of g less its endpoints (_remainder); one found
     there, plus the edge, is a perfect matching of g, marked in turn.
     """
     pm = _perfect_matching(g)
@@ -181,14 +181,25 @@ def is_eta_zero(g: Graph) -> tuple[bool, int | None]:
     for eid in range(g.m):
         if covered[eid]:
             continue
-        sub = delete(g, vertices=g.endpoints(eid))
-        pm = _perfect_matching(sub.graph)
+        u, v = g.edges[eid]
+        sub, kept = _remainder(g, 1 << u | 1 << v)
+        pm = _perfect_matching(sub)
         if pm is None:
             return True, eid
         covered[eid] = True
         for e in pm:
-            covered[sub.edge_map[e]] = True
+            covered[kept[e]] = True
     return False, None
+
+
+def _remainder(g: Graph, drop: int) -> tuple[Graph, list[int]]:
+    """g less the vertices of the mask drop, the rest renumbered densely
+    in ascending order, and the ids in g of the edges it keeps."""
+    keep = [v for v in range(g.n) if not drop >> v & 1]
+    new_id = dict(zip(keep, range(len(keep))))
+    kept = [e for e, (u, v) in enumerate(g.edges) if u in new_id and v in new_id]
+    pairs = tuple((new_id[u], new_id[v]) for u, v in map(g.edges.__getitem__, kept))
+    return Graph(len(keep), pairs), kept
 
 
 def is_eta_one(g: Graph) -> tuple[bool, frozenset[int] | None]:
@@ -365,7 +376,8 @@ def eta_exact(
     none of them covers carries the witness weight.  When that
     enumeration is over budget, is_eta_zero decides instead; if it
     finds no such edge, the enumeration's BudgetExceeded is raised.
-    Raises NoPerfectMatching when g has no perfect matching.
+    Raises NoPerfectMatching when g has no perfect matching, and
+    BadParameters when g has no edges to weight.
     """
     try:
         pm_masks = _perfect_masks(
@@ -383,6 +395,8 @@ def eta_exact(
     if zero:
         w = [Fraction(int(e == bad_edge)) for e in range(g.m)]
         return _witness_result(g, w, Fraction(1), Fraction(0))
+    if not g.m:  # the empty graph: its empty matching is perfect
+        raise BadParameters("graph has no edges, so eta is undefined")
 
     maximals = _maximal_masks(g, count_budget=maximal_count, vertex_limit=vertex_limit)
     tables = _orbit_tables(edge_automorphisms(g))
@@ -508,8 +522,8 @@ def find_independent_set_bound(
     first witness wins.  Returns None if no such set exists.  The search
     keeps its path in chosen rather than on the interpreter's stack.
     A full node whose remainder g - S has a component of odd size has
-    no perfect matching there, so it is refused before the subgraph is
-    built or the blossom runs.
+    no perfect matching there, so it is refused by a flood fill before
+    g - S is built (_remainder) or the blossom runs.
     """
     if set_size < 0 or set_size > g.n:
         raise BadParameters(f"set size {set_size} out of range")
@@ -527,14 +541,12 @@ def find_independent_set_bound(
         if nodes > node_budget:
             raise BudgetExceeded(f"witness search passed {node_budget} nodes")
         if len(chosen) == set_size:
-            if not _has_odd_component(nbrs, full & ~taken):
-                sub = delete(g, vertices=chosen)
-                if has_perfect_matching(sub.graph):
-                    pm = max_weight_perfect_matching(
-                        sub.graph, [Fraction(1)] * sub.graph.m
-                    )
-                    m = frozenset(sub.original_edge(e) for e in pm)
-                    return maximal_matching_bound(g, m)
+            rest = full & ~taken
+            if not any(c.bit_count() % 2 for c in _mask_components(nbrs, rest)):
+                sub, kept = _remainder(g, taken)
+                if has_perfect_matching(sub):
+                    pm = max_weight_perfect_matching(sub, [Fraction(1)] * sub.m)
+                    return maximal_matching_bound(g, frozenset(kept[e] for e in pm))
             v = g.n  # a full node adds no vertex
         # the next vertex to add: this node's first candidate from v, else
         # the next candidate of the deepest ancestor that has one left
@@ -554,10 +566,10 @@ def find_independent_set_bound(
         v += 1
 
 
-def _has_odd_component(nbrs: Sequence[int], rest: int) -> bool:
-    """Whether the vertices of the mask rest induce a component of odd
-    size, found by a flood fill over nbrs (bit u of nbrs[v] set for
-    each neighbour u of v).  Such a remainder has no perfect matching."""
+def _mask_components(nbrs: Sequence[int], rest: int) -> Iterator[int]:
+    """The components of the subgraph induced on the vertex mask rest,
+    as vertex masks, in order of their lowest vertex, found by a flood
+    fill over nbrs (bit u of nbrs[v] set for each neighbour u of v)."""
     while rest:
         comp = frontier = rest & -rest
         while frontier:
@@ -568,10 +580,8 @@ def _has_odd_component(nbrs: Sequence[int], rest: int) -> bool:
                 frontier ^= low
             frontier = reach & rest & ~comp
             comp |= frontier
-        if comp.bit_count() % 2:
-            return True
+        yield comp
         rest &= ~comp
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +701,10 @@ def odd_component_cert(g: Graph, f: Iterable[int]) -> BoundCertificate:
 
 
 def _components_without(g: Graph, m: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    sub = delete(g, vertices=saturated(g, m))
-    return tuple(
-        tuple(sub.original_vertex(v) for v in comp) for comp in components(sub.graph)
-    )
+    """The components of g less the ends of m, as graphs.components lists them."""
+    nbrs = [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
+    rest = ((1 << g.n) - 1) & ~sum(1 << v for v in saturated(g, m))
+    return tuple(map(_decode, _mask_components(nbrs, rest)))
 
 
 # ---------------------------------------------------------------------------
@@ -773,8 +783,8 @@ def verify(g: Graph, cert: BoundCertificate) -> tuple[bool, str]:
         if cert.matching is None or cert.independent_set is None:
             return False, "missing payload"
         m = frozenset(cert.matching)
-        if not is_matching(g, m):
-            return False, "matching field is not a matching"
+        if not m or not is_matching(g, m):
+            return False, "matching field is not a nonempty matching"
         exposed = unsaturated(g, m)
         if tuple(cert.independent_set) != exposed:
             return False, "stated set is not the exposed vertex set"

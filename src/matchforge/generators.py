@@ -272,37 +272,6 @@ def dot_product(spec: DotProductSpec) -> CubicGraph:
 # simple joins
 
 
-def vertex_join(
-    g: CubicGraph,
-    u: int,
-    h: CubicGraph,
-    v: int,
-    pairing: Iterable[tuple[int, int]],
-) -> CubicGraph:
-    """Remove u from g and v from h, then wire the stubs together.
-
-    `pairing` is a bijection (g_neighbour, h_neighbour) with three
-    entries.  Output order is |g| + |h| - 2.
-    """
-    pairing = tuple(pairing)
-    if not (0 <= u < g.n and 0 <= v < h.n):
-        raise SpecInvalid("join vertex out of range")
-    gn = set(g.neighbors(u))
-    hn = set(h.neighbors(v))
-    if sorted(a for a, _ in pairing) != sorted(gn) or sorted(
-        b for _, b in pairing
-    ) != sorted(hn):
-        raise SpecInvalid("pairing must match the deleted vertices' neighbours")
-    keep = [w for w in range(g.n) if w != u]
-    gid = {w: i for i, w in enumerate(keep)}
-    off = len(keep)
-    hid = {w: off + (w if w < v else w - 1) for w in range(h.n) if w != v}
-    pairs = [(gid[a], gid[b]) for a, b in g.edges if u not in (a, b)]
-    pairs += [(hid[a], hid[b]) for a, b in h.edges if v not in (a, b)]
-    pairs += [(gid[a], hid[b]) for a, b in pairing]
-    return as_cubic(from_edge_list(g.n + h.n - 2, pairs))
-
-
 def edge_join(
     g: CubicGraph,
     e: int,

@@ -8,8 +8,7 @@ these ids, so they never change once a Graph exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DuplicateEdge,
@@ -133,64 +132,8 @@ def as_cubic(g: Graph) -> CubicGraph:
     return out
 
 
-@dataclass(frozen=True)
-class InducedSubgraph:
-    """A deletion result plus the id maps back into the source graph.
-
-    vertex_map[i] and edge_map[j] give the original ids of new vertex i
-    and new edge j.
-    """
-
-    graph: Graph
-    vertex_map: tuple[int, ...]
-    edge_map: tuple[int, ...]
-
-    def original_vertex(self, v: int) -> int:
-        return self.vertex_map[v]
-
-    def original_edge(self, e: int) -> int:
-        return self.edge_map[e]
-
-
-def delete(
-    g: Graph,
-    vertices: Iterable[int] = (),
-    edges: Iterable[int] = (),
-) -> InducedSubgraph:
-    """Remove vertices (with their incident edges) and edges by id.
-
-    Surviving vertices are renumbered densely in ascending original
-    order.  The result records both id maps.
-    """
-    drop_v = set(vertices)
-    for v in drop_v:
-        if not 0 <= v < g.n:
-            raise VertexOutOfRange(f"vertex {v} not in 0..{g.n - 1}")
-    drop_e = set(edges)
-    for e in drop_e:
-        if not 0 <= e < g.m:
-            raise EdgeOutOfRange(f"edge id {e} not in 0..{g.m - 1}")
-    keep = [v for v in range(g.n) if v not in drop_v]
-    new_id = {v: i for i, v in enumerate(keep)}
-    new_edges: list[tuple[int, int]] = []
-    edge_map: list[int] = []
-    for eid, (u, v) in enumerate(g.edges):
-        if eid in drop_e or u in drop_v or v in drop_v:
-            continue
-        new_edges.append((new_id[u], new_id[v]))
-        edge_map.append(eid)
-    return InducedSubgraph(
-        graph=Graph(len(keep), tuple(new_edges)),
-        vertex_map=tuple(keep),
-        edge_map=tuple(edge_map),
-    )
-
-
 def components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted vertex tuples, ordered by minimum.
-
-    Parity of each component is len(c) % 2; odd_components filters them.
-    """
+    """Connected components as sorted vertex tuples, ordered by minimum."""
     seen = [False] * g.n
     out: list[tuple[int, ...]] = []
     for start in range(g.n):
@@ -208,10 +151,6 @@ def components(g: Graph) -> tuple[tuple[int, ...], ...]:
                     stack.append(u)
         out.append(tuple(sorted(comp)))
     return tuple(out)
-
-
-def odd_components(comps: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(c) for c in comps if len(c) % 2 == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ descending order of the reversed masks.  For two such sets the
 smallest edge of their symmetric difference decides both orders, and
 the set holding it comes first in each: its tuple is the smaller one
 at that position (the other set still has an element there, as it is
-not a subset), and its reversed mask holds the highest differing bit.  No maximal matching contains another, and all perfect
-matchings of a graph have n/2 edges, so both streams are sorted
-lexicographically.  Nested sets break the lemma: (0,) comes before
-(0, 1), yet its reversed mask is the smaller.
+not a subset), and its reversed mask holds the highest differing bit.
+No maximal matching contains another, and all perfect matchings of a
+graph have n/2 edges, so both streams are sorted lexicographically.
+Nested sets break the lemma: (0,) comes before (0, 1), yet its
+reversed mask is the smaller.
 
 Every optimisation runs the blossom method, at any graph size; the
 enumerators serve the exact eta scan and the tests.  The blossom runs
@@ -116,7 +117,7 @@ def unsaturated(g: Graph, m: Iterable[int]) -> tuple[int, ...]:
 
 
 def _decode(mask: int) -> tuple[int, ...]:
-    """The edge ids of a mask, ascending."""
+    """The set bits of a mask, ascending: edge ids, or vertices."""
     out = []
     while mask:
         low = mask & -mask

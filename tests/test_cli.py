@@ -222,6 +222,36 @@ def test_edgeless_graph_is_a_typed_error(capsys, tmp_path, argv):
     }
 
 
+def test_eta_exact_on_edgeless_graphs(capsys, tmp_path):
+    # the 0-vertex graph has a perfect matching, but no edge to weight
+    path = tmp_path / "edgeless.txt"
+    path.write_text("0 0\n")
+    doc = run_cli(capsys, ["eta", "exact", str(path)], expect=2)
+    assert doc == {
+        "error": "BadParameters",
+        "message": "graph has no edges, so eta is undefined",
+    }
+    path.write_text("2 0\n")
+    doc = run_cli(capsys, ["eta", "exact", str(path)], expect=1)
+    assert doc["error"] == "NoPerfectMatching"
+
+
+@pytest.mark.parametrize("n", [3, 0])
+def test_cert_verify_rejects_an_empty_matching(capsys, tmp_path, n):
+    graph = tmp_path / "edgeless.txt"
+    graph.write_text(f"{n} 0\n")
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps({
+        "kind": "independent_set_upper",
+        "bound": {"num": "0", "den": "1"},
+        "matching": [],
+        "independent_set": list(range(n)),
+    }))
+    doc = run_cli(capsys, ["cert", "verify", str(graph), str(cert)], expect=1)
+    assert doc["valid"] is False
+    assert doc["reason"] == "matching field is not a nonempty matching"
+
+
 def test_witness_odd_kind(capsys):
     doc = run_cli(
         capsys,

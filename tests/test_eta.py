@@ -46,7 +46,7 @@ from matchforge.generators import (
     odd_component_example,
     random_cubic,
 )
-from matchforge.graphs import components, delete, from_edge_list
+from matchforge.graphs import components, from_edge_list
 from matchforge.lp import program, solve
 from matchforge.matching import (
     enumerate_maximal_matchings,
@@ -63,6 +63,13 @@ from matchforge.matching import (
 
 def _is_maximal(g, m):
     return is_matching(g, m) and is_independent(g, unsaturated(g, m))
+
+
+def _remainder(g, drop):
+    """g less the vertices in drop, the rest renumbered in ascending order."""
+    new_id = {v: i for i, v in enumerate(v for v in range(g.n) if v not in drop)}
+    pairs = [(new_id[u], new_id[v]) for u, v in g.edges if u in new_id and v in new_id]
+    return from_edge_list(len(new_id), pairs)
 
 
 # Exact ratios computed once with this engine and pinned; independent
@@ -321,7 +328,7 @@ def test_eta_one_agrees_with_the_reference_search(seed=20261018):
 def _sumner(g):
     """Every component of the cubic graph g is K4 or K3,3."""
     for comp in components(g):
-        sub = delete(g, vertices=set(range(g.n)) - set(comp)).graph
+        sub = _remainder(g, set(range(g.n)) - set(comp))
         if not (sub.n == 4 or (sub.n == 6 and is_bipartite(sub)[0])):
             return False
     return True
@@ -529,13 +536,14 @@ def test_odd_components_are_refused_before_the_subgraph(monkeypatch, seed=202610
         removed = [v for v in range(n) if rng.random() < 0.3]
         rest = sum(1 << v for v in range(n) if v not in removed)
         nbrs = [sum(1 << u for u in g.neighbors(v)) for v in range(n)]
-        want = any(len(c) % 2 for c in components(delete(g, vertices=removed).graph))
-        assert eta_module._has_odd_component(nbrs, rest) == want, (pairs, removed)
+        want = [len(c) for c in components(_remainder(g, removed))]
+        got = [c.bit_count() for c in eta_module._mask_components(nbrs, rest)]
+        assert got == want, (pairs, removed)
     # on nauru, 148 of the 149 full nodes leave an odd component; only
     # the witness's remainder is built and matched
     built = []
-    real = eta_module.delete
-    monkeypatch.setattr(eta_module, "delete", lambda *a, **k: built.append(1) or real(*a, **k))
+    real = eta_module._remainder
+    monkeypatch.setattr(eta_module, "_remainder", lambda *a: built.append(1) or real(*a))
     assert find_independent_set_bound(named("nauru"), 8) is not None
     assert len(built) == 1
 
@@ -556,7 +564,7 @@ def test_find_independent_set_bound_is_the_first_witness(seed=20261019):
                     s
                     for s in itertools.combinations(range(n), k)
                     if is_independent(g, s)
-                    and enumerate_perfect_matchings(delete(g, vertices=s).graph)
+                    and enumerate_perfect_matchings(_remainder(g, s))
                 ),
                 None,
             )
@@ -749,6 +757,25 @@ def test_odd_component_certificate():
     assert sorted(len(c) for c in cert.component_list) == [5, 5, 8]
     ok, why = verify(g, cert)
     assert ok, why
+
+
+def test_components_without_match_the_remainders_components(seed=20261021):
+    rng = random.Random(seed)
+    for _ in range(200):
+        n = rng.randrange(0, 13)
+        p = rng.random()
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = from_edge_list(n, pairs)
+        m, used = [], set()
+        for e in rng.sample(range(g.m), rng.randint(0, g.m)):
+            if used.isdisjoint(g.edges[e]):
+                m.append(e)
+                used.update(g.edges[e])
+        keep = [v for v in range(n) if v not in used]
+        want = tuple(
+            tuple(keep[v] for v in comp) for comp in components(_remainder(g, used))
+        )
+        assert eta_module._components_without(g, m) == want, (pairs, m)
 
 
 def test_berge_witness_petersen():

@@ -22,7 +22,6 @@ from matchforge.generators import (
     named,
     odd_component_example,
     random_cubic,
-    vertex_join,
 )
 from matchforge.graphs import CubicGraph
 from matchforge.matching import is_matching, saturated
@@ -113,15 +112,6 @@ def test_dot_product_validation():
     for spec in bad:
         with pytest.raises(errors.SpecInvalid):
             dot_product(spec)
-
-
-def test_vertex_join_counts():
-    k4 = named("k4")
-    g = vertex_join(k4, 0, k4, 3, [(1, 0), (2, 1), (3, 2)])
-    assert isinstance(g, CubicGraph)
-    assert g.n == 6 and g.m == 9
-    with pytest.raises(errors.SpecInvalid):
-        vertex_join(k4, 0, k4, 3, [(1, 0), (1, 1), (3, 2)])
 
 
 def test_edge_join_counts():

@@ -1,4 +1,4 @@
-"""Graph core: construction, validation, deletion, components, formats."""
+"""Graph core: construction, validation, components, formats."""
 
 import random
 
@@ -10,11 +10,9 @@ from matchforge.graphs import (
     Graph,
     as_cubic,
     components,
-    delete,
     format_edge_list,
     from_edge_list,
     from_graph6,
-    odd_components,
     parse_edge_list,
 )
 
@@ -100,49 +98,18 @@ def test_as_cubic_rejects_disconnected():
         as_cubic(from_edge_list(8, pairs))
 
 
-def test_delete_two_adjacent_vertices_of_petersen():
-    # Each deleted endpoint has two other neighbours, so exactly four
-    # vertices drop to degree 2.
-    sub = delete(petersen(), vertices=[0, 1])
-    g = sub.graph
-    assert g.n == 8
-    assert g.m == 15 - 5
-    assert sorted(g.degree(v) for v in range(8)).count(2) == 4
-    assert sub.vertex_map == (2, 3, 4, 5, 6, 7, 8, 9)
-    for new_eid, old_eid in enumerate(sub.edge_map):
-        u, v = g.endpoints(new_eid)
-        ou, ov = petersen().endpoints(old_eid)
-        assert {sub.original_vertex(u), sub.original_vertex(v)} == {ou, ov}
-
-
-def test_delete_edges_only_keeps_vertices():
-    g = from_edge_list(4, K4_PAIRS)
-    sub = delete(g, edges=[0])
-    assert sub.graph.n == 4 and sub.graph.m == 5
-    assert sub.vertex_map == (0, 1, 2, 3)
-    assert sub.edge_map == (1, 2, 3, 4, 5)
-
-
-def test_delete_validates_ids():
-    g = from_edge_list(4, K4_PAIRS)
-    with pytest.raises(errors.VertexOutOfRange):
-        delete(g, vertices=[4])
-    with pytest.raises(errors.EdgeOutOfRange):
-        delete(g, edges=[6])
-
-
-def test_delete_leaves_source_untouched():
-    g = petersen()
-    delete(g, vertices=[0, 1, 2])
-    assert g.n == 10 and g.m == 15
-
-
 def test_components_and_parity():
     pairs = [(0, 1), (1, 2), (3, 4)]
     g = from_edge_list(6, pairs)
     comps = components(g)
     assert comps == ((0, 1, 2), (3, 4), (5,))
-    assert odd_components(comps) == ((0, 1, 2), (5,))
+
+
+def _remainder(g, drop):
+    """g less the vertices in drop, the rest renumbered in ascending order."""
+    new_id = {v: i for i, v in enumerate(v for v in range(g.n) if v not in drop)}
+    pairs = [(new_id[u], new_id[v]) for u, v in g.edges if u in new_id and v in new_id]
+    return from_edge_list(len(new_id), pairs)
 
 
 def test_components_counts_match_deletion(seed=20260814):
@@ -155,13 +122,13 @@ def test_components_counts_match_deletion(seed=20260814):
             pairs.add((min(u, v), max(u, v)))
         g = from_edge_list(n, sorted(pairs))
         drop = set(rng.sample(range(n), rng.randint(0, n // 2)))
-        sub = delete(g, vertices=drop)
-        assert sub.graph.n == n - len(drop)
-        assert sum(len(c) for c in components(sub.graph)) == sub.graph.n
+        sub = _remainder(g, drop)
+        assert sub.n == n - len(drop)
+        assert sum(len(c) for c in components(sub)) == sub.n
         # every surviving edge had both endpoints kept
         kept = set(range(n)) - drop
         survivors = sum(1 for u, v in g.edges if u in kept and v in kept)
-        assert sub.graph.m == survivors
+        assert sub.m == survivors
 
 
 def test_edge_list_round_trip():
