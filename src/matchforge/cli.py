@@ -23,6 +23,7 @@ import os
 import random
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,6 +58,7 @@ from .eta import (
 from .generators import eta_third_family, gp, named, random_cubic
 from .graphs import Graph, as_cubic, format_edge_list, load_edge_list
 from .matching import (
+    format_weight_csv,
     matching_weight,
     max_weight_matching,
     max_weight_perfect_matching,
@@ -171,12 +173,7 @@ def _cmd_gen(args, run: _Run, rng: random.Random) -> int:
     doc: dict = {"graph": _graph_json(g)}
     flags = getattr(g, "flags", None)
     if flags is not None:
-        doc["flags"] = {
-            "planar": flags.planar,
-            "bipartite": flags.bipartite,
-            "hamiltonian": flags.hamiltonian,
-            "snark": flags.snark,
-        }
+        doc["flags"] = asdict(flags)
     if args.graph.startswith("family:"):
         _, m = eta_third_family(int(args.graph[7:]))
         doc["distinguished_matching"] = sorted(m)
@@ -373,8 +370,6 @@ def _cmd_mesh_weights(args, run: _Run, rng: random.Random) -> int:
         "weights": [_frac_json(x) for x in w],
     }
     if args.out:
-        from .matching import format_weight_csv
-
         Path(args.out).write_text(format_weight_csv(w))
     _emit(doc, run, f"{dual.graph.m} quad qualities computed")
     return EXIT_OK

@@ -83,7 +83,7 @@ from .errors import (
     NoPerfectMatching,
     ParseError,
 )
-from .graphs import CubicGraph, Graph
+from .graphs import CubicGraph, Graph, neighbor_masks
 from .lp import OPTIMAL, program, solve, solve_ints
 from .matching import (
     MAXIMAL_COUNT_BUDGET,
@@ -299,20 +299,24 @@ def _maximal_traces(m_mask: int, pm_masks: Sequence[int]) -> list[int]:
 
 
 def _support_lp_max(
-    edges: Sequence[int], pm_masks: Sequence[int]
+    mask: int, pm_masks: Sequence[int]
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """max sum(w_e) over e in edges, s.t. each PM's restriction <= 1.
+    """max sum(w_e) over the edges e of mask, s.t. each PM's restriction
+    <= 1; the assignment lists w_e by ascending e.
 
+    mask is an edge mask (bit e for edge e), as the scan reads it from
+    matching._maximal_masks, whose keys keep it in their low m bits.
     One row per inclusion-maximal trace, which is exact because w >= 0.
     The rows are built as 0/1 ints and solved by lp.solve_ints.
     """
+    edges = _decode(mask)
     rows = [
         [*(t >> e & 1 for e in edges), 1]
-        for t in _maximal_traces(sum(1 << e for e in edges), pm_masks)
+        for t in _maximal_traces(mask, pm_masks)
     ]
     sol = solve_ints([-1] * len(edges), rows)
     if sol.status != OPTIMAL or sol.assignment is None:
-        raise InternalError(f"support LP for {tuple(edges)} ended {sol.status}")
+        raise InternalError(f"support LP for {edges} ended {sol.status}")
     return -sol.value, sol.assignment
 
 
@@ -406,7 +410,7 @@ def eta_exact(
 
     best_s: Fraction | None = None
     best_floor = 0  # floor(best_s): a cover count is <= best_s iff <= this
-    best_edges: tuple[int, ...] | None = None
+    best_mask = 0
     best_assignment: tuple[Fraction, ...] | None = None
     seen: set[int] = set()  # masks of the orbits met so far
     for mask in maximals:
@@ -418,20 +422,19 @@ def eta_exact(
             and _greedy_cover_count(mask, pm_masks, best_floor) <= best_floor
         ):
             continue
-        edges = _decode(mask)
-        s, assignment = _support_lp_max(edges, pm_masks)
+        s, assignment = _support_lp_max(mask, pm_masks)
         if best_s is None or s > best_s:
             best_s = s
             best_floor = s.numerator // s.denominator
-            best_edges = edges
+            best_mask = mask
             best_assignment = assignment
             if best_s == ceiling:
                 break
-    if best_s is None or best_edges is None or best_s < 1:
+    if best_s is None or best_s < 1:
         raise InternalError(f"LP scan ended with s = {best_s}, expected >= 1")
 
     w = [Fraction(0)] * g.m
-    for e, val in zip(best_edges, best_assignment):
+    for e, val in zip(_decode(best_mask), best_assignment):
         w[e] = val
     return _witness_result(g, w, best_s, Fraction(1))
 
@@ -529,8 +532,7 @@ def find_independent_set_bound(
         raise BadParameters(f"set size {set_size} out of range")
     if (g.n - set_size) % 2:
         return None
-    # bit u of nbrs[v] is set when u is a neighbour of v
-    nbrs = [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
+    nbrs = neighbor_masks(g)
     full = (1 << g.n) - 1
     chosen: list[int] = []
     taken = 0  # the mask of chosen
@@ -702,7 +704,7 @@ def odd_component_cert(g: Graph, f: Iterable[int]) -> BoundCertificate:
 
 def _components_without(g: Graph, m: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """The components of g less the ends of m, as graphs.components lists them."""
-    nbrs = [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
+    nbrs = neighbor_masks(g)
     rest = ((1 << g.n) - 1) & ~sum(1 << v for v in saturated(g, m))
     return tuple(map(_decode, _mask_components(nbrs, rest)))
 

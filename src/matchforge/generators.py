@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import BadParameters, SpecInvalid, UnknownLabel
-from .graphs import CubicGraph, Graph, as_cubic, from_edge_list
+from .graphs import CubicGraph, as_cubic, components, from_edge_list
+from .matching import enumerate_maximal_matchings
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,6 @@ class NamedGraph(CubicGraph):
 
     def __repr__(self) -> str:
         return f"NamedGraph({self.name!r}, n={self.n}, m={self.m})"
-
-
-def _named(g: Graph, name: str, flags: GraphFlags) -> NamedGraph:
-    cg = as_cubic(g)
-    return NamedGraph(cg.n, cg.edges, name, flags)
 
 
 def gp(n: int, k: int) -> CubicGraph:
@@ -97,54 +93,42 @@ def _blanusa(distance: int) -> CubicGraph:
     return dot_product(spec)
 
 
+# The catalog, smallest first: (name, builder, flags), the flags in
+# GraphFlags' field order (planar, bipartite, hamiltonian, snark).  Each
+# builder returns a CubicGraph.  The gp(n,k) entries are spelled out by
+# gp(n, k), so named() serves only the other seven.
+_CATALOG = (
+    ("k4", lambda: as_cubic(from_edge_list(4, _K4_PAIRS)), (True, False, True, False)),
+    ("k33", lambda: as_cubic(from_edge_list(6, _K33_PAIRS)), (False, True, True, False)),
+    ("gp(3,1)", lambda: gp(3, 1), (True, False, True, False)),
+    ("cube", lambda: gp(4, 1), (True, True, True, False)),
+    ("gp(5,1)", lambda: gp(5, 1), (True, False, True, False)),
+    ("petersen", _petersen, (False, False, False, True)),
+    ("gp(6,1)", lambda: gp(6, 1), (True, True, True, False)),
+    ("gp(6,2)", lambda: gp(6, 2), (True, False, True, False)),
+    ("gp(8,3)", lambda: gp(8, 3), (False, True, True, False)),
+    ("blanusa1", lambda: _blanusa(2), (False, False, False, True)),
+    ("blanusa2", lambda: _blanusa(1), (False, False, False, True)),
+    ("nauru", lambda: gp(12, 5), (False, True, True, False)),
+)
+
+
+def _catalog_graph(
+    name: str, build: Callable[[], CubicGraph], flags: tuple[bool, ...]
+) -> NamedGraph:
+    g = build()
+    return NamedGraph(g.n, g.edges, name, GraphFlags(*flags))
+
+
 def named(label: str) -> NamedGraph:
     """Catalog lookup by label.
 
     Labels: k4, k33, cube, petersen, nauru, blanusa1, blanusa2.
     Raises UnknownLabel on anything else.
     """
-    if label == "k4":
-        return _named(
-            from_edge_list(4, _K4_PAIRS),
-            "k4",
-            GraphFlags(planar=True, bipartite=False, hamiltonian=True, snark=False),
-        )
-    if label == "k33":
-        return _named(
-            from_edge_list(6, _K33_PAIRS),
-            "k33",
-            GraphFlags(planar=False, bipartite=True, hamiltonian=True, snark=False),
-        )
-    if label == "cube":
-        return _named(
-            gp(4, 1),
-            "cube",
-            GraphFlags(planar=True, bipartite=True, hamiltonian=True, snark=False),
-        )
-    if label == "petersen":
-        return _named(
-            gp(5, 2),
-            "petersen",
-            GraphFlags(planar=False, bipartite=False, hamiltonian=False, snark=True),
-        )
-    if label == "nauru":
-        return _named(
-            gp(12, 5),
-            "nauru",
-            GraphFlags(planar=False, bipartite=True, hamiltonian=True, snark=False),
-        )
-    if label == "blanusa1":
-        return _named(
-            _blanusa(2),
-            "blanusa1",
-            GraphFlags(planar=False, bipartite=False, hamiltonian=False, snark=True),
-        )
-    if label == "blanusa2":
-        return _named(
-            _blanusa(1),
-            "blanusa2",
-            GraphFlags(planar=False, bipartite=False, hamiltonian=False, snark=True),
-        )
+    for entry in _CATALOG:
+        if entry[0] == label and not label.startswith("gp("):
+            return _catalog_graph(*entry)
     raise UnknownLabel(f"no catalog entry named {label!r}")
 
 
@@ -155,20 +139,7 @@ def catalog(max_vertices: int | None = None) -> tuple[NamedGraph, ...]:
     generalized Petersen graphs, so bound checks have bipartite,
     planar and snark representatives at every small order.
     """
-    entries = [
-        named("k4"),
-        named("k33"),
-        _named(gp(3, 1), "gp(3,1)", GraphFlags(planar=True, bipartite=False, hamiltonian=True, snark=False)),
-        named("cube"),
-        _named(gp(5, 1), "gp(5,1)", GraphFlags(planar=True, bipartite=False, hamiltonian=True, snark=False)),
-        named("petersen"),
-        _named(gp(6, 1), "gp(6,1)", GraphFlags(planar=True, bipartite=True, hamiltonian=True, snark=False)),
-        _named(gp(6, 2), "gp(6,2)", GraphFlags(planar=True, bipartite=False, hamiltonian=True, snark=False)),
-        _named(gp(8, 3), "gp(8,3)", GraphFlags(planar=False, bipartite=True, hamiltonian=True, snark=False)),
-        named("blanusa1"),
-        named("blanusa2"),
-        named("nauru"),
-    ]
+    entries = [_catalog_graph(*entry) for entry in _CATALOG]
     if max_vertices is not None:
         entries = [g for g in entries if g.n <= max_vertices]
     return tuple(entries)
@@ -330,8 +301,6 @@ def eta_third_family(depth: int) -> tuple[CubicGraph, frozenset[int]]:
     """
     if depth < 0 or depth > 11:
         raise BadParameters(f"family depth must be in 0..11, got {depth}")
-    from .matching import enumerate_maximal_matchings
-
     g: CubicGraph = _petersen()
     m: frozenset[int] = frozenset()
     for cand in enumerate_maximal_matchings(g):
@@ -385,8 +354,6 @@ def random_cubic(n: int, rng: random.Random, max_tries: int = 10000) -> CubicGra
     """Uniform-ish connected cubic graph via stub pairing with rejection."""
     if n < 4 or n % 2:
         raise BadParameters(f"cubic graphs need even n >= 4, got {n}")
-    from .graphs import components
-
     for _ in range(max_tries):
         stubs = [v for v in range(n) for _ in range(3)]
         rng.shuffle(stubs)

@@ -132,6 +132,12 @@ def as_cubic(g: Graph) -> CubicGraph:
     return out
 
 
+def neighbor_masks(g: Graph) -> list[int]:
+    """Per vertex v, a vertex mask of its neighbours: bit u is set when
+    u is a neighbour of v."""
+    return [sum(1 << u for u, _ in row) for row in g.adj]
+
+
 def components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted vertex tuples, ordered by minimum."""
     seen = [False] * g.n

@@ -11,22 +11,28 @@ depth-first search per kind, _perfect_masks and _maximal_masks, which
 eta.py reads directly; the public enumerators decode them into
 frozensets.  Each search runs on an explicit stack of int tuples: the
 free vertices as a vertex mask (bit v for vertex v), the exposed
-vertices as another (_maximal_masks only), the edge mask and the
-reversed mask.  A node branches on the lowest bit of its free mask and
-pushes its children in reverse, so they pop in g.adj order, exposure
-last.  No tuple changes once pushed, so backtracking is a pop with
-nothing to undo.  The reversed mask (bit m-1-e for edge e) is the sort
-key, descending, by this lemma: on a family of sets none of which
+vertices as another (_maximal_masks only), and the matching's key.  A
+node branches on the lowest bit of its free mask and pushes its
+children in reverse, so they pop in g.adj order, exposure last.  No
+tuple changes once pushed, so backtracking is a pop with nothing to
+undo.
+
+The key of a matching on m edges is one int, rmask << m | mask: the
+edge mask in its low m bits and, above them, the reversed mask (bit
+m-1-e for edge e).  Each edge adds its two bits at once, and the low m
+bits of a key are its mask.  The keys sort in descending order, by
+this lemma on the reversed masks: on a family of sets none of which
 contains another, ascending order of the sorted edge tuples is
 descending order of the reversed masks.  For two such sets the
 smallest edge of their symmetric difference decides both orders, and
 the set holding it comes first in each: its tuple is the smaller one
 at that position (the other set still has an element there, as it is
 not a subset), and its reversed mask holds the highest differing bit.
-No maximal matching contains another, and all perfect matchings of a
-graph have n/2 edges, so both streams are sorted lexicographically.
-Nested sets break the lemma: (0,) comes before (0, 1), yet its
-reversed mask is the smaller.
+Keys order as their reversed masks do, since the high bits decide and
+the reversed mask determines the mask.  No maximal matching contains
+another, and all perfect matchings of a graph have n/2 edges, so both
+streams are sorted lexicographically.  Nested sets break the lemma:
+(0,) comes before (0, 1), yet its reversed mask is the smaller.
 
 Every optimisation runs the blossom method, at any graph size; the
 enumerators serve the exact eta scan and the tests.  The blossom runs
@@ -59,7 +65,7 @@ from .errors import (
     NoPerfectMatching,
     ParseError,
 )
-from .graphs import Graph
+from .graphs import Graph, neighbor_masks
 
 # Enumeration refuses larger graphs unless the caller raises the limits.
 PERFECT_VERTEX_LIMIT = 26
@@ -126,20 +132,21 @@ def _decode(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _sorted_masks(found: list[tuple[int, int]]) -> list[int]:
-    """The masks of (rmask, mask) pairs in the order of the module
-    docstring's lemma: descending rmask."""
+def _sorted_masks(found: list[int], m: int) -> list[int]:
+    """The masks of the keys found, on m edges, in the order of the
+    module docstring's lemma: descending key."""
     found.sort(reverse=True)
-    return [mask for _, mask in found]
+    low = (1 << m) - 1
+    return [key & low for key in found]
 
 
-def _options(g: Graph) -> list[list[tuple[int, int, int]]]:
+def _options(g: Graph) -> list[list[tuple[int, int]]]:
     """Per vertex, its matching branches in reversed adjacency order:
-    (neighbour's vertex bit, mask bit, reversed-mask bit) for each edge.
+    (neighbour's vertex bit, the edge's key bits) for each edge.
     Pushed in this order, they pop in adjacency order."""
-    top = g.m - 1
+    m = g.m
     return [
-        [(1 << u, 1 << e, 1 << (top - e)) for u, e in reversed(g.adj[v])]
+        [(1 << u, 1 << (2 * m - 1 - e) | 1 << e) for u, e in reversed(g.adj[v])]
         for v in range(g.n)
     ]
 
@@ -154,7 +161,7 @@ def _perfect_masks(
     enumerate_perfect_matchings, with its limits and its errors.
 
     The search of _maximal_masks without exposure: a node is (free
-    vertices, mask, reversed mask).
+    vertices, key).
     """
     if vertex_limit is None:
         vertex_limit = PERFECT_VERTEX_LIMIT
@@ -165,22 +172,22 @@ def _perfect_masks(
     if g.n % 2:
         return []
     options = _options(g)
-    found: list[tuple[int, int]] = []
-    stack = [((1 << g.n) - 1, 0, 0)]
+    found: list[int] = []
+    stack = [((1 << g.n) - 1, 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        free, mask, rmask = pop()
+        free, key = pop()
         if not free:
             if len(found) >= count_budget:
                 raise BudgetExceeded(f"more than {count_budget} perfect matchings")
-            found.append((rmask, mask))
+            found.append(key)
             continue
         low = free & -free
         free ^= low
-        for ubit, bit, rbit in options[low.bit_length() - 1]:
+        for ubit, bits in options[low.bit_length() - 1]:
             if free & ubit:
-                push((free ^ ubit, mask | bit, rmask | rbit))
-    return _sorted_masks(found)
+                push((free ^ ubit, key | bits))
+    return _sorted_masks(found, g.m)
 
 
 def _maximal_masks(
@@ -193,9 +200,9 @@ def _maximal_masks(
     enumerate_maximal_matchings, with its limits and its errors.
 
     A node of the search is a tuple of ints: (free vertices, exposed
-    vertices, mask, reversed mask), bit v of a vertex mask for vertex
-    v.  A node branches on its lowest free vertex v: matched to each
-    free neighbour, then left exposed, which is allowed only while no
+    vertices, key), bit v of a vertex mask for vertex v.  A node
+    branches on its lowest free vertex v: matched to each free
+    neighbour, then left exposed, which is allowed only while no
     neighbour of v is exposed.  Its children are pushed in reverse, so
     they pop in adjacency order with exposure last.  A child is built
     as a new tuple from its parent's ints, and no tuple changes once
@@ -209,26 +216,26 @@ def _maximal_masks(
             f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
         )
     options = _options(g)
-    nbrs = [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
-    found: list[tuple[int, int]] = []
-    stack = [((1 << g.n) - 1, 0, 0, 0)]
+    nbrs = neighbor_masks(g)
+    found: list[int] = []
+    stack = [((1 << g.n) - 1, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        free, exposed, mask, rmask = pop()
+        free, exposed, key = pop()
         if not free:
             if len(found) >= count_budget:
                 raise BudgetExceeded(f"more than {count_budget} maximal matchings")
-            found.append((rmask, mask))
+            found.append(key)
             continue
         low = free & -free
         free ^= low
         v = low.bit_length() - 1
         if not nbrs[v] & exposed:
-            push((free, exposed | low, mask, rmask))
-        for ubit, bit, rbit in options[v]:
+            push((free, exposed | low, key))
+        for ubit, bits in options[v]:
             if free & ubit:
-                push((free ^ ubit, exposed, mask | bit, rmask | rbit))
-    return _sorted_masks(found)
+                push((free ^ ubit, exposed, key | bits))
+    return _sorted_masks(found, g.m)
 
 
 def enumerate_perfect_matchings(

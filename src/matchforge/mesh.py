@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -417,8 +418,6 @@ def icosahedron() -> TriangleMesh:
             raw.append((b, 0.0, a))
     pts = tuple(raw)
     # faces as vertex triples, oriented outward below
-    from itertools import combinations
-
     edge_len = 2.0
     faces = []
     for i, j, k in combinations(range(12), 3):

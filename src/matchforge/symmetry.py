@@ -63,7 +63,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InternalError
-from .graphs import Graph
+from .graphs import Graph, neighbor_masks
 
 # lab, the start of each vertex's cell, the end of each cell by its start
 Node = tuple[list[int], list[int], list[int]]
@@ -240,7 +240,7 @@ def _vertex_generators(g: Graph) -> list[tuple[int, ...]]:
     if g.n == 0:
         return []
     adj = [g.neighbors(v) for v in range(g.n)]
-    nbrs = [sum(1 << u for u in row) for row in adj]
+    nbrs = neighbor_masks(g)
     node, trace = _root(adj, nbrs)
     path, traces, targets = [node], [trace], [_target(node)]
     while targets[-1] >= 0:

@@ -176,7 +176,7 @@ def test_maximal_trace_rows_keep_support_lp_value(g):
     pm_masks = [sum(1 << e for e in p) for p in pms]
     for m in enumerate_maximal_matchings(g):
         edges = tuple(sorted(m))
-        s, w = _support_lp_max(edges, pm_masks)
+        s, w = _support_lp_max(sum(1 << e for e in m), pm_masks)
         rows = _all_trace_rows(edges, pms)
         full = solve(program([-1] * len(edges), rows))
         assert -full.value == s, edges

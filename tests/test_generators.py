@@ -81,6 +81,17 @@ def test_catalog_ordered_and_filtered():
     assert [g.name for g in catalog(4)] == ["k4"]
 
 
+def test_named_is_the_catalog_entry_of_its_label():
+    entries = {g.name: g for g in catalog()}
+    for label in ["k4", "k33", "cube", "petersen", "nauru", "blanusa1", "blanusa2"]:
+        g, entry = named(label), entries[label]
+        assert (g.edges, g.flags, type(g)) == (entry.edges, entry.flags, type(entry))
+    for name in ["gp(3,1)", "gp(5,1)", "gp(6,1)", "gp(6,2)", "gp(8,3)"]:
+        assert name in entries
+        with pytest.raises(errors.UnknownLabel):
+            named(name)
+
+
 def test_catalog_flags_match_classifiers():
     for g in catalog(16):
         bip, _ = is_bipartite(g)

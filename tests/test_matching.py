@@ -340,8 +340,9 @@ def _mask(s):
     return sum(1 << e for e in s)
 
 
-def _rmask(s, m):
-    return sum(1 << (m - 1 - e) for e in s)
+def _key(s, m):
+    """The enumerators' key: the reversed mask above the edge mask."""
+    return sum(1 << (m - 1 - e) for e in s) << m | _mask(s)
 
 
 def test_reversed_mask_order_is_tuple_order_on_antichains(seed=6):
@@ -352,12 +353,12 @@ def test_reversed_mask_order_is_tuple_order_on_antichains(seed=6):
         # keep the sets that no other set contains: an antichain
         family = [a for a in sets if not any(a < b for b in sets)]
         by_tuple = sorted(family, key=lambda s: tuple(sorted(s)))
-        pairs = [(_rmask(s, m), _mask(s)) for s in family]
-        assert matching._sorted_masks(pairs) == [_mask(s) for s in by_tuple]
-    # nested sets break it: (0,) precedes (0, 1), but has the smaller rmask
+        keys = [_key(s, m) for s in family]
+        assert matching._sorted_masks(keys, m) == [_mask(s) for s in by_tuple]
+    # nested sets break it: (0,) precedes (0, 1), but has the smaller key
     nested = [frozenset({0}), frozenset({0, 1})]
     assert sorted(nested, key=lambda s: tuple(sorted(s)))[0] == frozenset({0})
-    assert matching._sorted_masks([(_rmask(s, 2), _mask(s)) for s in nested])[0] == 0b11
+    assert matching._sorted_masks([_key(s, 2) for s in nested], 2)[0] == 0b11
 
 
 def test_enumeration_vertex_limits():
