@@ -49,6 +49,29 @@ best s.  So a skipped orbit-mate would fail the strict s > best test
 that picks the result, and the value, the argmax and its LP
 assignment are those of the full scan.
 
+So the scan reads only the masks that can start an orbit: with a
+nontrivial group, matching._maximal_masks lists only the maximal
+matchings whose lowest edge is an orbit leader, the lowest edge of its
+edge orbit (symmetry.edge_orbit_leaders), in the same order.  This
+changes no decision of the scan.  If M's lowest edge e is not a
+leader, some automorphism sigma maps e to a lower edge, and sigma M,
+whose lowest edge is then below e, comes before M in the lexicographic
+stream.  So M's orbit was met before M, and the full scan skips M.
+The first mask of every orbit is therefore a leader mask, and the
+seen set holds the same masks at every leader mask as in the full
+scan.
+
+maximal_count keeps its exact meaning: the scan refuses exactly when g
+has more maximal matchings than the budget.  Every orbit has a leader
+mask, so once every leader mask's orbit is closed, the seen set holds
+every maximal matching.  The scan refuses as soon as the seen set
+outgrows the budget.  The leader enumeration refuses past the budget
+too, which is sound, as its masks are some of g's maximal matchings.
+After the stop at s = 3 below, the orbits of the remaining leader
+masks are still closed, with no greedy cover and no LP, before the
+result is returned.  With a trivial group, the enumeration lists
+every maximal matching and alone enforces the budget.
+
 On a bridgeless graph with every degree 3, the scan also stops once
 the best s reaches 3.  There every odd vertex set has an odd number of
 boundary edges, at least 3 of them, so the all-1/3 vector lies in the
@@ -104,7 +127,7 @@ from .matching import (
     unsaturated,
     validate_weights,
 )
-from .symmetry import edge_automorphisms
+from .symmetry import edge_automorphisms, edge_orbit_leaders
 
 CAP_UPPER = "cap_upper"
 INDEPENDENT_SET_UPPER = "independent_set_upper"
@@ -371,7 +394,9 @@ def eta_exact(
 ) -> EtaResult:
     """Exact eta by LP over the enumerated matchings.
 
-    Refuses graphs whose enumeration exceeds the given budgets.  Raise
+    Refuses graphs with more than maximal_count maximal matchings, or
+    more than perfect_count perfect ones, though only orbit leaders'
+    maximal matchings are enumerated (see the module docstring).  Raise
     vertex_limit explicitly to run past the default enumeration sizes.
     The result carries a witness weighting, re-evaluated through the
     matching engines before returning.
@@ -402,8 +427,14 @@ def eta_exact(
     if not g.m:  # the empty graph: its empty matching is perfect
         raise BadParameters("graph has no edges, so eta is undefined")
 
-    maximals = _maximal_masks(g, count_budget=maximal_count, vertex_limit=vertex_limit)
-    tables = _orbit_tables(edge_automorphisms(g))
+    gens = edge_automorphisms(g)
+    maximals = _maximal_masks(
+        g,
+        count_budget=maximal_count,
+        vertex_limit=vertex_limit,
+        leaders=edge_orbit_leaders(gens, g.m) if gens else None,
+    )
+    tables = _orbit_tables(gens)
     # s(M) <= 3 on a bridgeless cubic graph (see the module docstring)
     cubic = all(len(row) == 3 for row in g.adj)
     ceiling = 3 if cubic and is_bridgeless(g)[0] else None
@@ -413,11 +444,14 @@ def eta_exact(
     best_mask = 0
     best_assignment: tuple[Fraction, ...] | None = None
     seen: set[int] = set()  # masks of the orbits met so far
+    stopped = False  # at the ceiling: only the budget is left to check
     for mask in maximals:
         if mask in seen:
             continue
         _add_orbit(mask, tables, seen)
-        if (
+        if len(seen) > maximal_count:
+            raise BudgetExceeded(f"more than {maximal_count} maximal matchings")
+        if stopped or (
             best_s is not None
             and _greedy_cover_count(mask, pm_masks, best_floor) <= best_floor
         ):
@@ -428,8 +462,9 @@ def eta_exact(
             best_floor = s.numerator // s.denominator
             best_mask = mask
             best_assignment = assignment
-            if best_s == ceiling:
-                break
+            stopped = best_s == ceiling
+            if stopped and not gens:
+                break  # every maximal matching is listed, so within budget
     if best_s is None or best_s < 1:
         raise InternalError(f"LP scan ended with s = {best_s}, expected >= 1")
 

@@ -93,23 +93,25 @@ def _blanusa(distance: int) -> CubicGraph:
     return dot_product(spec)
 
 
-# The catalog, smallest first: (name, builder, flags), the flags in
-# GraphFlags' field order (planar, bipartite, hamiltonian, snark).  Each
-# builder returns a CubicGraph.  The gp(n,k) entries are spelled out by
-# gp(n, k), so named() serves only the other seven.
+# The catalog, smallest first: (name, vertex count, builder, flags), the
+# flags in GraphFlags' field order (planar, bipartite, hamiltonian,
+# snark).  Each builder returns a CubicGraph with that many vertices, so
+# catalog(max_vertices) builds only the entries that fit.  The gp(n,k)
+# entries are spelled out by gp(n, k), so named() serves only the other
+# seven.
 _CATALOG = (
-    ("k4", lambda: as_cubic(from_edge_list(4, _K4_PAIRS)), (True, False, True, False)),
-    ("k33", lambda: as_cubic(from_edge_list(6, _K33_PAIRS)), (False, True, True, False)),
-    ("gp(3,1)", lambda: gp(3, 1), (True, False, True, False)),
-    ("cube", lambda: gp(4, 1), (True, True, True, False)),
-    ("gp(5,1)", lambda: gp(5, 1), (True, False, True, False)),
-    ("petersen", _petersen, (False, False, False, True)),
-    ("gp(6,1)", lambda: gp(6, 1), (True, True, True, False)),
-    ("gp(6,2)", lambda: gp(6, 2), (True, False, True, False)),
-    ("gp(8,3)", lambda: gp(8, 3), (False, True, True, False)),
-    ("blanusa1", lambda: _blanusa(2), (False, False, False, True)),
-    ("blanusa2", lambda: _blanusa(1), (False, False, False, True)),
-    ("nauru", lambda: gp(12, 5), (False, True, True, False)),
+    ("k4", 4, lambda: as_cubic(from_edge_list(4, _K4_PAIRS)), (True, False, True, False)),
+    ("k33", 6, lambda: as_cubic(from_edge_list(6, _K33_PAIRS)), (False, True, True, False)),
+    ("gp(3,1)", 6, lambda: gp(3, 1), (True, False, True, False)),
+    ("cube", 8, lambda: gp(4, 1), (True, True, True, False)),
+    ("gp(5,1)", 10, lambda: gp(5, 1), (True, False, True, False)),
+    ("petersen", 10, _petersen, (False, False, False, True)),
+    ("gp(6,1)", 12, lambda: gp(6, 1), (True, True, True, False)),
+    ("gp(6,2)", 12, lambda: gp(6, 2), (True, False, True, False)),
+    ("gp(8,3)", 16, lambda: gp(8, 3), (False, True, True, False)),
+    ("blanusa1", 18, lambda: _blanusa(2), (False, False, False, True)),
+    ("blanusa2", 18, lambda: _blanusa(1), (False, False, False, True)),
+    ("nauru", 24, lambda: gp(12, 5), (False, True, True, False)),
 )
 
 
@@ -126,23 +128,25 @@ def named(label: str) -> NamedGraph:
     Labels: k4, k33, cube, petersen, nauru, blanusa1, blanusa2.
     Raises UnknownLabel on anything else.
     """
-    for entry in _CATALOG:
-        if entry[0] == label and not label.startswith("gp("):
-            return _catalog_graph(*entry)
+    for name, _, build, flags in _CATALOG:
+        if name == label and not label.startswith("gp("):
+            return _catalog_graph(name, build, flags)
     raise UnknownLabel(f"no catalog entry named {label!r}")
 
 
 def catalog(max_vertices: int | None = None) -> tuple[NamedGraph, ...]:
-    """All stock graphs, smallest first.
+    """All stock graphs, smallest first; with max_vertices, only those
+    with at most that many vertices, and only those are built.
 
     Includes the named labels plus the prisms and two other small
     generalized Petersen graphs, so bound checks have bipartite,
     planar and snark representatives at every small order.
     """
-    entries = [_catalog_graph(*entry) for entry in _CATALOG]
-    if max_vertices is not None:
-        entries = [g for g in entries if g.n <= max_vertices]
-    return tuple(entries)
+    return tuple(
+        _catalog_graph(name, build, flags)
+        for name, n, build, flags in _CATALOG
+        if max_vertices is None or n <= max_vertices
+    )
 
 
 # ---------------------------------------------------------------------------

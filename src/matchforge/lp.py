@@ -17,13 +17,20 @@ berge_witness does; it scales them to ints (below), calls solve_ints
 and scales the value and the duals back.
 
 Tableau simplex.  Pivoting follows Bland's rule (lowest eligible
-column, ties in the ratio test broken by lowest basic variable), which
-guarantees termination even on degenerate programs and makes every
-run deterministic.
+variable, ties in the ratio test broken by lowest basic variable),
+which guarantees termination even on degenerate programs and makes
+every run deterministic.  Variables are numbered as the columns of the
+full tableau: the program's nv variables, then one slack per row.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968): integer
 rows over one shared positive denominator det, so each stored row is
 det times the rational tableau row.
+
+The tableau is condensed (revised-simplex style): it stores only the
+nv nonbasic columns, in slots, plus the rhs, with a map from slot to
+variable.  A basic variable's full column is det on its own row and 0
+elsewhere, the cost row included, so it carries no information and is
+not stored.  Each row holds nv + 1 ints, not nv + rows + 1.
 
 - Integer start.  solve multiplies each row by the LCM of its
   denominators, and its slack entry stays 1.  That only rescales that
@@ -33,9 +40,15 @@ det times the rational tableau row.
   order (a row's scale cancels, a column's scale is the same in every
   row), so Bland's rule enters and leaves exactly as over the
   rationals.  The ratio test cross-multiplies instead of dividing.
-- Pivot on p.  Every other row y, and the cost row, becomes
+- Pivot on p, in slot s.  Every other row y, and the cost row, becomes
   (p * y - f * x) // det, where x is the pivot row and f is y's entry
-  in the pivot column; then det = p.  Each division is exact: with the
+  in slot s; then det = p.  This is the full tableau's update, column
+  by column, so the condensed one changes no entry that it keeps.
+  The entering variable's column becomes basic and is dropped, and
+  slot s takes the leaving variable's: its full column was det on the
+  pivot row and 0 elsewhere, so the same update makes it the old det
+  on the pivot row (which a pivot does not change) and -f on every
+  other row and on the cost row.  Each division is exact: with the
   start basis the identity, det is det B of the current basis B of
   the integer matrix, and every stored entry is det times an entry of
   B^-1 times that matrix, a determinant by Cramer's rule (Sylvester's
@@ -48,9 +61,10 @@ Entries are minors of the integer program, so on the 0/1 rows that eta
 builds they stay small.  When p == det only the pivot row's nonzero
 columns change; otherwise every other row is rescaled as well.
 
-Duals and the certificate.  At an optimum, the stored reduced cost Y_i
-of row i's slack is det * K * y_i / L_i, with K the objective's scale,
-L_i row i's, and y an optimal dual: max -b.y s.t. A^T y >= -c, y >= 0.
+Duals and the certificate.  At an optimum, the reduced cost Y_i of
+row i's slack (stored in its slot, or 0 when it is basic) is
+det * K * y_i / L_i, with K the objective's scale, L_i row i's, and y
+an optimal dual: max -b.y s.t. A^T y >= -c, y >= 0.
 Before returning, solve_ints proves the optimum in integers, on the
 scaled rows (a_i, b_i), the scaled objective c and X = det * x:
 X >= 0 and a_i . X <= b_i * det (x is feasible); Y >= 0 and
@@ -119,20 +133,22 @@ def _scaled(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
 
-def _pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:
-    """Pivot on rows[r][c] > 0 over the shared denominator det.
+def _pivot(rows: list[list[int]], r: int, s: int, det: int) -> int:
+    """Pivot on rows[r][s] > 0 over the shared denominator det.
 
     Every other row becomes (p * row - f * rows[r]) // det, with p the
-    pivot and f the row's entry in column c; a row with f = 0 only
-    changes when p != det.  Returns the new denominator p.
+    pivot and f the row's entry in slot s; a row with f = 0 only
+    changes when p != det.  Slot s then takes the leaving variable's
+    column: det on row r, -f on every other row.  Returns the new
+    denominator p.
     """
     row_r = rows[r]
-    p = row_r[c]
-    nonzero = [(j, x) for j, x in enumerate(row_r) if x]
+    p = row_r[s]
+    nonzero = [(j, x) for j, x in enumerate(row_r) if x and j != s]
     for i, row_i in enumerate(rows):
         if i == r:
             continue
-        f = row_i[c]
+        f = row_i[s]
         if p == det:
             if f:
                 for j, x in nonzero:
@@ -141,6 +157,8 @@ def _pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:
             row_i[:] = [(p * y - f * x) // det for y, x in zip(row_i, row_r)]
         else:
             row_i[:] = [p * y // det if y else 0 for y in row_i]
+        row_i[s] = -f
+    row_r[s] = det
     return p
 
 
@@ -172,27 +190,25 @@ def solve_ints(objective: Sequence[int], rows: Sequence[Sequence[int]]) -> LpSol
     module docstring is 1.
     """
     nv = len(objective)
-    ncols = nv + len(rows)
     for row in rows:
         if len(row) != nv + 1:
             raise ValueError(f"row has {len(row) - 1} coefficients, expected {nv}")
         if row[-1] < 0:
             raise ValueError(f"rhs must be nonnegative, got {row[-1]}")
-    tab: list[list[int]] = []
-    for i, row in enumerate(rows):
-        row = [*row[:nv], *[0] * len(rows), row[-1]]
-        row[nv + i] = 1
-        tab.append(row)
-    basis = list(range(nv, ncols))
+    tab = [list(row) for row in rows]
+    slots = list(range(nv))  # the nonbasic variable of each slot
+    basis = list(range(nv, nv + len(rows)))  # the slacks start basic
     # the slacks cost nothing, so the cost row starts reduced;
     # cost[-1] is -objective times det
-    cost = [*objective, *[0] * (len(rows) + 1)]
+    cost = [*objective, 0]
     pivot_rows = [*tab, cost]
     det = 1
     while True:
-        enter = next((j for j in range(ncols) if cost[j] < 0), -1)
-        if enter == -1:
+        # Bland's rule: the lowest variable with a negative reduced cost
+        var = min((v for v, c in zip(slots, cost) if c < 0), default=-1)
+        if var == -1:
             break
+        enter = slots.index(var)
         # Bland's ratio test, cross-multiplied: rhs_i / a_i < rhs_k / a_k
         leave = -1
         for i, row in enumerate(tab):
@@ -207,13 +223,16 @@ def solve_ints(objective: Sequence[int], rows: Sequence[Sequence[int]]) -> LpSol
         if leave == -1:
             return LpSolution(status=UNBOUNDED)
         det = _pivot(pivot_rows, leave, enter, det)
-        basis[leave] = enter
+        slots[enter], basis[leave] = basis[leave], slots[enter]
 
     x = [0] * nv
     for i, b in enumerate(basis):
         if b < nv:
             x[b] = tab[i][-1]
-    y = cost[nv:ncols]
+    y = [0] * len(rows)  # a basic slack's reduced cost is 0
+    for j, v in enumerate(slots):
+        if v >= nv:
+            y[v - nv] = cost[j]
     _check_optimal(rows, objective, x, y, det)
     zero = Fraction(0)
     return LpSolution(

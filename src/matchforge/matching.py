@@ -10,12 +10,15 @@ The enumerators build integer edge masks (bit e for edge e): one
 depth-first search per kind, _perfect_masks and _maximal_masks, which
 eta.py reads directly; the public enumerators decode them into
 frozensets.  Each search runs on an explicit stack of int tuples: the
-free vertices as a vertex mask (bit v for vertex v), the exposed
-vertices as another (_maximal_masks only), and the matching's key.  A
-node branches on the lowest bit of its free mask and pushes its
-children in reverse, so they pop in g.adj order, exposure last.  No
-tuple changes once pushed, so backtracking is a pop with nothing to
-undo.
+free vertices as a vertex mask (bit v for vertex v), the neighbours of
+exposed vertices as another (_maximal_masks only), and the matching's
+key.  A node decides one free vertex, in each way that it can be
+decided.  No tuple changes once pushed, so backtracking is a pop with
+nothing to undo.  Both searches collect the keys of their leaves and
+sort them once at the end, so the order in which a search visits its
+leaves does not matter.  Exact eta passes _maximal_masks its orbit
+leaders, a set of edge ids; it then lists only the maximal matchings
+whose lowest edge is one of them, by starting one search per leader.
 
 The key of a matching on m edges is one int, rmask << m | mask: the
 edge mask in its low m bits and, above them, the reversed mask (bit
@@ -161,7 +164,8 @@ def _perfect_masks(
     enumerate_perfect_matchings, with its limits and its errors.
 
     The search of _maximal_masks without exposure: a node is (free
-    vertices, key).
+    vertices, key), and matches its lowest free vertex to each free
+    neighbour.
     """
     if vertex_limit is None:
         vertex_limit = PERFECT_VERTEX_LIMIT
@@ -195,19 +199,35 @@ def _maximal_masks(
     *,
     vertex_limit: int | None = MAXIMAL_VERTEX_LIMIT,
     count_budget: int = MAXIMAL_COUNT_BUDGET,
+    leaders: Sequence[int] | None = None,
 ) -> list[int]:
     """The masks of all maximal matchings, in the order of
     enumerate_maximal_matchings, with its limits and its errors.
 
-    A node of the search is a tuple of ints: (free vertices, exposed
-    vertices, key), bit v of a vertex mask for vertex v.  A node
-    branches on its lowest free vertex v: matched to each free
-    neighbour, then left exposed, which is allowed only while no
-    neighbour of v is exposed.  Its children are pushed in reverse, so
-    they pop in adjacency order with exposure last.  A child is built
-    as a new tuple from its parent's ints, and no tuple changes once
-    pushed, so a node needs no undo step: when its subtree is done,
-    the next pop is its next sibling, in the state it was pushed with.
+    A node of the search is a tuple of ints: (free vertices, blocked
+    vertices, key), bit v of a vertex mask for vertex v; the blocked
+    vertices are the neighbours of the vertices left exposed so far.
+    A matching is maximal exactly when no two exposed vertices are
+    adjacent, so a free vertex that is blocked must be matched.  A
+    node decides its lowest free blocked vertex v, if it has one, by
+    matching v to each free neighbour; it has no child when v has none,
+    so a dead branch ends as soon as one vertex is stuck.  Otherwise
+    it decides its lowest free vertex v: matched to each free
+    neighbour, or left exposed, which blocks v's neighbours.  Each
+    leaf has every vertex decided, and every maximal matching is one
+    leaf.  A child is built as a new tuple from its parent's ints, and
+    no tuple changes once pushed, so a node needs no undo step: when
+    its subtree is done, the next pop is its next sibling, in the
+    state it was pushed with.
+
+    With leaders, ascending edge ids, only the maximal matchings whose
+    lowest edge is a leader are listed, in the same order: the stream
+    above filtered to them.  The search starts once per leader r, from
+    a root with r matched, and never offers an edge below r.  So it
+    lists exactly the maximal matchings that hold r and no lower edge:
+    an edge below r is never matched, and blocking still keeps every
+    two exposed vertices apart.  One descending sort of all the keys
+    gives stream order.  count_budget bounds the masks listed.
     """
     if vertex_limit is None:
         vertex_limit = MAXIMAL_VERTEX_LIMIT
@@ -215,27 +235,44 @@ def _maximal_masks(
         raise BudgetExceeded(
             f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
         )
+    m = g.m
     options = _options(g)
     nbrs = neighbor_masks(g)
+    full = (1 << g.n) - 1
+    roots = [(options, full, 0)]
+    if leaders is not None:
+        roots = []
+        for r in leaders:
+            u, v = g.edges[r]
+            above = (1 << m) - (1 << r)  # the edges r..m-1, as key bits
+            roots.append(
+                (
+                    [[o for o in row if o[1] & above] for row in options],
+                    full ^ 1 << u ^ 1 << v,
+                    1 << (2 * m - 1 - r) | 1 << r,
+                )
+            )
     found: list[int] = []
-    stack = [((1 << g.n) - 1, 0, 0)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        free, exposed, key = pop()
-        if not free:
-            if len(found) >= count_budget:
-                raise BudgetExceeded(f"more than {count_budget} maximal matchings")
-            found.append(key)
-            continue
-        low = free & -free
-        free ^= low
-        v = low.bit_length() - 1
-        if not nbrs[v] & exposed:
-            push((free, exposed | low, key))
-        for ubit, bits in options[v]:
-            if free & ubit:
-                push((free ^ ubit, exposed, key | bits))
-    return _sorted_masks(found, g.m)
+    for opts, free, key in roots:
+        stack = [(free, 0, key)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            free, blocked, key = pop()
+            if not free:
+                if len(found) >= count_budget:
+                    raise BudgetExceeded(f"more than {count_budget} maximal matchings")
+                found.append(key)
+                continue
+            low = free & blocked or free  # blocked vertices come first
+            low &= -low
+            free ^= low
+            v = low.bit_length() - 1
+            if not low & blocked:  # v may be left exposed
+                push((free, blocked | nbrs[v], key))
+            for ubit, bits in opts[v]:
+                if free & ubit:
+                    push((free ^ ubit, blocked, key | bits))
+    return _sorted_masks(found, m)
 
 
 def enumerate_perfect_matchings(
@@ -267,8 +304,9 @@ def enumerate_maximal_matchings(
 
     Each vertex is either matched or committed to stay exposed; an
     exposed vertex may never see an exposed neighbour, which is exactly
-    maximality.  The lowest undecided vertex is matched to each
-    undecided neighbour in adjacency order, then left exposed.  Budgets
+    maximality.  A vertex next to an exposed one is decided first, as
+    it must be matched; otherwise the lowest undecided vertex is
+    matched to each undecided neighbour, or left exposed.  Budgets
     and the explicit stack as in enumerate_perfect_matchings; a
     vertex_limit of None means MAXIMAL_VERTEX_LIMIT.  A decode of
     _maximal_masks.

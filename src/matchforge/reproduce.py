@@ -4,7 +4,8 @@ Each check recomputes a documented value from scratch and fails loudly
 on any mismatch.  run_checks drives them with per-check wall clocks;
 the gated checks run past the default enumeration budgets (the exact
 eta of nauru, and of gp(13,5) and gp(14,3) at 26 and 28 vertices,
-among them) and only run on request.
+among them) and only run on request.  The exact eta of nauru, at
+vertex_limit=24, is also default check 13, under a 5 s limit.
 """
 
 from __future__ import annotations
@@ -361,6 +362,7 @@ CHECKS: tuple[Check, ...] = (
     Check("10", "matching engine agreement", 180.0, False, _check_engine_agreement),
     Check("11", "mesh pipeline", 120.0, False, _check_mesh_pipeline),
     Check("12", "default budget exclusions", 5.0, False, _check_exclusions),
+    Check("13", "exact eta of nauru at 24 vertices", 5.0, False, _check_nauru_eta),
     Check("4-full", "nauru full maximal scan", None, True, _check_nauru_full_scan),
     Check("8-full", "family depth-2 snark", None, True, _check_family_d2_snark),
     Check("nauru-eta", "exact eta of nauru", None, True, _check_nauru_eta),

@@ -55,7 +55,9 @@ orbit).  The group itself is never listed: five disjoint K4s, with
 
 edge_automorphisms turns each generator into a permutation of edge ids
 and checks that it maps the edge set onto itself; a generator that
-does not raises InternalError.
+does not raises InternalError.  edge_orbit_leaders reads the edge
+orbits off those permutations and names the lowest edge of each: exact
+eta enumerates only the maximal matchings whose lowest edge is one.
 """
 
 from __future__ import annotations
@@ -331,3 +333,16 @@ def edge_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     generator is checked to map the edge set onto itself.
     """
     return [edge_permutation(g, p) for p in _vertex_generators(g)]
+
+
+def edge_orbit_leaders(gens: Sequence[Sequence[int]], m: int) -> list[int]:
+    """The lowest edge id of each orbit of the group that the edge
+    permutations gens generate on the m edge ids, ascending.  With no
+    generators, every edge is its own leader."""
+    leaders: list[int] = []
+    reached: set[int] = set()
+    for e in range(m):
+        if e not in reached:
+            leaders.append(e)
+            reached |= _orbit({e}, gens)
+    return leaders

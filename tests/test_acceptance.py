@@ -61,7 +61,7 @@ def test_runner_covers_all_defaults_by_default():
     selected = run_checks(ids=[])  # empty selection runs nothing
     assert selected == []
     assert [c.check_id for c in DEFAULT_CHECKS] == [
-        "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12",
+        "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13",
     ]
 
 

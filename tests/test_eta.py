@@ -365,6 +365,19 @@ def test_eta_budget_refusals():
         eta_exact(named("petersen"), maximal_count=70)
 
 
+@pytest.mark.parametrize("g", catalog(24), ids=lambda g: g.name)
+def test_eta_budget_refuses_exactly_past_the_count(g):
+    # the scan enumerates only orbit leaders' masks, yet answers at the
+    # count of all maximal matchings (nauru 15,050, petersen 71) and
+    # refuses one below it; blanusa1 stops at s = 3 with orbits still
+    # unmet, which are closed, with no LP, before the scan returns
+    count = len(enumerate_maximal_matchings(g, vertex_limit=g.n))
+    result = eta_exact(g, vertex_limit=g.n)
+    assert eta_exact(g, vertex_limit=g.n, maximal_count=count) == result
+    with pytest.raises(errors.BudgetExceeded, match=f"more than {count - 1} maximal"):
+        eta_exact(g, vertex_limit=g.n, maximal_count=count - 1)
+
+
 def _eta_exact_inputs():
     """catalog(20), 30 seeded bridgeless cubic graphs (n <= 20) and 20
     seeded bridge_join graphs with a perfect matching (eta = 0)."""

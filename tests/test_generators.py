@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from matchforge import errors
+from matchforge import errors, generators
 from matchforge.classify import (
     is_bipartite,
     is_bridgeless,
@@ -79,6 +79,24 @@ def test_catalog_ordered_and_filtered():
     assert sizes == sorted(sizes)
     assert all(g.n <= 16 for g in catalog(16))
     assert [g.name for g in catalog(4)] == ["k4"]
+
+
+def test_catalog_builds_only_the_entries_that_fit(monkeypatch):
+    full = catalog()
+
+    def key(graphs):
+        return [(g.name, g.n, g.edges, g.flags, type(g)) for g in graphs]
+
+    for k in range(4, 25):
+        assert key(catalog(k)) == key(g for g in full if g.n <= k), k
+    built = []
+    spied = tuple(
+        (name, n, lambda build=build, name=name: built.append(name) or build(), flags)
+        for name, n, build, flags in generators._CATALOG
+    )
+    monkeypatch.setattr(generators, "_CATALOG", spied)
+    assert key(catalog(12)) == key(g for g in full if g.n <= 12)
+    assert built == [g.name for g in full if g.n <= 12]
 
 
 def test_named_is_the_catalog_entry_of_its_label():

@@ -13,6 +13,7 @@ from matchforge.blossom import dual_objective
 from matchforge.generators import catalog, gp, named, random_cubic
 from matchforge.graphs import from_edge_list
 from matchforge import matching
+from matchforge.symmetry import edge_automorphisms, edge_orbit_leaders
 from matchforge.matching import (
     best_matchings,
     enumerate_maximal_matchings,
@@ -334,6 +335,33 @@ def test_mask_cores_stop_where_the_references_stop(label):
         for limit in (g.n - 1, g.n, None):
             got = _outcome(enumerate_, g, vertex_limit=limit)
             assert got == _outcome(reference, g, vertex_limit=limit), limit
+
+
+def _leader_graphs(seed=20261023):
+    """catalog(20) and 30 seeded cubic graphs with 8..20 vertices."""
+    yield from catalog(20)
+    rng = random.Random(seed)
+    for _ in range(30):
+        yield random_cubic(rng.randrange(8, 21, 2), rng)
+
+
+def test_leader_stream_is_the_stream_filtered_to_leader_masks(seed=20261024):
+    # with leaders, the maximal core lists exactly the masks of the full
+    # stream whose lowest edge is a leader, in stream order: for the
+    # leaders of the edge orbits, as exact eta passes them, and for a
+    # random set of edges
+    rng = random.Random(seed)
+    symmetric = 0
+    for i, g in enumerate(_leader_graphs()):
+        full = matching._maximal_masks(g)
+        orbit_leaders = edge_orbit_leaders(edge_automorphisms(g), g.m)
+        symmetric += len(orbit_leaders) < g.m
+        some_edges = sorted(rng.sample(range(g.m), rng.randint(1, g.m)))
+        for leaders in (orbit_leaders, some_edges):
+            lead = set(leaders)
+            want = [mask for mask in full if (mask & -mask).bit_length() - 1 in lead]
+            assert matching._maximal_masks(g, leaders=leaders) == want, i
+    assert symmetric >= 12, symmetric
 
 
 def _mask(s):

@@ -280,6 +280,18 @@ def seeded_bridgeless(count: int) -> list:
 
 @pytest.mark.parametrize(
     "g",
+    list(catalog(20)) + seeded_bridgeless(10),
+    ids=lambda g: getattr(g, "name", f"random-n{g.n}"),
+)
+def test_edge_orbit_leaders_are_the_least_edges_of_the_brute_force_orbits(g):
+    perms = [edge_permutation(g, p) for p in brute_force_group(g)]
+    want = sorted({min(p[e] for p in perms) for e in range(g.m)})
+    assert symmetry.edge_orbit_leaders(edge_automorphisms(g), g.m) == want
+    assert symmetry.edge_orbit_leaders([], g.m) == list(range(g.m))
+
+
+@pytest.mark.parametrize(
+    "g",
     list(catalog(20)) + seeded_bridgeless(20),
     ids=lambda g: getattr(g, "name", f"random-n{g.n}"),
 )
