@@ -36,7 +36,15 @@ one, and within a type vertices 0..n-1 first, then live blossoms in
 creation order.  The blossomdual dict supplies that order (a key is
 inserted when its blossom forms and deleted when it expands, so a
 reused id still sorts by its new creation), and every pass over
-blossoms, as well as the odd_sets output, iterates it.
+blossoms, as well as the odd_sets output, iterates it.  Two stage
+sets, emptied when a stage starts, bound what a dual step reads of the
+vertices.  touched holds the vertices whose best edge the stage set;
+best edges are cleared with it, so only these can offer a type-2 or
+type-3 step.  forest holds the vertices the stage labelled, among them
+every vertex of a labelled top-level blossom, so a step moves the
+duals of forest alone.  touched is read in id order, so within a
+vertex type the step takes the least (slack, vertex id), as a scan of
+0..n-1 does.
 
 Resume.  A best perfect matching is a maximum-weight matching under
 w + S for a large enough shift S, and one run can find both optima.
@@ -81,8 +89,9 @@ end's nbrs, so the rescan of that end matches it.  The replay hands over
 to the stage loop as soon as an exposed vertex has a tight edge to a
 matched one, a type-1 or type-2 step would win or tie, or no two
 exposed vertices are adjacent.  Every stage starts by clearing labels,
-best edges, tight edges and the queue, and no blossom exists yet, so
-the loop goes on exactly as it would have after the same stages.
+best edges, tight edges, the queue and the stage sets, and no blossom
+exists yet, so the loop goes on exactly as it would have after the
+same stages.
 """
 
 from __future__ import annotations
@@ -236,6 +245,14 @@ def max_weight_matching_pairs(
     # edges that became tight and may be traversed.
     allowedge: set[tuple[int, int]] = set()
     queue: list[int] = []
+    # the two stage sets (see Tie order in the module docstring)
+    touched: set[int] = set()
+    forest: set[int] = set()
+    # each vertex whose mate this stage wrote, and the mate it had: if
+    # mate was symmetric before, only these can break it, so the end of
+    # a stage checks them alone; the first stage checks every vertex,
+    # the greedy prefix's pairs included
+    wrote = list(range(n))
 
     def leaves(b: int) -> list[int]:
         out = []
@@ -260,11 +277,10 @@ def max_weight_matching_pairs(
             else:
                 labeledge[w] = labeledge[b] = None
             bestedge[w] = bestedge[b] = None
+            ls = leaves(b) if b >= n else (b,)
+            forest.update(ls)
             if t == 1:
-                if b >= n:
-                    queue.extend(leaves(b))
-                else:
-                    queue.append(b)
+                queue.extend(ls)
                 return
             v = blossombase[b]
             w, t = mate[v], 1
@@ -498,6 +514,7 @@ def max_weight_matching_pairs(
                 t = childs[j]
                 if t >= n:
                     yield (t, x)
+                wrote.extend((w, mate[w], x, mate[x]))
                 mate[w] = x
                 mate[x] = w
             blossomchilds[b] = childs = childs[i:] + childs[:i]
@@ -529,6 +546,7 @@ def max_weight_matching_pairs(
                     raise InternalError("blossom: an S label not via the base's mate")
                 if bs >= n:
                     augment_blossom(bs, s)
+                wrote.extend((s, mate[s]))
                 mate[s] = j
                 if labeledge[bs] is None:
                     break
@@ -541,14 +559,18 @@ def max_weight_matching_pairs(
                     raise InternalError("blossom: a T-blossom entered off its base")
                 if bt >= n:
                     augment_blossom(bt, j)
+                wrote.extend((j, mate[j]))
                 mate[j] = s
 
-    def stepped(delta: int, lbls: list[int]) -> tuple[list[int], dict[int, int]]:
+    def stepped(delta: int) -> tuple[list[int], dict[int, int]]:
         """The vertex and blossom duals after a dual step of delta."""
-        ys = [
-            y - delta if lbl == 1 else y + delta if lbl == 2 else y
-            for y, lbl in zip(dualvar, lbls)
-        ]
+        ys = dualvar[:]
+        for v in forest:
+            lbl = label[inblossom[v]]
+            if lbl == 1:
+                ys[v] -= delta
+            elif lbl == 2:
+                ys[v] += delta
         zs = {}
         for b, z in blossomdual.items():
             if blossomparent[b] == -1:
@@ -587,10 +609,20 @@ def max_weight_matching_pairs(
             mybestedges[b] = None
         allowedge.clear()
         queue.clear()
+        touched.clear()
+        forest.clear()
 
-        for v in [v for v, u in enumerate(mate) if u == -1]:
-            if label[inblossom[v]] == 0:
+        for v, u in enumerate(mate):
+            if u != -1:
+                continue
+            if inblossom[v] != v:
                 assign_label(v, 1, None)
+            elif label[v]:
+                raise InternalError("blossom: labelling a labelled vertex")
+            else:  # as assign_label would: labeledge and bestedge are clear
+                label[v] = 1
+                queue.append(v)
+                forest.add(v)
 
         augmented = 0
         while 1:
@@ -632,10 +664,13 @@ def max_weight_matching_pairs(
                         e = bestedge[bv]
                         if e is None or kslack < dualvar[e[0]] + dualvar[e[1]] - e[2]:
                             bestedge[bv] = (v, w, w2)
+                            if bv < n:
+                                touched.add(bv)
                     elif label[w] == 0:
                         e = bestedge[w]
                         if e is None or kslack < dualvar[e[0]] + dualvar[e[1]] - e[2]:
                             bestedge[w] = (v, w, w2)
+                            touched.add(w)
             if augmented:
                 break
 
@@ -645,14 +680,14 @@ def max_weight_matching_pairs(
             # and within a type vertices before blossoms and blossoms in
             # creation order.  Each type keeps its own first strict
             # minimum below the type-1 step, so one pass over the
-            # vertices and one over the blossoms find them all.
-            lbls = [label[b] for b in inblossom]
+            # touched vertices in id order and one over the blossoms
+            # find them all.
             delta = d2 = d3 = d4 = max(0, min(dualvar))
-            for v in range(n):
+            for v in sorted(touched):
                 e = bestedge[v]
                 if e is None:
                     continue
-                if lbls[v] == 0:
+                if label[inblossom[v]] == 0:
                     d = dualvar[e[0]] + dualvar[e[1]] - e[2]
                     if d < d2:
                         d2, e2 = d, e
@@ -685,7 +720,7 @@ def max_weight_matching_pairs(
             if deltatype == 1 and shift:
                 # the run on w ends here: keep its result, then go on as
                 # the run on w + S
-                first = finish(*stepped(delta, lbls), 0)
+                first = finish(*stepped(delta), 0)
                 dualvar[:] = [y + shift for y in dualvar]
                 s2 = 2 * shift
                 nbrs[:] = [[(u, w2 + s2) for u, w2 in row] for row in nbrs]
@@ -695,7 +730,7 @@ def max_weight_matching_pairs(
                 ]
                 extra, shift = shift, None
                 continue
-            dualvar[:], zs = stepped(delta, lbls)
+            dualvar[:], zs = stepped(delta)
             blossomdual.update(zs)
 
             if deltatype == 1:
@@ -710,8 +745,9 @@ def max_weight_matching_pairs(
             else:
                 expand_blossom(deltablossom, False)
 
-        if any(mate[u] != v for v, u in enumerate(mate) if u != -1):
+        if any(v != -1 and mate[v] != -1 and mate[mate[v]] != v for v in wrote):
             raise InternalError("blossom: the matching is not symmetric")
+        wrote.clear()
         if not augmented:
             break
 

@@ -222,7 +222,10 @@ def _quality_numerator(pa: Vec, pu: Vec, pb: Vec, pv: Vec) -> int:
 
     The vector arithmetic is written out inline for speed, term by term
     and in the order of _sub, _cross, _dot and _norm, so every float
-    is the one those helpers give.
+    is the one those helpers give.  The clamps are comparisons that
+    keep a value exactly when min or max would return it; no NaN gets
+    here, since every divisor is a positive finite float or the
+    division raises.
     """
     sqrt, acos, degrees = math.sqrt, math.acos, math.degrees
     angle = 1.0
@@ -235,12 +238,21 @@ def _quality_numerator(pa: Vec, pu: Vec, pb: Vec, pv: Vec) -> int:
         if nu == 0.0 or nv == 0.0:
             angle = 0.0
             break
-        cos = max(-1.0, min(1.0, (ux * vx + uy * vy + uz * vz) / (nu * nv)))
+        cos = (ux * vx + uy * vy + uz * vz) / (nu * nv)
+        if cos >= 1.0:
+            cos = 1.0
+        elif cos <= -1.0:
+            cos = -1.0
         theta = degrees(acos(cos))
         if theta == 0.0:
             angle = 0.0
             break
-        angle = min(angle, theta / 90.0, 90.0 / theta)
+        r = theta / 90.0
+        if r < angle:
+            angle = r
+        r = 90.0 / theta
+        if r < angle:
+            angle = r
     # the normals n1 = (u - a) x (v - a) and n2 = (b - u) x (v - u) of
     # the triangles (a, u, v) and (u, b, v)
     px, py, pz = pu[0] - pa[0], pu[1] - pa[1], pu[2] - pa[2]
@@ -253,8 +265,13 @@ def _quality_numerator(pa: Vec, pu: Vec, pb: Vec, pv: Vec) -> int:
     m2 = sqrt(n2x * n2x + n2y * n2y + n2z * n2z)
     if m1 == 0.0 or m2 == 0.0:
         return 0
-    planar = max(0.0, (n1x * n2x + n1y * n2y + n1z * n2z) / (m1 * m2))
-    q = max(0.0, min(1.0, angle * planar))
+    planar = (n1x * n2x + n1y * n2y + n1z * n2z) / (m1 * m2)
+    if planar <= 0.0:
+        return 0
+    # angle >= 0 and planar > 0, so only the upper clamp can act
+    q = angle * planar
+    if q >= 1.0:
+        q = 1.0
     return round(q * QUALITY_DENOMINATOR)
 
 

@@ -125,6 +125,16 @@ def test_blossom_raises_when_its_duals_do_not_check(monkeypatch):
         max_weight_matching_pairs(3, PATH, _adjacency(3, PATH))
 
 
+def test_blossom_raises_on_an_asymmetric_mate(monkeypatch):
+    # a prefix that matches 2 to 3 but not 3 to 2; the first stage
+    # checks every vertex, so the pair the prefix wrote is checked too
+    monkeypatch.setattr(
+        blossom, "_greedy_prefix", lambda n, nbrs, top, mate, duals: mate.__setitem__(2, 3)
+    )
+    with pytest.raises(errors.InternalError, match="not symmetric"):
+        max_weight_matching_pairs(4, {(0, 1): 1}, [[1], [0], [], []])
+
+
 def _decision_stream():
     """(pairs, potentials, odd_sets) of 200 seeded tie-heavy random
     graphs, then both quadrangulate modes on the icosahedron (every
@@ -200,6 +210,59 @@ def test_dense_tie_decisions_match_the_pinned_digest():
     for item in _dense_tie_stream():
         digest.update(repr(item).encode())
     assert digest.hexdigest() == DENSE_TIES_SHA256
+
+
+def _expansion_stream():
+    """Engine results for 400 seeded sparse graphs with weights 0..10**6
+    and heavy odd cycles (3, 5 or 7 edges of weight at least 950,000)
+    planted on shuffled vertices: blossoms form on the cycles, later
+    turn T, and expand mid-stage when their dual reaches 0 (a type-4
+    step), which can leave a former leaf unlabelled while it still
+    holds a best edge.  Odd calls shuffle every neighbour list; every
+    third call is shifted."""
+    rng = random.Random(20261024)
+    for i in range(400):
+        n = rng.randint(12, 40)
+        p = rng.uniform(0.02, 0.2)
+        weights = {
+            (u, v): rng.randint(0, 10**6)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < p
+        }
+        order = list(range(n))
+        rng.shuffle(order)
+        start = 0
+        while start + 3 <= n:
+            k = rng.choice((3, 5, 7))
+            cycle = order[start : start + k]
+            cycle = cycle[: len(cycle) - 1 + len(cycle) % 2]  # odd length
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                weights[min(a, b), max(a, b)] = rng.randint(950_000, 10**6)
+            start += k
+        adj = _adjacency(n, weights)
+        if i % 2:
+            for row in adj:
+                rng.shuffle(row)
+        if i % 3:
+            results = [max_weight_matching_pairs(n, weights, adj)]
+        else:
+            results = max_weight_matching_pairs(n, weights, adj, 1 + sum(weights.values()))
+        for pairs, potentials, odd_sets in results:
+            yield sorted(pairs), potentials, odd_sets
+
+
+# Digest of _expansion_stream computed on the engine of commit 319ad91,
+# whose dual steps scanned every vertex; the stream takes 417 type-4
+# steps, in 254 of its 400 calls.
+EXPANSIONS_SHA256 = "6554ce59bf2fdbb7b7937fc146d01f631d3c5065bf4a43e33d97bfd1efc8b5f2"
+
+
+def test_mid_stage_expansions_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for item in _expansion_stream():
+        digest.update(repr(item).encode())
+    assert digest.hexdigest() == EXPANSIONS_SHA256
 
 
 def test_resumed_run_equals_a_fresh_run_on_the_shifted_weights():

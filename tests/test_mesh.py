@@ -162,8 +162,12 @@ def test_quad_weights_frozen():
     assert set(quad_weights(t, dual_graph(t))) == {Fraction(0)}
 
 
-def _quality_reference(pa, pu, pb, pv):
-    """quad_quality written with the mesh module's vector helpers."""
+def _quality_reference(pa, pu, pb, pv, events):
+    """quad_quality written with the mesh module's vector helpers and
+    min/max clamps, on the unscaled points.  Adds to events the name of
+    each clamp that acts and each early exit taken; quad_quality scales
+    the points by a power of two, which moves no ratio, so its kernel
+    meets the same ones."""
     from matchforge.mesh import _cross, _dot, _norm, _sub
 
     corners = (pa, pu, pb, pv)
@@ -172,11 +176,18 @@ def _quality_reference(pa, pu, pb, pv):
         u = _sub(corners[i - 1], corners[i])
         v = _sub(corners[(i + 1) % 4], corners[i])
         nu, nv = _norm(u), _norm(v)
-        theta = 0.0
-        if nu != 0.0 and nv != 0.0:
-            cos = max(-1.0, min(1.0, _dot(u, v) / (nu * nv)))
-            theta = math.degrees(math.acos(cos))
+        if nu == 0.0 or nv == 0.0:
+            events.add("zero side")
+            angle = 0.0
+            break
+        cos = _dot(u, v) / (nu * nv)
+        if cos >= 1.0:
+            events.add("cos at +1")
+        elif cos <= -1.0:
+            events.add("cos at -1")
+        theta = math.degrees(math.acos(max(-1.0, min(1.0, cos))))
         if theta == 0.0:
+            events.add("theta 0")
             angle = 0.0
             break
         angle = min(angle, theta / 90.0, 90.0 / theta)
@@ -184,21 +195,35 @@ def _quality_reference(pa, pu, pb, pv):
     n2 = _cross(_sub(pb, pu), _sub(pv, pu))
     m1, m2 = _norm(n1), _norm(n2)
     if m1 == 0.0 or m2 == 0.0:
+        events.add("zero area")
         return Fraction(0)
-    planar = max(0.0, _dot(n1, n2) / (m1 * m2))
-    q = max(0.0, min(1.0, angle * planar))
+    planar = _dot(n1, n2) / (m1 * m2)
+    if planar <= 0.0:
+        events.add("planar <= 0")
+    q = angle * max(0.0, planar)
+    if q >= 1.0:
+        events.add("q at 1")
+    q = max(0.0, min(1.0, q))
     return Fraction(round(q * QUALITY_DENOMINATOR), QUALITY_DENOMINATOR)
 
 
 def test_quad_quality_matches_the_helper_reference(seed=1357):
     rng = random.Random(seed)
+    counts = {}
     for _ in range(3000):
         kind = rng.random()
         if kind < 0.6:
             pts = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(4)]
         else:  # small grids give right angles, folds and repeated corners
             pts = [tuple(float(rng.randint(-1, 1)) for _ in range(3)) for _ in range(4)]
-        assert quad_quality(*pts) == _quality_reference(*pts)
+        events = set()
+        assert quad_quality(*pts) == _quality_reference(*pts, events)
+        for event in events:
+            counts[event] = counts.get(event, 0) + 1
+    # the corpus reaches every clamp and early exit of the kernel
+    assert set(counts) == {
+        "zero side", "cos at +1", "cos at -1", "theta 0", "zero area", "planar <= 0", "q at 1"
+    }, counts
 
 
 def test_quadrangulate_perfect_icosahedron():
