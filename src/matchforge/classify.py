@@ -144,12 +144,13 @@ def tait_coloring(
             raise _exhausted(nodes)
 
 
-def is_snark(g: CubicGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Bridgeless and not 3-edge-colourable."""
+def is_snark(g: CubicGraph) -> bool:
+    """Bridgeless and not 3-edge-colourable, within tait_coloring's
+    default node budget."""
     ok, _ = is_bridgeless(g)
     if not ok:
         return False
-    return tait_coloring(g, node_budget=node_budget) is None
+    return tait_coloring(g) is None
 
 
 def hamiltonian_cycle(

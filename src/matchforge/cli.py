@@ -23,7 +23,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,12 +41,12 @@ from .errors import (
 )
 from .eta import (
     BoundCertificate,
-    _frac_json,
     berge_witness,
     best_maximal_matching_bound,
     cap_certificate,
     cert_from_json,
     cert_to_json,
+    encode,
     eta_exact,
     eta_result_to_json,
     find_cap_matching,
@@ -173,7 +172,7 @@ def _cmd_gen(args, run: _Run, rng: random.Random) -> int:
     doc: dict = {"graph": _graph_json(g)}
     flags = getattr(g, "flags", None)
     if flags is not None:
-        doc["flags"] = asdict(flags)
+        doc["flags"] = encode(flags)
     if args.graph.startswith("family:"):
         _, m = eta_third_family(int(args.graph[7:]))
         doc["distinguished_matching"] = sorted(m)
@@ -231,7 +230,7 @@ def _cmd_match(args, run: _Run, rng: random.Random) -> int:
         "perfect_required": args.perfect,
         "matching": sorted(m),
         "size": len(m),
-        "weight": _frac_json(matching_weight(w, m)),
+        "weight": encode(matching_weight(w, m)),
         "saturates_all": 2 * len(m) == g.n,
     }
     _emit(doc, run, f"matching of size {len(m)}, weight {matching_weight(w, m)}")
@@ -320,7 +319,7 @@ def _cmd_cert_verify(args, run: _Run, rng: random.Random) -> int:
     run.add_input(args.certificate)
     cert = cert_from_json(json.loads(Path(args.certificate).read_text()))
     ok, reason = verify(g, cert)
-    doc = {"valid": ok, "reason": reason, "kind": cert.kind, "bound": _frac_json(cert.bound)}
+    doc = {"valid": ok, "reason": reason, "kind": cert.kind, "bound": encode(cert.bound)}
     _emit(doc, run, f"certificate {'accepted' if ok else 'rejected'}: {reason}")
     return EXIT_OK if ok else EXIT_NEGATIVE
 
@@ -340,16 +339,7 @@ def _cmd_mesh_quadrangulate(args, run: _Run, rng: random.Random) -> int:
         save_obj(quad_mesh, args.out)
     doc = {
         "dual": {"n": dual.graph.n, "m": dual.graph.m},
-        "report": {
-            "mode": report.mode,
-            "quad_count": report.quad_count,
-            "triangle_count": report.triangle_count,
-            "perfect_weight": None
-            if report.perfect_weight is None
-            else _frac_json(report.perfect_weight),
-            "maximum_weight": _frac_json(report.maximum_weight),
-            "ratio": None if report.ratio is None else _frac_json(report.ratio),
-        },
+        "report": encode(report),
     }
     _emit(
         doc,
@@ -367,7 +357,7 @@ def _cmd_mesh_weights(args, run: _Run, rng: random.Random) -> int:
     w = quad_weights(mesh, dual)
     doc = {
         "dual": {"n": dual.graph.n, "m": dual.graph.m},
-        "weights": [_frac_json(x) for x in w],
+        "weights": encode(w),
     }
     if args.out:
         Path(args.out).write_text(format_weight_csv(w))

@@ -89,7 +89,7 @@ blossom call, with the Edmonds dual that proves it (see cap_certificate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -167,6 +167,8 @@ class BoundCertificate:
           bound = 1/3 from below
       odd_component_upper: a cap_upper payload plus the components
           left when the matching's endpoints are deleted
+
+    The JSON format is the table _PAYLOAD, one row per payload field.
     """
 
     kind: str
@@ -816,9 +818,14 @@ def verify(g: Graph, cert: BoundCertificate) -> tuple[bool, str]:
     A cap is attained by the stated perfect matching, and the stated
     dual proves that no perfect matching meets M in more edges.
     """
+    try:
+        required = _REQUIRED[cert.kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind read from JSON
+        return False, f"unknown certificate kind {cert.kind!r}"
+    if any(getattr(cert, name) is None for name in required):
+        return False, "missing payload"
+
     if cert.kind == INDEPENDENT_SET_UPPER:
-        if cert.matching is None or cert.independent_set is None:
-            return False, "missing payload"
         m = frozenset(cert.matching)
         if not m or not is_matching(g, m):
             return False, "matching field is not a nonempty matching"
@@ -832,9 +839,6 @@ def verify(g: Graph, cert: BoundCertificate) -> tuple[bool, str]:
         return True, "ok"
 
     if cert.kind in (CAP_UPPER, ODD_COMPONENT_UPPER):
-        dual = (cert.perfect_matching, cert.potentials, cert.odd_sets)
-        if cert.matching is None or cert.cap is None or None in dual:
-            return False, "missing payload"
         m = frozenset(cert.matching)
         if not m or not is_matching(g, cert.matching):
             return False, "matching field is not a nonempty matching"
@@ -859,35 +863,41 @@ def verify(g: Graph, cert: BoundCertificate) -> tuple[bool, str]:
                 return False, "component list does not match the deletion"
         return True, "ok"
 
-    if cert.kind == BERGE_COVER_LOWER:
-        if cert.families is None or cert.cover_count is None:
-            return False, "missing payload"
-        k = cert.cover_count
-        if k < 1:
-            return False, "cover count must be positive"
-        if cert.bound != Fraction(1, 3):
-            return False, "bound of this kind is always 1/3"
-        total = 0
-        coverage = [0] * g.m
-        for edges, mult in cert.families:
-            if mult < 1:
-                return False, "multiplicities must be positive"
-            if len(edges) * 2 != g.n or not is_matching(g, edges):
-                return False, "family member is not a perfect matching"
-            total += mult
-            for e in edges:
-                coverage[e] += mult
-        if total != 3 * k:
-            return False, f"family size {total} is not 3 * {k}"
-        if any(c != k for c in coverage):
-            return False, "coverage is not uniform"
-        return True, "ok"
-
-    return False, f"unknown certificate kind {cert.kind!r}"
+    # the kind left is BERGE_COVER_LOWER
+    k = cert.cover_count
+    if k < 1:
+        return False, "cover count must be positive"
+    if cert.bound != Fraction(1, 3):
+        return False, "bound of this kind is always 1/3"
+    total = 0
+    coverage = [0] * g.m
+    for edges, mult in cert.families:
+        if mult < 1:
+            return False, "multiplicities must be positive"
+        if len(edges) * 2 != g.n or not is_matching(g, edges):
+            return False, "family member is not a perfect matching"
+        total += mult
+        for e in edges:
+            coverage[e] += mult
+    if total != 3 * k:
+        return False, f"family size {total} is not 3 * {k}"
+    if any(c != k for c in coverage):
+        return False, "coverage is not uniform"
+    return True, "ok"
 
 
-def _frac_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+def encode(x):
+    """The JSON value of x: a Fraction as {"num", "den"} strings, which
+    keep arbitrary precision; None, int, str and bool as they are; a
+    tuple or list as a list of encoded items; a dataclass instance as an
+    object of its encoded fields, in field order."""
+    if isinstance(x, Fraction):
+        return {"num": str(x.numerator), "den": str(x.denominator)}
+    if x is None or isinstance(x, (int, str)):  # a bool is an int
+        return x
+    if isinstance(x, (tuple, list)):
+        return list(map(encode, x))
+    return {f.name: encode(getattr(x, f.name)) for f in fields(x)}
 
 
 def _frac_from_json(d: dict) -> Fraction:
@@ -897,69 +907,63 @@ def _frac_from_json(d: dict) -> Fraction:
         raise ParseError(f"bad rational {d!r}") from exc
 
 
+def _ints(xs) -> tuple[int, ...]:
+    return tuple(map(int, xs))
+
+
+# The certificate format: one row per BoundCertificate payload field, in
+# field order, as (field, JSON key, writer, reader).  A field that is
+# None is left out of the JSON, and a key that is absent reads as None.
+# Fields of ids are written by list, which is faster than encode's walk
+# item by item; the families and odd_sets rows write records of their
+# own shape.
+_PAYLOAD = (
+    ("matching", "matching", list, _ints),
+    ("independent_set", "independent_set", list, _ints),
+    ("cap", "cap", encode, int),
+    ("families", "families",
+     lambda fams: [{"edges": list(e), "multiplicity": k} for e, k in fams],
+     lambda fams: tuple((_ints(f["edges"]), int(f["multiplicity"])) for f in fams)),
+    ("cover_count", "cover_count", encode, int),
+    ("component_list", "components", lambda cs: list(map(list, cs)),
+     lambda cs: tuple(map(_ints, cs))),
+    ("perfect_matching", "perfect_matching", list, _ints),
+    ("potentials", "potentials", encode, lambda ys: tuple(map(_frac_from_json, ys))),
+    ("odd_sets", "odd_sets",
+     lambda ss: [{"vertices": list(b), "value": encode(z)} for b, z in ss],
+     lambda ss: tuple((_ints(s["vertices"]), _frac_from_json(s["value"])) for s in ss)),
+)
+
+# The payload fields that verify needs before it checks each kind; the
+# odd kind's components are checked after its cap.
+_CAP_FIELDS = ("matching", "cap", "perfect_matching", "potentials", "odd_sets")
+_REQUIRED = {
+    INDEPENDENT_SET_UPPER: ("matching", "independent_set"),
+    CAP_UPPER: _CAP_FIELDS,
+    ODD_COMPONENT_UPPER: _CAP_FIELDS,
+    BERGE_COVER_LOWER: ("families", "cover_count"),
+}
+
+
 def cert_to_json(cert: BoundCertificate) -> dict:
-    out: dict = {"kind": cert.kind, "bound": _frac_json(cert.bound)}
-    if cert.matching is not None:
-        out["matching"] = list(cert.matching)
-    if cert.independent_set is not None:
-        out["independent_set"] = list(cert.independent_set)
-    if cert.cap is not None:
-        out["cap"] = cert.cap
-    if cert.families is not None:
-        out["families"] = [
-            {"edges": list(edges), "multiplicity": mult}
-            for edges, mult in cert.families
-        ]
-    if cert.cover_count is not None:
-        out["cover_count"] = cert.cover_count
-    if cert.component_list is not None:
-        out["components"] = [list(c) for c in cert.component_list]
-    if cert.perfect_matching is not None:
-        out["perfect_matching"] = list(cert.perfect_matching)
-    if cert.potentials is not None:
-        out["potentials"] = [_frac_json(y) for y in cert.potentials]
-    if cert.odd_sets is not None:
-        out["odd_sets"] = [
-            {"vertices": list(b), "value": _frac_json(z)} for b, z in cert.odd_sets
-        ]
+    out: dict = {"kind": cert.kind, "bound": encode(cert.bound)}
+    for name, key, write, _ in _PAYLOAD:
+        value = getattr(cert, name)
+        if value is not None:
+            out[key] = write(value)
     return out
 
 
-def _ints(xs) -> tuple[int, ...]:
-    return tuple(int(x) for x in xs)
-
-
 def cert_from_json(data: dict) -> BoundCertificate:
-    def field(key: str, parse):
-        return parse(data[key]) if key in data else None
-
     try:
         return BoundCertificate(
-            kind=data["kind"],
-            bound=_frac_from_json(data["bound"]),
-            matching=field("matching", _ints),
-            independent_set=field("independent_set", _ints),
-            cap=field("cap", int),
-            families=field("families", lambda fams: tuple(
-                (_ints(fam["edges"]), int(fam["multiplicity"])) for fam in fams
-            )),
-            cover_count=field("cover_count", int),
-            component_list=field("components", lambda cs: tuple(map(_ints, cs))),
-            perfect_matching=field("perfect_matching", _ints),
-            potentials=field("potentials", lambda ys: tuple(map(_frac_from_json, ys))),
-            odd_sets=field("odd_sets", lambda sets: tuple(
-                (_ints(b["vertices"]), _frac_from_json(b["value"])) for b in sets
-            )),
+            data["kind"],
+            _frac_from_json(data["bound"]),
+            *[read(data[key]) if key in data else None for _, key, _, read in _PAYLOAD],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc
 
 
 def eta_result_to_json(res: EtaResult) -> dict:
-    return {
-        "value": _frac_json(res.value),
-        "witness_weights": [_frac_json(w) for w in res.witness_weights],
-        "argmax_matching": list(res.argmax_matching),
-        "argmax_weight": _frac_json(res.argmax_weight),
-        "worst_pm_weight": _frac_json(res.worst_pm_weight),
-    }
+    return encode(res)

@@ -11,8 +11,15 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import BadParameters, SpecInvalid, UnknownLabel
-from .graphs import CubicGraph, as_cubic, components, from_edge_list
+from .errors import (
+    BadParameters,
+    DuplicateEdge,
+    NotConnected,
+    SelfLoop,
+    SpecInvalid,
+    UnknownLabel,
+)
+from .graphs import CubicGraph, as_cubic, check_vertex_count, from_edge_list
 from .matching import enumerate_maximal_matchings
 
 
@@ -55,6 +62,7 @@ def gp(n: int, k: int) -> CubicGraph:
     """
     if n < 3 or k < 1 or 2 * k >= n:
         raise BadParameters(f"gp({n}, {k}): need n >= 3 and 1 <= k <= (n-1)//2")
+    check_vertex_count(2 * n)
     pairs: list[tuple[int, int]] = []
     pairs.extend((i, (i + 1) % n) for i in range(n))
     pairs.extend((i, n + i) for i in range(n))
@@ -353,29 +361,26 @@ def _family_join(
 # ---------------------------------------------------------------------------
 # auxiliary instances
 
+_RANDOM_CUBIC_TRIES = 10_000
 
-def random_cubic(n: int, rng: random.Random, max_tries: int = 10000) -> CubicGraph:
-    """Uniform-ish connected cubic graph via stub pairing with rejection."""
+
+def random_cubic(n: int, rng: random.Random) -> CubicGraph:
+    """Uniform-ish connected cubic graph via stub pairing with rejection.
+
+    A pairing with a loop, a repeated edge or more than one component
+    is drawn again, up to _RANDOM_CUBIC_TRIES times.  Raises
+    VertexOutOfRange past graphs.MAX_VERTICES before drawing anything.
+    """
     if n < 4 or n % 2:
         raise BadParameters(f"cubic graphs need even n >= 4, got {n}")
-    for _ in range(max_tries):
+    check_vertex_count(n)
+    for _ in range(_RANDOM_CUBIC_TRIES):
         stubs = [v for v in range(n) for _ in range(3)]
         rng.shuffle(stubs)
-        pairs = [
-            (stubs[i], stubs[i + 1]) for i in range(0, 3 * n, 2)
-        ]
-        seen = set()
-        ok = True
-        for u, v in pairs:
-            if u == v or (min(u, v), max(u, v)) in seen:
-                ok = False
-                break
-            seen.add((min(u, v), max(u, v)))
-        if not ok:
+        try:
+            return as_cubic(from_edge_list(n, zip(stubs[::2], stubs[1::2])))
+        except (SelfLoop, DuplicateEdge, NotConnected):
             continue
-        g = from_edge_list(n, pairs)
-        if len(components(g)) == 1:
-            return as_cubic(g)
     raise BadParameters(f"no simple connected pairing found for n={n}")
 
 

@@ -96,8 +96,7 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     Pairs are normalised to (min, max); ids follow input order.
     Raises SelfLoop, DuplicateEdge or VertexOutOfRange on bad input.
     """
-    if n < 0 or n > MAX_VERTICES:
-        raise VertexOutOfRange(f"vertex count {n} not in 0..{MAX_VERTICES}")
+    check_vertex_count(n)
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
     for u, v in pairs:
@@ -114,6 +113,13 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise VertexOutOfRange unless 0 <= n <= MAX_VERTICES; builders
+    call it before they allocate anything of size n."""
+    if n < 0 or n > MAX_VERTICES:
+        raise VertexOutOfRange(f"vertex count {n} not in 0..{MAX_VERTICES}")
+
+
 def as_cubic(g: Graph) -> CubicGraph:
     """Check 3-regularity and connectivity, then rebrand the graph.
 
@@ -125,8 +131,9 @@ def as_cubic(g: Graph) -> CubicGraph:
     for v in range(g.n):
         if g.degree(v) != 3:
             raise NotCubic(v, g.degree(v))
-    if g.n > 0 and len(components(g)) != 1:
-        raise NotConnected(f"{len(components(g))} components")
+    count = len(components(g))
+    if count > 1:
+        raise NotConnected(f"{count} components")
     out = object.__new__(CubicGraph)
     out.n, out.edges, out.adj, out._pair_index = g.n, g.edges, g.adj, g._pair_index
     return out

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -472,11 +473,17 @@ def has_perfect_matching(g: Graph) -> bool:
 # weight I/O and random draws
 
 
+_WEIGHT_LITERAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
 def parse_weight_csv(text: str, m: int) -> tuple[Fraction, ...]:
-    """Read "edge_id,value" lines; value is "num/den" or an integer.
+    """Read "edge_id,value" lines; value is an integer or "num/den",
+    with an optional sign.
 
     Every edge id 0..m-1 must appear exactly once.  Comment lines start
-    with '#'.
+    with '#'.  Any other value, a decimal or an exponent among them, is
+    refused before Fraction reads it: Fraction would expand an exponent
+    such as 1e10000000 digit by digit.
     """
     values: dict[int, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -486,6 +493,8 @@ def parse_weight_csv(text: str, m: int) -> tuple[Fraction, ...]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'edge_id,value'")
+        if not _WEIGHT_LITERAL.fullmatch(parts[1]):
+            raise ParseError(f"line {lineno}: {parts[1]!r} is not an integer or num/den")
         try:
             eid = int(parts[0])
             val = Fraction(parts[1])

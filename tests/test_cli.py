@@ -1,5 +1,6 @@
 """Command line: JSON output, manifests, seeds, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -394,6 +395,23 @@ def test_malformed_gp_spec(capsys):
     assert "gp:<n>,<k>" in doc["message"]
 
 
+@pytest.mark.parametrize("spec", ["gp:200000,1", "random:200000", "random:1000000000"])
+def test_oversized_generated_graph_is_a_typed_error(capsys, spec):
+    doc = run_cli(capsys, ["gen", spec], expect=2)
+    assert doc["error"] == "VertexOutOfRange"
+    assert doc["message"].endswith("not in 0..65536")
+
+
+def test_hostile_weight_literal_is_refused(capsys, tmp_path):
+    csv = tmp_path / "w.csv"
+    csv.write_text("0,1e10000000\n")
+    doc = run_cli(capsys, ["match", "name:k4", "--weights", str(csv)], expect=2)
+    assert doc == {
+        "error": "ParseError",
+        "message": "line 1: '1e10000000' is not an integer or num/den",
+    }
+
+
 def test_unknown_label_error_json(capsys):
     doc = run_cli(capsys, ["gen", "name:nosuch"], expect=2)
     assert doc["error"] == "UnknownLabel"
@@ -410,3 +428,89 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+def _json_documents(capsys, tmp_path):
+    """The JSON the library and the CLI write, one document at a time:
+    cert_to_json of the certify benchmark's cap, odd and independent
+    certificates and of best_maximal_matching_bound on catalog(20),
+    eta_result_to_json(eta_exact(g)) on catalog(20), and the stdout of
+    gen, eta exact, match, eta bounds, cert verify, mesh quadrangulate
+    and mesh weights, cut before the manifest (it holds paths and
+    times)."""
+    from matchforge import eta
+    from matchforge.generators import catalog, eta_third_family, odd_component_example
+
+    fam, fam_m = eta_third_family(2)
+    odd = odd_component_example()
+    certs = [
+        eta.cap_certificate(g, eta.find_cap_matching(g, size, max_cap))
+        for g, size, max_cap in (
+            (named("cube"), 3, 2),
+            (named("petersen"), 3, 1),
+            (named("blanusa1"), 5, 2),
+            (named("blanusa2"), 6, 4),
+        )
+    ]
+    certs += [
+        eta.find_independent_set_bound(named("nauru"), 8),
+        eta.odd_component_cert(odd, (0, 1)),
+        eta.cap_certificate(fam, fam_m),
+        eta.odd_component_cert(fam, fam_m),
+    ]
+    for cert in certs:
+        yield json.dumps(eta.cert_to_json(cert))
+    for g in catalog(20):
+        yield json.dumps(eta.cert_to_json(eta.best_maximal_matching_bound(g)))
+        yield json.dumps(eta.eta_result_to_json(eta.eta_exact(g)))
+
+    def stdout(argv, expect=0):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == expect, out
+        return out[: out.index(',\n  "manifest": ')]
+
+    cap = tmp_path / "cap.json"
+    cap.write_text(json.dumps(eta.cert_to_json(certs[0])))  # the cube's cap (0, 6, 11)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(cap.read_text().replace('"cap": 2', '"cap": 1'))
+    ico = icosahedron()
+    jittered = TriangleMesh(
+        tuple(tuple(c * (1 + 0.013 * ((3 * i + j) % 7)) for j, c in enumerate(p))
+              for i, p in enumerate(ico.vertices)),
+        ico.faces,
+    )
+    off = tmp_path / "jittered.off"
+    off.write_text(off_text(jittered))
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text(format_weight_csv([0] * 30))
+    yield stdout(["gen", "name:petersen"])
+    yield stdout(["gen", "family:1"])
+    yield stdout(["eta", "exact", "name:blanusa1"])
+    weighted = ["match", "name:petersen", "--random-weights", "--seed", "3"]
+    yield stdout(weighted)
+    yield stdout([*weighted, "--perfect"])
+    yield stdout(["eta", "bounds", "name:petersen"])
+    yield stdout(["cert", "verify", "name:cube", str(cap)])
+    yield stdout(["cert", "verify", "name:cube", str(tampered)], expect=1)
+    for mode in ("perfect", "maximum"):
+        quadrangulate = ["mesh", "quadrangulate", str(off), "--mode", mode]
+        yield stdout(quadrangulate)
+        yield stdout([*quadrangulate, "--random-weights"])
+        yield stdout([*quadrangulate, "--weights", str(zeros)])
+    yield stdout(["mesh", "weights", str(off)])
+
+
+# Digest of _json_documents, each document followed by a newline,
+# computed at commit 24f734a, before the certificate format moved into
+# one table and every Fraction into one encoder.
+JSON_DOCUMENTS_SHA256 = (
+    "651049f00b938ca88edee9cd3c275299d1f9caffbcb2eb36bce2be6a304f8c66"
+)
+
+
+def test_json_documents_match_the_pinned_digest(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for doc in _json_documents(capsys, tmp_path):
+        digest.update(doc.encode() + b"\n")
+    assert digest.hexdigest() == JSON_DOCUMENTS_SHA256

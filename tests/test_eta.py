@@ -6,7 +6,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -989,6 +989,47 @@ def test_cert_json_rejects_a_malformed_dual(field, bad):
     data[field] = bad
     with pytest.raises(errors.ParseError):
         cert_from_json(data)
+
+
+def test_payload_table_follows_the_certificate_fields():
+    names = [name for name, _, _, _ in eta_module._PAYLOAD]
+    assert names == [f.name for f in fields(BoundCertificate)][2:]
+    for required in eta_module._REQUIRED.values():
+        assert set(required) <= set(names)
+
+
+def test_verify_names_each_missing_payload_field():
+    g = named("petersen")
+    for cert in (
+        maximal_matching_bound(g, [0, 8, 12]),
+        cap_certificate(g, [0, 8, 12]),
+        berge_witness(g),
+    ):
+        assert verify(g, cert) == (True, "ok")
+        for name in eta_module._REQUIRED[cert.kind]:
+            missing = replace(cert, **{name: None})
+            assert verify(g, missing) == (False, "missing payload")
+    odd = odd_component_example()
+    cert = odd_component_cert(odd, [0, 1])
+    no_components = replace(cert, component_list=None)
+    assert verify(odd, no_components) == (False, "missing components")
+    assert verify(odd, replace(cert, cap=None)) == (False, "missing payload")
+    # a kind read from JSON may be unhashable
+    data = {"kind": ["cap_upper"], "bound": {"num": "1", "den": "3"}}
+    assert verify(g, cert_from_json(data)) == (
+        False, "unknown certificate kind ['cap_upper']"
+    )
+
+
+def test_encode_writes_fractions_as_string_pairs():
+    assert eta_module.encode(Fraction(-2, 6)) == {"num": "-1", "den": "3"}
+    assert eta_module.encode((1, [Fraction(1, 2), None], ((True, "x"),))) == [
+        1, [{"num": "1", "den": "2"}, None], [[True, "x"]]
+    ]
+    r = eta_exact(named("k4"))
+    assert list(eta_module.encode(r)) == [f.name for f in fields(r)]
+    with pytest.raises(TypeError):
+        eta_module.encode({1, 2})
 
 
 def test_eta_result_json_shape():

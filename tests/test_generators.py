@@ -1,6 +1,8 @@
 """Generators: catalog graphs, joins, the snark family, random instances."""
 
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -217,3 +219,44 @@ def test_odd_component_example_shape():
     assert bip
     bridgeless, _ = is_bridgeless(g)
     assert bridgeless
+
+
+def _random_cubic_draws():
+    """Seeded random_cubic draws at sizes 4..50, each seed's stream
+    followed by the next number its rng gives."""
+    for seed in range(100):
+        rng = random.Random(seed)
+        for n in (4, 6, 8, 10, 12, 16, 20, 30, 50):
+            g = random_cubic(n, rng)
+            yield repr((type(g).__name__, g.n, g.edges))
+        yield repr(rng.random())
+
+
+# Digest of _random_cubic_draws, computed at commit 24f734a, before the
+# rejection loop left its simplicity and connectivity checks to
+# from_edge_list and as_cubic.
+RANDOM_CUBIC_SHA256 = (
+    "09cad1512498a6ade0420604926ea7e3d768030333f6f83bd0675da4a43cb04f"
+)
+
+
+def test_random_cubic_draws_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for line in _random_cubic_draws():
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == RANDOM_CUBIC_SHA256
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: gp(200_000, 1), lambda: random_cubic(200_000, random.Random(0))],
+    ids=["gp", "random_cubic"],
+)
+def test_oversized_builders_refuse_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.VertexOutOfRange, match="not in 0..65536"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

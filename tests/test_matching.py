@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import chain
 
@@ -613,6 +614,17 @@ def test_weight_csv_parse_errors():
     with pytest.raises(errors.ParseError):
         parse_weight_csv("0,1/0\n", 1)
     assert parse_weight_csv("# note\n\n0,3/4\n", 1) == (Fraction(3, 4),)
+    assert parse_weight_csv("0,-1\n1, +2 \n2,-6/4\n", 3) == (-1, 2, Fraction(-3, 2))
+
+
+@pytest.mark.parametrize(
+    "value", ["1e10000000", "1e1000000", "0.5", "1_000", "3/-4", "1/2e5"]
+)
+def test_weight_csv_refuses_undocumented_literals_at_once(value):
+    start = time.perf_counter()
+    with pytest.raises(errors.ParseError, match="not an integer or num/den"):
+        parse_weight_csv(f"0,{value}\n", 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_random_weights_in_range(seed=16):
