@@ -22,6 +22,21 @@ contains it, so the dropped rows never change s(M) or the feasible set.
 The returned witness is re-evaluated through the independent matching
 engines before the result is accepted; a mismatch raises InternalError.
 
+Most LPs never run: a greedy cover bounds s(M) from above first.  The
+dual of s(M) is a fractional cover of M by perfect matchings (Lovasz
+1975, "On the ratio of optimal integral and fractional covers"), so a
+cover of M q times over proves a bound by weak duality.  Let c
+traces t_i = P_i & M, repeats allowed, cover every edge of M at least q
+times.  A feasible w has w(t_i) <= w(P_i) <= 1, so q w(M) <= sum w(t_i)
+<= c, and s(M) <= c/q.  With the best s so far p/q in lowest terms, M
+is skipped when a greedy cover of fold q needs at most p traces: then
+s(M) <= best s, so M fails the strict s > best test that picks the
+result, and the value, the argmax and its LP assignment are those of
+the full scan.  The cheap cover runs first: whole perfect matchings
+with q = 1 and p = floor(best s) (_greedy_cover_count).  A mask that
+passes it gets its maximal traces once; the cover of fold q runs over
+them (_fold_cover_count), and they are the LP's rows if it runs.
+
 eta = 0 is decided before the scan, from the perfect matchings it needs
 anyway: eta is 0 iff the OR of their masks misses an edge, and the
 lowest missing bit is the first edge, in id order, that is_eta_zero
@@ -44,7 +59,7 @@ applied to a mask through one lookup table per 8 edge ids) join a set
 of seen masks, and a later M in that set is skipped before its greedy
 cover or its LP.  This changes no output.  The best s so far never
 decreases, and once M is met it is at least s(M): either M's LP was
-solved, or M's greedy cover, an upper bound on s(M), was at most the
+solved, or one of M's greedy covers showed that s(M) is at most the
 best s.  So a skipped orbit-mate would fail the strict s > best test
 that picks the result, and the value, the argmax and its LP
 assignment are those of the full scan.
@@ -285,7 +300,7 @@ def _greedy_cover_count(mask: int, pm_masks: Sequence[int], bound: int) -> int:
     from above; used only to skip hopeless LPs, when the count is at
     most bound.  Past bound the count does not matter, so it returns
     bound + 1 as soon as the cover needs more than bound perfect
-    matchings, or 1 << 60 once it meets an edge that none covers.
+    matchings; an edge that none covers runs the count past bound too.
     """
     count = 0
     remaining = mask
@@ -299,9 +314,46 @@ def _greedy_cover_count(mask: int, pm_masks: Sequence[int], bound: int) -> int:
             if gain > best_gain:
                 best_gain = gain
                 best_pm = pm
-        if best_gain == 0:
-            return 1 << 60  # uncoverable edge; cannot bound
         remaining &= ~best_pm
+        count += 1
+    return count
+
+
+def _fold_cover_count(mask: int, traces: Sequence[int], fold: int, bound: int) -> int:
+    """Traces needed to cover every bit of mask fold times, greedily.
+
+    c traces (repeats allowed) that cover each edge of M fold times show
+    s(M) <= c / fold (see the module docstring); used only to skip an LP
+    when the count is at most bound.  layers[k] holds the bits still to
+    be covered more than k times, so a trace's gain, the sum of its
+    overlaps with the layers, is the cover demand left on its edges; the
+    first trace of greatest gain is taken, and each of its bits leaves
+    the highest layer that holds it.  Past bound the count does not
+    matter, so it returns bound + 1 as soon as the cover needs more than
+    bound traces; an edge that no trace covers runs the count past bound
+    too.
+    """
+    layers = [mask] * fold
+    count = 0
+    while layers[0]:
+        if count == bound:
+            return bound + 1
+        best_gain = 0
+        best_t = 0
+        for t in traces:
+            gain = 0
+            for layer in layers:
+                hit = t & layer
+                if not hit:
+                    break  # the layers are nested
+                gain += hit.bit_count()
+            if gain > best_gain:
+                best_gain = gain
+                best_t = t
+        layers = [
+            layer & ~best_t | upper & best_t
+            for layer, upper in zip(layers, [*layers[1:], 0])
+        ]
         count += 1
     return count
 
@@ -318,27 +370,28 @@ def _maximal_traces(m_mask: int, pm_masks: Sequence[int]) -> list[int]:
     kept: list[int] = []
     # a strict superset has more bits, so it is seen (or dominated) first
     for t in sorted(traces, key=int.bit_count, reverse=True):
-        if not any(t & u == t for u in kept):
+        for u in kept:
+            if t & u == t:
+                break
+        else:
             kept.append(t)
     return sorted(kept)
 
 
 def _support_lp_max(
-    mask: int, pm_masks: Sequence[int]
+    mask: int, traces: Sequence[int]
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """max sum(w_e) over the edges e of mask, s.t. each PM's restriction
     <= 1; the assignment lists w_e by ascending e.
 
     mask is an edge mask (bit e for edge e), as the scan reads it from
-    matching._maximal_masks, whose keys keep it in their low m bits.
-    One row per inclusion-maximal trace, which is exact because w >= 0.
-    The rows are built as 0/1 ints and solved by lp.solve_ints.
+    matching._maximal_masks, whose keys keep it in their low m bits, and
+    traces are its maximal traces (_maximal_traces): one row each, which
+    is exact because w >= 0.  The rows are built as 0/1 ints and solved
+    by lp.solve_ints.
     """
     edges = _decode(mask)
-    rows = [
-        [*(t >> e & 1 for e in edges), 1]
-        for t in _maximal_traces(mask, pm_masks)
-    ]
+    rows = [[*(t >> e & 1 for e in edges), 1] for t in traces]
     sol = solve_ints([-1] * len(edges), rows)
     if sol.status != OPTIMAL or sol.assignment is None:
         raise InternalError(f"support LP for {edges} ended {sol.status}")
@@ -458,7 +511,12 @@ def eta_exact(
             and _greedy_cover_count(mask, pm_masks, best_floor) <= best_floor
         ):
             continue
-        s, assignment = _support_lp_max(mask, pm_masks)
+        traces = _maximal_traces(mask, pm_masks)
+        if best_s is not None and _fold_cover_count(
+            mask, traces, best_s.denominator, best_s.numerator
+        ) <= best_s.numerator:
+            continue
+        s, assignment = _support_lp_max(mask, traces)
         if best_s is None or s > best_s:
             best_s = s
             best_floor = s.numerator // s.denominator
@@ -900,15 +958,78 @@ def encode(x):
     return {f.name: encode(getattr(x, f.name)) for f in fields(x)}
 
 
-def _frac_from_json(d: dict) -> Fraction:
-    try:
-        return Fraction(int(d["num"]), int(d["den"]))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {d!r}") from exc
+# The reader accepts only what cert_to_json writes: an id or a count is
+# a JSON integer (not a bool, a float or a string), a list is a JSON
+# list, a rational is {"num", "den"} in the decimal form that str(int)
+# writes with den > 0, and an object has no key beyond its format's.
+# Anything else raises ParseError.
+
+
+def _int(x) -> int:
+    if type(x) is not int:
+        raise ParseError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _list(xs) -> list:
+    if type(xs) is not list:
+        raise ParseError(f"expected a list, got {xs!r}")
+    return xs
+
+
+_INT = {int}
 
 
 def _ints(xs) -> tuple[int, ...]:
-    return tuple(map(int, xs))
+    if not {*map(type, _list(xs))} <= _INT:
+        raise ParseError(f"expected a list of integers, got {xs!r}")
+    return tuple(xs)
+
+
+def _pair(d, a: str, b: str) -> tuple:
+    """The values of a and b in d, a JSON object with no other key."""
+    if type(d) is not dict or len(d) != 2:
+        raise ParseError(f"expected an object with keys {a!r} and {b!r}, got {d!r}")
+    return d[a], d[b]
+
+
+def _frac(num, den) -> Fraction:
+    try:
+        p, q = int(num), int(den)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad rational {num!r}/{den!r}") from exc
+    if str(p) != num or str(q) != den or q <= 0:
+        raise ParseError(f"bad rational {num!r}/{den!r}")
+    return Fraction(p, q)
+
+
+def _fracs(ys) -> tuple[Fraction, ...]:
+    """A list of rationals.  Each distinct one is parsed once, as the
+    potentials of a dual repeat a few values."""
+    memo: dict = {}
+    out = []
+    for y in _list(ys):
+        if type(y) is not dict or len(y) != 2:
+            raise ParseError(f"bad rational {y!r}")
+        key = y["num"], y["den"]
+        x = memo.get(key)
+        if x is None:
+            x = memo[key] = _frac(*key)
+        out.append(x)
+    return tuple(out)
+
+
+def _families(fams) -> tuple:
+    out = []
+    for f in _list(fams):
+        edges, k = _pair(f, "edges", "multiplicity")
+        out.append((_ints(edges), _int(k)))
+    return tuple(out)
+
+
+def _odd_sets(ss) -> tuple:
+    pairs = (_pair(s, "vertices", "value") for s in _list(ss))
+    return tuple((_ints(b), _frac(*_pair(z, "num", "den"))) for b, z in pairs)
 
 
 # The certificate format: one row per BoundCertificate payload field, in
@@ -920,19 +1041,20 @@ def _ints(xs) -> tuple[int, ...]:
 _PAYLOAD = (
     ("matching", "matching", list, _ints),
     ("independent_set", "independent_set", list, _ints),
-    ("cap", "cap", encode, int),
+    ("cap", "cap", encode, _int),
     ("families", "families",
      lambda fams: [{"edges": list(e), "multiplicity": k} for e, k in fams],
-     lambda fams: tuple((_ints(f["edges"]), int(f["multiplicity"])) for f in fams)),
-    ("cover_count", "cover_count", encode, int),
+     _families),
+    ("cover_count", "cover_count", encode, _int),
     ("component_list", "components", lambda cs: list(map(list, cs)),
-     lambda cs: tuple(map(_ints, cs))),
+     lambda cs: tuple(map(_ints, _list(cs)))),
     ("perfect_matching", "perfect_matching", list, _ints),
-    ("potentials", "potentials", encode, lambda ys: tuple(map(_frac_from_json, ys))),
+    ("potentials", "potentials", encode, _fracs),
     ("odd_sets", "odd_sets",
      lambda ss: [{"vertices": list(b), "value": encode(z)} for b, z in ss],
-     lambda ss: tuple((_ints(s["vertices"]), _frac_from_json(s["value"])) for s in ss)),
+     _odd_sets),
 )
+_KEYS = {"kind", "bound", *(key for _, key, _, _ in _PAYLOAD)}
 
 # The payload fields that verify needs before it checks each kind; the
 # odd kind's components are checked after its cap.
@@ -955,10 +1077,17 @@ def cert_to_json(cert: BoundCertificate) -> dict:
 
 
 def cert_from_json(data: dict) -> BoundCertificate:
+    """The certificate of a JSON object in the format cert_to_json
+    writes; any other input raises ParseError."""
+    if type(data) is not dict:
+        raise ParseError("malformed certificate: not a JSON object")
+    if not data.keys() <= _KEYS:
+        unknown = sorted(data.keys() - _KEYS)
+        raise ParseError(f"malformed certificate: unknown keys {unknown}")
     try:
         return BoundCertificate(
             data["kind"],
-            _frac_from_json(data["bound"]),
+            _frac(*_pair(data["bound"], "num", "den")),
             *[read(data[key]) if key in data else None for _, key, _, read in _PAYLOAD],
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -197,6 +197,28 @@ def test_witness_and_cert_verify_flow(capsys, tmp_path):
     assert doc["valid"] is False and "cap" in doc["reason"]
 
 
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("matching", [0.4, 6.4, 11.4]),
+        ("matching", ["0", "6", "11"]),
+        ("bound", {"num": 1.9, "den": "3"}),
+        ("bound", {"num": 2.9, "den": "3"}),
+    ],
+    ids=["float-ids", "string-ids", "float-num-1.9", "float-num-2.9"],
+)
+def test_cert_verify_refuses_numbers_it_would_have_to_round(capsys, tmp_path, key, bad):
+    from matchforge import eta
+
+    cert = tmp_path / "c.json"
+    data = eta.cert_to_json(eta.maximal_matching_bound(named("cube"), [0, 6, 11]))
+    cert.write_text(json.dumps(data))
+    assert run_cli(capsys, ["cert", "verify", "name:cube", str(cert)])["valid"] is True
+    cert.write_text(json.dumps({**data, key: bad}))
+    doc = run_cli(capsys, ["cert", "verify", "name:cube", str(cert)], expect=2)
+    assert doc["error"] == "ParseError"
+
+
 def test_witness_not_found(capsys):
     doc = run_cli(
         capsys,

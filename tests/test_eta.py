@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import random
 import time
 from dataclasses import fields, replace
@@ -36,7 +37,7 @@ from matchforge.eta import (
     odd_component_cert,
     verify,
 )
-from matchforge.eta import _support_lp_max
+from matchforge.eta import _maximal_traces, _support_lp_max
 from matchforge.generators import (
     bridge_join,
     catalog,
@@ -176,7 +177,8 @@ def test_maximal_trace_rows_keep_support_lp_value(g):
     pm_masks = [sum(1 << e for e in p) for p in pms]
     for m in enumerate_maximal_matchings(g):
         edges = tuple(sorted(m))
-        s, w = _support_lp_max(sum(1 << e for e in m), pm_masks)
+        mask = sum(1 << e for e in m)
+        s, w = _support_lp_max(mask, _maximal_traces(mask, pm_masks))
         rows = _all_trace_rows(edges, pms)
         full = solve(program([-1] * len(edges), rows))
         assert -full.value == s, edges
@@ -414,6 +416,54 @@ def test_eta_exact_results_match_the_pinned_digest():
         digest.update(repr(r).encode())
     assert zeros == 20
     assert digest.hexdigest() == ETA_EXACT_SHA256
+
+
+def _rand7_28():
+    rng = random.Random(7)
+    while True:
+        g = random_cubic(28, rng)
+        if is_bridgeless(g)[0]:
+            return g
+
+
+# Exact eta past the catalog, computed at commit 15a6a27, before the scan
+# skipped LPs by fractional covers: per graph, the value, the argmax and
+# the sha256 of repr(witness_weights).  About 0.8, 1.9 and 3.7 s each on
+# a 2-vCPU x86 machine.
+PAST_THE_CATALOG = {
+    "gp15-4": (
+        lambda: gp(15, 4),
+        Fraction(5, 11),
+        (0, 2, 4, 7, 9, 12, 21, 31, 34, 37, 39, 44),
+        "6f2924b9197a581b5e12ddc396faac81c5418551e80cc139c2ec058b4481255f",
+    ),
+    "gp16-3": (
+        lambda: gp(16, 3),
+        Fraction(3, 8),
+        (0, 2, 6, 11, 20, 25, 30, 31, 32, 37, 42),
+        "2cc8e74417e702769968abec5b7a741dfcb6d441e2eeae4b41314eaeb3d1fcf5",
+    ),
+    "rand7-28": (
+        _rand7_28,
+        Fraction(3, 8),
+        (0, 2, 4, 12, 14, 15, 18, 19, 34, 38),
+        "8995ca18b4d6e9ec59d35e5ed6ee0305381cba56efa3264b2787ff001d762994",
+    ),
+}
+
+
+@pytest.mark.skipif(
+    os.environ.get("MATCHFORGE_FULL") != "1",
+    reason="gated long job; set MATCHFORGE_FULL=1",
+)
+@pytest.mark.parametrize("name", PAST_THE_CATALOG)
+def test_exact_eta_past_the_catalog(name):
+    make, value, argmax, witness_sha256 = PAST_THE_CATALOG[name]
+    r = eta_exact(make(), vertex_limit=40)
+    assert r.value == value
+    assert r.argmax_matching == argmax
+    digest = hashlib.sha256(repr(r.witness_weights).encode()).hexdigest()
+    assert digest == witness_sha256
 
 
 def test_eta_exact_runs_one_blossom_per_bridgeless_graph(monkeypatch):
@@ -927,6 +977,68 @@ def test_cert_json_malformed():
         cert_from_json({"kind": "cap_upper", "bound": {"num": "1"}})
     with pytest.raises(errors.ParseError):
         cert_from_json([])
+
+
+def _readable_certificates():
+    """One certificate of each kind, as cert_to_json writes it."""
+    g = named("petersen")
+    cube = maximal_matching_bound(named("cube"), [0, 6, 11])
+    return {
+        "exposed": cert_to_json(cube),
+        "cap": cert_to_json(_cap_with_odd_set()[1]),
+        "berge": cert_to_json(berge_witness(g)),
+        "odd": cert_to_json(odd_component_cert(odd_component_example(), [0, 1])),
+    }
+
+
+# One edit per way a file can differ from what cert_to_json writes: per
+# case, the certificate kind, the key edited and the edit of its value
+MALFORMED = {
+    "float-ids": ("exposed", "matching", lambda m: [0.4, 6.4, 11.4]),
+    "string-ids": ("exposed", "matching", lambda m: ["0", "6", "11"]),
+    "bool-id": ("exposed", "matching", lambda m: [True, *m[1:]]),
+    "string-for-list": ("exposed", "matching", lambda m: "0611"),
+    "float-set": ("exposed", "independent_set", lambda s: [float(v) for v in s]),
+    "float-num-1.9": ("exposed", "bound", lambda b: {"num": 1.9, "den": "3"}),
+    "float-num-2.9": ("exposed", "bound", lambda b: {"num": 2.9, "den": "3"}),
+    "int-den": ("exposed", "bound", lambda b: {"num": "2", "den": 3}),
+    "plus-sign": ("exposed", "bound", lambda b: {"num": "+2", "den": "3"}),
+    "space": ("exposed", "bound", lambda b: {"num": "2", "den": " 3"}),
+    "leading-zero": ("exposed", "bound", lambda b: {"num": "02", "den": "3"}),
+    "non-ascii-digit": ("exposed", "bound", lambda b: {"num": "2", "den": "\u0663"}),
+    "negative-den": ("exposed", "bound", lambda b: {"num": "-2", "den": "-3"}),
+    "zero-den": ("exposed", "bound", lambda b: {"num": "2", "den": "0"}),
+    "extra-rational-key": ("exposed", "bound", lambda b: {**b, "sign": "+"}),
+    "list-rational": ("exposed", "bound", lambda b: ["2", "3"]),
+    "unknown-key": ("exposed", "cover", lambda _: 1),
+    "float-cap": ("cap", "cap", lambda c: float(c)),
+    "bool-cap": ("cap", "cap", lambda c: True),
+    "string-cap": ("cap", "cap", lambda c: str(c)),
+    "extra-potential-key": ("cap", "potentials", lambda ys: [{**ys[0], "x": 0}]),
+    "int-potential": ("cap", "potentials", lambda ys: [{"num": 1, "den": "1"}]),
+    "string-potentials": ("cap", "potentials", lambda ys: str(ys)),
+    "extra-odd-set-key": ("cap", "odd_sets", lambda ss: [{**ss[0], "weight": 1}]),
+    "string-odd-set": ("cap", "odd_sets", lambda ss: [{**ss[0], "vertices": "012"}]),
+    "bool-cover-count": ("berge", "cover_count", lambda k: True),
+    "float-multiplicity": (
+        "berge", "families", lambda fs: [{**fs[0], "multiplicity": 1.0}, *fs[1:]]
+    ),
+    "extra-family-key": ("berge", "families", lambda fs: [{**fs[0], "k": 1}, *fs[1:]]),
+    "list-family": ("berge", "families", lambda fs: [[fs[0]["edges"], 1], *fs[1:]]),
+    "string-component": (
+        "odd", "components", lambda cs: [[str(v) for v in cs[0]], *cs[1:]]
+    ),
+    "object-components": ("odd", "components", lambda cs: {"0": cs[0]}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_cert_json_accepts_only_what_cert_to_json_writes(case):
+    kind, key, edit = MALFORMED[case]
+    data = _readable_certificates()[kind]
+    assert cert_from_json(json.loads(json.dumps(data))) is not None
+    with pytest.raises(errors.ParseError):
+        cert_from_json({**data, key: edit(data.get(key))})
 
 
 def _cap_with_odd_set():

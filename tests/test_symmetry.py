@@ -1,8 +1,10 @@
 """Automorphism generators and the orbit scan of exact eta."""
 
+import importlib.util
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,11 @@ from matchforge.classify import is_bridgeless
 from matchforge.eta import _add_orbit, _orbit_tables, eta_exact
 from matchforge.generators import catalog, gp, named, random_cubic
 from matchforge.graphs import from_edge_list
-from matchforge.matching import _perfect_masks, enumerate_maximal_matchings
+from matchforge.matching import (
+    _maximal_masks,
+    _perfect_masks,
+    enumerate_maximal_matchings,
+)
 from matchforge.symmetry import edge_automorphisms, edge_permutation
 
 K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -398,12 +404,114 @@ def test_greedy_cover_stops_past_its_bound(ng):
         full = greedy_cover_reference(mask, cover)
         for bound in range(6):
             got = eta._greedy_cover_count(mask, cover, bound)
-            if full <= bound:
-                assert got == full
-            elif full < 1 << 60:
-                assert got == bound + 1
-            else:  # uncoverable: any count past the bound skips nothing
-                assert got > bound
+            assert got == (full if full <= bound else bound + 1)
+
+
+def fold_cover_reference(mask, traces, fold):
+    """The fold cover counted to the end, one demand counter per edge:
+    each step takes the first trace whose edges carry the most demand
+    left; 1 << 60 if it cannot cover."""
+    need = {e: fold for e in range(mask.bit_length()) if mask >> e & 1}
+    count = 0
+    while any(need.values()):
+        gains = [sum(need.get(e, 0) for e in range(t.bit_length()) if t >> e & 1)
+                 for t in traces]
+        if max(gains, default=0) == 0:
+            return 1 << 60
+        t = traces[gains.index(max(gains))]
+        for e in need:
+            if t >> e & 1 and need[e]:
+                need[e] -= 1
+        count += 1
+    return count
+
+
+def sampled_masks(g, rng, k):
+    """Up to k maximal matchings of g as edge masks, with the perfect
+    matching masks and the traces of the perfect matchings on each."""
+    pms = _perfect_masks(g)
+    maximals = list(_maximal_masks(g))
+    for mask in rng.sample(maximals, min(k, len(maximals))):
+        yield mask, pms, eta._maximal_traces(mask, pms)
+
+
+@pytest.mark.parametrize(
+    "g",
+    list(catalog(20)) + seeded_bridgeless(10),
+    ids=lambda g: getattr(g, "name", f"random-n{g.n}"),
+)
+def test_fold_cover_bounds_the_support_lp(g):
+    # weak duality: c traces covering M fold times prove s(M) <= c / fold
+    rng = random.Random(g.m)
+    skips = 0
+    for mask, _, traces in sampled_masks(g, rng, 6):
+        s, _ = eta._support_lp_max(mask, traces)
+        for fold in range(1, 5):
+            for bound in range(13):
+                count = eta._fold_cover_count(mask, traces, fold, bound)
+                if count <= bound:
+                    skips += 1
+                    assert s <= Fraction(count, fold) <= Fraction(bound, fold)
+    assert skips or not is_bridgeless(g)[0]
+
+
+@pytest.mark.parametrize("g", catalog(20), ids=lambda g: g.name)
+def test_fold_cover_counts_like_the_reference_or_stops_past_its_bound(g):
+    rng = random.Random(g.m)
+    for mask, pms, traces in sampled_masks(g, rng, 8):
+        # a few traces only, or another mask's, leave some edges uncoverable
+        cases = [traces, traces[: rng.randint(1, 3)]]
+        cases.append(eta._maximal_traces(rng.getrandbits(g.m), pms))
+        for cover in cases:
+            for fold in range(1, 5):
+                full = fold_cover_reference(mask, cover, fold)
+                for bound in range(13):
+                    got = eta._fold_cover_count(mask, cover, fold, bound)
+                    assert got == (full if full <= bound else bound + 1)
+
+
+@pytest.mark.parametrize(
+    "g",
+    list(catalog(20)) + seeded_bridgeless(20),
+    ids=lambda g: getattr(g, "name", f"random-n{g.n}"),
+)
+def test_fold_cover_skip_changes_no_result(monkeypatch, g):
+    skipping = eta_exact(g)
+    monkeypatch.setattr(eta, "_fold_cover_count", lambda mask, t, q, bound: bound + 1)
+    assert eta_exact(g) == skipping
+
+
+def eta_catalog_graphs():
+    """The graphs of the eta-catalog bench workload at seed 1: catalog(20)
+    and bridgeless cubic graphs drawn by perfbench/inputs.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    rng = random.Random(1)
+    graphs = {g.name: g for g in catalog(20)}
+    for i, n in enumerate((12, 14, 14, 16)):
+        graphs[f"random{i}-n{n}"] = from_edge_list(n, inputs.bridgeless_cubic(n, rng))
+    return graphs
+
+
+# Support LPs per eta-catalog graph; 124 in all before the fold cover
+LPS_PER_GRAPH = {
+    "k4": 1, "k33": 1, "gp(3,1)": 2, "cube": 2, "gp(5,1)": 2, "petersen": 3,
+    "gp(6,1)": 4, "gp(6,2)": 1, "gp(8,3)": 4, "blanusa1": 6, "blanusa2": 8,
+    "random0-n12": 3, "random1-n14": 5, "random2-n14": 2, "random3-n16": 2,
+}
+
+
+def test_eta_catalog_lp_counts(monkeypatch):
+    calls = scan_calls(monkeypatch)
+    counts = {}
+    for name, g in eta_catalog_graphs().items():
+        calls.clear()
+        eta_exact(g)
+        counts[name] = sum(call[0] == "lp" for call in calls)
+    assert counts == LPS_PER_GRAPH
+    assert sum(counts.values()) == 46
 
 
 @pytest.mark.parametrize(
