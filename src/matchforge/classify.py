@@ -11,7 +11,7 @@ fixed (lowest id first), so returned witnesses are reproducible.
 from __future__ import annotations
 
 from .errors import BudgetExceeded
-from .graphs import CubicGraph, Graph
+from .graphs import Graph
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -86,7 +86,7 @@ def _exhausted(nodes: int) -> BudgetExceeded:
 
 
 def tait_coloring(
-    g: CubicGraph, node_budget: int = DEFAULT_NODE_BUDGET
+    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[int, ...] | None:
     """A proper 3-edge-colouring as a colour per edge id, or None.
 
@@ -144,7 +144,7 @@ def tait_coloring(
             raise _exhausted(nodes)
 
 
-def is_snark(g: CubicGraph) -> bool:
+def is_snark(g: Graph) -> bool:
     """Bridgeless and not 3-edge-colourable, within tait_coloring's
     default node budget."""
     ok, _ = is_bridgeless(g)

@@ -28,18 +28,21 @@ from pathlib import Path
 
 from . import DEFAULT_SEED, __version__
 from .classify import (
+    DEFAULT_NODE_BUDGET,
     hamiltonian_cycle,
     is_bipartite,
     is_bridgeless,
     tait_coloring,
 )
 from .errors import (
+    BadParameters,
     BudgetExceeded,
     InternalError,
     MatchforgeError,
     NoPerfectMatching,
 )
 from .eta import (
+    WITNESS_NODE_BUDGET,
     BoundCertificate,
     berge_witness,
     best_maximal_matching_bound,
@@ -55,7 +58,7 @@ from .eta import (
     verify,
 )
 from .generators import eta_third_family, gp, named, random_cubic
-from .graphs import Graph, as_cubic, format_edge_list, load_edge_list
+from .graphs import Graph, format_edge_list, load_edge_list
 from .matching import (
     format_weight_csv,
     matching_weight,
@@ -66,7 +69,7 @@ from .matching import (
     uniform_weights,
 )
 from .mesh import dual_graph, load_off, quad_weights, quadrangulate, save_obj
-from .reproduce import CHECKS, run_checks
+from .reproduce import run_checks
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -200,7 +203,7 @@ def _cmd_classify(args, run: _Run, rng: random.Random) -> int:
     doc["snark"] = None
     if cubic:
         try:
-            tait = tait_coloring(as_cubic(g), node_budget=args.node_budget)
+            tait = tait_coloring(g, node_budget=args.node_budget)
             doc["tait_colorable"] = tait is not None
             doc["tait_coloring"] = list(tait) if tait else None
             doc["snark"] = ok and tait is None
@@ -258,17 +261,15 @@ def _cmd_eta_bounds(args, run: _Run, rng: random.Random) -> int:
     g = _load_graph(args.graph, run, rng)
     doc: dict = {"lower": None, "upper": None, "notes": []}
     lower = upper = None
-    cubic = all(g.degree(v) == 3 for v in range(g.n))
-    bridgeless, _ = is_bridgeless(g)
-    if cubic and bridgeless:
-        kw = _eta_budget_kwargs(args, run, "perfect_count", "vertex_limit")
-        try:
-            lower = berge_witness(as_cubic(g), **kw)
-            doc["lower"] = cert_to_json(lower)
-        except BudgetExceeded as exc:
-            doc["notes"].append(f"lower bound skipped: {exc}")
-    else:
-        doc["notes"].append("lower bound needs a bridgeless cubic graph")
+    kw = _eta_budget_kwargs(args, run, "perfect_count", "vertex_limit")
+    try:
+        lower = berge_witness(g, **kw)
+        doc["lower"] = cert_to_json(lower)
+    except BadParameters as exc:
+        run.budgets.clear()  # refused before any search: no budget used
+        doc["notes"].append(f"lower bound skipped: {exc}")
+    except BudgetExceeded as exc:
+        doc["notes"].append(f"lower bound skipped: {exc}")
     kw = _eta_budget_kwargs(args, run, "maximal_count", "vertex_limit")
     try:
         upper = best_maximal_matching_bound(g, **kw)
@@ -299,7 +300,7 @@ def _cmd_eta_witness(args, run: _Run, rng: random.Random) -> int:
         cert = cap_certificate(g, sorted(m)) if m is not None else None
     elif args.kind == "berge":
         kw = _eta_budget_kwargs(args, run, "perfect_count", "vertex_limit")
-        cert = berge_witness(as_cubic(g), **kw)
+        cert = berge_witness(g, **kw)
     else:
         if not args.edges:
             raise MatchforgeError("--edges is required for kind odd")
@@ -367,11 +368,6 @@ def _cmd_mesh_weights(args, run: _Run, rng: random.Random) -> int:
 
 def _cmd_reproduce(args, run: _Run, rng: random.Random) -> int:
     ids = args.only.split(",") if args.only else None
-    if ids is not None:
-        known = {chk.check_id for chk in CHECKS}
-        bad = [x for x in ids if x not in known]
-        if bad:
-            raise MatchforgeError(f"unknown check ids: {', '.join(bad)}")
     outcomes = run_checks(ids=ids, include_gated=args.full, stream=sys.stderr)
     doc = {
         "checks": [
@@ -403,12 +399,20 @@ def _add_graph_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
+def count(text: str) -> int:
+    """A budget flag's value: an int, refused below 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--maximal-count", type=int, default=None, metavar="N",
+    p.add_argument("--maximal-count", type=count, default=None, metavar="N",
                    help="maximal matching enumeration budget")
-    p.add_argument("--perfect-count", type=int, default=None, metavar="N",
+    p.add_argument("--perfect-count", type=count, default=None, metavar="N",
                    help="perfect matching enumeration budget")
-    p.add_argument("--vertex-limit", type=int, default=None, metavar="N",
+    p.add_argument("--vertex-limit", type=count, default=None, metavar="N",
                    help="raise the enumeration vertex limits")
 
 
@@ -435,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("classify", help="degree, bridges, colorability, cycles")
     _add_graph_arg(p)
-    p.add_argument("--node-budget", type=int, default=10**8)
+    p.add_argument("--node-budget", type=count, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_classify)
 
     p = add_parser("match", help="maximum-weight (perfect) matching")
@@ -466,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     q.add_argument("--size", type=int, help="set or matching size to search for")
     q.add_argument("--max-cap", type=int, help="cap target for kind cap")
-    q.add_argument("--node-budget", type=int, default=10**7, metavar="N",
+    q.add_argument("--node-budget", type=count, default=WITNESS_NODE_BUDGET, metavar="N",
                    help="search node budget for kind independent")
     q.add_argument("--edges", help="comma-separated edge ids for kind odd")
     q.add_argument("--cert-out", help="write the certificate to a file")

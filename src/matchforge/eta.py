@@ -121,7 +121,7 @@ from .errors import (
     NoPerfectMatching,
     ParseError,
 )
-from .graphs import CubicGraph, Graph, neighbor_masks
+from .graphs import Graph, neighbor_masks
 from .lp import OPTIMAL, program, solve, solve_ints
 from .matching import (
     MAXIMAL_COUNT_BUDGET,
@@ -136,7 +136,6 @@ from .matching import (
     is_matching,
     matching_weight,
     max_weight_matching,
-    max_weight_perfect_matching,
     perfect_matching_dual,
     saturated,
     unsaturated,
@@ -148,6 +147,9 @@ CAP_UPPER = "cap_upper"
 INDEPENDENT_SET_UPPER = "independent_set_upper"
 BERGE_COVER_LOWER = "berge_cover_lower"
 ODD_COMPONENT_UPPER = "odd_component_upper"
+
+# find_independent_set_bound's default search node budget
+WITNESS_NODE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -610,7 +612,7 @@ def best_maximal_matching_bound(
 
 
 def find_independent_set_bound(
-    g: Graph, set_size: int, *, node_budget: int = 10**7
+    g: Graph, set_size: int, *, node_budget: int = WITNESS_NODE_BUDGET
 ) -> BoundCertificate | None:
     """Witness search: an independent S, |S| = set_size, with g - S matchable.
 
@@ -621,7 +623,8 @@ def find_independent_set_bound(
     keeps its path in chosen rather than on the interpreter's stack.
     A full node whose remainder g - S has a component of odd size has
     no perfect matching there, so it is refused by a flood fill before
-    g - S is built (_remainder) or the blossom runs.
+    g - S is built (_remainder).  Otherwise one blossom run gives the
+    first perfect matching of g - S in lexicographic order, or None.
     """
     if set_size < 0 or set_size > g.n:
         raise BadParameters(f"set size {set_size} out of range")
@@ -641,8 +644,8 @@ def find_independent_set_bound(
             rest = full & ~taken
             if not any(c.bit_count() % 2 for c in _mask_components(nbrs, rest)):
                 sub, kept = _remainder(g, taken)
-                if has_perfect_matching(sub):
-                    pm = max_weight_perfect_matching(sub, [Fraction(1)] * sub.m)
+                pm = best_integer_matchings(sub, *_lex_tiebreak([1] * sub.m))[1]
+                if pm is not None:
                     return maximal_matching_bound(g, frozenset(kept[e] for e in pm))
             v = g.n  # a full node adds no vertex
         # the next vertex to add: this node's first candidate from v, else
@@ -809,7 +812,7 @@ def _components_without(g: Graph, m: Iterable[int]) -> tuple[tuple[int, ...], ..
 
 
 def berge_witness(
-    g: CubicGraph,
+    g: Graph,
     *,
     perfect_count: int = PERFECT_COUNT_BUDGET,
     vertex_limit: int | None = None,
@@ -882,12 +885,12 @@ def verify(g: Graph, cert: BoundCertificate) -> tuple[bool, str]:
         return False, f"unknown certificate kind {cert.kind!r}"
     if any(getattr(cert, name) is None for name in required):
         return False, "missing payload"
+    # the ids as written, not their set, so that a repeated id fails
+    if "matching" in required and not (cert.matching and is_matching(g, cert.matching)):
+        return False, "matching field is not a nonempty matching"
 
     if cert.kind == INDEPENDENT_SET_UPPER:
-        m = frozenset(cert.matching)
-        if not m or not is_matching(g, m):
-            return False, "matching field is not a nonempty matching"
-        exposed = unsaturated(g, m)
+        exposed = unsaturated(g, cert.matching)
         if tuple(cert.independent_set) != exposed:
             return False, "stated set is not the exposed vertex set"
         if not is_independent(g, exposed):
@@ -898,8 +901,6 @@ def verify(g: Graph, cert: BoundCertificate) -> tuple[bool, str]:
 
     if cert.kind in (CAP_UPPER, ODD_COMPONENT_UPPER):
         m = frozenset(cert.matching)
-        if not m or not is_matching(g, cert.matching):
-            return False, "matching field is not a nonempty matching"
         p = cert.perfect_matching
         if 2 * len(p) != g.n or not is_matching(g, p):
             return False, "perfect_matching field is not a perfect matching"

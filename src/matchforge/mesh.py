@@ -144,7 +144,7 @@ def parse_off(text: str) -> TriangleMesh:
             raise Degenerate(f"face line {i}: repeated vertex")
         faces.append((ids[0], ids[1], ids[2]))
     mesh = TriangleMesh(tuple(vertices), tuple(faces))
-    _check_closed(mesh)
+    _edge_faces(mesh)
     points = _unit_scaled(mesh.vertices)
     for fid, face in enumerate(mesh.faces):
         if _norm(_face_normal(points, face)) == 0.0:
@@ -158,22 +158,22 @@ def load_off(path: str | Path) -> TriangleMesh:
 
 def _edge_faces(mesh: TriangleMesh) -> dict[tuple[int, int], list[tuple[int, bool]]]:
     """Each undirected edge (u, v), u < v, in order of first use -> the
-    faces on it in id order, each as (face id, whether it runs u -> v)."""
+    faces on it in id order, each as (face id, whether it runs u -> v).
+    Raises NotClosed unless every edge lies on two faces that run it
+    opposite ways: once no edge is run twice the same way, the 3F uses
+    of F faces fill two per edge exactly when no edge has one face."""
     uses: dict[tuple[int, int], list[tuple[int, bool]]] = {}
     for fid, (a, b, c) in enumerate(mesh.faces):
         for u, v in ((a, b), (b, c), (c, a)):
             key = (u, v) if u < v else (v, u)
-            uses.setdefault(key, []).append((fid, u < v))
+            faces = uses.setdefault(key, [])
+            if faces and (len(faces) == 2 or faces[0][1] == (u < v)):
+                raise NotClosed(f"edge {key} traversed twice the same way")
+            faces.append((fid, u < v))
+    if 2 * len(uses) != 3 * len(mesh.faces):
+        key = next(k for k, fs in uses.items() if len(fs) == 1)
+        raise NotClosed(f"edge {key} lies on 1 faces")
     return uses
-
-
-def _check_closed(mesh: TriangleMesh) -> None:
-    # each undirected edge must be used once in each direction
-    for key, faces in _edge_faces(mesh).items():
-        if len(faces) != 2:
-            raise NotClosed(f"edge {key} lies on {len(faces)} faces")
-        if faces[0][1] == faces[1][1]:
-            raise NotClosed(f"edge {key} traversed twice the same way")
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +294,8 @@ def quad_quality(pa: Vec, pu: Vec, pb: Vec, pv: Vec) -> Fraction:
 def dual_graph(mesh: TriangleMesh) -> DualGraph:
     """Face-adjacency graph; cubic because the mesh is closed.
 
-    Raises DuplicateEdge if two faces share more than one edge and
-    NotConnected on disconnected surfaces.
+    Raises NotClosed unless it is, DuplicateEdge if two faces share more
+    than one edge and NotConnected on disconnected surfaces.
     """
     uses = _edge_faces(mesh)
     pairs = []

@@ -375,7 +375,12 @@ def run_checks(
     include_gated: bool = False,
     stream: IO[str] | None = None,
 ) -> list[CheckOutcome]:
-    """Run the selected checks, printing one line per check to stream."""
+    """Run the selected checks, printing one line per check to stream.
+    Raises MatchforgeError, before any check runs, on an unknown id."""
+    known = {chk.check_id for chk in CHECKS}
+    bad = [x for x in ids or () if x not in known]
+    if bad:
+        raise MatchforgeError(f"unknown check ids: {', '.join(bad)}")
     selected = []
     for chk in CHECKS:
         if ids is not None:

@@ -57,6 +57,17 @@ def test_runner_selection_and_stream():
     assert all(line.startswith("ok  ") for line in lines)
 
 
+def test_runner_refuses_an_unknown_id_before_any_check():
+    import io
+
+    from matchforge.errors import MatchforgeError
+
+    stream = io.StringIO()
+    with pytest.raises(MatchforgeError, match="^unknown check ids: 99$"):
+        run_checks(ids=["3", "99"], stream=stream)
+    assert stream.getvalue() == ""
+
+
 def test_runner_covers_all_defaults_by_default():
     selected = run_checks(ids=[])  # empty selection runs nothing
     assert selected == []

@@ -11,7 +11,9 @@ import pytest
 
 import matchforge
 from matchforge import DEFAULT_SEED, __version__, cli
+from matchforge.classify import DEFAULT_NODE_BUDGET
 from matchforge.cli import main
+from matchforge.eta import WITNESS_NODE_BUDGET
 from matchforge.generators import named
 from matchforge.graphs import load_edge_list
 from matchforge.matching import format_weight_csv, parse_weight_csv
@@ -170,6 +172,58 @@ def test_eta_manifest_records_only_the_budgets_used(capsys, tmp_path):
     assert doc["manifest"]["budgets"] == {"maximal_count": 10000}
     doc = run_cli(capsys, ["eta", "bounds", "name:petersen", *budgets])
     assert doc["manifest"]["budgets"] == {"maximal_count": 10000, "perfect_count": 100}
+
+
+def test_disjoint_k4s_go_through_every_cubic_command(capsys, tmp_path):
+    # cubic and bridgeless but not connected, which no command needs
+    pairs = [(a + s, b + s) for s in (0, 4) for a in range(4) for b in range(a + 1, 4)]
+    path = tmp_path / "k4k4.txt"
+    path.write_text("8 12\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+    doc = run_cli(capsys, ["classify", str(path)])
+    assert doc["tait_colorable"] is True and doc["snark"] is False
+    doc = run_cli(capsys, ["eta", "bounds", str(path)])
+    assert doc["notes"] == [] and doc["upper"]["bound"] == {"num": "1", "den": "1"}
+    lower = tmp_path / "lower.json"
+    lower.write_text(json.dumps(doc["lower"]))
+    assert run_cli(capsys, ["cert", "verify", str(path), str(lower)])["reason"] == "ok"
+    doc = run_cli(capsys, ["eta", "witness", str(path), "--kind", "berge"])
+    assert doc["certificate"] == json.loads(lower.read_text())
+
+
+def test_eta_bounds_notes_why_the_cover_refused(capsys, tmp_path):
+    path = tmp_path / "path.txt"
+    path.write_text("4 3\n0 1\n1 2\n2 3\n")
+    doc = run_cli(capsys, ["eta", "bounds", str(path)])
+    assert doc["lower"] is None
+    assert doc["notes"] == ["lower bound skipped: graph has a bridge (edge 0)"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eta", "exact", "name:k4", "--maximal-count", "-1"],
+        ["eta", "exact", "name:k4", "--perfect-count", "-1"],
+        ["eta", "exact", "name:k4", "--vertex-limit", "-1"],
+        ["classify", "name:petersen", "--node-budget", "-1"],
+        ["eta", "witness", "name:petersen", "--kind", "independent", "--size", "4",
+         "--node-budget", "-1"],
+    ],
+    ids=["maximal-count", "perfect-count", "vertex-limit", "node-budget", "witness-node-budget"],
+)
+def test_budget_flags_refuse_negative_values(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {argv[-2]}: must be at least 0, got -1" in out.err
+
+
+def test_node_budget_defaults_are_the_library_values():
+    parser = cli.build_parser()
+    assert parser.parse_args(["classify", "g"]).node_budget == DEFAULT_NODE_BUDGET
+    args = parser.parse_args(["eta", "witness", "g", "--kind", "independent"])
+    assert args.node_budget == WITNESS_NODE_BUDGET
 
 
 def test_eta_bounds_skips_oversized_scan(capsys):
@@ -403,6 +457,11 @@ def test_reproduce_single_check(capsys):
     (check,) = doc["checks"]
     assert check["id"] == "3" and check["ok"] is True
     assert check["seconds"] <= check["limit_seconds"]
+
+
+def test_reproduce_refuses_an_unknown_id_alone(capsys):
+    doc = run_cli(capsys, ["reproduce", "--only", "99"], expect=2)
+    assert doc == {"error": "MatchforgeError", "message": "unknown check ids: 99"}
 
 
 def test_reproduce_unknown_check_id(capsys):

@@ -950,6 +950,94 @@ def test_verify_rejects_tampering():
     assert not verify(g, BoundCertificate(kind="nonsense", bound=Fraction(1)))[0]
 
 
+def test_verify_tests_the_matching_as_written():
+    # a repeated id is refused by every kind that carries a matching,
+    # before its own checks; the exposed-set kind once tested the set of
+    # ids, so Petersen's certificate with id 0 twice verified as ok
+    p, cube = named("petersen"), named("cube")
+    odd = odd_component_example()
+    for g, cert, repeated in (
+        (p, maximal_matching_bound(p, [0, 8, 12]), (0, 0, 8, 12)),
+        (cube, cap_certificate(cube, [0, 6, 11]), (0, 0, 6, 11)),
+        (odd, odd_component_cert(odd, [0, 1]), (0, 0, 1)),
+    ):
+        assert verify(g, cert) == (True, "ok")
+        assert verify(g, replace(cert, matching=repeated)) == (
+            False, "matching field is not a nonempty matching"
+        )
+
+
+def _verdict_certificates():
+    """Per kind, a graph and a certificate that verifies on it."""
+    p, cube, odd = named("petersen"), named("cube"), odd_component_example()
+    return {
+        "exposed": (p, maximal_matching_bound(p, [0, 8, 12])),
+        "cap": (cube, cap_certificate(cube, [0, 6, 11])),
+        "odd": (odd, odd_component_cert(odd, [0, 1])),
+        "berge": (p, berge_witness(p)),
+    }
+
+
+def _with_family(i, edges=None, mult=None):
+    """An edit that replaces the edges or the multiplicity of family i."""
+    def edit(g, cert):
+        families = list(cert.families)
+        e, k = families[i]
+        families[i] = (e if edges is None else edges(cert), k if mult is None else mult)
+        return {"families": tuple(families)}
+    return edit
+
+
+# One edited certificate per verify verdict: per case, the kind, the
+# edit (graph, certificate -> changed fields) and the exact verdict
+TAMPERED = {
+    "exposed-not-maximal": (
+        "exposed",
+        lambda g, c: {"matching": (0,), "independent_set": unsaturated(g, (0,))},
+        "exposed set not independent (matching not maximal)",
+    ),
+    "cap-repeated-id": (
+        "cap", lambda g, c: {"matching": (0, 0, 6, 11)},
+        "matching field is not a nonempty matching",
+    ),
+    "cap-empty-matching": (
+        "cap", lambda g, c: {"matching": ()}, "matching field is not a nonempty matching"
+    ),
+    "cap-bound": (
+        "cap", lambda g, c: {"bound": c.bound / 2}, "bound is not cap / |matching|"
+    ),
+    "odd-components": (
+        "odd", lambda g, c: {"component_list": c.component_list[:-1]},
+        "component list does not match the deletion",
+    ),
+    "berge-zero-count": (
+        "berge", lambda g, c: {"cover_count": 0}, "cover count must be positive"
+    ),
+    "berge-bound": (
+        "berge", lambda g, c: {"bound": Fraction(1, 2)}, "bound of this kind is always 1/3"
+    ),
+    "berge-zero-multiplicity": (
+        "berge", _with_family(0, mult=0), "multiplicities must be positive"
+    ),
+    "berge-short-member": (
+        "berge", _with_family(0, edges=lambda c: c.families[0][0][:-1]),
+        "family member is not a perfect matching",
+    ),
+    "berge-uneven": (
+        "berge", _with_family(0, edges=lambda c: c.families[1][0]),
+        "coverage is not uniform",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TAMPERED)
+def test_verify_names_each_tampering(case):
+    kind, edit, verdict = TAMPERED[case]
+    g, cert = _verdict_certificates()[kind]
+    assert verify(g, cert) == (True, "ok")
+    assert verify(g, replace(cert, **edit(g, cert))) == (False, verdict)
+
+
 def test_verify_rejects_wrong_graph():
     cert = maximal_matching_bound(named("petersen"), [0, 8, 12])
     ok, _ = verify(named("cube"), cert)

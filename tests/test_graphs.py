@@ -143,6 +143,12 @@ def test_edge_list_parse_errors():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(errors.VertexOutOfRange):
         parse_edge_list("3\n0 1\n")
+    with pytest.raises(errors.VertexOutOfRange, match="bad header 'three 1'"):
+        parse_edge_list("three 1\n0 1\n")
+    with pytest.raises(errors.VertexOutOfRange, match="bad edge line '0 1 2'"):
+        parse_edge_list("3 1\n0 1 2\n")
+    with pytest.raises(errors.VertexOutOfRange, match="bad edge line '0 x'"):
+        parse_edge_list("3 1\n0 x\n")
 
 
 def test_edge_list_skips_comments_and_blanks():
@@ -195,3 +201,13 @@ def test_graph6_rejects_garbage():
         from_graph6("")
     with pytest.raises(errors.VertexOutOfRange):
         from_graph6("C")  # truncated body
+    with pytest.raises(errors.VertexOutOfRange, match="characters out of range"):
+        from_graph6("C>")  # '>' is below '?'
+    with pytest.raises(errors.VertexOutOfRange, match="unsupported graph6 size prefix"):
+        from_graph6("~~" + "?" * 6)  # the 8-byte form of n >= 258048
+
+
+def test_graph6_long_form():
+    # n = 63 needs the 4-byte form: '~' and n in three 6-bit groups
+    g = from_graph6("~??~" + "?" * 326)  # 63 * 62 / 2 = 1953 bits, 6 a character
+    assert g.n == 63 and g.m == 0

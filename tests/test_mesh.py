@@ -97,6 +97,33 @@ def test_parse_off_inconsistent_orientation_rejected():
         parse_off(flipped)
 
 
+@pytest.mark.parametrize("quad", [False, True], ids=["dual_graph", "quadrangulate"])
+def test_a_mesh_built_in_code_is_checked_for_closedness(quad):
+    # the tetrahedron less one face, and with a face repeated: both once
+    # reached the dual graph unchecked and failed to unpack its edges
+    tet = tetrahedron()
+    run = quadrangulate if quad else dual_graph
+    with pytest.raises(errors.NotClosed, match=r"edge \(1, 2\) lies on 1 faces"):
+        run(TriangleMesh(tet.vertices, tet.faces[:3]))
+    with pytest.raises(errors.NotClosed, match=r"edge \(0, 1\) traversed twice the same way"):
+        run(TriangleMesh(tet.vertices, tet.faces + tet.faces[:1]))
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("OFF\n0 1 0\n", "OFF needs at least one vertex and face"),
+        (TETRA_OFF.replace("0 0 1\n", "0 0\n"), "vertex line 3: expected 3 coordinates"),
+        (TETRA_OFF.replace("0 0 1\n", "0 0 x\n"), "vertex line 3: bad coordinate"),
+        (TETRA_OFF.replace("3 0 3 2", "3 0 x 2"), "face line 2: bad index"),
+    ],
+    ids=["zero-vertices", "two-coordinates", "non-numeric-coordinate", "non-integer-index"],
+)
+def test_parse_off_names_each_malformed_line(text, error):
+    with pytest.raises(errors.ParseError, match=error):
+        parse_off(text)
+
+
 def test_parse_off_zero_area_rejected():
     text = TETRA_OFF.replace("0 0 1", "2 0 0")  # vertex 3 collinear with 0, 1
     with pytest.raises(errors.Degenerate):
