@@ -1,19 +1,18 @@
 """Structure checks: bridges, bipartiteness, edge colouring, cycles.
 
 The colouring and cycle searches are exhaustive backtrackers with a
-node budget, run with explicit cursors rather than recursion, so their
-depth (one level per edge or per vertex) is not bounded by Python's
-recursion limit.  Hitting the budget raises BudgetExceeded, which the
-callers must treat as "unknown", never as "no".  Branch orders are
-fixed (lowest id first), so returned witnesses are reproducible.
+node budget (Budget.search_nodes), run with explicit cursors rather
+than recursion, so their depth (one level per edge or per vertex) is
+not bounded by Python's recursion limit.  Hitting the budget raises
+BudgetExceeded, which the callers must treat as "unknown", never as
+"no".  Branch orders are fixed (lowest id first), so returned
+witnesses are reproducible.
 """
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded
+from .errors import Budget, BudgetExceeded
 from .graphs import Graph
-
-DEFAULT_NODE_BUDGET = 10**8
 
 
 def is_bridgeless(g: Graph) -> tuple[bool, int | None]:
@@ -81,13 +80,7 @@ def is_independent(g: Graph, vertices) -> bool:
     return all(not (u in vs and v in vs) for u, v in g.edges)
 
 
-def _exhausted(nodes: int) -> BudgetExceeded:
-    return BudgetExceeded(f"search budget exhausted after {nodes} nodes")
-
-
-def tait_coloring(
-    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[int, ...] | None:
+def tait_coloring(g: Graph, *, budget: Budget = Budget()) -> tuple[int, ...] | None:
     """A proper 3-edge-colouring as a colour per edge id, or None.
 
     Exhaustive backtracking over edges in id order.  The three edges at
@@ -110,8 +103,9 @@ def tait_coloring(
     cursor = [0] * m
     eid = 0
     nodes = 1
-    if nodes > node_budget:
-        raise _exhausted(nodes)
+    limit = budget.search_nodes
+    if nodes > limit:
+        raise BudgetExceeded("search_nodes", limit, nodes)
     while True:
         u, v = g.edges[eid]
         c = colour[eid]
@@ -140,8 +134,8 @@ def tait_coloring(
         eid += 1
         cursor[eid] = 0
         nodes += 1
-        if nodes > node_budget:
-            raise _exhausted(nodes)
+        if nodes > limit:
+            raise BudgetExceeded("search_nodes", limit, nodes)
 
 
 def is_snark(g: Graph) -> bool:
@@ -153,9 +147,7 @@ def is_snark(g: Graph) -> bool:
     return tait_coloring(g) is None
 
 
-def hamiltonian_cycle(
-    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[int, ...] | None:
+def hamiltonian_cycle(g: Graph, *, budget: Budget = Budget()) -> tuple[int, ...] | None:
     """A hamiltonian cycle as a vertex sequence starting at 0, or None.
 
     Backtracking extends the path by the first unvisited neighbour in
@@ -174,8 +166,9 @@ def hamiltonian_cycle(
     # cursor[i] is the next index into g.adj[path[i]] to try
     cursor = [0]
     nodes = 1
-    if nodes > node_budget:
-        raise _exhausted(nodes)
+    limit = budget.search_nodes
+    if nodes > limit:
+        raise BudgetExceeded("search_nodes", limit, nodes)
     while True:
         v = path[-1]
         if len(path) == n:
@@ -193,8 +186,8 @@ def hamiltonian_cycle(
                 path.append(u)
                 cursor.append(0)
                 nodes += 1
-                if nodes > node_budget:
-                    raise _exhausted(nodes)
+                if nodes > limit:
+                    raise BudgetExceeded("search_nodes", limit, nodes)
                 continue
         # v is exhausted: step back to its parent
         if len(path) == 1:

@@ -6,12 +6,15 @@ negative one (invalid certificate, no perfect matching, failed checks),
 2 for unusable input or refused budgets, 3 when an engine's own
 exactness check fails (InternalError), 141 when the reader of stdout
 closes it early (as in `matchforge gen ... | head -c 10`); errors
-print {"error", "message"}.  Rational numbers appear as {"num": "...",
+print {"error", "message"}, and a refused budget adds the Budget
+field that refused, its limit and how far the run got ({"budget",
+"limit", "reached"}).  Rational numbers appear as {"num": "...",
 "den": "..."} string pairs so arbitrary precision survives JSON.
 
 Each document carries a manifest: argv, sha256 of file inputs, the
-seed, budget settings, package version and wall time, so a run can be
-reproduced from its output alone.
+seed, the whole Budget the command ran under (every field, defaults
+included, built from its budget flags), package version and wall
+time, so a run can be reproduced from its output alone.
 """
 
 from __future__ import annotations
@@ -23,26 +26,21 @@ import os
 import random
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 from . import DEFAULT_SEED, __version__
-from .classify import (
-    DEFAULT_NODE_BUDGET,
-    hamiltonian_cycle,
-    is_bipartite,
-    is_bridgeless,
-    tait_coloring,
-)
+from .classify import hamiltonian_cycle, is_bipartite, is_bridgeless, tait_coloring
 from .errors import (
     BadParameters,
+    Budget,
     BudgetExceeded,
     InternalError,
     MatchforgeError,
     NoPerfectMatching,
 )
 from .eta import (
-    WITNESS_NODE_BUDGET,
     BoundCertificate,
     berge_witness,
     best_maximal_matching_bound,
@@ -97,11 +95,11 @@ def _sha256(path: str) -> str:
 class _Run:
     """Collects manifest data while a command executes."""
 
-    def __init__(self, argv: list[str], seed: int):
+    def __init__(self, argv: list[str], seed: int, budget: Budget):
         self.argv = argv
         self.seed = seed
+        self.budget = budget
         self.inputs: list[dict] = []
-        self.budgets: dict = {}
         self.started = time.time()
 
     def add_input(self, path: str) -> None:
@@ -114,7 +112,7 @@ class _Run:
             "argv": self.argv,
             "inputs": self.inputs,
             "seed": self.seed,
-            "budgets": self.budgets,
+            "budgets": encode(self.budget),
             "elapsed_seconds": round(time.time() - self.started, 6),
         }
 
@@ -128,18 +126,30 @@ def _load_graph(spec: str, run: _Run, rng: random.Random) -> Graph:
     if spec.startswith("name:"):
         return named(spec[5:])
     if spec.startswith("gp:"):
-        try:
-            n, k = (int(x) for x in spec[3:].split(","))
-        except ValueError:
-            raise MatchforgeError(f"expected gp:<n>,<k>, got {spec!r}") from None
-        return gp(n, k)
+        return gp(*_spec_ints(spec, "gp:<n>,<k>"))
     if spec.startswith("family:"):
-        g, _ = eta_third_family(int(spec[7:]))
-        return g
+        return _family(spec)[0]
     if spec.startswith("random:"):
-        return random_cubic(int(spec[7:]), rng)
+        return random_cubic(*_spec_ints(spec, "random:<n>"), rng)
     run.add_input(spec)
     return load_edge_list(spec)
+
+
+def _spec_ints(spec: str, form: str) -> list[int]:
+    """The comma-separated ints after the colon of spec, one per field
+    of form; anything else is refused with an error naming both."""
+    try:
+        values = [int(x) for x in spec.partition(":")[2].split(",")]
+    except ValueError:
+        values = []
+    if len(values) != form.count("<"):
+        raise MatchforgeError(f"expected {form}, got {spec!r}")
+    return values
+
+
+def _family(spec: str) -> tuple[Graph, frozenset[int]]:
+    """The family:<depth> member and its distinguished matching."""
+    return eta_third_family(*_spec_ints(spec, "family:<depth>"))
 
 
 def _graph_json(g: Graph) -> dict:
@@ -171,13 +181,15 @@ def _frac_str(x: Fraction | None) -> str:
 
 
 def _cmd_gen(args, run: _Run, rng: random.Random) -> int:
-    g = _load_graph(args.graph, run, rng)
+    if args.graph.startswith("family:"):
+        g, m = _family(args.graph)
+    else:
+        g, m = _load_graph(args.graph, run, rng), None
     doc: dict = {"graph": _graph_json(g)}
     flags = getattr(g, "flags", None)
     if flags is not None:
         doc["flags"] = encode(flags)
-    if args.graph.startswith("family:"):
-        _, m = eta_third_family(int(args.graph[7:]))
+    if m is not None:
         doc["distinguished_matching"] = sorted(m)
     if args.out:
         Path(args.out).write_text(format_edge_list(g))
@@ -188,7 +200,6 @@ def _cmd_gen(args, run: _Run, rng: random.Random) -> int:
 
 def _cmd_classify(args, run: _Run, rng: random.Random) -> int:
     g = _load_graph(args.graph, run, rng)
-    run.budgets["node_budget"] = args.node_budget
     doc: dict = {"n": g.n, "m": g.m}
     cubic = all(g.degree(v) == 3 for v in range(g.n))
     doc["cubic"] = cubic
@@ -203,14 +214,14 @@ def _cmd_classify(args, run: _Run, rng: random.Random) -> int:
     doc["snark"] = None
     if cubic:
         try:
-            tait = tait_coloring(g, node_budget=args.node_budget)
+            tait = tait_coloring(g, budget=run.budget)
             doc["tait_colorable"] = tait is not None
             doc["tait_coloring"] = list(tait) if tait else None
             doc["snark"] = ok and tait is None
         except BudgetExceeded:
             doc["search_timeout"] = True
     try:
-        cycle = hamiltonian_cycle(g, node_budget=args.node_budget)
+        cycle = hamiltonian_cycle(g, budget=run.budget)
         doc["hamiltonian"] = cycle is not None
         doc["hamiltonian_cycle"] = list(cycle) if cycle else None
     except BudgetExceeded:
@@ -240,18 +251,9 @@ def _cmd_match(args, run: _Run, rng: random.Random) -> int:
     return EXIT_OK
 
 
-def _eta_budget_kwargs(args, run: _Run, *names: str) -> dict:
-    """The budget flags among names that were given, as keyword
-    arguments; records them in the manifest."""
-    kw = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-    run.budgets.update(kw)
-    return kw
-
-
 def _cmd_eta_exact(args, run: _Run, rng: random.Random) -> int:
     g = _load_graph(args.graph, run, rng)
-    kw = _eta_budget_kwargs(args, run, "maximal_count", "perfect_count", "vertex_limit")
-    r = eta_exact(g, **kw)
+    r = eta_exact(g, budget=run.budget)
     doc = {"eta": eta_result_to_json(r)}
     _emit(doc, run, f"eta = {r.value}")
     return EXIT_OK
@@ -261,18 +263,13 @@ def _cmd_eta_bounds(args, run: _Run, rng: random.Random) -> int:
     g = _load_graph(args.graph, run, rng)
     doc: dict = {"lower": None, "upper": None, "notes": []}
     lower = upper = None
-    kw = _eta_budget_kwargs(args, run, "perfect_count", "vertex_limit")
     try:
-        lower = berge_witness(g, **kw)
+        lower = berge_witness(g, budget=run.budget)
         doc["lower"] = cert_to_json(lower)
-    except BadParameters as exc:
-        run.budgets.clear()  # refused before any search: no budget used
+    except (BadParameters, BudgetExceeded) as exc:
         doc["notes"].append(f"lower bound skipped: {exc}")
-    except BudgetExceeded as exc:
-        doc["notes"].append(f"lower bound skipped: {exc}")
-    kw = _eta_budget_kwargs(args, run, "maximal_count", "vertex_limit")
     try:
-        upper = best_maximal_matching_bound(g, **kw)
+        upper = best_maximal_matching_bound(g, budget=run.budget)
         doc["upper"] = cert_to_json(upper)
     except BudgetExceeded as exc:
         doc["notes"].append(f"upper bound skipped: {exc}")
@@ -290,21 +287,21 @@ def _cmd_eta_witness(args, run: _Run, rng: random.Random) -> int:
     if args.kind == "independent":
         if args.size is None:
             raise MatchforgeError("--size is required for kind independent")
-        run.budgets["node_budget"] = args.node_budget
-        cert = find_independent_set_bound(g, args.size, node_budget=args.node_budget)
+        cert = find_independent_set_bound(g, args.size, budget=run.budget)
     elif args.kind == "cap":
         if args.size is None or args.max_cap is None:
             raise MatchforgeError("--size and --max-cap are required for kind cap")
-        kw = _eta_budget_kwargs(args, run, "perfect_count", "vertex_limit")
-        m = find_cap_matching(g, args.size, args.max_cap, **kw)
+        m = find_cap_matching(g, args.size, args.max_cap, budget=run.budget)
         cert = cap_certificate(g, sorted(m)) if m is not None else None
     elif args.kind == "berge":
-        kw = _eta_budget_kwargs(args, run, "perfect_count", "vertex_limit")
-        cert = berge_witness(g, **kw)
+        cert = berge_witness(g, budget=run.budget)
     else:
         if not args.edges:
             raise MatchforgeError("--edges is required for kind odd")
-        edge_ids = [int(x) for x in args.edges.split(",")]
+        try:
+            edge_ids = [int(x) for x in args.edges.split(",")]
+        except ValueError:
+            raise MatchforgeError(f"expected --edges <id>,<id>,..., got {args.edges!r}") from None
         cert = odd_component_cert(g, edge_ids)
     if cert is None:
         _emit({"certificate": None}, run, "no witness found")
@@ -407,13 +404,16 @@ def count(text: str) -> int:
     return value
 
 
+def _add_budget_arg(p: argparse.ArgumentParser, flag: str, field: str, text: str) -> None:
+    """flag sets the Budget field named field, and defaults to its default."""
+    p.add_argument(flag, dest=field, type=count, default=getattr(Budget, field),
+                   metavar="N", help=text)
+
+
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--maximal-count", type=count, default=None, metavar="N",
-                   help="maximal matching enumeration budget")
-    p.add_argument("--perfect-count", type=count, default=None, metavar="N",
-                   help="perfect matching enumeration budget")
-    p.add_argument("--vertex-limit", type=count, default=None, metavar="N",
-                   help="raise the enumeration vertex limits")
+    _add_budget_arg(p, "--maximal-count", "maximal_count", "maximal matching enumeration budget")
+    _add_budget_arg(p, "--perfect-count", "perfect_count", "perfect matching enumeration budget")
+    _add_budget_arg(p, "--vertex-limit", "vertex_limit", "raise the enumeration vertex limits")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("classify", help="degree, bridges, colorability, cycles")
     _add_graph_arg(p)
-    p.add_argument("--node-budget", type=count, default=DEFAULT_NODE_BUDGET)
+    _add_budget_arg(p, "--node-budget", "search_nodes", "colouring and cycle search node budget")
     p.set_defaults(func=_cmd_classify)
 
     p = add_parser("match", help="maximum-weight (perfect) matching")
@@ -470,8 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     q.add_argument("--size", type=int, help="set or matching size to search for")
     q.add_argument("--max-cap", type=int, help="cap target for kind cap")
-    q.add_argument("--node-budget", type=count, default=WITNESS_NODE_BUDGET, metavar="N",
-                   help="search node budget for kind independent")
+    _add_budget_arg(q, "--node-budget", "witness_nodes", "search node budget for kind independent")
     q.add_argument("--edges", help="comma-separated edge ids for kind odd")
     q.add_argument("--cert-out", help="write the certificate to a file")
     q.set_defaults(func=_cmd_eta_witness)
@@ -525,12 +524,16 @@ def _dispatch(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    budget = Budget(**{f.name: getattr(args, f.name) for f in fields(Budget) if f.name in args})
     try:
-        run = _Run(argv, _seed_from(args))
+        run = _Run(argv, _seed_from(args), budget)
         rng = random.Random(run.seed)
         return args.func(args, run, rng)
     except (MatchforgeError, OSError, json.JSONDecodeError, ValueError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stdout)
+        doc = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, BudgetExceeded):
+            doc.update(budget=exc.budget, limit=exc.limit, reached=exc.reached)
+        json.dump(doc, sys.stdout)
         sys.stdout.write("\n")
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NoPerfectMatching):

@@ -2,10 +2,13 @@
 
 Every error raised on purpose by matchforge derives from MatchforgeError,
 so callers can catch one type at the CLI boundary.  Names describe the
-violated precondition rather than the module that noticed it.
+violated precondition rather than the module that noticed it.  Budget,
+the limits of the exponential searches, sits next to BudgetExceeded.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 
 class MatchforgeError(Exception):
@@ -70,8 +73,54 @@ class BudgetExceeded(MatchforgeError):
     stated limit.
 
     Deliberately distinct from a negative answer: the caller must not
-    confuse "no witness exists" with "gave up looking".
+    confuse "no witness exists" with "gave up looking".  Carries the
+    Budget field that refused (budget), its effective limit, and how
+    far the run got (reached, always above limit): the vertex count,
+    the matchings found or masks seen, or the nodes visited.
     """
+
+    MESSAGES = {
+        "vertex_limit": "{reached} vertices exceeds the enumeration limit {limit}",
+        "perfect_count": "more than {limit} perfect matchings",
+        "maximal_count": "more than {limit} maximal matchings",
+        "search_nodes": "search budget exhausted after {reached} nodes",
+        "witness_nodes": "witness search passed {limit} nodes",
+    }
+
+    def __init__(self, budget: str, limit: int, reached: int):
+        super().__init__(self.MESSAGES[budget].format(limit=limit, reached=reached))
+        self.budget = budget
+        self.limit = limit
+        self.reached = reached
+
+    def __reduce__(self):  # pickle rebuilds it from the fields, not the message
+        return type(self), (self.budget, self.limit, self.reached)
+
+
+@dataclass(frozen=True)
+class Budget:
+    """The limits of every exponential search.  vertex_limit fences
+    both matching enumerations (None: 26 vertices for perfect and 20
+    for maximal ones), the counts bound the matchings each lists,
+    search_nodes bounds tait_coloring and hamiltonian_cycle, and
+    witness_nodes find_independent_set_bound."""
+
+    vertex_limit: int | None = None
+    perfect_count: int = 10**5
+    maximal_count: int = 10**6
+    search_nodes: int = 10**8
+    witness_nodes: int = 10**7
+
+    def enumeration_count(self, n: int, perfect: bool) -> int:
+        """The count limit of a perfect (or maximal) matching
+        enumeration on n vertices, after refusing an n over the
+        vertex limit."""
+        limit = self.vertex_limit
+        if limit is None:
+            limit = 26 if perfect else 20
+        if n > limit:
+            raise BudgetExceeded("vertex_limit", limit, n)
+        return self.perfect_count if perfect else self.maximal_count
 
 
 # ---------------------------------------------------------------------------

@@ -76,15 +76,15 @@ The first mask of every orbit is therefore a leader mask, and the
 seen set holds the same masks at every leader mask as in the full
 scan.
 
-maximal_count keeps its exact meaning: the scan refuses exactly when g
-has more maximal matchings than the budget.  Every orbit has a leader
-mask, so once every leader mask's orbit is closed, the seen set holds
-every maximal matching.  The scan refuses as soon as the seen set
-outgrows the budget.  The leader enumeration refuses past the budget
-too, which is sound, as its masks are some of g's maximal matchings.
-After the stop at s = 3 below, the orbits of the remaining leader
-masks are still closed, with no greedy cover and no LP, before the
-result is returned.  With a trivial group, the enumeration lists
+The budget's maximal_count keeps its exact meaning: the scan refuses
+exactly when g has more maximal matchings than that.  Every orbit has
+a leader mask, so once every leader mask's orbit is closed, the seen
+set holds every maximal matching.  The scan refuses as soon as the
+seen set outgrows the budget.  The leader enumeration refuses past the
+budget too, which is sound, as its masks are some of g's maximal
+matchings.  After the stop at s = 3 below, the orbits of the remaining
+leader masks are still closed, with no greedy cover and no LP, before
+the result is returned.  With a trivial group, the enumeration lists
 every maximal matching and alone enforces the budget.
 
 On a bridgeless graph with every degree 3, the scan also stops once
@@ -115,6 +115,7 @@ from .blossom import dual_objective
 from .classify import is_bridgeless, is_independent
 from .errors import (
     BadParameters,
+    Budget,
     BudgetExceeded,
     IncludeNotMatching,
     InternalError,
@@ -124,8 +125,6 @@ from .errors import (
 from .graphs import Graph, neighbor_masks
 from .lp import OPTIMAL, program, solve, solve_ints
 from .matching import (
-    MAXIMAL_COUNT_BUDGET,
-    PERFECT_COUNT_BUDGET,
     _decode,
     _lex_tiebreak,
     _maximal_masks,
@@ -147,9 +146,6 @@ CAP_UPPER = "cap_upper"
 INDEPENDENT_SET_UPPER = "independent_set_upper"
 BERGE_COVER_LOWER = "berge_cover_lower"
 ODD_COMPONENT_UPPER = "odd_component_upper"
-
-# find_independent_set_bound's default search node budget
-WITNESS_NODE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -442,21 +438,14 @@ def _add_orbit(
                 frontier.append(image)
 
 
-def eta_exact(
-    g: Graph,
-    *,
-    maximal_count: int = MAXIMAL_COUNT_BUDGET,
-    perfect_count: int = PERFECT_COUNT_BUDGET,
-    vertex_limit: int | None = None,
-) -> EtaResult:
+def eta_exact(g: Graph, *, budget: Budget = Budget()) -> EtaResult:
     """Exact eta by LP over the enumerated matchings.
 
-    Refuses graphs with more than maximal_count maximal matchings, or
-    more than perfect_count perfect ones, though only orbit leaders'
-    maximal matchings are enumerated (see the module docstring).  Raise
-    vertex_limit explicitly to run past the default enumeration sizes.
-    The result carries a witness weighting, re-evaluated through the
-    matching engines before returning.
+    Refuses graphs over the budget's vertex limit, or with more than
+    its maximal_count maximal matchings or perfect_count perfect ones,
+    though only orbit leaders' maximal matchings are enumerated (see
+    the module docstring).  The result carries a witness weighting,
+    re-evaluated through the matching engines before returning.
 
     eta = 0 is read off the perfect-matching masks: the first edge that
     none of them covers carries the witness weight.  When that
@@ -466,9 +455,7 @@ def eta_exact(
     BadParameters when g has no edges to weight.
     """
     try:
-        pm_masks = _perfect_masks(
-            g, count_budget=perfect_count, vertex_limit=vertex_limit
-        )
+        pm_masks = _perfect_masks(g, budget=budget)
     except BudgetExceeded:
         zero, bad_edge = is_eta_zero(g)
         if not zero:
@@ -486,10 +473,7 @@ def eta_exact(
 
     gens = edge_automorphisms(g)
     maximals = _maximal_masks(
-        g,
-        count_budget=maximal_count,
-        vertex_limit=vertex_limit,
-        leaders=edge_orbit_leaders(gens, g.m) if gens else None,
+        g, budget=budget, leaders=edge_orbit_leaders(gens, g.m) if gens else None
     )
     tables = _orbit_tables(gens)
     # s(M) <= 3 on a bridgeless cubic graph (see the module docstring)
@@ -500,14 +484,15 @@ def eta_exact(
     best_floor = 0  # floor(best_s): a cover count is <= best_s iff <= this
     best_mask = 0
     best_assignment: tuple[Fraction, ...] | None = None
+    limit = budget.maximal_count
     seen: set[int] = set()  # masks of the orbits met so far
     stopped = False  # at the ceiling: only the budget is left to check
     for mask in maximals:
         if mask in seen:
             continue
         _add_orbit(mask, tables, seen)
-        if len(seen) > maximal_count:
-            raise BudgetExceeded(f"more than {maximal_count} maximal matchings")
+        if len(seen) > limit:
+            raise BudgetExceeded("maximal_count", limit, len(seen))
         if stopped or (
             best_s is not None
             and _greedy_cover_count(mask, pm_masks, best_floor) <= best_floor
@@ -596,10 +581,7 @@ def maximal_matching_bound(g: Graph, m: Iterable[int]) -> BoundCertificate:
 
 
 def best_maximal_matching_bound(
-    g: Graph,
-    *,
-    maximal_count: int = MAXIMAL_COUNT_BUDGET,
-    vertex_limit: int | None = None,
+    g: Graph, *, budget: Budget = Budget()
 ) -> BoundCertificate:
     """The strongest exposed-set bound: scan for a minimum maximal matching.
 
@@ -607,12 +589,12 @@ def best_maximal_matching_bound(
     the first maximal matching of minimum size (the stream is sorted,
     which fixes the tie-break).
     """
-    maximals = _maximal_masks(g, count_budget=maximal_count, vertex_limit=vertex_limit)
+    maximals = _maximal_masks(g, budget=budget)
     return maximal_matching_bound(g, _decode(min(maximals, key=int.bit_count)))
 
 
 def find_independent_set_bound(
-    g: Graph, set_size: int, *, node_budget: int = WITNESS_NODE_BUDGET
+    g: Graph, set_size: int, *, budget: Budget = Budget()
 ) -> BoundCertificate | None:
     """Witness search: an independent S, |S| = set_size, with g - S matchable.
 
@@ -630,6 +612,7 @@ def find_independent_set_bound(
         raise BadParameters(f"set size {set_size} out of range")
     if (g.n - set_size) % 2:
         return None
+    limit = budget.witness_nodes
     nbrs = neighbor_masks(g)
     full = (1 << g.n) - 1
     chosen: list[int] = []
@@ -638,8 +621,8 @@ def find_independent_set_bound(
     v = 0  # the first candidate of the node being visited
     while True:
         nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded(f"witness search passed {node_budget} nodes")
+        if nodes > limit:
+            raise BudgetExceeded("witness_nodes", limit, nodes)
         if len(chosen) == set_size:
             rest = full & ~taken
             if not any(c.bit_count() % 2 for c in _mask_components(nbrs, rest)):
@@ -718,12 +701,7 @@ def cap_certificate(g: Graph, m: Iterable[int]) -> BoundCertificate:
 
 
 def find_cap_matching(
-    g: Graph,
-    size: int,
-    max_cap: int,
-    *,
-    perfect_count: int = PERFECT_COUNT_BUDGET,
-    vertex_limit: int | None = None,
+    g: Graph, size: int, max_cap: int, *, budget: Budget = Budget()
 ) -> frozenset[int] | None:
     """First matching of the given size whose cap is at most max_cap.
 
@@ -746,7 +724,7 @@ def find_cap_matching(
     """
     if size < 1 or max_cap < 0:
         raise BadParameters("need size >= 1 and max_cap >= 0")
-    pm_masks = _perfect_masks(g, count_budget=perfect_count, vertex_limit=vertex_limit)
+    pm_masks = _perfect_masks(g, budget=budget)
     if not pm_masks:
         raise NoPerfectMatching("cap search needs perfect matchings")
     edges = g.edges
@@ -811,12 +789,7 @@ def _components_without(g: Graph, m: Iterable[int]) -> tuple[tuple[int, ...], ..
 # the 1/3 lower bound witness
 
 
-def berge_witness(
-    g: Graph,
-    *,
-    perfect_count: int = PERFECT_COUNT_BUDGET,
-    vertex_limit: int | None = None,
-) -> BoundCertificate:
+def berge_witness(g: Graph, *, budget: Budget = Budget()) -> BoundCertificate:
     """A family of perfect matchings covering every edge equally often.
 
     Solves the packing LP: maximise the total weight of a rational
@@ -846,7 +819,7 @@ def berge_witness(
         raise BadParameters(f"graph has a bridge (edge {bridge})")
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise BadParameters("the uniform cover needs every degree to be 3")
-    pm_masks = _perfect_masks(g, count_budget=perfect_count, vertex_limit=vertex_limit)
+    pm_masks = _perfect_masks(g, budget=budget)
     if not pm_masks:
         raise NoPerfectMatching("no perfect matchings to combine")
     rows = [([p >> eid & 1 for p in pm_masks], 1) for eid in range(g.m)]

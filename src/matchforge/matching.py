@@ -64,18 +64,13 @@ from typing import Iterable, Sequence
 from .blossom import max_weight_matching_pairs
 from .errors import (
     BadWeights,
+    Budget,
     BudgetExceeded,
     InternalError,
     NoPerfectMatching,
     ParseError,
 )
 from .graphs import Graph, neighbor_masks
-
-# Enumeration refuses larger graphs unless the caller raises the limits.
-PERFECT_VERTEX_LIMIT = 26
-MAXIMAL_VERTEX_LIMIT = 20
-PERFECT_COUNT_BUDGET = 10**5
-MAXIMAL_COUNT_BUDGET = 10**6
 
 Matching = frozenset
 
@@ -155,12 +150,7 @@ def _options(g: Graph) -> list[list[tuple[int, int]]]:
     ]
 
 
-def _perfect_masks(
-    g: Graph,
-    *,
-    vertex_limit: int | None = PERFECT_VERTEX_LIMIT,
-    count_budget: int = PERFECT_COUNT_BUDGET,
-) -> list[int]:
+def _perfect_masks(g: Graph, *, budget: Budget = Budget()) -> list[int]:
     """The masks of all perfect matchings, in the order of
     enumerate_perfect_matchings, with its limits and its errors.
 
@@ -168,12 +158,7 @@ def _perfect_masks(
     vertices, key), and matches its lowest free vertex to each free
     neighbour.
     """
-    if vertex_limit is None:
-        vertex_limit = PERFECT_VERTEX_LIMIT
-    if g.n > vertex_limit:
-        raise BudgetExceeded(
-            f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
-        )
+    limit = budget.enumeration_count(g.n, perfect=True)
     if g.n % 2:
         return []
     options = _options(g)
@@ -183,8 +168,8 @@ def _perfect_masks(
     while stack:
         free, key = pop()
         if not free:
-            if len(found) >= count_budget:
-                raise BudgetExceeded(f"more than {count_budget} perfect matchings")
+            if len(found) >= limit:
+                raise BudgetExceeded("perfect_count", limit, len(found) + 1)
             found.append(key)
             continue
         low = free & -free
@@ -196,11 +181,7 @@ def _perfect_masks(
 
 
 def _maximal_masks(
-    g: Graph,
-    *,
-    vertex_limit: int | None = MAXIMAL_VERTEX_LIMIT,
-    count_budget: int = MAXIMAL_COUNT_BUDGET,
-    leaders: Sequence[int] | None = None,
+    g: Graph, *, budget: Budget = Budget(), leaders: Sequence[int] | None = None
 ) -> list[int]:
     """The masks of all maximal matchings, in the order of
     enumerate_maximal_matchings, with its limits and its errors.
@@ -228,14 +209,9 @@ def _maximal_masks(
     lists exactly the maximal matchings that hold r and no lower edge:
     an edge below r is never matched, and blocking still keeps every
     two exposed vertices apart.  One descending sort of all the keys
-    gives stream order.  count_budget bounds the masks listed.
+    gives stream order.  budget.maximal_count bounds the masks listed.
     """
-    if vertex_limit is None:
-        vertex_limit = MAXIMAL_VERTEX_LIMIT
-    if g.n > vertex_limit:
-        raise BudgetExceeded(
-            f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
-        )
+    limit = budget.enumeration_count(g.n, perfect=False)
     m = g.m
     options = _options(g)
     nbrs = neighbor_masks(g)
@@ -260,8 +236,8 @@ def _maximal_masks(
         while stack:
             free, blocked, key = pop()
             if not free:
-                if len(found) >= count_budget:
-                    raise BudgetExceeded(f"more than {count_budget} maximal matchings")
+                if len(found) >= limit:
+                    raise BudgetExceeded("maximal_count", limit, len(found) + 1)
                 found.append(key)
                 continue
             low = free & blocked or free  # blocked vertices come first
@@ -277,29 +253,22 @@ def _maximal_masks(
 
 
 def enumerate_perfect_matchings(
-    g: Graph,
-    *,
-    vertex_limit: int | None = PERFECT_VERTEX_LIMIT,
-    count_budget: int = PERFECT_COUNT_BUDGET,
+    g: Graph, *, budget: Budget = Budget()
 ) -> tuple[frozenset[int], ...]:
     """All perfect matchings, lexicographically sorted.
 
     Branches on the lowest unsaturated vertex, so each matching is
     produced exactly once.  Raises BudgetExceeded if the graph is over
-    vertex_limit (None: PERFECT_VERTEX_LIMIT) or more than count_budget
-    matchings exist.  The search keeps its own stack of pending nodes,
-    so its depth is not bounded by the interpreter's recursion limit.
-    A decode of _perfect_masks.
+    the budget's vertex limit or more than its perfect_count matchings
+    exist.  The search keeps its own stack of pending nodes, so its
+    depth is not bounded by the interpreter's recursion limit.  A
+    decode of _perfect_masks.
     """
-    masks = _perfect_masks(g, vertex_limit=vertex_limit, count_budget=count_budget)
-    return tuple(frozenset(_decode(mask)) for mask in masks)
+    return tuple(frozenset(_decode(mask)) for mask in _perfect_masks(g, budget=budget))
 
 
 def enumerate_maximal_matchings(
-    g: Graph,
-    *,
-    vertex_limit: int | None = MAXIMAL_VERTEX_LIMIT,
-    count_budget: int = MAXIMAL_COUNT_BUDGET,
+    g: Graph, *, budget: Budget = Budget()
 ) -> tuple[frozenset[int], ...]:
     """All maximal matchings, lexicographically sorted.
 
@@ -308,12 +277,10 @@ def enumerate_maximal_matchings(
     maximality.  A vertex next to an exposed one is decided first, as
     it must be matched; otherwise the lowest undecided vertex is
     matched to each undecided neighbour, or left exposed.  Budgets
-    and the explicit stack as in enumerate_perfect_matchings; a
-    vertex_limit of None means MAXIMAL_VERTEX_LIMIT.  A decode of
-    _maximal_masks.
+    (maximal_count for the count) and the explicit stack as in
+    enumerate_perfect_matchings.  A decode of _maximal_masks.
     """
-    masks = _maximal_masks(g, vertex_limit=vertex_limit, count_budget=count_budget)
-    return tuple(frozenset(_decode(mask)) for mask in masks)
+    return tuple(frozenset(_decode(mask)) for mask in _maximal_masks(g, budget=budget))
 
 
 def integer_weights(weights: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -5,7 +5,7 @@ on any mismatch.  run_checks drives them with per-check wall clocks;
 the gated checks run past the default enumeration budgets (the exact
 eta of nauru, and of gp(13,5) and gp(14,3) at 26 and 28 vertices,
 among them) and only run on request.  The exact eta of nauru, at
-vertex_limit=24, is also default check 13, under a 5 s limit.
+a vertex limit of 24, is also default check 13, under a 5 s limit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, IO
 
 from . import DEFAULT_SEED
 from .classify import hamiltonian_cycle, is_bridgeless, is_snark, tait_coloring
-from .errors import BudgetExceeded, InternalError, MatchforgeError, NoPerfectMatching
+from .errors import Budget, BudgetExceeded, InternalError, MatchforgeError, NoPerfectMatching
 from .eta import (
     berge_witness,
     best_maximal_matching_bound,
@@ -284,7 +284,7 @@ def _check_exclusions() -> str:
 
 
 def _check_nauru_full_scan() -> str:
-    c = best_maximal_matching_bound(named("nauru"), vertex_limit=24)
+    c = best_maximal_matching_bound(named("nauru"), budget=Budget(vertex_limit=24))
     check(c.bound == HALF and len(c.independent_set) == 8, c)
     ok, msg = verify(named("nauru"), c)
     check(ok, msg)
@@ -305,7 +305,7 @@ NAURU_WITNESS = frozenset((0, 4, 20, 22, 30, 33))
 
 def _check_nauru_eta() -> str:
     g = named("nauru")
-    r = eta_exact(g, vertex_limit=24)
+    r = eta_exact(g, budget=Budget(vertex_limit=24))
     check(r.value == HALF, r.value)
     check(r.argmax_matching == NAURU_ARGMAX, r.argmax_matching)
     expected = tuple(THIRD if e in NAURU_WITNESS else 0 for e in range(g.m))
@@ -332,7 +332,7 @@ GP_ETA = {
 def _check_gp_eta() -> str:
     for (n, k), (value, argmax, witness) in GP_ETA.items():
         g = gp(n, k)
-        r = eta_exact(g, vertex_limit=g.n)
+        r = eta_exact(g, budget=Budget(vertex_limit=g.n))
         check(r.value == value, (n, k, r.value))
         check(r.argmax_matching == argmax, (n, k, r.argmax_matching))
         expected = tuple(witness.get(e, 0) for e in range(g.m))

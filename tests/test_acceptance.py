@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import matchforge
+from matchforge.errors import Budget
 from matchforge.reproduce import CHECKS, run_checks
 
 DEFAULT_CHECKS = [c for c in CHECKS if not c.gated]
@@ -95,9 +96,8 @@ def test_runner_reports_a_classifier_out_of_budget(monkeypatch):
     from matchforge import reproduce
 
     real = reproduce.tait_coloring
-    monkeypatch.setattr(
-        reproduce, "tait_coloring", lambda g, **kw: real(g, node_budget=5)
-    )
+    stingy = Budget(search_nodes=5)
+    monkeypatch.setattr(reproduce, "tait_coloring", lambda g, **kw: real(g, budget=stingy))
     (outcome,) = run_checks(ids=["9"])
     assert not outcome.ok
     assert outcome.detail.startswith("BudgetExceeded: search budget exhausted")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from matchforge import errors
+from matchforge.errors import Budget
 from matchforge.classify import (
     hamiltonian_cycle,
     is_bipartite,
@@ -75,7 +76,7 @@ def test_tait_coloring_none_on_snarks():
 
 def test_tait_coloring_budget():
     with pytest.raises(errors.BudgetExceeded, match="search budget exhausted"):
-        tait_coloring(named("petersen"), node_budget=5)
+        tait_coloring(named("petersen"), budget=Budget(search_nodes=5))
 
 
 def test_is_snark_catalog():
@@ -104,7 +105,7 @@ def test_hamiltonian_cycle_absent():
 
 def test_hamiltonian_cycle_budget():
     with pytest.raises(errors.BudgetExceeded, match="search budget exhausted"):
-        hamiltonian_cycle(named("nauru"), node_budget=3)
+        hamiltonian_cycle(named("nauru"), budget=Budget(search_nodes=3))
 
 
 def test_random_cubic_classifier_consistency(seed=404):

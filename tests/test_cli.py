@@ -11,9 +11,8 @@ import pytest
 
 import matchforge
 from matchforge import DEFAULT_SEED, __version__, cli
-from matchforge.classify import DEFAULT_NODE_BUDGET
 from matchforge.cli import main
-from matchforge.eta import WITNESS_NODE_BUDGET
+from matchforge.errors import Budget
 from matchforge.generators import named
 from matchforge.graphs import load_edge_list
 from matchforge.matching import format_weight_csv, parse_weight_csv
@@ -139,12 +138,18 @@ def test_eta_exact_petersen(capsys):
     doc = run_cli(capsys, ["eta", "exact", "name:petersen"])
     assert doc["eta"]["value"] == {"num": "1", "den": "3"}
     assert doc["eta"]["argmax_matching"] == [0, 8, 12]
-    assert doc["manifest"]["budgets"] == {}
+    assert doc["manifest"]["budgets"] == DEFAULT_BUDGETS
 
 
 def test_eta_exact_budget_refused(capsys):
     doc = run_cli(capsys, ["eta", "exact", "name:nauru"], expect=2)
-    assert doc["error"] == "BudgetExceeded"
+    assert doc == {
+        "error": "BudgetExceeded",
+        "message": "24 vertices exceeds the enumeration limit 20",
+        "budget": "vertex_limit",
+        "limit": 20,
+        "reached": 24,
+    }
     doc = run_cli(
         capsys,
         ["eta", "exact", "name:petersen", "--maximal-count", "50"],
@@ -160,18 +165,40 @@ def test_eta_bounds_petersen(capsys):
     assert doc["notes"] == []
 
 
-def test_eta_manifest_records_only_the_budgets_used(capsys, tmp_path):
-    budgets = ["--maximal-count", "10000", "--perfect-count", "100"]
-    doc = run_cli(
-        capsys, ["eta", "witness", "name:petersen", "--kind", "berge", *budgets]
-    )
-    assert doc["manifest"]["budgets"] == {"perfect_count": 100}
-    path = tmp_path / "path.txt"  # not cubic: no lower bound is searched
+# the manifest of a command run without budget flags
+DEFAULT_BUDGETS = {
+    "vertex_limit": None,
+    "perfect_count": 100000,
+    "maximal_count": 1000000,
+    "search_nodes": 100000000,
+    "witness_nodes": 10000000,
+}
+
+
+def test_manifest_records_the_whole_effective_budget(capsys, tmp_path):
+    # every field, whichever searches ran: the path graph has a bridge,
+    # so eta bounds searches no lower bound, and records the same budget
+    path = tmp_path / "path.txt"
     path.write_text("4 3\n0 1\n1 2\n2 3\n")
-    doc = run_cli(capsys, ["eta", "bounds", str(path), *budgets])
-    assert doc["manifest"]["budgets"] == {"maximal_count": 10000}
-    doc = run_cli(capsys, ["eta", "bounds", "name:petersen", *budgets])
-    assert doc["manifest"]["budgets"] == {"maximal_count": 10000, "perfect_count": 100}
+    enumeration = ["--vertex-limit", "22", "--perfect-count", "100", "--maximal-count", "10000"]
+    flagged = {**DEFAULT_BUDGETS, "vertex_limit": 22, "perfect_count": 100}
+    flagged["maximal_count"] = 10000
+    for argv in (
+        ["eta", "exact", "name:petersen"],
+        ["eta", "bounds", str(path)],
+        ["eta", "bounds", "name:petersen"],
+        ["eta", "witness", "name:petersen", "--kind", "berge"],
+    ):
+        assert run_cli(capsys, argv)["manifest"]["budgets"] == DEFAULT_BUDGETS, argv
+        doc = run_cli(capsys, [*argv, *enumeration])
+        assert doc["manifest"]["budgets"] == flagged, argv
+    doc = run_cli(capsys, ["classify", "name:petersen"])
+    assert doc["manifest"]["budgets"] == DEFAULT_BUDGETS
+    doc = run_cli(capsys, ["classify", "name:petersen", "--node-budget", "5000"])
+    assert doc["manifest"]["budgets"] == {**DEFAULT_BUDGETS, "search_nodes": 5000}
+    witness = ["eta", "witness", "name:petersen", "--kind", "independent", "--size", "4"]
+    doc = run_cli(capsys, [*witness, "--node-budget", "50"])
+    assert doc["manifest"]["budgets"] == {**DEFAULT_BUDGETS, "witness_nodes": 50}
 
 
 def test_disjoint_k4s_go_through_every_cubic_command(capsys, tmp_path):
@@ -220,10 +247,11 @@ def test_budget_flags_refuse_negative_values(capsys, argv):
 
 
 def test_node_budget_defaults_are_the_library_values():
+    # each command's --node-budget sets its own Budget field
     parser = cli.build_parser()
-    assert parser.parse_args(["classify", "g"]).node_budget == DEFAULT_NODE_BUDGET
+    assert parser.parse_args(["classify", "g"]).search_nodes == Budget().search_nodes
     args = parser.parse_args(["eta", "witness", "g", "--kind", "independent"])
-    assert args.node_budget == WITNESS_NODE_BUDGET
+    assert args.witness_nodes == Budget().witness_nodes
 
 
 def test_eta_bounds_skips_oversized_scan(capsys):
@@ -474,6 +502,22 @@ def test_malformed_gp_spec(capsys):
     doc = run_cli(capsys, ["gen", "gp:5"], expect=2)
     assert doc["error"] == "MatchforgeError"
     assert "gp:<n>,<k>" in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "family:x"], "expected family:<depth>, got 'family:x'"),
+        (["gen", "random:x"], "expected random:<n>, got 'random:x'"),
+        (["gen", "gp:5,x"], "expected gp:<n>,<k>, got 'gp:5,x'"),
+        (["eta", "witness", "name:petersen", "--kind", "odd", "--edges", "0,x"],
+         "expected --edges <id>,<id>,..., got '0,x'"),
+    ],
+    ids=["family", "random", "gp", "edges"],
+)
+def test_malformed_integers_name_the_spec(capsys, argv, message):
+    doc = run_cli(capsys, argv, expect=2)
+    assert doc == {"error": "MatchforgeError", "message": message}
 
 
 @pytest.mark.parametrize("spec", ["gp:200000,1", "random:200000", "random:1000000000"])

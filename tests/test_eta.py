@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from matchforge import errors
+from matchforge.errors import Budget
 from matchforge import eta as eta_module
 from matchforge import matching as matching_module
 from matchforge.classify import is_bipartite, is_bridgeless, is_independent
@@ -364,7 +365,7 @@ def test_eta_budget_refusals():
     with pytest.raises(errors.BudgetExceeded):
         eta_exact(named("nauru"))  # 24 vertices over the default limit
     with pytest.raises(errors.BudgetExceeded):
-        eta_exact(named("petersen"), maximal_count=70)
+        eta_exact(named("petersen"), budget=Budget(maximal_count=70))
 
 
 @pytest.mark.parametrize("g", catalog(24), ids=lambda g: g.name)
@@ -373,11 +374,12 @@ def test_eta_budget_refuses_exactly_past_the_count(g):
     # count of all maximal matchings (nauru 15,050, petersen 71) and
     # refuses one below it; blanusa1 stops at s = 3 with orbits still
     # unmet, which are closed, with no LP, before the scan returns
-    count = len(enumerate_maximal_matchings(g, vertex_limit=g.n))
-    result = eta_exact(g, vertex_limit=g.n)
-    assert eta_exact(g, vertex_limit=g.n, maximal_count=count) == result
+    limit = Budget(vertex_limit=g.n)
+    count = len(enumerate_maximal_matchings(g, budget=limit))
+    result = eta_exact(g, budget=limit)
+    assert eta_exact(g, budget=replace(limit, maximal_count=count)) == result
     with pytest.raises(errors.BudgetExceeded, match=f"more than {count - 1} maximal"):
-        eta_exact(g, vertex_limit=g.n, maximal_count=count - 1)
+        eta_exact(g, budget=replace(limit, maximal_count=count - 1))
 
 
 def _eta_exact_inputs():
@@ -459,7 +461,7 @@ PAST_THE_CATALOG = {
 @pytest.mark.parametrize("name", PAST_THE_CATALOG)
 def test_exact_eta_past_the_catalog(name):
     make, value, argmax, witness_sha256 = PAST_THE_CATALOG[name]
-    r = eta_exact(make(), vertex_limit=40)
+    r = eta_exact(make(), budget=Budget(vertex_limit=40))
     assert r.value == value
     assert r.argmax_matching == argmax
     digest = hashlib.sha256(repr(r.witness_weights).encode()).hexdigest()
@@ -498,9 +500,9 @@ def test_eta_zero_past_the_enumeration_limits():
     assert r.value == 0 and r.witness_weights[9] == 1
     assert sum(r.witness_weights) == 1
     # past the count budget; a graph with eta > 0 gets the enumeration's error
-    assert eta_exact(g, perfect_count=1) == r
+    assert eta_exact(g, budget=Budget(perfect_count=1)) == r
     with pytest.raises(errors.BudgetExceeded, match="more than 1 perfect matchings"):
-        eta_exact(named("petersen"), perfect_count=1)
+        eta_exact(named("petersen"), budget=Budget(perfect_count=1))
 
 
 @pytest.mark.parametrize(
@@ -518,7 +520,7 @@ def test_eta_exact_needs_a_perfect_matching(g):
     message = "^eta needs a graph with a perfect matching$"
     for limit in (g.n, g.n - 1):
         with pytest.raises(errors.NoPerfectMatching, match=message):
-            eta_exact(g, vertex_limit=limit)
+            eta_exact(g, budget=Budget(vertex_limit=limit))
 
 
 def test_maximal_matching_bound_petersen():
@@ -653,9 +655,9 @@ NODES_TO_FINISH = {
 
 @pytest.mark.parametrize("search, g, args, nodes", NODES_TO_FINISH.values(), ids=NODES_TO_FINISH)
 def test_searches_count_the_pinned_nodes(search, g, args, nodes):
-    search(g, *args, node_budget=nodes)
+    search(g, *args, budget=Budget(witness_nodes=nodes))
     with pytest.raises(errors.BudgetExceeded):
-        search(g, *args, node_budget=nodes - 1)
+        search(g, *args, budget=Budget(witness_nodes=nodes - 1))
 
 
 def test_deep_searches_end_without_a_recursion_error():
@@ -664,7 +666,7 @@ def test_deep_searches_end_without_a_recursion_error():
     # greedily from one local blossom run at vertex 0, has 1099 edges
     g = gp(1100, 1)
     with pytest.raises(errors.BudgetExceeded):
-        find_independent_set_bound(g, 1000, node_budget=1200)
+        find_independent_set_bound(g, 1000, budget=Budget(witness_nodes=1200))
     one, witness = is_eta_one(g)
     assert not one and _is_maximal(g, witness) and 2 * len(witness) < g.n
 
@@ -797,7 +799,7 @@ def test_find_cap_matching_agrees_with_brute_force():
 def test_find_cap_matching_on_a_long_path():
     # 1000 levels deep: the search keeps its own stack
     g = from_edge_list(2000, [(v, v + 1) for v in range(1999)])
-    m = find_cap_matching(g, 1000, 1000, vertex_limit=2000)
+    m = find_cap_matching(g, 1000, 1000, budget=Budget(vertex_limit=2000))
     assert m == frozenset(range(0, 1999, 2))
 
 

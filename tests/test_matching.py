@@ -10,6 +10,7 @@ from itertools import chain
 import pytest
 
 from matchforge import errors
+from matchforge.errors import Budget
 from matchforge.blossom import dual_objective
 from matchforge.generators import catalog, gp, named, random_cubic
 from matchforge.graphs import from_edge_list
@@ -106,6 +107,11 @@ def test_enumeration_leaves_no_garbage_cycles(enumerate_):
 # the mask cores against the frozenset searches they replaced
 
 
+class Refused(Exception):
+    """A reference search's refusal: the message that BudgetExceeded
+    carried, written out as it read before the Budget fields."""
+
+
 def _sorted_stream(found):
     return tuple(sorted(found, key=lambda s: tuple(sorted(s))))
 
@@ -113,15 +119,15 @@ def _sorted_stream(found):
 def reference_perfect_matchings(
     g,
     *,
-    vertex_limit=matching.PERFECT_VERTEX_LIMIT,
-    count_budget=matching.PERFECT_COUNT_BUDGET,
+    vertex_limit=26,
+    count_budget=10**5,
 ):
     """The frozenset search that enumerate_perfect_matchings ran before
     its mask core: branch on the lowest unsaturated vertex, then sort."""
     if vertex_limit is None:
-        vertex_limit = matching.PERFECT_VERTEX_LIMIT
+        vertex_limit = 26
     if g.n > vertex_limit:
-        raise errors.BudgetExceeded(
+        raise Refused(
             f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
         )
     if g.n % 2:
@@ -138,7 +144,7 @@ def reference_perfect_matchings(
             v += 1
         if v == n:
             if len(found) >= count_budget:
-                raise errors.BudgetExceeded(f"more than {count_budget} perfect matchings")
+                raise Refused(f"more than {count_budget} perfect matchings")
             found.append(frozenset(chosen))
         else:
             sat[v] = True
@@ -166,16 +172,16 @@ def reference_perfect_matchings(
 def reference_maximal_matchings(
     g,
     *,
-    vertex_limit=matching.MAXIMAL_VERTEX_LIMIT,
-    count_budget=matching.MAXIMAL_COUNT_BUDGET,
+    vertex_limit=20,
+    count_budget=10**6,
 ):
     """The frozenset search that enumerate_maximal_matchings ran before
     its mask core: match the lowest undecided vertex to each undecided
     neighbour, then leave it exposed if no neighbour is, then sort."""
     if vertex_limit is None:
-        vertex_limit = matching.MAXIMAL_VERTEX_LIMIT
+        vertex_limit = 20
     if g.n > vertex_limit:
-        raise errors.BudgetExceeded(
+        raise Refused(
             f"{g.n} vertices exceeds the enumeration limit {vertex_limit}"
         )
     UNDECIDED, MATCHED, EXPOSED = 0, 1, 2
@@ -191,7 +197,7 @@ def reference_maximal_matchings(
             v += 1
         if v == n:
             if len(found) >= count_budget:
-                raise errors.BudgetExceeded(f"more than {count_budget} maximal matchings")
+                raise Refused(f"more than {count_budget} maximal matchings")
             found.append(frozenset(chosen))
         else:
             state[v] = MATCHED
@@ -320,21 +326,21 @@ def test_mask_cores_on_disjoint_unions(names):
 def _outcome(enumerate_, g, **kw):
     try:
         return enumerate_(g, **kw)
-    except errors.BudgetExceeded as exc:
+    except (errors.BudgetExceeded, Refused) as exc:
         return ("BudgetExceeded", str(exc))
 
 
 @pytest.mark.parametrize("label", ["k4", "cube", "petersen", "blanusa1"])
 def test_mask_cores_stop_where_the_references_stop(label):
     g = named(label)
-    for enumerate_, reference in STREAMS:
+    for (enumerate_, reference), field in zip(STREAMS, ("perfect_count", "maximal_count")):
         count = len(reference(g))
         for budget in (0, 1, count - 1, count):
-            got = _outcome(enumerate_, g, count_budget=budget)
+            got = _outcome(enumerate_, g, budget=Budget(**{field: budget}))
             assert got == _outcome(reference, g, count_budget=budget), budget
             assert (got[0] == "BudgetExceeded") == (budget < count)
         for limit in (g.n - 1, g.n, None):
-            got = _outcome(enumerate_, g, vertex_limit=limit)
+            got = _outcome(enumerate_, g, budget=Budget(vertex_limit=limit))
             assert got == _outcome(reference, g, vertex_limit=limit), limit
 
 
@@ -396,14 +402,15 @@ def test_enumeration_vertex_limits():
     with pytest.raises(errors.BudgetExceeded):
         enumerate_perfect_matchings(gp(14, 1))  # 28 > 26
     assert len(enumerate_perfect_matchings(named("nauru"))) == 120
-    assert len(enumerate_maximal_matchings(named("nauru"), vertex_limit=24)) == 15050
+    nauru = enumerate_maximal_matchings(named("nauru"), budget=Budget(vertex_limit=24))
+    assert len(nauru) == 15050
 
 
 def test_enumeration_count_budgets():
     with pytest.raises(errors.BudgetExceeded):
-        enumerate_maximal_matchings(named("petersen"), count_budget=70)
+        enumerate_maximal_matchings(named("petersen"), budget=Budget(maximal_count=70))
     with pytest.raises(errors.BudgetExceeded):
-        enumerate_perfect_matchings(named("cube"), count_budget=8)
+        enumerate_perfect_matchings(named("cube"), budget=Budget(perfect_count=8))
 
 
 def test_weight_validation():
@@ -449,7 +456,7 @@ def _first_optimum(stream, w):
 def test_argmax_is_the_first_optimum(g, seed=2025):
     # nauru has 24 vertices, more than the maximal-matching enumeration
     # takes by default; the argmax has no such limit
-    maxi = enumerate_maximal_matchings(g, vertex_limit=24)
+    maxi = enumerate_maximal_matchings(g, budget=Budget(vertex_limit=24))
     pms = enumerate_perfect_matchings(g)
     rng = random.Random(seed)
     draws = [[1] * g.m] + [[rng.randint(0, 1) for _ in range(g.m)] for _ in range(5)]

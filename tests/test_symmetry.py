@@ -10,6 +10,7 @@ import pytest
 
 from matchforge import errors, eta, symmetry
 from matchforge.classify import is_bridgeless
+from matchforge.errors import Budget
 from matchforge.eta import _add_orbit, _orbit_tables, eta_exact
 from matchforge.generators import catalog, gp, named, random_cubic
 from matchforge.graphs import from_edge_list
@@ -248,8 +249,7 @@ def test_table_images_are_the_edge_images(ng):
 )
 def test_pinned_orbit_counts(label, vertex_limit, maximal, orbits):
     g = gp(8, 3) if label == "gp(8,3)" else named(label)
-    kw = {} if vertex_limit is None else {"vertex_limit": vertex_limit}
-    maximals = enumerate_maximal_matchings(g, **kw)
+    maximals = enumerate_maximal_matchings(g, budget=Budget(vertex_limit=vertex_limit))
     assert len(maximals) == maximal
     assert orbit_count_from_generators(g, maximals) == orbits
 
