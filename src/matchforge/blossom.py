@@ -58,11 +58,31 @@ candidate), so it is below min(dualvar) + S too.  Hence the run on
 w + S makes the same choices as the run on w, every dualvar S higher,
 until the run on w takes a type-1 step, which is its last.  Called with
 a shift, the engine reads the result for w off at that step, with the
-step applied to copies of the duals; then it adds S to every dualvar
-and 2S to every stored doubled weight and chooses the step again.  From
-there it is the fresh run on w + S.  When no vertex is exposed at that
-step, no label is set and nothing moves, so both results share one
-matching and the second's potentials are the first's plus S.
+step applied to copies of the duals; then it holds S as an offset,
+extra = S, and chooses the step again.  dualvar, nbrs and the stored
+best edges stay as they are: they stand for dualvar + S and doubled
+weights 2S higher, which by the argument above leaves every slack,
+blossom dual and S-S parity unchanged, so only the type-1 candidate
+reads the offset, as min(dualvar) + extra, and the final duals are
+dualvar + extra.  From there it is the fresh run on w + S.  When no
+vertex is exposed at that step, no label is set and nothing moves, so
+both results share one matching and the second's potentials are the
+first's plus S.
+
+Tightness.  The scan traverses an edge between two top-level blossoms
+exactly when its slack is at most 0.  The usual formulation also keeps
+a per-stage list of edges once found tight, and traverses a listed
+edge without reading its slack; the two tests agree on every edge the
+scan reads.  An edge is listed only at slack <= 0 and with one end in
+an S-blossom, in three places: the scan itself; a type-2 or type-3
+step, which brings its edge's slack to 0; and the even path of a
+mid-stage expansion, whose edges are tight because the expanding
+blossom's dual is 0 and each joins a T child to an S child.  No S
+label is removed within a stage, and a dual step moves the slack of an
+edge with an S end by -delta (to a free end), 0 (to a T end) or
+-2 delta (to an S end), never up.  So a listed edge between two
+different top-level blossoms always has slack <= 0, and the slack
+alone decides.
 
 Greedy prefix.  While no blossom has formed and every matched vertex
 is unlabelled, a stage labels each exposed vertex S and nothing else;
@@ -89,9 +109,8 @@ end's nbrs, so the rescan of that end matches it.  The replay hands over
 to the stage loop as soon as an exposed vertex has a tight edge to a
 matched one, a type-1 or type-2 step would win or tie, or no two
 exposed vertices are adjacent.  Every stage starts by clearing labels,
-best edges, tight edges, the queue and the stage sets, and no blossom
-exists yet, so the loop goes on exactly as it would have after the
-same stages.
+best edges, the queue and the stage sets, and no blossom exists yet,
+so the loop goes on exactly as it would have after the same stages.
 """
 
 from __future__ import annotations
@@ -121,7 +140,8 @@ def dual_objective(weights, potentials, odd_sets):
         total += z * (len(distinct) // 2)
     for (u, v), w in weights.items():
         cover = potentials[u] + potentials[v]
-        cover += sum(odd_sets[i][1] for i in member[u] & member[v])
+        if member[u] and member[v]:
+            cover += sum(odd_sets[i][1] for i in member[u] & member[v])
         if cover < w:
             return None
     return total
@@ -242,8 +262,6 @@ def max_weight_matching_pairs(
     # live blossom -> dual; iteration follows creation order
     blossomdual: dict[int, int] = {}
     freeids = list(range(size - 1, n - 1, -1))
-    # edges that became tight and may be traversed.
-    allowedge: set[tuple[int, int]] = set()
     queue: list[int] = []
     # the two stage sets (see Tie order in the module docstring)
     touched: set[int] = set()
@@ -426,22 +444,15 @@ def max_weight_matching_pairs(
                     jstep = -1
                 v, w = labeledge[b]
                 while j != 0:
-                    if jstep == 1:
-                        p, q = edges[j]
-                    else:
-                        q, p = edges[j - 1]
+                    q = edges[j][1] if jstep == 1 else edges[j - 1][0]
                     label[w] = 0
                     label[q] = 0
                     assign_label(w, 2, v)
-                    allowedge.add((p, q))
-                    allowedge.add((q, p))
                     j += jstep
                     if jstep == 1:
                         v, w = edges[j]
                     else:
                         w, v = edges[j - 1]
-                    allowedge.add((v, w))
-                    allowedge.add((w, v))
                     j += jstep
                 bw = childs[j]
                 label[w] = label[bw] = 2
@@ -596,7 +607,8 @@ def max_weight_matching_pairs(
 
     _greedy_prefix(n, nbrs, maxweight, mate, dualvar)
 
-    # the result for w when resuming under a shift, and the shift applied
+    # the result for w when resuming under a shift, and the shift once
+    # applied: from then on the vertex duals are dualvar plus extra
     first = None
     extra = 0
 
@@ -607,7 +619,6 @@ def max_weight_matching_pairs(
         bestedge[:] = nones
         for b in blossomdual:
             mybestedges[b] = None
-        allowedge.clear()
         queue.clear()
         touched.clear()
         forest.clear()
@@ -635,14 +646,8 @@ def max_weight_matching_pairs(
                     bw = inblossom[w]
                     if bv == bw:
                         continue
-                    tight = (v, w) in allowedge
-                    if not tight:
-                        kslack = dualvar[v] + dualvar[w] - w2
-                        if kslack <= 0:
-                            allowedge.add((v, w))
-                            allowedge.add((w, v))
-                            tight = True
-                    if tight:
+                    kslack = dualvar[v] + dualvar[w] - w2
+                    if kslack <= 0:  # tight (see Tightness in the module docstring)
                         lbw = label[bw]
                         if lbw == 0:
                             assign_label(w, 2, v)
@@ -682,7 +687,7 @@ def max_weight_matching_pairs(
             # minimum below the type-1 step, so one pass over the
             # touched vertices in id order and one over the blossoms
             # find them all.
-            delta = d2 = d3 = d4 = max(0, min(dualvar))
+            delta = d2 = d3 = d4 = max(0, min(dualvar) + extra)
             for v in sorted(touched):
                 e = bestedge[v]
                 if e is None:
@@ -719,15 +724,8 @@ def max_weight_matching_pairs(
                 delta, deltatype, deltablossom = d4, 4, b4
             if deltatype == 1 and shift:
                 # the run on w ends here: keep its result, then go on as
-                # the run on w + S
+                # the run on w + S, with S held as the offset extra
                 first = finish(*stepped(delta), 0)
-                dualvar[:] = [y + shift for y in dualvar]
-                s2 = 2 * shift
-                nbrs[:] = [[(u, w2 + s2) for u, w2 in row] for row in nbrs]
-                bestedge[:] = [e and (e[0], e[1], e[2] + s2) for e in bestedge]
-                mybestedges[:] = [
-                    es and [(i, j, w2 + s2) for i, j, w2 in es] for es in mybestedges
-                ]
                 extra, shift = shift, None
                 continue
             dualvar[:], zs = stepped(delta)
@@ -736,11 +734,9 @@ def max_weight_matching_pairs(
             if deltatype == 1:
                 break
             elif deltatype == 2 or deltatype == 3:
-                v, w, _ = deltaedge
+                v = deltaedge[0]
                 if label[inblossom[v]] != 1:
                     raise InternalError("blossom: a least-slack edge off S")
-                allowedge.add((v, w))
-                allowedge.add((w, v))
                 queue.append(v)
             else:
                 expand_blossom(deltablossom, False)
@@ -761,5 +757,5 @@ def max_weight_matching_pairs(
             ):
                 expand_blossom(b, True)
 
-    last = finish(dualvar, blossomdual, extra)
+    last = finish([y + extra for y in dualvar], blossomdual, extra)
     return last if first is None else (first, last)

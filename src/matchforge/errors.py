@@ -43,6 +43,9 @@ class NotCubic(MatchforgeError):
         self.vertex = vertex
         self.degree = degree
 
+    def __reduce__(self):  # pickle rebuilds it from the fields, not the message
+        return type(self), (self.vertex, self.degree)
+
 
 class NotConnected(MatchforgeError):
     """The graph has more than one connected component."""

@@ -146,8 +146,14 @@ def parse_off(text: str) -> TriangleMesh:
     mesh = TriangleMesh(tuple(vertices), tuple(faces))
     _edge_faces(mesh)
     points = _unit_scaled(mesh.vertices)
-    for fid, face in enumerate(mesh.faces):
-        if _norm(_face_normal(points, face)) == 0.0:
+    for fid, (a, b, c) in enumerate(mesh.faces):
+        # the normal (b - a) x (c - a), zero exactly when its squared
+        # length is, as sqrt(s) == 0.0 only for s == 0.0
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = points[a], points[b], points[c]
+        px, py, pz = bx - ax, by - ay, bz - az
+        qx, qy, qz = cx - ax, cy - ay, cz - az
+        nx, ny, nz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+        if nx * nx + ny * ny + nz * nz == 0.0:
             raise Degenerate(f"face {fid} has zero area")
     return mesh
 
@@ -200,11 +206,6 @@ def _norm(a: Vec) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def _face_normal(points: Sequence[Vec], face: Sequence[int]) -> Vec:
-    p0, p1, p2 = (points[v] for v in face)
-    return _cross(_sub(p1, p0), _sub(p2, p0))
-
-
 def _unit_scaled(points: Sequence[Vec]) -> list[Vec]:
     """The points times the power of two that brings the largest
     |coordinate| into [0.5, 1), so that squares and squared normals
@@ -221,24 +222,49 @@ def _quality_numerator(pa: Vec, pu: Vec, pb: Vec, pv: Vec) -> int:
     """quad_quality times QUALITY_DENOMINATOR, an int.
 
     The vector arithmetic is written out inline for speed, term by term
-    and in the order of _sub, _cross, _dot and _norm, so every float
-    is the one those helpers give.  The clamps are comparisons that
-    keep a value exactly when min or max would return it; no NaN gets
-    here, since every divisor is a positive finite float or the
-    division raises.
+    and in the order of _sub, _cross, _dot and _norm, with each side of
+    the cycle a -> u -> b -> v -> a and its length computed once.  The
+    helpers read both sides of a corner outward from it (v - a and
+    u - a at a); here the side into a corner is the one computed
+    forward.  That moves no float, up to the sign of a zero, which no
+    later step reads (comparisons, squares, acos and round treat 0.0
+    and -0.0 alike): rounding is symmetric, so a difference taken the
+    other way is the negated float, with the same square; it negates
+    the dot product, so cos = -dot / (|in| |out|); and
+    (u - a) x (v - a) is (a - v) x (u - a) term by term, as products
+    commute.  The dot products are taken before the corner loop, but
+    only a division can raise, and the divisions come in the helpers'
+    order.  The clamps are comparisons that keep a value exactly when
+    min or max would return it; no NaN gets here, since every divisor
+    is a positive finite float or the division raises.
     """
     sqrt, acos, degrees = math.sqrt, math.acos, math.degrees
+    ax, ay, az = pa
+    ux, uy, uz = pu
+    bx, by, bz = pb
+    vx, vy, vz = pv
+    # the sides a -> u, u -> b, b -> v, v -> a and their lengths
+    s0x, s0y, s0z = ux - ax, uy - ay, uz - az
+    s1x, s1y, s1z = bx - ux, by - uy, bz - uz
+    s2x, s2y, s2z = vx - bx, vy - by, vz - bz
+    s3x, s3y, s3z = ax - vx, ay - vy, az - vz
+    l0 = sqrt(s0x * s0x + s0y * s0y + s0z * s0z)
+    l1 = sqrt(s1x * s1x + s1y * s1y + s1z * s1z)
+    l2 = sqrt(s2x * s2x + s2y * s2y + s2z * s2z)
+    l3 = sqrt(s3x * s3x + s3y * s3y + s3z * s3z)
     angle = 1.0
-    for prev, corner, nxt in ((pv, pa, pu), (pa, pu, pb), (pu, pb, pv), (pb, pv, pa)):
-        cx, cy, cz = corner
-        ux, uy, uz = prev[0] - cx, prev[1] - cy, prev[2] - cz
-        vx, vy, vz = nxt[0] - cx, nxt[1] - cy, nxt[2] - cz
-        nu = sqrt(ux * ux + uy * uy + uz * uz)
-        nv = sqrt(vx * vx + vy * vy + vz * vz)
-        if nu == 0.0 or nv == 0.0:
+    # corners a, u, b, v: the lengths of the sides in and out, and the
+    # dot product of the two
+    for li, lo, dot in (
+        (l3, l0, s3x * s0x + s3y * s0y + s3z * s0z),
+        (l0, l1, s0x * s1x + s0y * s1y + s0z * s1z),
+        (l1, l2, s1x * s2x + s1y * s2y + s1z * s2z),
+        (l2, l3, s2x * s3x + s2y * s3y + s2z * s3z),
+    ):
+        if li == 0.0 or lo == 0.0:
             angle = 0.0
             break
-        cos = (ux * vx + uy * vy + uz * vz) / (nu * nv)
+        cos = -dot / (li * lo)
         if cos >= 1.0:
             cos = 1.0
         elif cos <= -1.0:
@@ -253,14 +279,11 @@ def _quality_numerator(pa: Vec, pu: Vec, pb: Vec, pv: Vec) -> int:
         r = 90.0 / theta
         if r < angle:
             angle = r
-    # the normals n1 = (u - a) x (v - a) and n2 = (b - u) x (v - u) of
+    # the normals n1 = (a - v) x (u - a) and n2 = (b - u) x (v - u) of
     # the triangles (a, u, v) and (u, b, v)
-    px, py, pz = pu[0] - pa[0], pu[1] - pa[1], pu[2] - pa[2]
-    qx, qy, qz = pv[0] - pa[0], pv[1] - pa[1], pv[2] - pa[2]
-    n1x, n1y, n1z = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
-    px, py, pz = pb[0] - pu[0], pb[1] - pu[1], pb[2] - pu[2]
-    qx, qy, qz = pv[0] - pu[0], pv[1] - pu[1], pv[2] - pu[2]
-    n2x, n2y, n2z = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+    n1x, n1y, n1z = s3y * s0z - s3z * s0y, s3z * s0x - s3x * s0z, s3x * s0y - s3y * s0x
+    qx, qy, qz = vx - ux, vy - uy, vz - uz
+    n2x, n2y, n2z = s1y * qz - s1z * qy, s1z * qx - s1x * qz, s1x * qy - s1y * qx
     m1 = sqrt(n1x * n1x + n1y * n1y + n1z * n1z)
     m2 = sqrt(n2x * n2x + n2y * n2y + n2z * n2z)
     if m1 == 0.0 or m2 == 0.0:

@@ -119,6 +119,73 @@ def test_negative_potentials_bound_only_perfect_matchings():
     assert pairs == {(1, 2)} and min(potentials) >= 0
 
 
+def _dual_objective_reference(weights, potentials, odd_sets):
+    """dual_objective summing, for every edge, the z of the sets that
+    hold both ends, from per-vertex sets of set indices."""
+    n = len(potentials)
+    member = [set() for _ in range(n)]
+    total = sum(potentials)
+    for i, (vertices, z) in enumerate(odd_sets):
+        distinct = set(vertices)
+        if len(distinct) % 2 == 0 or len(distinct) != len(vertices) or z < 0:
+            return None
+        if min(distinct) < 0 or max(distinct) >= n:
+            return None
+        for v in distinct:
+            member[v].add(i)
+        total += z * (len(distinct) // 2)
+    for (u, v), w in weights.items():
+        cover = potentials[u] + potentials[v]
+        cover += sum(odd_sets[i][1] for i in member[u] & member[v])
+        if cover < w:
+            return None
+    return total
+
+
+def test_dual_objective_matches_the_reference(seed=20261025):
+    rng = random.Random(seed)
+    seen = {"feasible with sets": 0, "infeasible": 0, "bad set": 0, "one end in a set": 0}
+    for i in range(500):
+        n = rng.randint(1, 14)
+        weights = {
+            (u, v): rng.randint(0, 10)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.4
+        }
+        if i % 4 == 0 and weights:
+            # the engine's own duals, feasible for the doubled weights
+            _, potentials, odd_sets = max_weight_matching_pairs(
+                n, weights, _adjacency(n, weights)
+            )
+            weights = {e: 2 * w for e, w in weights.items()}
+        else:
+            potentials = [rng.randint(-2, 8) for _ in range(n)]
+            if i % 4 == 1:
+                potentials = [Fraction(y, 2) for y in potentials]
+            odd_sets = []
+            for _ in range(rng.randint(0, 3)):
+                size = min(n, rng.choice((1, 3, 3, 5, 5, 2, 4)))  # 2 and 4 even
+                vertices = rng.sample(range(n), size)
+                roll = rng.random()
+                if roll < 0.05:
+                    vertices.append(vertices[0])  # a repeated vertex
+                elif roll < 0.1:
+                    vertices[0] = rng.choice((-1, n))  # out of range
+                z = rng.randint(-1, 6) if rng.random() < 0.1 else rng.randint(0, 6)
+                odd_sets.append((tuple(vertices), z))
+        expected = _dual_objective_reference(weights, potentials, odd_sets)
+        got = dual_objective(weights, potentials, odd_sets)
+        assert got == expected and type(got) is type(expected)
+        inside = {v for vertices, _ in odd_sets for v in vertices}
+        valid = _dual_objective_reference({}, potentials, odd_sets) is not None
+        seen["feasible with sets"] += expected is not None and bool(odd_sets)
+        seen["infeasible"] += expected is None and valid
+        seen["bad set"] += not valid
+        seen["one end in a set"] += any((u in inside) != (v in inside) for u, v in weights)
+    assert min(seen.values()) >= 40, seen
+
+
 def test_blossom_raises_when_its_duals_do_not_check(monkeypatch):
     monkeypatch.setattr(blossom, "dual_objective", lambda *args: None)
     with pytest.raises(errors.InternalError):

@@ -14,6 +14,8 @@ from matchforge.matching import random_weights
 from matchforge.mesh import (
     QUALITY_DENOMINATOR,
     TriangleMesh,
+    _quad_cycles,
+    _quality_numerators,
     dual_graph,
     icosahedron,
     load_off,
@@ -488,6 +490,27 @@ def test_greedy_start_meshes_match_the_pinned_digest():
         qm, report = quadrangulate(build(), mode=mode)
         digest.update(repr((qm.quads, qm.triangles, report)).encode())
     assert digest.hexdigest() == GREEDY_MESHES_SHA256
+
+
+# Digest of both results (sorted pairs, potentials, odd sets) of the
+# shifted engine call that quadrangulate makes on the 80-, 320- and
+# 1,280-face icospheres of PINNED_MESHES and on the 576-face torus,
+# computed at commit b3a05d5, while the engine still kept a set of
+# tight edges and added the shift to every dual and weight; the quads
+# alone would not show a change to the duals at this scale
+MESH_DUALS_SHA256 = "fd8d304ca0a4e3e2b093de761bbf86fa556a01ff4ae290d49332dffe04d42853"
+
+
+def test_engine_duals_on_meshes_match_the_pinned_digest():
+    draws = dict.fromkeys((levels, jitter, seed) for levels, jitter, seed, _ in PINNED_MESHES)
+    digest = hashlib.sha256()
+    for mesh in [*(_icosphere(*draw) for draw in draws), _torus(24, 12, 0.03, 7)]:
+        dual = dual_graph(mesh)
+        ints = _quality_numerators(mesh, _quad_cycles(mesh, dual))
+        first, second, _ = matching._shifted_engine(dual.graph, ints, QUALITY_DENOMINATOR)
+        for pairs, potentials, odd_sets in (first, second):
+            digest.update(repr((sorted(pairs), potentials, odd_sets)).encode())
+    assert digest.hexdigest() == MESH_DUALS_SHA256
 
 
 ROUTE_MESHES = (
