@@ -39,6 +39,7 @@ from .errors import (
     InternalError,
     MatchforgeError,
     NoPerfectMatching,
+    ParseError,
 )
 from .eta import (
     BoundCertificate,
@@ -49,7 +50,6 @@ from .eta import (
     cert_to_json,
     encode,
     eta_exact,
-    eta_result_to_json,
     find_cap_matching,
     find_independent_set_bound,
     odd_component_cert,
@@ -254,7 +254,7 @@ def _cmd_match(args, run: _Run, rng: random.Random) -> int:
 def _cmd_eta_exact(args, run: _Run, rng: random.Random) -> int:
     g = _load_graph(args.graph, run, rng)
     r = eta_exact(g, budget=run.budget)
-    doc = {"eta": eta_result_to_json(r)}
+    doc = {"eta": encode(r)}
     _emit(doc, run, f"eta = {r.value}")
     return EXIT_OK
 
@@ -315,7 +315,11 @@ def _cmd_eta_witness(args, run: _Run, rng: random.Random) -> int:
 def _cmd_cert_verify(args, run: _Run, rng: random.Random) -> int:
     g = _load_graph(args.graph, run, rng)
     run.add_input(args.certificate)
-    cert = cert_from_json(json.loads(Path(args.certificate).read_text()))
+    try:
+        data = json.loads(Path(args.certificate).read_text())
+    except RecursionError:
+        raise ParseError("malformed certificate: nested too deeply") from None
+    cert = cert_from_json(data)
     ok, reason = verify(g, cert)
     doc = {"valid": ok, "reason": reason, "kind": cert.kind, "bound": encode(cert.bound)}
     _emit(doc, run, f"certificate {'accepted' if ok else 'rejected'}: {reason}")

@@ -52,6 +52,15 @@ class NotConnected(MatchforgeError):
 
 
 # ---------------------------------------------------------------------------
+# input formats
+
+
+class ParseError(MatchforgeError):
+    """An input file does not conform to its declared format: an edge
+    list, graph6, OFF, weights CSV or certificate."""
+
+
+# ---------------------------------------------------------------------------
 # generators
 
 
@@ -61,10 +70,6 @@ class UnknownLabel(MatchforgeError):
 
 class BadParameters(MatchforgeError):
     """Generator parameters violate their stated ranges."""
-
-
-class SpecInvalid(MatchforgeError):
-    """A composite-construction description fails validation."""
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +153,6 @@ class BadWeights(MatchforgeError):
 
 # ---------------------------------------------------------------------------
 # mesh handling
-
-
-class ParseError(MatchforgeError):
-    """An input file does not conform to its declared format."""
 
 
 class NotTriangular(MatchforgeError):

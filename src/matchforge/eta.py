@@ -1066,7 +1066,3 @@ def cert_from_json(data: dict) -> BoundCertificate:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc
-
-
-def eta_result_to_json(res: EtaResult) -> dict:
-    return encode(res)

@@ -1,22 +1,26 @@
-"""Constructions for cubic graphs: catalog entries and composite builders.
+"""Constructions for cubic graphs: catalog entries, a bridged join and
+the eta = 1/3 family.
 
-All builders are deterministic: the same call yields the same vertex
-numbering and edge-id layout, so certificates keyed on ids stay valid
-across runs.
+Each builder writes its graph's edge list directly: the Blanusa snarks
+as two Petersen copies less the dot-product cut plus four cross edges,
+and each family member as two copies of the last one less one edge plus
+two cross edges.  All builders are deterministic: the same call yields
+the same vertex numbering and edge-id layout, so certificates keyed on
+ids stay valid across runs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import (
     BadParameters,
     DuplicateEdge,
+    InternalError,
     NotConnected,
     SelfLoop,
-    SpecInvalid,
     UnknownLabel,
 )
 from .graphs import CubicGraph, as_cubic, check_vertex_count, from_edge_list
@@ -79,14 +83,18 @@ def _petersen() -> CubicGraph:
 
 
 def _blanusa(distance: int) -> CubicGraph:
-    """Dot product of two Petersen copies.
+    """Dot product of two Petersen copies, built directly.
 
-    The first copy loses the adjacent vertices 0 and 1; the second loses
-    two disjoint edges whose endpoint distance is `distance` (1 or 2).
-    Both removed-edge choices are the lexicographically first with the
-    required distance.
+    The first copy loses the adjacent vertices 0 and 1 and keeps the
+    rest as 0..7; the second copy follows as 8..17 and loses two
+    disjoint edges whose endpoint distance is `distance` (1 or 2), the
+    lexicographically first pair with that distance.  Four cross edges,
+    listed as (second-copy vertex, first-copy vertex), join the ends of
+    the first removed edge to 0's remaining neighbours and those of the
+    second to 1's.  Edge ids follow that order: first copy, second
+    copy, cross edges.  A 3-edge-colouring of the product would give
+    one of the Petersen factors one, so both variants are snarks.
     """
-    p = _petersen()
     if distance == 2:
         removed = (0, 8)  # edges (0,1) and (3,8)
         pairing = ((0, 4), (1, 5), (3, 2), (8, 6))
@@ -95,10 +103,11 @@ def _blanusa(distance: int) -> CubicGraph:
         pairing = ((0, 4), (1, 5), (2, 2), (3, 6))
     else:
         raise BadParameters(f"blanusa distance must be 1 or 2, got {distance}")
-    spec = DotProductSpec(
-        left=p, x=0, y=1, right=p, removed_edges=removed, pairing=pairing
-    )
-    return dot_product(spec)
+    p = _petersen().edges
+    pairs = [(u - 2, v - 2) for u, v in p if u > 1]  # u < v
+    pairs += [(8 + u, 8 + v) for i, (u, v) in enumerate(p) if i not in removed]
+    pairs += [(lv - 2, 8 + rv) for rv, lv in pairing]
+    return as_cubic(from_edge_list(18, pairs))
 
 
 # The catalog, smallest first: (name, vertex count, builder, flags), the
@@ -158,126 +167,7 @@ def catalog(max_vertices: int | None = None) -> tuple[NamedGraph, ...]:
 
 
 # ---------------------------------------------------------------------------
-# dot product
-
-
-@dataclass(frozen=True)
-class DotProductSpec:
-    """Description of a dot-product join.
-
-    `left` loses the adjacent vertices x and y.  `right` loses the two
-    disjoint edges in removed_edges.  `pairing` lists the four new
-    cross edges as (right_vertex, left_vertex): the endpoints of the
-    first removed edge must pair with x's two remaining neighbours and
-    the endpoints of the second with y's.
-    """
-
-    left: CubicGraph
-    x: int
-    y: int
-    right: CubicGraph
-    removed_edges: tuple[int, int]
-    pairing: tuple[tuple[int, int], ...]
-
-
-def _validate_dot_spec(spec: DotProductSpec) -> tuple[set[int], set[int]]:
-    g, h = spec.left, spec.right
-    if not (0 <= spec.x < g.n and 0 <= spec.y < g.n):
-        raise SpecInvalid("x or y out of range")
-    if g.edge_id(spec.x, spec.y) is None:
-        raise SpecInvalid("x and y must be adjacent")
-    ea, eb = spec.removed_edges
-    if not (0 <= ea < h.m and 0 <= eb < h.m) or ea == eb:
-        raise SpecInvalid("removed edges must be two distinct edge ids")
-    a1, a2 = h.endpoints(ea)
-    b1, b2 = h.endpoints(eb)
-    if len({a1, a2, b1, b2}) != 4:
-        raise SpecInvalid("removed edges must be disjoint")
-    x_side = set(g.neighbors(spec.x)) - {spec.y}
-    y_side = set(g.neighbors(spec.y)) - {spec.x}
-    if len(x_side) != 2 or len(y_side) != 2 or x_side & y_side:
-        raise SpecInvalid("deleted endpoints must leave four distinct stubs")
-    if len(spec.pairing) != 4:
-        raise SpecInvalid("pairing must have four entries")
-    right_used = [rv for rv, _ in spec.pairing]
-    left_used = [lv for _, lv in spec.pairing]
-    if sorted(right_used) != sorted([a1, a2, b1, b2]):
-        raise SpecInvalid("pairing must use each removed-edge endpoint once")
-    if sorted(left_used) != sorted(x_side | y_side):
-        raise SpecInvalid("pairing must use each stub once")
-    pair_of = dict(spec.pairing)
-    if {pair_of[a1], pair_of[a2]} != x_side or {pair_of[b1], pair_of[b2]} != y_side:
-        raise SpecInvalid(
-            "first removed edge must join x's stubs, second y's stubs"
-        )
-    return x_side, y_side
-
-
-def dot_product(spec: DotProductSpec) -> CubicGraph:
-    """Join two cubic graphs into one on |left| + |right| - 2 vertices.
-
-    Left vertices keep their order (x and y removed, rest renumbered
-    densely); right vertices follow.  When both inputs carry a snark
-    flag the output is flagged snark as well: a 3-edge-colouring of the
-    product would force one of the factors to admit one.
-    """
-    _validate_dot_spec(spec)
-    g, h = spec.left, spec.right
-    keep = [v for v in range(g.n) if v not in (spec.x, spec.y)]
-    gid = {v: i for i, v in enumerate(keep)}
-    off = len(keep)
-    pairs: list[tuple[int, int]] = []
-    for u, v in g.edges:
-        if spec.x in (u, v) or spec.y in (u, v):
-            continue
-        pairs.append((gid[u], gid[v]))
-    for eid, (u, v) in enumerate(h.edges):
-        if eid in spec.removed_edges:
-            continue
-        pairs.append((off + u, off + v))
-    for rv, lv in spec.pairing:
-        pairs.append((gid[lv], off + rv))
-    out = as_cubic(from_edge_list(g.n + h.n - 2, pairs))
-    left_snark = isinstance(g, NamedGraph) and g.flags.snark
-    right_snark = isinstance(h, NamedGraph) and h.flags.snark
-    if left_snark and right_snark:
-        name = f"{g.name}*{h.name}"  # type: ignore[union-attr]
-        return NamedGraph(
-            out.n,
-            out.edges,
-            name,
-            GraphFlags(planar=False, bipartite=False, hamiltonian=False, snark=True),
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# simple joins
-
-
-def edge_join(
-    g: CubicGraph,
-    e: int,
-    h: CubicGraph,
-    f: int,
-    pairing: Iterable[tuple[int, int]],
-) -> CubicGraph:
-    """Remove edge e from g and f from h, then add two cross edges.
-
-    `pairing` maps each endpoint of e to one endpoint of f.  Output
-    order is |g| + |h|.
-    """
-    pairing = tuple(pairing)
-    eu, ev = g.endpoints(e)
-    fu, fv = h.endpoints(f)
-    if sorted(a for a, _ in pairing) != sorted((eu, ev)) or sorted(
-        b for _, b in pairing
-    ) != sorted((fu, fv)):
-        raise SpecInvalid("pairing must match the removed edges' endpoints")
-    pairs = [(a, b) for i, (a, b) in enumerate(g.edges) if i != e]
-    pairs += [(g.n + a, g.n + b) for i, (a, b) in enumerate(h.edges) if i != f]
-    pairs += [(a, g.n + b) for a, b in pairing]
-    return as_cubic(from_edge_list(g.n + h.n, pairs))
+# bridged join
 
 
 def bridge_join(g: CubicGraph, e: int, h: CubicGraph, f: int) -> CubicGraph:
@@ -314,13 +204,9 @@ def eta_third_family(depth: int) -> tuple[CubicGraph, frozenset[int]]:
     if depth < 0 or depth > 11:
         raise BadParameters(f"family depth must be in 0..11, got {depth}")
     g: CubicGraph = _petersen()
-    m: frozenset[int] = frozenset()
-    for cand in enumerate_maximal_matchings(g):
-        if len(cand) == 3:
-            m = cand
-            break
-    if not m:
-        raise SpecInvalid("no size-3 maximal matching in the base graph")
+    m = next((c for c in enumerate_maximal_matchings(g) if len(c) == 3), None)
+    if m is None:
+        raise InternalError("no size-3 maximal matching in the base graph")
     for _ in range(depth):
         g, m = _family_join(g, m)
     return g, m
@@ -329,33 +215,26 @@ def eta_third_family(depth: int) -> tuple[CubicGraph, frozenset[int]]:
 def _family_join(
     g: CubicGraph, m: frozenset[int]
 ) -> tuple[CubicGraph, frozenset[int]]:
+    """Two copies of g less the cut edge, the second at offset g.n, then
+    the two cross edges.  Edge e of m keeps its place in the first copy
+    less one if it came after the cut, and the copy's ids follow."""
     saturated = set()
     for eid in m:
-        saturated.update(g.endpoints(eid))
-    joint = None
-    for eid, (u, v) in enumerate(g.edges):
-        if eid in m:
-            continue
-        su, sv = u in saturated, v in saturated
-        if su != sv:
-            joint = (eid, u if su else v, v if su else u)
+        saturated.update(g.edges[eid])
+    for cut, (u, v) in enumerate(g.edges):
+        if cut not in m and (u in saturated) != (v in saturated):
             break
-    if joint is None:
-        raise SpecInvalid("no join edge with exactly one saturated endpoint")
-    cut, sat, unsat = joint
-    off = g.n
+    else:
+        raise InternalError("no join edge with exactly one saturated endpoint")
+    sat, unsat = (u, v) if u in saturated else (v, u)
+    n = g.n
+    rest = [e for eid, e in enumerate(g.edges) if eid != cut]
+    pairs = rest + [(n + a, n + b) for a, b in rest]
     # saturated end gains the other copy's unsaturated end and vice versa
-    out = edge_join(g, cut, g, cut, [(sat, unsat), (unsat, sat)])
-    new_m = set()
-    for eid in m:
-        u, v = g.endpoints(eid)
-        a = out.edge_id(u, v)
-        b = out.edge_id(off + u, off + v)
-        if a is None or b is None:
-            raise SpecInvalid("matching edge lost during join")
-        new_m.add(a)
-        new_m.add(b)
-    return out, frozenset(new_m)
+    pairs += [(sat, n + unsat), (unsat, n + sat)]
+    kept = [e - (e > cut) for e in m]
+    new_m = frozenset(kept + [e + len(rest) for e in kept])
+    return as_cubic(from_edge_list(2 * n, pairs)), new_m
 
 
 # ---------------------------------------------------------------------------

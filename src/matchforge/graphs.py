@@ -15,6 +15,7 @@ from .errors import (
     EdgeOutOfRange,
     NotConnected,
     NotCubic,
+    ParseError,
     SelfLoop,
     VertexOutOfRange,
 )
@@ -174,7 +175,9 @@ def parse_edge_list(text: str) -> Graph:
     """Read the plain interchange format.
 
     First non-comment line: "n m".  Then m lines "u v" with 0-based ids.
-    Lines starting with '#' and blank lines are skipped.
+    Lines starting with '#' and blank lines are skipped.  Raises
+    ParseError on text that does not follow this layout; ids and n
+    out of range are from_edge_list's VertexOutOfRange.
     """
     rows: list[list[str]] = []
     for raw in text.splitlines():
@@ -183,25 +186,25 @@ def parse_edge_list(text: str) -> Graph:
             continue
         rows.append(line.split())
     if not rows:
-        raise VertexOutOfRange("empty edge list input")
+        raise ParseError("empty edge list input")
     head = rows[0]
     if len(head) != 2:
-        raise VertexOutOfRange(f"expected 'n m' header, got {' '.join(head)!r}")
+        raise ParseError(f"expected 'n m' header, got {' '.join(head)!r}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise VertexOutOfRange(f"bad header {' '.join(head)!r}") from exc
+        raise ParseError(f"bad header {' '.join(head)!r}") from exc
     body = rows[1:]
     if len(body) != m:
-        raise VertexOutOfRange(f"header says {m} edges, found {len(body)}")
+        raise ParseError(f"header says {m} edges, found {len(body)}")
     pairs: list[tuple[int, int]] = []
     for row in body:
         if len(row) != 2:
-            raise VertexOutOfRange(f"bad edge line {' '.join(row)!r}")
+            raise ParseError(f"bad edge line {' '.join(row)!r}")
         try:
             pairs.append((int(row[0]), int(row[1])))
         except ValueError as exc:
-            raise VertexOutOfRange(f"bad edge line {' '.join(row)!r}") from exc
+            raise ParseError(f"bad edge line {' '.join(row)!r}") from exc
     return from_edge_list(n, pairs)
 
 
@@ -220,26 +223,30 @@ def from_graph6(line: str) -> Graph:
     """Decode one graph in graph6 format (optionally with the >>graph6<< tag).
 
     Supports the short form (n <= 62) and the 4-byte extended form.
+    Raises ParseError on malformed text and VertexOutOfRange on the
+    8-byte form, whose n is past MAX_VERTICES.
     """
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
-        raise VertexOutOfRange("empty graph6 input")
+        raise ParseError("empty graph6 input")
     data = [ord(c) - 63 for c in s]
     if any(b < 0 or b > 63 for b in data):
-        raise VertexOutOfRange("graph6 characters out of range")
+        raise ParseError("graph6 characters out of range")
     if data[0] < 63:
         n = data[0]
         body = data[1:]
     else:
-        if len(data) < 4 or data[1] == 63:
+        if data[1:2] == [63]:  # the 8-byte form, n >= 258048
             raise VertexOutOfRange("unsupported graph6 size prefix")
+        if len(data) < 4:
+            raise ParseError("truncated graph6 size prefix")
         n = (data[1] << 12) | (data[2] << 6) | data[3]
         body = data[4:]
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
-        raise VertexOutOfRange(
+        raise ParseError(
             f"graph6 body length {len(body)}, expected {need} for n={n}"
         )
     bits: list[int] = []

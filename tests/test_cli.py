@@ -537,6 +537,16 @@ def test_hostile_weight_literal_is_refused(capsys, tmp_path):
     }
 
 
+def test_deeply_nested_certificate_is_refused(capsys, tmp_path):
+    cert = tmp_path / "deep.json"
+    cert.write_text("[" * 200_000 + "]" * 200_000)
+    doc = run_cli(capsys, ["cert", "verify", "name:petersen", str(cert)], expect=2)
+    assert doc == {
+        "error": "ParseError",
+        "message": "malformed certificate: nested too deeply",
+    }
+
+
 def test_unknown_label_error_json(capsys):
     doc = run_cli(capsys, ["gen", "name:nosuch"], expect=2)
     assert doc["error"] == "UnknownLabel"
@@ -559,7 +569,7 @@ def _json_documents(capsys, tmp_path):
     """The JSON the library and the CLI write, one document at a time:
     cert_to_json of the certify benchmark's cap, odd and independent
     certificates and of best_maximal_matching_bound on catalog(20),
-    eta_result_to_json(eta_exact(g)) on catalog(20), and the stdout of
+    encode(eta_exact(g)) on catalog(20), and the stdout of
     gen, eta exact, match, eta bounds, cert verify, mesh quadrangulate
     and mesh weights, cut before the manifest (it holds paths and
     times)."""
@@ -587,7 +597,7 @@ def _json_documents(capsys, tmp_path):
         yield json.dumps(eta.cert_to_json(cert))
     for g in catalog(20):
         yield json.dumps(eta.cert_to_json(eta.best_maximal_matching_bound(g)))
-        yield json.dumps(eta.eta_result_to_json(eta.eta_exact(g)))
+        yield json.dumps(eta.encode(eta.eta_exact(g)))
 
     def stdout(argv, expect=0):
         code = main(argv)

@@ -29,7 +29,6 @@ from matchforge.eta import (
     cert_from_json,
     cert_to_json,
     eta_exact,
-    eta_result_to_json,
     find_cap_matching,
     find_independent_set_bound,
     is_eta_one,
@@ -1236,7 +1235,7 @@ def test_encode_writes_fractions_as_string_pairs():
 
 def test_eta_result_json_shape():
     r = eta_exact(named("k4"))
-    doc = eta_result_to_json(r)
+    doc = eta_module.encode(r)
     assert doc["value"] == {"num": "1", "den": "1"}
     assert len(doc["witness_weights"]) == 6
     assert doc["argmax_weight"]["num"] == str(r.argmax_weight.numerator)

@@ -14,11 +14,8 @@ from matchforge.classify import (
     is_snark,
 )
 from matchforge.generators import (
-    DotProductSpec,
     bridge_join,
     catalog,
-    dot_product,
-    edge_join,
     eta_third_family,
     gp,
     named,
@@ -125,34 +122,6 @@ def test_blanusa_frozen_edge_lists():
     assert named("blanusa2").edges == BLANUSA2_EDGES
 
 
-def test_dot_product_validation():
-    p = gp(5, 2)
-    good = DotProductSpec(
-        left=p, x=0, y=1, right=p,
-        removed_edges=(0, 8), pairing=((0, 4), (1, 5), (3, 2), (8, 6)),
-    )
-    assert dot_product(good).n == 18
-    bad = [
-        # x, y not adjacent
-        DotProductSpec(p, 0, 2, p, (0, 8), ((0, 4), (1, 5), (3, 2), (8, 6))),
-        # removed edges share vertex 0
-        DotProductSpec(p, 0, 1, p, (0, 5), ((1, 4), (4, 5), (0, 2), (10, 6))),
-        # pairing sends both ends of the first removed edge to y's side
-        DotProductSpec(p, 0, 1, p, (0, 8), ((0, 2), (1, 6), (3, 4), (8, 5))),
-    ]
-    for spec in bad:
-        with pytest.raises(errors.SpecInvalid):
-            dot_product(spec)
-
-
-def test_edge_join_counts():
-    k4 = named("k4")
-    g = edge_join(k4, 0, k4, 5, [(0, 2), (1, 3)])
-    assert g.n == 8 and g.m == 12
-    with pytest.raises(errors.SpecInvalid):
-        edge_join(k4, 0, k4, 5, [(0, 2), (2, 3)])
-
-
 def test_bridge_join_creates_bridge():
     k4 = named("k4")
     g = bridge_join(k4, 0, k4, 0)
@@ -182,6 +151,22 @@ def test_family_invariants_first_members():
         bridgeless, _ = is_bridgeless(g)
         assert bridgeless
         assert is_snark(g)
+
+
+# Digest of eta_third_family(d), d = 0..6: (d, n, edges, sorted
+# matching) per member, computed at commit faaa622, before the family
+# wrote its edge lists directly.
+FAMILY_SHA256 = (
+    "165b8e12f272240f0c9d72273a1717a07027ada2a8558039e30abb652fa5f1df"
+)
+
+
+def test_family_matches_the_pinned_digest():
+    digest = hashlib.sha256()
+    for d in range(7):
+        g, m = eta_third_family(d)
+        digest.update(repr((d, g.n, g.edges, sorted(m))).encode() + b"\n")
+    assert digest.hexdigest() == FAMILY_SHA256
 
 
 def test_family_depth_validation():

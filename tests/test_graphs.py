@@ -137,17 +137,17 @@ def test_edge_list_round_trip():
 
 
 def test_edge_list_parse_errors():
-    with pytest.raises(errors.VertexOutOfRange):
+    with pytest.raises(errors.ParseError):
         parse_edge_list("")
-    with pytest.raises(errors.VertexOutOfRange):
+    with pytest.raises(errors.ParseError):
         parse_edge_list("3 2\n0 1\n")
-    with pytest.raises(errors.VertexOutOfRange):
+    with pytest.raises(errors.ParseError):
         parse_edge_list("3\n0 1\n")
-    with pytest.raises(errors.VertexOutOfRange, match="bad header 'three 1'"):
+    with pytest.raises(errors.ParseError, match="bad header 'three 1'"):
         parse_edge_list("three 1\n0 1\n")
-    with pytest.raises(errors.VertexOutOfRange, match="bad edge line '0 1 2'"):
+    with pytest.raises(errors.ParseError, match="bad edge line '0 1 2'"):
         parse_edge_list("3 1\n0 1 2\n")
-    with pytest.raises(errors.VertexOutOfRange, match="bad edge line '0 x'"):
+    with pytest.raises(errors.ParseError, match="bad edge line '0 x'"):
         parse_edge_list("3 1\n0 x\n")
 
 
@@ -197,11 +197,13 @@ def test_graph6_accepts_header_tag():
 
 
 def test_graph6_rejects_garbage():
-    with pytest.raises(errors.VertexOutOfRange):
+    with pytest.raises(errors.ParseError):
         from_graph6("")
-    with pytest.raises(errors.VertexOutOfRange):
+    with pytest.raises(errors.ParseError):
         from_graph6("C")  # truncated body
-    with pytest.raises(errors.VertexOutOfRange, match="characters out of range"):
+    with pytest.raises(errors.ParseError, match="truncated graph6 size prefix"):
+        from_graph6("~?")
+    with pytest.raises(errors.ParseError, match="characters out of range"):
         from_graph6("C>")  # '>' is below '?'
     with pytest.raises(errors.VertexOutOfRange, match="unsupported graph6 size prefix"):
         from_graph6("~~" + "?" * 6)  # the 8-byte form of n >= 258048
