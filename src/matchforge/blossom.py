@@ -28,7 +28,13 @@ when it forms and returns it when it expands, so "b >= n" tells a
 blossom from a vertex.  A missing entry is 0 (labels), -1 (mate,
 parent, base) or None.  nbrs[v] holds (u, 2 * w_vu) in adjacency[v]
 order, and best edges are stored as (v, u, 2 * w_vu), so every slack
-dualvar[v] + dualvar[u] - 2 * w_vu is computed inline.
+dualvar[v] + dualvar[u] - 2 * w_vu is computed inline.  Each stage
+starts from exposed, the exposed vertices in id order: an augmentation
+matches two of them and no matched vertex is exposed again, so the list
+is filtered after each augmentation, and no stage walks all of mate.  A
+dual step moves dualvar and blossomdual in place, over the vertices of
+forest (see Tie order) and the top-level blossoms; only the resume's
+result for w (see Resume) is read off copies.
 
 Tie order.  Each dual step keeps the first candidate that is strictly
 smaller, so the scan order decides ties: a lower type before a higher
@@ -125,9 +131,13 @@ def dual_objective(weights, potentials, odd_sets):
     odd_sets of (B, z), or None unless every B is an odd set of distinct
     vertices, every z >= 0, and every edge uv has y_u + y_v plus the z of
     the sets holding both ends >= w_uv.  A value bounds every perfect
-    matching's weight, and every matching's if all y >= 0."""
+    matching's weight, and every matching's if all y >= 0.
+
+    Odd-set membership is kept only for the vertices in some set, and
+    read only for an edge whose potentials alone fall short: every z is
+    checked nonnegative first, so the sets can only add to the cover."""
     n = len(potentials)
-    member: list[set[int]] = [set() for _ in range(n)]  # set indices by vertex
+    member: dict[int, set[int]] = {}  # set indices by vertex
     total = sum(potentials)
     for i, (vertices, z) in enumerate(odd_sets):
         distinct = set(vertices)
@@ -136,14 +146,15 @@ def dual_objective(weights, potentials, odd_sets):
         if min(distinct) < 0 or max(distinct) >= n:
             return None
         for v in distinct:
-            member[v].add(i)
+            member.setdefault(v, set()).add(i)
         total += z * (len(distinct) // 2)
     for (u, v), w in weights.items():
         cover = potentials[u] + potentials[v]
-        if member[u] and member[v]:
-            cover += sum(odd_sets[i][1] for i in member[u] & member[v])
         if cover < w:
-            return None
+            if u in member and v in member:
+                cover += sum(odd_sets[i][1] for i in member[u] & member[v])
+            if cover < w:
+                return None
     return total
 
 
@@ -573,23 +584,22 @@ def max_weight_matching_pairs(
                 wrote.extend((j, mate[j]))
                 mate[j] = s
 
-    def stepped(delta: int) -> tuple[list[int], dict[int, int]]:
-        """The vertex and blossom duals after a dual step of delta."""
-        ys = dualvar[:]
+    def step(delta: int, ys: list[int], zs: dict[int, int]) -> tuple[list[int], dict[int, int]]:
+        """Apply a dual step of delta to vertex duals ys and blossom duals
+        zs, which are dualvar and blossomdual or copies of them; return
+        both.  Only the vertices of forest move."""
         for v in forest:
             lbl = label[inblossom[v]]
             if lbl == 1:
                 ys[v] -= delta
             elif lbl == 2:
                 ys[v] += delta
-        zs = {}
-        for b, z in blossomdual.items():
+        for b, z in zs.items():
             if blossomparent[b] == -1:
                 if label[b] == 1:
-                    z += delta
+                    zs[b] = z + delta
                 elif label[b] == 2:
-                    z -= delta
-            zs[b] = z
+                    zs[b] = z - delta
         return ys, zs
 
     def finish(ys: list[int], zs: dict[int, int], extra: int) -> tuple:
@@ -606,6 +616,9 @@ def max_weight_matching_pairs(
         return pairs, ys, odd_sets
 
     _greedy_prefix(n, nbrs, maxweight, mate, dualvar)
+    # the exposed vertices in id order; an augmentation matches two of
+    # them, and a matched vertex stays matched
+    exposed = [v for v in range(n) if mate[v] == -1]
 
     # the result for w when resuming under a shift, and the shift once
     # applied: from then on the vertex duals are dualvar plus extra
@@ -623,9 +636,7 @@ def max_weight_matching_pairs(
         touched.clear()
         forest.clear()
 
-        for v, u in enumerate(mate):
-            if u != -1:
-                continue
+        for v in exposed:
             if inblossom[v] != v:
                 assign_label(v, 1, None)
             elif label[v]:
@@ -725,11 +736,10 @@ def max_weight_matching_pairs(
             if deltatype == 1 and shift:
                 # the run on w ends here: keep its result, then go on as
                 # the run on w + S, with S held as the offset extra
-                first = finish(*stepped(delta), 0)
+                first = finish(*step(delta, dualvar[:], dict(blossomdual)), 0)
                 extra, shift = shift, None
                 continue
-            dualvar[:], zs = stepped(delta)
-            blossomdual.update(zs)
+            step(delta, dualvar, blossomdual)
 
             if deltatype == 1:
                 break
@@ -746,6 +756,7 @@ def max_weight_matching_pairs(
         wrote.clear()
         if not augmented:
             break
+        exposed = [v for v in exposed if mate[v] == -1]
 
         # discard blossoms that no longer pay their way
         for b in list(blossomdual):

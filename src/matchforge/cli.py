@@ -15,6 +15,12 @@ Each document carries a manifest: argv, sha256 of file inputs, the
 seed, the whole Budget the command ran under (every field, defaults
 included, built from its budget flags), package version and wall
 time, so a run can be reproduced from its output alone.
+
+Every input file is read by _Run.read, which hashes it for the manifest
+and refuses bytes that are not UTF-8 with a ParseError naming the file.
+A certificate that is not JSON is a ParseError naming the file too, so
+a malformed input file exits 2 with one of matchforge's own errors,
+never a bare Python one.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .eta import (
     verify,
 )
 from .generators import eta_third_family, gp, named, random_cubic
-from .graphs import Graph, format_edge_list, load_edge_list
+from .graphs import Graph, format_edge_list, parse_edge_list
 from .matching import (
     format_weight_csv,
     matching_weight,
@@ -66,7 +72,7 @@ from .matching import (
     random_weights,
     uniform_weights,
 )
-from .mesh import dual_graph, load_off, quad_weights, quadrangulate, save_obj
+from .mesh import dual_graph, parse_off, quad_weights, quadrangulate, save_obj
 from .reproduce import run_checks
 
 EXIT_OK = 0
@@ -88,10 +94,6 @@ def _seed_from(args) -> int:
     return DEFAULT_SEED
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 class _Run:
     """Collects manifest data while a command executes."""
 
@@ -102,8 +104,16 @@ class _Run:
         self.inputs: list[dict] = []
         self.started = time.time()
 
-    def add_input(self, path: str) -> None:
-        self.inputs.append({"path": str(path), "sha256": _sha256(path)})
+    def read(self, path: str) -> str:
+        """The text of the input file at path, recorded with its sha256.
+        Bytes that are not UTF-8 are a ParseError naming the file."""
+        data = Path(path).read_bytes()
+        self.inputs.append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            where = f"{exc.reason} at byte {exc.start}"
+            raise ParseError(f"{path}: not UTF-8 text ({where})") from None
 
     def manifest(self) -> dict:
         return {
@@ -131,8 +141,7 @@ def _load_graph(spec: str, run: _Run, rng: random.Random) -> Graph:
         return _family(spec)[0]
     if spec.startswith("random:"):
         return random_cubic(*_spec_ints(spec, "random:<n>"), rng)
-    run.add_input(spec)
-    return load_edge_list(spec)
+    return parse_edge_list(run.read(spec))
 
 
 def _spec_ints(spec: str, form: str) -> list[int]:
@@ -158,8 +167,7 @@ def _graph_json(g: Graph) -> dict:
 
 def _weights_for(g: Graph, args, run: _Run, rng: random.Random):
     if getattr(args, "weights", None):
-        run.add_input(args.weights)
-        return parse_weight_csv(Path(args.weights).read_text(), g.m)
+        return parse_weight_csv(run.read(args.weights), g.m)
     if getattr(args, "random_weights", False):
         return random_weights(g, rng)
     return uniform_weights(g)
@@ -314,11 +322,14 @@ def _cmd_eta_witness(args, run: _Run, rng: random.Random) -> int:
 
 def _cmd_cert_verify(args, run: _Run, rng: random.Random) -> int:
     g = _load_graph(args.graph, run, rng)
-    run.add_input(args.certificate)
     try:
-        data = json.loads(Path(args.certificate).read_text())
+        data = json.loads(run.read(args.certificate))
     except RecursionError:
         raise ParseError("malformed certificate: nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{args.certificate}: not JSON ({exc.msg} at char {exc.pos})") from None
+    except ValueError:  # json reads a number with int(), which has a digit limit
+        raise ParseError(f"{args.certificate}: a number with too many digits") from None
     cert = cert_from_json(data)
     ok, reason = verify(g, cert)
     doc = {"valid": ok, "reason": reason, "kind": cert.kind, "bound": encode(cert.bound)}
@@ -327,13 +338,11 @@ def _cmd_cert_verify(args, run: _Run, rng: random.Random) -> int:
 
 
 def _cmd_mesh_quadrangulate(args, run: _Run, rng: random.Random) -> int:
-    run.add_input(args.mesh)
-    mesh = load_off(args.mesh)
+    mesh = parse_off(run.read(args.mesh))
     dual = dual_graph(mesh)
     weights = None
     if args.weights:
-        run.add_input(args.weights)
-        weights = parse_weight_csv(Path(args.weights).read_text(), dual.graph.m)
+        weights = parse_weight_csv(run.read(args.weights), dual.graph.m)
     elif args.random_weights:
         weights = random_weights(dual.graph, rng)
     quad_mesh, report = quadrangulate(mesh, mode=args.mode, weights=weights)
@@ -353,8 +362,7 @@ def _cmd_mesh_quadrangulate(args, run: _Run, rng: random.Random) -> int:
 
 
 def _cmd_mesh_weights(args, run: _Run, rng: random.Random) -> int:
-    run.add_input(args.mesh)
-    mesh = load_off(args.mesh)
+    mesh = parse_off(run.read(args.mesh))
     dual = dual_graph(mesh)
     w = quad_weights(mesh, dual)
     doc = {

@@ -82,10 +82,17 @@ a leader mask, so once every leader mask's orbit is closed, the seen
 set holds every maximal matching.  The scan refuses as soon as the
 seen set outgrows the budget.  The leader enumeration refuses past the
 budget too, which is sound, as its masks are some of g's maximal
-matchings.  After the stop at s = 3 below, the orbits of the remaining
-leader masks are still closed, with no greedy cover and no LP, before
-the result is returned.  With a trivial group, the enumeration lists
-every maximal matching and alone enforces the budget.
+matchings.  With a trivial group, the enumeration lists every maximal
+matching and alone enforces the budget.
+
+After the stop at s = 3 below, the scan returns at once when a count
+bound proves the budget holds.  Maximal matchings of g are maximal
+independent sets of its line graph, which has m vertices, so there are
+at most 3^(m/3) of them (Moon and Moser 1965); when 3^m <= limit^3, g
+has at most limit of them and the scan cannot refuse.  Otherwise the
+orbits of the remaining leader masks are still closed, with no greedy
+cover and no LP, before the result is returned, so the refusal stays
+exact.
 
 On a bridgeless graph with every degree 3, the scan also stops once
 the best s reaches 3.  There every odd vertex set has an odd number of
@@ -510,8 +517,8 @@ def eta_exact(g: Graph, *, budget: Budget = Budget()) -> EtaResult:
             best_mask = mask
             best_assignment = assignment
             stopped = best_s == ceiling
-            if stopped and not gens:
-                break  # every maximal matching is listed, so within budget
+            if stopped and (not gens or 3**g.m <= limit**3):
+                break  # within budget: every maximal matching listed, or the count bound
     if best_s is None or best_s < 1:
         raise InternalError(f"LP scan ended with s = {best_s}, expected >= 1")
 

@@ -214,11 +214,6 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_edge_list(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
-
-
 def from_graph6(line: str) -> Graph:
     """Decode one graph in graph6 format (optionally with the >>graph6<< tag).
 

@@ -12,12 +12,20 @@ power of two (see _unit_scaled), so neither depends on the mesh's size.
 quad_quality and quad_weights return these as Fractions;
 quadrangulate hands the int numerators straight to the blossom engine
 (matching.best_integer_matchings), and decodes only the two matchings.
+
+Each mesh quantity is built once.  A TriangleMesh keeps its edge-face
+map (_edge_faces) and its dual graph on itself the first time either is
+read, and neither takes part in equality or repr.  parse_off builds the
+map to check closure; dual_graph, quadrangulate and the quad cycles
+read that same map, and dual_graph's first result is the one every
+later call returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -32,7 +40,7 @@ from .errors import (
     NotTriangular,
     ParseError,
 )
-from .graphs import CubicGraph, as_cubic, from_edge_list
+from .graphs import CubicGraph, Graph, as_cubic, check_vertex_count, from_edge_list
 from .matching import best_integer_matchings, integer_weights
 
 Vec = tuple[float, float, float]
@@ -46,6 +54,12 @@ class TriangleMesh:
 
     vertices: tuple[Vec, ...]
     faces: tuple[tuple[int, int, int], ...]
+
+    # the edge-face map and the dual graph, built on first use and kept
+    # in the instance dict, outside the dataclass fields, so equality,
+    # hash and repr never read them
+    _edges = cached_property(lambda self: _edge_faces(self))
+    _dual = cached_property(lambda self: _build_dual(self))
 
 
 @dataclass(frozen=True)
@@ -93,91 +107,105 @@ def parse_off(text: str) -> TriangleMesh:
     faces, Degenerate on repeated face vertices or zero-area triangles,
     NotClosed unless every edge is shared by exactly two consistently
     oriented faces.
+
+    One pass reads the lines, and the errors come in this order: the
+    counts line; truncation, which outranks every error of a line, so a
+    line's error is raised only once the lines left are counted; each
+    line's own errors, in line order; closure, checked by building the
+    mesh's edge-face map (see the module docstring); then the first
+    zero-area face, found in the pass.  The common face line '3 a b c'
+    skips the general count and slice, with the same checks in the
+    same order.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
+    rows = filter(None, (raw.split("#", 1)[0].split() for raw in text.splitlines()))
+    head = next(rows, None)
+    if head is None:
         raise ParseError("empty OFF input")
-    pos = 0
-    if lines[0].upper() == "OFF":
-        pos = 1
+    if len(head) == 1 and head[0].upper() == "OFF":
+        head = next(rows, ())
     try:
-        nv, nf, _ne = (int(x) for x in lines[pos].split())
-    except (IndexError, ValueError) as exc:
+        nv, nf, _ne = (int(x) for x in head)
+    except ValueError as exc:
         raise ParseError("bad OFF counts line") from exc
-    pos += 1
     if nv < 1 or nf < 1:
         raise ParseError("OFF needs at least one vertex and face")
-    if len(lines) - pos < nv + nf:
-        raise ParseError("truncated OFF input")
     vertices: list[Vec] = []
-    for i in range(nv):
-        parts = lines[pos + i].split()
-        if len(parts) != 3:
-            raise ParseError(f"vertex line {i}: expected 3 coordinates")
-        try:
-            point = (float(parts[0]), float(parts[1]), float(parts[2]))
-        except ValueError as exc:
-            raise ParseError(f"vertex line {i}: bad coordinate") from exc
-        if not all(map(math.isfinite, point)):
-            raise ParseError(f"vertex line {i}: non-finite coordinate")
-        vertices.append(point)
-    pos += nv
     faces: list[tuple[int, int, int]] = []
-    for i in range(nf):
-        parts = lines[pos + i].split()
-        try:
-            count = int(parts[0])
-            ids = [int(x) for x in parts[1 : 1 + count]]
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"face line {i}: bad index") from exc
-        if len(parts) < 1 + count:
-            raise ParseError(f"face line {i}: truncated")
-        if count != 3:
-            raise NotTriangular(f"face line {i}: {count} vertices")
-        if any(not 0 <= v < nv for v in ids):
-            raise ParseError(f"face line {i}: vertex index out of range")
-        if len(set(ids)) != 3:
-            raise Degenerate(f"face line {i}: repeated vertex")
-        faces.append((ids[0], ids[1], ids[2]))
+    flat = None  # the first zero-area face
+    try:
+        for i, parts in zip(range(nv), rows):
+            if len(parts) != 3:
+                raise ParseError(f"vertex line {i}: expected 3 coordinates")
+            try:
+                x, y, z = float(parts[0]), float(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise ParseError(f"vertex line {i}: bad coordinate") from exc
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise ParseError(f"vertex line {i}: non-finite coordinate")
+            vertices.append((x, y, z))
+        points = _unit_scaled(vertices)
+        for i, parts in zip(range(nf), rows):
+            if len(parts) == 4 and parts[0] == "3":  # the common line
+                try:
+                    a, b, c = int(parts[1]), int(parts[2]), int(parts[3])
+                except ValueError as exc:
+                    raise ParseError(f"face line {i}: bad index") from exc
+            else:
+                try:
+                    count = int(parts[0])
+                    ids = [int(x) for x in parts[1 : 1 + count]]
+                except ValueError as exc:
+                    raise ParseError(f"face line {i}: bad index") from exc
+                if len(parts) < 1 + count:
+                    raise ParseError(f"face line {i}: truncated")
+                if count != 3:
+                    raise NotTriangular(f"face line {i}: {count} vertices")
+                a, b, c = ids
+            if not (0 <= a < nv and 0 <= b < nv and 0 <= c < nv):
+                raise ParseError(f"face line {i}: vertex index out of range")
+            if a == b or b == c or a == c:
+                raise Degenerate(f"face line {i}: repeated vertex")
+            faces.append((a, b, c))
+            # the normal (b - a) x (c - a), zero exactly when its squared
+            # length is, as sqrt(s) == 0.0 only for s == 0.0
+            (ax, ay, az), (bx, by, bz), (cx, cy, cz) = points[a], points[b], points[c]
+            px, py, pz = bx - ax, by - ay, bz - az
+            qx, qy, qz = cx - ax, cy - ay, cz - az
+            nx, ny, nz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+            if flat is None and nx * nx + ny * ny + nz * nz == 0.0:
+                flat = i
+    except (ParseError, NotTriangular, Degenerate):
+        # the bad line is read, so it counts among the lines there are
+        if len(vertices) + len(faces) + 1 + sum(1 for _ in rows) < nv + nf:
+            raise ParseError("truncated OFF input") from None
+        raise
+    if len(faces) < nf:
+        raise ParseError("truncated OFF input")
     mesh = TriangleMesh(tuple(vertices), tuple(faces))
-    _edge_faces(mesh)
-    points = _unit_scaled(mesh.vertices)
-    for fid, (a, b, c) in enumerate(mesh.faces):
-        # the normal (b - a) x (c - a), zero exactly when its squared
-        # length is, as sqrt(s) == 0.0 only for s == 0.0
-        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = points[a], points[b], points[c]
-        px, py, pz = bx - ax, by - ay, bz - az
-        qx, qy, qz = cx - ax, cy - ay, cz - az
-        nx, ny, nz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
-        if nx * nx + ny * ny + nz * nz == 0.0:
-            raise Degenerate(f"face {fid} has zero area")
+    mesh._edges  # builds the edge-face map, which checks closure
+    if flat is not None:
+        raise Degenerate(f"face {flat} has zero area")
     return mesh
 
 
-def load_off(path: str | Path) -> TriangleMesh:
-    return parse_off(Path(path).read_text())
-
-
-def _edge_faces(mesh: TriangleMesh) -> dict[tuple[int, int], list[tuple[int, bool]]]:
+def _edge_faces(mesh: TriangleMesh) -> dict[tuple[int, int], list]:
     """Each undirected edge (u, v), u < v, in order of first use -> the
-    faces on it in id order, each as (face id, whether it runs u -> v).
-    Raises NotClosed unless every edge lies on two faces that run it
-    opposite ways: once no edge is run twice the same way, the 3F uses
-    of F faces fill two per edge exactly when no edge has one face."""
-    uses: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+    faces on it in id order, flat as [face id, whether it runs u -> v,
+    face id, whether it runs u -> v]; the mesh keeps this map, so it is
+    one list per edge, not a list of pairs.  Raises NotClosed unless
+    every edge lies on two faces that run it opposite ways: once no
+    edge is run twice the same way, the 3F uses of F faces fill two per
+    edge exactly when no edge has one face."""
+    uses: dict[tuple[int, int], list] = {}
     for fid, (a, b, c) in enumerate(mesh.faces):
         for u, v in ((a, b), (b, c), (c, a)):
             key = (u, v) if u < v else (v, u)
             faces = uses.setdefault(key, [])
-            if faces and (len(faces) == 2 or faces[0][1] == (u < v)):
+            if faces and (len(faces) == 4 or faces[1] == (u < v)):
                 raise NotClosed(f"edge {key} traversed twice the same way")
-            faces.append((fid, u < v))
+            faces += (fid, u < v)
     if 2 * len(uses) != 3 * len(mesh.faces):
-        key = next(k for k, fs in uses.items() if len(fs) == 1)
+        key = next(k for k, fs in uses.items() if len(fs) == 2)
         raise NotClosed(f"edge {key} lies on 1 faces")
     return uses
 
@@ -318,17 +346,30 @@ def dual_graph(mesh: TriangleMesh) -> DualGraph:
     """Face-adjacency graph; cubic because the mesh is closed.
 
     Raises NotClosed unless it is, DuplicateEdge if two faces share more
-    than one edge and NotConnected on disconnected surfaces.
+    than one edge and NotConnected on disconnected surfaces.  The first
+    call builds the graph and keeps it on the mesh; later calls return
+    that same graph.
     """
-    uses = _edge_faces(mesh)
-    pairs = []
-    shared = []
-    for key in sorted(uses):
-        (f1, _), (f2, _) = uses[key]
-        pairs.append((f1, f2))
-        shared.append(key)
-    graph = as_cubic(from_edge_list(len(mesh.faces), pairs))
-    return DualGraph(graph=graph, shared_edge=tuple(shared))
+    return mesh._dual
+
+
+def _build_dual(mesh: TriangleMesh) -> DualGraph:
+    """The dual graph, built straight into a Graph from the edge-face
+    map, with the checks of from_edge_list and as_cubic in their order.
+    An edge's faces are listed in id order, so each pair is already
+    (lower, upper) and in range, and no pair is a loop: a face with a
+    repeated vertex a has an edge (a, a) that only it can run, which
+    _edge_faces refuses.  That leaves the face count and a repeated
+    pair, which from_edge_list is called to name only when there is
+    one; as_cubic then checks degrees and connectivity."""
+    uses = mesh._edges
+    shared = tuple(sorted(uses))
+    pairs = tuple((uses[k][0], uses[k][2]) for k in shared)
+    n = len(mesh.faces)
+    check_vertex_count(n)
+    if len(set(pairs)) != len(pairs):
+        from_edge_list(n, pairs)  # raises DuplicateEdge at the first repeat
+    return DualGraph(graph=as_cubic(Graph(n, pairs)), shared_edge=shared)
 
 
 def quad_weights(mesh: TriangleMesh, dual: DualGraph) -> tuple[Fraction, ...]:
@@ -348,13 +389,13 @@ def _quality_numerators(mesh: TriangleMesh, cycles) -> list[int]:
 def _quad_cycles(mesh: TriangleMesh, dual: DualGraph) -> list[tuple[int, int, int, int]]:
     """The corner cycle (a, u, b, v) of the quad of each dual edge, in
     dual edge id order, oriented like the face that traverses the
-    shared edge u -> v.  A face's third vertex is its vertex sum less
-    u and v."""
-    faces = mesh.faces
+    shared edge u -> v, as the edge-face map's run flag tells.  A
+    face's third vertex is its vertex sum less u and v."""
+    faces, uses = mesh.faces, mesh._edges
     out = []
-    for (f1, f2), (u, v) in zip(dual.graph.edges, dual.shared_edge):
-        x, y, z = faces[f1]
-        if (u, v) not in ((x, y), (y, z), (z, x)):
+    for u, v in dual.shared_edge:
+        f1, forward, f2, _ = uses[u, v]
+        if not forward:
             f1, f2 = f2, f1
         out.append((sum(faces[f1]) - u - v, u, sum(faces[f2]) - u - v, v))
     return out
@@ -406,12 +447,8 @@ def quadrangulate(
         raise NoPerfectMatching("no perfect matching exists")
     chosen = best_perfect if mode == "perfect" else max_m
     quads = tuple(cycles[eid] for eid in sorted(chosen))
-    merged = set()
-    for eid in chosen:
-        merged.update(dual.graph.endpoints(eid))
-    leftovers = tuple(
-        mesh.faces[f] for f in range(len(mesh.faces)) if f not in merged
-    )
+    merged = {f for eid in chosen for f in dual.graph.edges[eid]}
+    leftovers = tuple(face for f, face in enumerate(mesh.faces) if f not in merged)
     ratio = None
     if perfect_weight is not None and maximum_weight > 0:
         ratio = perfect_weight / maximum_weight

@@ -14,7 +14,7 @@ from matchforge import DEFAULT_SEED, __version__, cli
 from matchforge.cli import main
 from matchforge.errors import Budget
 from matchforge.generators import named
-from matchforge.graphs import load_edge_list
+from matchforge.graphs import parse_edge_list
 from matchforge.matching import format_weight_csv, parse_weight_csv
 from matchforge.mesh import TriangleMesh, icosahedron, off_text
 
@@ -44,7 +44,7 @@ def test_gen_json_and_manifest(capsys):
 def test_gen_out_round_trip(capsys, tmp_path):
     out = tmp_path / "cube.txt"
     run_cli(capsys, ["gen", "name:cube", "--out", str(out)])
-    assert load_edge_list(out).edges == named("cube").edges
+    assert parse_edge_list(out.read_text()).edges == named("cube").edges
 
 
 def test_gen_family_reports_matching(capsys):
@@ -432,6 +432,19 @@ def test_mesh_quadrangulate(capsys, tmp_path):
     assert entry["path"] == str(off)
 
 
+def test_mesh_quadrangulate_builds_one_dual(capsys, tmp_path, monkeypatch):
+    from matchforge import mesh
+
+    built = []
+    build = mesh._build_dual
+    monkeypatch.setattr(mesh, "_build_dual", lambda m: built.append(m) or build(m))
+    off = tmp_path / "ico.off"
+    off.write_text(off_text(icosahedron()))
+    doc = run_cli(capsys, ["mesh", "quadrangulate", str(off), "--random-weights"])
+    assert doc["dual"] == {"n": 20, "m": 30}
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("scale", [1e100, 3.7e150, 1e-100, 1e-150, 1e-300])
 def test_mesh_quadrangulate_at_far_scales(capsys, tmp_path, scale):
     ico = icosahedron()
@@ -544,6 +557,42 @@ def test_deeply_nested_certificate_is_refused(capsys, tmp_path):
     assert doc == {
         "error": "ParseError",
         "message": "malformed certificate: nested too deeply",
+    }
+
+
+def test_certificate_that_is_not_json_is_a_parse_error(capsys, tmp_path):
+    cert = tmp_path / "cut.json"
+    cert.write_text('{"kind":')
+    doc = run_cli(capsys, ["cert", "verify", "name:petersen", str(cert)], expect=2)
+    assert doc == {
+        "error": "ParseError",
+        "message": f"{cert}: not JSON (Expecting value at char 8)",
+    }
+
+
+def test_certificate_number_past_the_digit_limit_is_a_parse_error(capsys, tmp_path):
+    cert = tmp_path / "long.json"
+    cert.write_text('{"kind": ' + "9" * 5000 + "}")
+    doc = run_cli(capsys, ["cert", "verify", "name:petersen", str(cert)], expect=2)
+    assert doc == {"error": "ParseError", "message": f"{cert}: a number with too many digits"}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("cert.json", ["cert", "verify", "name:petersen"]),
+        ("graph.txt", ["classify"]),
+        ("mesh.off", ["mesh", "quadrangulate"]),
+    ],
+    ids=["certificate", "edge-list", "off"],
+)
+def test_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, name, argv):
+    path = tmp_path / name
+    path.write_bytes(b"\xff" + b"4 6\n")
+    doc = run_cli(capsys, [*argv, str(path)], expect=2)
+    assert doc == {
+        "error": "ParseError",
+        "message": f"{path}: not UTF-8 text (invalid start byte at byte 0)",
     }
 
 

@@ -381,6 +381,41 @@ def test_eta_budget_refuses_exactly_past_the_count(g):
         eta_exact(g, budget=replace(limit, maximal_count=count - 1))
 
 
+def test_eta_scan_stops_at_s3_when_the_count_bound_holds(monkeypatch):
+    # blanusa1 (m = 27) reaches s = 3 with orbits unmet.  At the default
+    # budget 3^27 <= (10^6)^3, so no orbit is closed after the stop; at
+    # its count of 1,563 maximal matchings 1563^3 < 3^27, so every orbit
+    # still is, and the refusal one below stays exact
+    g = named("blanusa1")
+    events, seen_sets = [], []
+    add_orbit, support_lp = eta_module._add_orbit, eta_module._support_lp_max
+
+    def counting_orbit(mask, tables, seen):
+        events.append("orbit")
+        seen_sets.append(seen)
+        add_orbit(mask, tables, seen)
+
+    def counting_lp(mask, traces):
+        s, assignment = support_lp(mask, traces)
+        events.append(s)
+        return s, assignment
+
+    monkeypatch.setattr(eta_module, "_add_orbit", counting_orbit)
+    monkeypatch.setattr(eta_module, "_support_lp_max", counting_lp)
+    results = []
+    for budget in (Budget(), Budget(maximal_count=1563)):
+        events.clear()
+        results.append(eta_exact(g, budget=budget))
+        after = events[events.index(Fraction(3)) + 1 :]
+        assert Fraction(3) not in after
+        if budget == Budget():
+            assert after == []
+        else:
+            assert after and set(after) == {"orbit"}
+            assert len(seen_sets[-1]) == 1563
+    assert results[0] == results[1] and results[0].value == Fraction(1, 3)
+
+
 def _eta_exact_inputs():
     """catalog(20), 30 seeded bridgeless cubic graphs (n <= 20) and 20
     seeded bridge_join graphs with a perfect matching (eta = 0)."""

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from matchforge import errors, matching
+from matchforge import mesh as mesh_module
 from matchforge.classify import is_bridgeless
 from matchforge.matching import random_weights
 from matchforge.mesh import (
@@ -18,7 +19,6 @@ from matchforge.mesh import (
     _quality_numerators,
     dual_graph,
     icosahedron,
-    load_off,
     off_text,
     parse_off,
     quad_quality,
@@ -109,6 +109,29 @@ def test_a_mesh_built_in_code_is_checked_for_closedness(quad):
         run(TriangleMesh(tet.vertices, tet.faces[:3]))
     with pytest.raises(errors.NotClosed, match=r"edge \(0, 1\) traversed twice the same way"):
         run(TriangleMesh(tet.vertices, tet.faces + tet.faces[:1]))
+    # closed, but two faces sharing all three edges, and two disjoint
+    # tetrahedra: the dual built straight from the edge-face map still
+    # refuses both
+    with pytest.raises(errors.DuplicateEdge, match=r"edge \(0, 1\) repeated"):
+        run(TriangleMesh(tet.vertices[:3], ((0, 1, 2), (0, 2, 1))))
+    twice = tuple((a + 4, b + 4, c + 4) for a, b, c in tet.faces)
+    with pytest.raises(errors.NotConnected, match="2 components"):
+        run(TriangleMesh(tet.vertices * 2, tet.faces + twice))
+
+
+def test_each_mesh_quantity_is_built_once(monkeypatch):
+    # parse_off builds the edge-face map to check closure; the dual, the
+    # quad cycles and both modes of quadrangulate read that same map,
+    # and every dual_graph call returns the first one built
+    calls = []
+    build = mesh_module._edge_faces
+    monkeypatch.setattr(mesh_module, "_edge_faces", lambda m: calls.append(m) or build(m))
+    mesh = parse_off(off_text(icosahedron()))
+    for mode in ("perfect", "maximum"):
+        quadrangulate(mesh, mode=mode)
+    quad_weights(mesh, dual_graph(mesh))
+    assert calls == [mesh]
+    assert dual_graph(mesh) is dual_graph(mesh)
 
 
 @pytest.mark.parametrize(
@@ -126,6 +149,79 @@ def test_parse_off_names_each_malformed_line(text, error):
         parse_off(text)
 
 
+# tokens the corpus below writes into OFF lines: bad numbers, counts,
+# out-of-range and negative ids, a 30-digit int, comments, a header,
+# and forms int() and float() take or refuse
+_OFF_TOKENS = (
+    "x", "nan", "3", "4", "-1", "99", "0", "1", "2", "#", "1e999", "9" * 30,
+    "0.5", "OFF", "off", "3 0 1", "  ", "+3", "1_0", " ", "2.0",
+)
+
+
+def _mutated_off_texts(seed, count):
+    """count seeded OFF texts: the tetrahedron, the icosahedron, the
+    tetrahedron with comments and a blank line, or a headerless one
+    with a zero-area face, each after one to three line edits (delete,
+    repeat, swap, cut the rest, replace, add or drop a token, insert a
+    blank or comment line), joined by LF or CRLF."""
+    bases = [
+        off_text(tetrahedron()),
+        off_text(icosahedron()),
+        TETRA_OFF.replace("3 0 1 3", "3 0 1 3 # x").replace("3 0 3 2", "\n3 0 3 2"),
+        "\n".join(TETRA_OFF.replace("0 0 1", "2 0 0").splitlines()[1:]),
+    ]
+    rng = random.Random(seed)
+    for _ in range(count):
+        lines = rng.choice(bases).splitlines()
+        for _ in range(rng.randint(1, 3)):
+            if not lines:
+                lines.append(rng.choice(_OFF_TOKENS))
+                continue
+            op, i = rng.randrange(8), rng.randrange(len(lines))
+            parts = lines[i].split()
+            if op == 0:
+                del lines[i]
+            elif op == 1:
+                lines.insert(i, lines[i])
+            elif op == 2:
+                j = rng.randrange(len(lines))
+                lines[i], lines[j] = lines[j], lines[i]
+            elif op == 3 and parts:
+                parts[rng.randrange(len(parts))] = rng.choice(_OFF_TOKENS)
+                lines[i] = " ".join(parts)
+            elif op == 4:
+                lines.insert(i, rng.choice(["", "# comment", "   ", "\t"]))
+            elif op == 5:
+                del lines[i:]
+            elif op == 6:
+                lines[i] += " " + rng.choice(_OFF_TOKENS)
+            elif op == 7 and parts:
+                del parts[rng.randrange(len(parts))]
+                lines[i] = " ".join(parts)
+        yield rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+
+
+# Digest of parse_off's outcome (the mesh, or the error type and
+# message) on each of _mutated_off_texts(7, 3000), computed at commit
+# bb64bf8, before parse_off read its input in one pass
+PARSE_OFF_OUTCOMES_SHA256 = "920e385565002a5aadc814a887145affcbd0a59ea39ec65ab3e4f6a944c27fab"
+
+
+def test_parse_off_outcomes_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    kinds = set()
+    for text in _mutated_off_texts(7, 3000):
+        try:
+            mesh = parse_off(text)
+            outcome = ("ok", mesh.vertices, mesh.faces)
+        except errors.MatchforgeError as exc:
+            outcome = (type(exc).__name__, str(exc))
+        kinds.add(outcome[0])
+        digest.update(repr(outcome).encode())
+    assert kinds == {"ok", "ParseError", "NotTriangular", "Degenerate", "NotClosed"}
+    assert digest.hexdigest() == PARSE_OFF_OUTCOMES_SHA256
+
+
 def test_parse_off_zero_area_rejected():
     text = TETRA_OFF.replace("0 0 1", "2 0 0")  # vertex 3 collinear with 0, 1
     with pytest.raises(errors.Degenerate):
@@ -135,9 +231,13 @@ def test_parse_off_zero_area_rejected():
 def test_off_round_trip(tmp_path):
     for mesh in (tetrahedron(), icosahedron()):
         assert parse_off(off_text(mesh)) == mesh
+        # the map and dual a mesh keeps take no part in equality, hash or repr
+        parsed = parse_off(off_text(mesh))
+        dual_graph(parsed)
+        assert (parsed, hash(parsed), repr(parsed)) == (mesh, hash(mesh), repr(mesh))
     path = tmp_path / "ico.off"
     path.write_text(off_text(icosahedron()))
-    assert load_off(path) == icosahedron()
+    assert parse_off(path.read_text()) == icosahedron()
 
 
 def test_sample_meshes():
