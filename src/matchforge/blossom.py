@@ -36,6 +36,11 @@ dual step moves dualvar and blossomdual in place, over the vertices of
 forest (see Tie order) and the top-level blossoms; only the resume's
 result for w (see Resume) is read off copies.
 
+Nesting.  Blossoms nest up to n/2 deep, past the interpreter's stack,
+so expand_blossom and augment_blossom are generators that yield each
+sub-blossom to walk into next, and one function, _nested, runs both on
+an explicit stack.
+
 Tie order.  Each dual step keeps the first candidate that is strictly
 smaller, so the scan order decides ties: a lower type before a higher
 one, and within a type vertices 0..n-1 first, then live blossoms in
@@ -220,6 +225,18 @@ def _greedy_prefix(n, nbrs, maxweight, mate, dualvar) -> None:
             dualvar[v] = d
 
 
+def _nested(walk, *args) -> None:
+    """Run the generator walk(*args), and depth first walk(*sub) for
+    each sub it yields, on an explicit stack (see Nesting above)."""
+    stack = [walk(*args)]
+    while stack:
+        for sub in stack[-1]:
+            stack.append(walk(*sub))
+            break
+        else:
+            stack.pop()
+
+
 def max_weight_matching_pairs(
     n: int,
     weights: dict[tuple[int, int], int],
@@ -314,6 +331,21 @@ def max_weight_matching_pairs(
             v = blossombase[b]
             w, t = mate[v], 1
 
+    def t_above(bs: int) -> int:
+        """The T-blossom above S-blossom bs, or -1 at a root; a root's base
+        must be exposed, and bs labelled S through its base's mate by a T."""
+        e = labeledge[bs]
+        if e is None:
+            if mate[blossombase[bs]] != -1:
+                raise InternalError("blossom: a root S-blossom has a matched base")
+            return -1
+        if e[0] != mate[blossombase[bs]]:
+            raise InternalError("blossom: an S label not via the base's mate")
+        bt = inblossom[e[0]]
+        if label[bt] != 2:
+            raise InternalError("blossom: an S-blossom's parent is not T")
+        return bt
+
     def scan_blossom(v: int, w: int) -> int:
         """Walk both alternating paths to find a common ancestor
         S-blossom; return its base, or -1 if the paths reach two
@@ -329,60 +361,44 @@ def max_weight_matching_pairs(
                 raise InternalError("blossom: scan reached a non-S blossom")
             path.append(b)
             label[b] = 5
-            if labeledge[b] is None:
-                if mate[blossombase[b]] != -1:
-                    raise InternalError("blossom: a root S-blossom has a matched base")
-                v = -1
-            else:
-                if labeledge[b][0] != mate[blossombase[b]]:
-                    raise InternalError("blossom: an S label not via the base's mate")
-                v = labeledge[b][0]
-                b = inblossom[v]
-                if label[b] != 2:
-                    raise InternalError("blossom: an S-blossom's parent is not T")
-                v = labeledge[b][0]
+            bt = t_above(b)
+            v = -1 if bt == -1 else labeledge[bt][0]
             if w != -1:
                 v, w = w, v
         for b in path:
             label[b] = 1
         return base
 
+    def cycle_half(bx: int, bb: int, b: int, message: str) -> tuple[list, list]:
+        """The sub-blossoms from bx along label edges to bb, bb left out,
+        made children of b, and the label edge of each."""
+        subs, edgs = [], []
+        while bx != bb:
+            blossomparent[bx] = b
+            subs.append(bx)
+            edgs.append(labeledge[bx])
+            if label[bx] != 2 and (label[bx] != 1 or labeledge[bx][0] != mate[blossombase[bx]]):
+                raise InternalError(message)
+            bx = inblossom[labeledge[bx][0]]
+        return subs, edgs
+
     def add_blossom(base: int, v: int, w: int) -> None:
         """Fold the cycle through (v, w) and their paths to base into one blossom."""
         bb = inblossom[base]
-        bv = inblossom[v]
-        bw = inblossom[w]
         b = freeids.pop()
         blossombase[b] = base
         blossomparent[b] = -1
         blossomparent[bb] = b
-        blossomchilds[b] = path = []
-        blossomedges[b] = edgs = [(v, w)]
-        while bv != bb:
-            blossomparent[bv] = b
-            path.append(bv)
-            edgs.append(labeledge[bv])
-            if not (
-                label[bv] == 2
-                or (label[bv] == 1 and labeledge[bv][0] == mate[blossombase[bv]])
-            ):
-                raise InternalError("blossom: a bad label on the cycle's first path")
-            v = labeledge[bv][0]
-            bv = inblossom[v]
-        path.append(bb)
-        path.reverse()
-        edgs.reverse()
-        while bw != bb:
-            blossomparent[bw] = b
-            path.append(bw)
-            edgs.append((labeledge[bw][1], labeledge[bw][0]))
-            if not (
-                label[bw] == 2
-                or (label[bw] == 1 and labeledge[bw][0] == mate[blossombase[bw]])
-            ):
-                raise InternalError("blossom: a bad label on the cycle's second path")
-            w = labeledge[bw][0]
-            bw = inblossom[w]
+        first, firstedges = cycle_half(
+            inblossom[v], bb, b, "blossom: a bad label on the cycle's first path"
+        )
+        second, secondedges = cycle_half(
+            inblossom[w], bb, b, "blossom: a bad label on the cycle's second path"
+        )
+        # the cycle runs from bb up the first path, across (v, w) and
+        # back down the second, whose label edges it crosses backwards
+        blossomchilds[b] = path = [bb, *reversed(first), *second]
+        blossomedges[b] = [*reversed(firstedges), (v, w), *[(j, i) for i, j in secondedges]]
         if label[bb] != 1:
             raise InternalError("blossom: the new blossom's base is not S")
         label[b] = 1
@@ -427,132 +443,112 @@ def max_weight_matching_pairs(
                 mybestslack = kslack
         bestedge[b] = mybestedge
 
-    def expand_blossom(bloss: int, endstage: bool) -> None:
-        """Dissolve a blossom, relabelling its pieces if mid-stage."""
-
-        def _recurse(b, endstage):
-            childs = blossomchilds[b]
-            for s in childs:
-                blossomparent[s] = -1
-                if s >= n:
-                    if endstage and blossomdual[s] == 0:
-                        yield s
-                    else:
-                        for leaf in leaves(s):
-                            inblossom[leaf] = s
+    def expand_blossom(b: int, endstage: bool):
+        """Dissolve blossom b, relabelling its pieces if mid-stage; yields
+        (child, endstage) for each child to dissolve too (see _nested)."""
+        childs = blossomchilds[b]
+        for s in childs:
+            blossomparent[s] = -1
+            if s >= n:
+                if endstage and blossomdual[s] == 0:
+                    yield s, endstage
                 else:
-                    inblossom[s] = s
-            if (not endstage) and label[b] == 2:
-                # relabel along the even-length side of the cycle from
-                # the entry child to the base
-                edges = blossomedges[b]
-                entrychild = inblossom[labeledge[b][1]]
-                j = childs.index(entrychild)
-                if j & 1:
-                    j -= len(childs)
-                    jstep = 1
-                else:
-                    jstep = -1
-                v, w = labeledge[b]
-                while j != 0:
-                    q = edges[j][1] if jstep == 1 else edges[j - 1][0]
-                    label[w] = 0
-                    label[q] = 0
-                    assign_label(w, 2, v)
-                    j += jstep
-                    if jstep == 1:
-                        v, w = edges[j]
-                    else:
-                        w, v = edges[j - 1]
-                    j += jstep
-                bw = childs[j]
-                label[w] = label[bw] = 2
-                labeledge[w] = labeledge[bw] = (v, w)
-                bestedge[bw] = None
-                j += jstep
-                while childs[j] != entrychild:
-                    bv = childs[j]
-                    if label[bv] == 1:
-                        j += jstep
-                        continue
-                    if bv >= n:
-                        for leaf in leaves(bv):
-                            if label[leaf]:
-                                break
-                    else:
-                        leaf = bv
-                    if label[leaf]:
-                        if label[leaf] != 2:
-                            raise InternalError("blossom: a reached child is not T")
-                        if inblossom[leaf] != bv:
-                            raise InternalError("blossom: a T leaf outside its child")
-                        label[leaf] = 0
-                        label[mate[blossombase[bv]]] = 0
-                        assign_label(leaf, 2, labeledge[leaf][0])
-                    j += jstep
-            label[b] = 0
-            labeledge[b] = bestedge[b] = mybestedges[b] = None
-            blossomchilds[b] = blossomedges[b] = None
-            blossomparent[b] = blossombase[b] = -1
-            del blossomdual[b]
-            freeids.append(b)
-
-        stack = [_recurse(bloss, endstage)]
-        while stack:
-            top = stack[-1]
-            for s in top:
-                stack.append(_recurse(s, endstage))
-                break
+                    for leaf in leaves(s):
+                        inblossom[leaf] = s
             else:
-                stack.pop()
-
-    def augment_blossom(bloss: int, v: int) -> None:
-        """Swap matched/unmatched edges inside bloss so v becomes its base."""
-
-        def _recurse(b, v):
-            t = v
-            while blossomparent[t] != b:
-                t = blossomparent[t]
-            if t >= n:
-                yield (t, v)
-            childs = blossomchilds[b]
+                inblossom[s] = s
+        if (not endstage) and label[b] == 2:
+            # relabel along the even-length side of the cycle from
+            # the entry child to the base
             edges = blossomedges[b]
-            i = j = childs.index(t)
-            if i & 1:
+            entrychild = inblossom[labeledge[b][1]]
+            j = childs.index(entrychild)
+            if j & 1:
                 j -= len(childs)
                 jstep = 1
             else:
                 jstep = -1
+            v, w = labeledge[b]
             while j != 0:
+                q = edges[j][1] if jstep == 1 else edges[j - 1][0]
+                label[w] = 0
+                label[q] = 0
+                assign_label(w, 2, v)
                 j += jstep
-                t = childs[j]
                 if jstep == 1:
-                    w, x = edges[j]
+                    v, w = edges[j]
                 else:
-                    x, w = edges[j - 1]
-                if t >= n:
-                    yield (t, w)
+                    w, v = edges[j - 1]
                 j += jstep
-                t = childs[j]
-                if t >= n:
-                    yield (t, x)
-                wrote.extend((w, mate[w], x, mate[x]))
-                mate[w] = x
-                mate[x] = w
-            blossomchilds[b] = childs = childs[i:] + childs[:i]
-            blossomedges[b] = edges[i:] + edges[:i]
-            blossombase[b] = blossombase[childs[0]]
-            if blossombase[b] != v:
-                raise InternalError("blossom: augmenting did not rebase the blossom")
+            bw = childs[j]
+            label[w] = label[bw] = 2
+            labeledge[w] = labeledge[bw] = (v, w)
+            bestedge[bw] = None
+            j += jstep
+            while childs[j] != entrychild:
+                bv = childs[j]
+                if label[bv] == 1:
+                    j += jstep
+                    continue
+                if bv >= n:
+                    for leaf in leaves(bv):
+                        if label[leaf]:
+                            break
+                else:
+                    leaf = bv
+                if label[leaf]:
+                    if label[leaf] != 2:
+                        raise InternalError("blossom: a reached child is not T")
+                    if inblossom[leaf] != bv:
+                        raise InternalError("blossom: a T leaf outside its child")
+                    label[leaf] = 0
+                    label[mate[blossombase[bv]]] = 0
+                    assign_label(leaf, 2, labeledge[leaf][0])
+                j += jstep
+        label[b] = 0
+        labeledge[b] = bestedge[b] = mybestedges[b] = None
+        blossomchilds[b] = blossomedges[b] = None
+        blossomparent[b] = blossombase[b] = -1
+        del blossomdual[b]
+        freeids.append(b)
 
-        stack = [_recurse(bloss, v)]
-        while stack:
-            top = stack[-1]
-            for args in top:
-                stack.append(_recurse(*args))
-                break
+    def augment_blossom(b: int, v: int):
+        """Swap matched/unmatched edges inside blossom b so v becomes its
+        base; yields (child, vertex) for each child to rebase (see _nested)."""
+        t = v
+        while blossomparent[t] != b:
+            t = blossomparent[t]
+        if t >= n:
+            yield (t, v)
+        childs = blossomchilds[b]
+        edges = blossomedges[b]
+        i = j = childs.index(t)
+        if i & 1:
+            j -= len(childs)
+            jstep = 1
+        else:
+            jstep = -1
+        while j != 0:
+            j += jstep
+            t = childs[j]
+            if jstep == 1:
+                w, x = edges[j]
             else:
-                stack.pop()
+                x, w = edges[j - 1]
+            if t >= n:
+                yield (t, w)
+            j += jstep
+            t = childs[j]
+            if t >= n:
+                yield (t, x)
+            wrote.extend((w, mate[w], x, mate[x]))
+            mate[w] = x
+            mate[x] = w
+        blossomchilds[b] = childs = childs[i:] + childs[:i]
+        blossomedges[b] = edges[i:] + edges[:i]
+        blossombase[b] = blossombase[childs[0]]
+        if blossombase[b] != v:
+            raise InternalError("blossom: augmenting did not rebase the blossom")
 
     def augment_matching(v: int, w: int) -> None:
         """Flip matching parity along the augmenting path through (v, w)."""
@@ -561,26 +557,18 @@ def max_weight_matching_pairs(
                 bs = inblossom[s]
                 if label[bs] != 1:
                     raise InternalError("blossom: an augmenting path leaves S")
-                if labeledge[bs] is None:
-                    if mate[blossombase[bs]] != -1:
-                        raise InternalError("blossom: a root S-blossom has a matched base")
-                elif labeledge[bs][0] != mate[blossombase[bs]]:
-                    raise InternalError("blossom: an S label not via the base's mate")
+                bt = t_above(bs)
                 if bs >= n:
-                    augment_blossom(bs, s)
+                    _nested(augment_blossom, bs, s)
                 wrote.extend((s, mate[s]))
                 mate[s] = j
-                if labeledge[bs] is None:
+                if bt == -1:
                     break
-                t = labeledge[bs][0]
-                bt = inblossom[t]
-                if label[bt] != 2:
-                    raise InternalError("blossom: an S-blossom's parent is not T")
                 s, j = labeledge[bt]
-                if blossombase[bt] != t:
+                if blossombase[bt] != labeledge[bs][0]:
                     raise InternalError("blossom: a T-blossom entered off its base")
                 if bt >= n:
-                    augment_blossom(bt, j)
+                    _nested(augment_blossom, bt, j)
                 wrote.extend((j, mate[j]))
                 mate[j] = s
 
@@ -749,7 +737,7 @@ def max_weight_matching_pairs(
                     raise InternalError("blossom: a least-slack edge off S")
                 queue.append(v)
             else:
-                expand_blossom(deltablossom, False)
+                _nested(expand_blossom, deltablossom, False)
 
         if any(v != -1 and mate[v] != -1 and mate[mate[v]] != v for v in wrote):
             raise InternalError("blossom: the matching is not symmetric")
@@ -766,7 +754,7 @@ def max_weight_matching_pairs(
                 and label[b] == 1
                 and blossomdual[b] == 0
             ):
-                expand_blossom(b, True)
+                _nested(expand_blossom, b, True)
 
     last = finish([y + extra for y in dualvar], blossomdual, extra)
     return last if first is None else (first, last)

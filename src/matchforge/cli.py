@@ -16,11 +16,12 @@ seed, the whole Budget the command ran under (every field, defaults
 included, built from its budget flags), package version and wall
 time, so a run can be reproduced from its output alone.
 
-Every input file is read by _Run.read, which hashes it for the manifest
-and refuses bytes that are not UTF-8 with a ParseError naming the file.
-A certificate that is not JSON is a ParseError naming the file too, so
-a malformed input file exits 2 with one of matchforge's own errors,
-never a bare Python one.
+Every input file is read, decoded and parsed by _Run.read, which
+hashes it for the manifest.  Bytes that are not UTF-8, a certificate
+that is not JSON, and every ParseError of the file's format reader end
+as a ParseError whose message starts with the file's path, so a
+malformed input file exits 2 with one of matchforge's own errors, never
+a bare Python one, and the error says which file it was.
 """
 
 from __future__ import annotations
@@ -104,16 +105,21 @@ class _Run:
         self.inputs: list[dict] = []
         self.started = time.time()
 
-    def read(self, path: str) -> str:
-        """The text of the input file at path, recorded with its sha256.
-        Bytes that are not UTF-8 are a ParseError naming the file."""
+    def read(self, path: str, parse):
+        """What parse makes of the text of the input file at path, which
+        is recorded with its sha256.  Bytes that are not UTF-8 are a
+        ParseError naming the file, and so is each ParseError of parse."""
         data = Path(path).read_bytes()
         self.inputs.append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
         try:
-            return data.decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             where = f"{exc.reason} at byte {exc.start}"
             raise ParseError(f"{path}: not UTF-8 text ({where})") from None
+        try:
+            return parse(text)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
     def manifest(self) -> dict:
         return {
@@ -141,7 +147,7 @@ def _load_graph(spec: str, run: _Run, rng: random.Random) -> Graph:
         return _family(spec)[0]
     if spec.startswith("random:"):
         return random_cubic(*_spec_ints(spec, "random:<n>"), rng)
-    return parse_edge_list(run.read(spec))
+    return run.read(spec, parse_edge_list)
 
 
 def _spec_ints(spec: str, form: str) -> list[int]:
@@ -161,13 +167,26 @@ def _family(spec: str) -> tuple[Graph, frozenset[int]]:
     return eta_third_family(*_spec_ints(spec, "family:<depth>"))
 
 
+def _certificate(text: str) -> BoundCertificate:
+    """The certificate in JSON text; anything else is a ParseError."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ParseError("nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not JSON ({exc.msg} at char {exc.pos})") from None
+    except ValueError:  # json reads a number with int(), which has a digit limit
+        raise ParseError("a number with too many digits") from None
+    return cert_from_json(data)
+
+
 def _graph_json(g: Graph) -> dict:
     return {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges]}
 
 
 def _weights_for(g: Graph, args, run: _Run, rng: random.Random):
     if getattr(args, "weights", None):
-        return parse_weight_csv(run.read(args.weights), g.m)
+        return run.read(args.weights, lambda text: parse_weight_csv(text, g.m))
     if getattr(args, "random_weights", False):
         return random_weights(g, rng)
     return uniform_weights(g)
@@ -322,15 +341,7 @@ def _cmd_eta_witness(args, run: _Run, rng: random.Random) -> int:
 
 def _cmd_cert_verify(args, run: _Run, rng: random.Random) -> int:
     g = _load_graph(args.graph, run, rng)
-    try:
-        data = json.loads(run.read(args.certificate))
-    except RecursionError:
-        raise ParseError("malformed certificate: nested too deeply") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.certificate}: not JSON ({exc.msg} at char {exc.pos})") from None
-    except ValueError:  # json reads a number with int(), which has a digit limit
-        raise ParseError(f"{args.certificate}: a number with too many digits") from None
-    cert = cert_from_json(data)
+    cert = run.read(args.certificate, _certificate)
     ok, reason = verify(g, cert)
     doc = {"valid": ok, "reason": reason, "kind": cert.kind, "bound": encode(cert.bound)}
     _emit(doc, run, f"certificate {'accepted' if ok else 'rejected'}: {reason}")
@@ -338,11 +349,11 @@ def _cmd_cert_verify(args, run: _Run, rng: random.Random) -> int:
 
 
 def _cmd_mesh_quadrangulate(args, run: _Run, rng: random.Random) -> int:
-    mesh = parse_off(run.read(args.mesh))
+    mesh = run.read(args.mesh, parse_off)
     dual = dual_graph(mesh)
     weights = None
     if args.weights:
-        weights = parse_weight_csv(run.read(args.weights), dual.graph.m)
+        weights = run.read(args.weights, lambda text: parse_weight_csv(text, dual.graph.m))
     elif args.random_weights:
         weights = random_weights(dual.graph, rng)
     quad_mesh, report = quadrangulate(mesh, mode=args.mode, weights=weights)
@@ -362,7 +373,7 @@ def _cmd_mesh_quadrangulate(args, run: _Run, rng: random.Random) -> int:
 
 
 def _cmd_mesh_weights(args, run: _Run, rng: random.Random) -> int:
-    mesh = parse_off(run.read(args.mesh))
+    mesh = run.read(args.mesh, parse_off)
     dual = dual_graph(mesh)
     w = quad_weights(mesh, dual)
     doc = {

@@ -4,9 +4,10 @@ the eta = 1/3 family.
 Each builder writes its graph's edge list directly: the Blanusa snarks
 as two Petersen copies less the dot-product cut plus four cross edges,
 and each family member as two copies of the last one less one edge plus
-two cross edges.  All builders are deterministic: the same call yields
-the same vertex numbering and edge-id layout, so certificates keyed on
-ids stay valid across runs.
+two cross edges, from Petersen and the seed matching {0, 8, 12}.  All
+builders are deterministic: the same call yields the same vertex
+numbering and edge-id layout, so certificates keyed on ids stay valid
+across runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     UnknownLabel,
 )
 from .graphs import CubicGraph, as_cubic, check_vertex_count, from_edge_list
-from .matching import enumerate_maximal_matchings
 
 
 @dataclass(frozen=True)
@@ -193,20 +193,18 @@ def bridge_join(g: CubicGraph, e: int, h: CubicGraph, f: int) -> CubicGraph:
 def eta_third_family(depth: int) -> tuple[CubicGraph, frozenset[int]]:
     """Member `depth` of a doubling snark family, with its witness matching.
 
-    Member 0 is the Petersen graph with its lexicographically first
-    maximal matching of size 3.  Member d joins two copies of member
-    d-1: in each copy, take the first non-matching edge joining a
-    saturated vertex to an unsaturated one, delete it, and reconnect
-    the four loose ends crosswise so that every new edge again has
-    exactly one saturated endpoint.  The matching stays maximal, its
+    Member 0 is the Petersen graph with {0, 8, 12}, the first maximal
+    matching of size 3 in enumeration order.  Member d joins two copies
+    of member d-1: in each copy, take the first non-matching edge
+    joining a saturated vertex to an unsaturated one, delete it, and
+    reconnect the four loose ends crosswise so that every new edge again
+    has exactly one saturated endpoint.  The matching stays maximal, its
     unsaturated set stays independent, and |M| = 3|V|/10 throughout.
     """
     if depth < 0 or depth > 11:
         raise BadParameters(f"family depth must be in 0..11, got {depth}")
     g: CubicGraph = _petersen()
-    m = next((c for c in enumerate_maximal_matchings(g) if len(c) == 3), None)
-    if m is None:
-        raise InternalError("no size-3 maximal matching in the base graph")
+    m = frozenset({0, 8, 12})
     for _ in range(depth):
         g, m = _family_join(g, m)
     return g, m

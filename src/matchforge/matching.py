@@ -72,10 +72,6 @@ from .errors import (
 )
 from .graphs import Graph, neighbor_masks
 
-Matching = frozenset
-
-WeightVector = tuple
-
 
 def validate_weights(g: Graph, weights: Sequence) -> tuple[Fraction, ...]:
     """Coerce to Fractions and enforce the weight-function contract."""
@@ -486,17 +482,10 @@ def format_weight_csv(weights: Sequence[Fraction]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def random_weights(
-    g: Graph,
-    rng: random.Random,
-    max_numerator: int = 12,
-    max_denominator: int = 6,
-) -> tuple[Fraction, ...]:
-    """Small random rationals with at least one positive entry."""
+def random_weights(g: Graph, rng: random.Random) -> tuple[Fraction, ...]:
+    """Small random rationals, a numerator in 0..12 over a denominator
+    in 1..6 per edge, with at least one positive entry."""
     while True:
-        w = tuple(
-            Fraction(rng.randint(0, max_numerator), rng.randint(1, max_denominator))
-            for _ in range(g.m)
-        )
+        w = tuple(Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(g.m))
         if any(x > 0 for x in w):
             return w

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -214,26 +213,6 @@ def _edge_faces(mesh: TriangleMesh) -> dict[tuple[int, int], list]:
 # geometry
 
 
-def _sub(a: Vec, b: Vec) -> Vec:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _cross(a: Vec, b: Vec) -> Vec:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _dot(a: Vec, b: Vec) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _norm(a: Vec) -> float:
-    return math.sqrt(_dot(a, a))
-
-
 def _unit_scaled(points: Sequence[Vec]) -> list[Vec]:
     """The points times the power of two that brings the largest
     |coordinate| into [0.5, 1), so that squares and squared normals
@@ -250,21 +229,22 @@ def _quality_numerator(pa: Vec, pu: Vec, pb: Vec, pv: Vec) -> int:
     """quad_quality times QUALITY_DENOMINATOR, an int.
 
     The vector arithmetic is written out inline for speed, term by term
-    and in the order of _sub, _cross, _dot and _norm, with each side of
-    the cycle a -> u -> b -> v -> a and its length computed once.  The
-    helpers read both sides of a corner outward from it (v - a and
-    u - a at a); here the side into a corner is the one computed
-    forward.  That moves no float, up to the sign of a zero, which no
+    and in the order of the vector helpers (difference, cross product,
+    dot product, norm) of the reference in tests/test_mesh.py, with each
+    side of the cycle a -> u -> b -> v -> a and its length computed
+    once.  The reference reads both sides of a corner outward from it
+    (v - a and u - a at a); here the side into a corner is the one
+    computed forward.  That moves no float, up to the sign of a zero, which no
     later step reads (comparisons, squares, acos and round treat 0.0
     and -0.0 alike): rounding is symmetric, so a difference taken the
     other way is the negated float, with the same square; it negates
     the dot product, so cos = -dot / (|in| |out|); and
     (u - a) x (v - a) is (a - v) x (u - a) term by term, as products
     commute.  The dot products are taken before the corner loop, but
-    only a division can raise, and the divisions come in the helpers'
-    order.  The clamps are comparisons that keep a value exactly when
-    min or max would return it; no NaN gets here, since every divisor
-    is a positive finite float or the division raises.
+    only a division can raise, and the divisions come in the
+    reference's order.  The clamps are comparisons that keep a value
+    exactly when min or max would return it; no NaN gets here, since
+    every divisor is a positive finite float or the division raises.
     """
     sqrt, acos, degrees = math.sqrt, math.acos, math.degrees
     ax, ay, az = pa
@@ -493,28 +473,15 @@ def icosahedron() -> TriangleMesh:
             raw.append((0.0, a, b))
             raw.append((a, b, 0.0))
             raw.append((b, 0.0, a))
-    pts = tuple(raw)
-    # faces as vertex triples, oriented outward below
-    edge_len = 2.0
-    faces = []
-    for i, j, k in combinations(range(12), 3):
-        d = (
-            _norm(_sub(pts[i], pts[j])),
-            _norm(_sub(pts[j], pts[k])),
-            _norm(_sub(pts[i], pts[k])),
-        )
-        if all(abs(x - edge_len) < 1e-9 for x in d):
-            faces.append((i, j, k))
-    oriented = []
-    for face in faces:
-        centroid = tuple(
-            sum(pts[v][t] for v in face) / 3.0 for t in range(3)
-        )
-        normal = _cross(_sub(pts[face[1]], pts[face[0]]), _sub(pts[face[2]], pts[face[0]]))
-        if _dot(normal, centroid) < 0.0:
-            face = (face[0], face[2], face[1])
-        oriented.append(face)
-    return TriangleMesh(pts, tuple(oriented))
+    # the 20 triples of vertices 2 apart, in lexicographic order, each
+    # turned so that its normal points away from the centre
+    faces = (
+        (0, 1, 2), (0, 7, 1), (0, 2, 6), (0, 6, 5), (0, 5, 7),
+        (1, 8, 2), (1, 7, 3), (1, 3, 8), (2, 4, 6), (2, 8, 4),
+        (3, 7, 11), (3, 9, 8), (3, 11, 9), (4, 10, 6), (4, 8, 9),
+        (4, 9, 10), (5, 6, 10), (5, 11, 7), (5, 10, 11), (9, 11, 10),
+    )
+    return TriangleMesh(tuple(raw), faces)
 
 
 def off_text(mesh: TriangleMesh) -> str:

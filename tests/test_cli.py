@@ -14,7 +14,7 @@ from matchforge import DEFAULT_SEED, __version__, cli
 from matchforge.cli import main
 from matchforge.errors import Budget
 from matchforge.generators import named
-from matchforge.graphs import parse_edge_list
+from matchforge.graphs import format_edge_list, parse_edge_list
 from matchforge.matching import format_weight_csv, parse_weight_csv
 from matchforge.mesh import TriangleMesh, icosahedron, off_text
 
@@ -471,7 +471,7 @@ def test_mesh_quadrangulate_rejects_non_finite_input(capsys, tmp_path, broken, m
     off = tmp_path / "bad.off"
     off.write_text("\n".join(lines) + "\n")
     doc = run_cli(capsys, ["mesh", "quadrangulate", str(off)], expect=2)
-    assert doc == {"error": "ParseError", "message": message}
+    assert doc == {"error": "ParseError", "message": f"{off}: {message}"}
 
 
 def test_mesh_quadrangulate_rejects_a_truncated_face(capsys, tmp_path):
@@ -480,7 +480,7 @@ def test_mesh_quadrangulate_rejects_a_truncated_face(capsys, tmp_path):
     off = tmp_path / "bad.off"
     off.write_text("\n".join(lines) + "\n")
     doc = run_cli(capsys, ["mesh", "quadrangulate", str(off)], expect=2)
-    assert doc == {"error": "ParseError", "message": "face line 19: truncated"}
+    assert doc == {"error": "ParseError", "message": f"{off}: face line 19: truncated"}
 
 
 def test_mesh_weights_csv(capsys, tmp_path):
@@ -546,7 +546,7 @@ def test_hostile_weight_literal_is_refused(capsys, tmp_path):
     doc = run_cli(capsys, ["match", "name:k4", "--weights", str(csv)], expect=2)
     assert doc == {
         "error": "ParseError",
-        "message": "line 1: '1e10000000' is not an integer or num/den",
+        "message": f"{csv}: line 1: '1e10000000' is not an integer or num/den",
     }
 
 
@@ -556,8 +556,28 @@ def test_deeply_nested_certificate_is_refused(capsys, tmp_path):
     doc = run_cli(capsys, ["cert", "verify", "name:petersen", str(cert)], expect=2)
     assert doc == {
         "error": "ParseError",
-        "message": "malformed certificate: nested too deeply",
+        "message": f"{cert}: nested too deeply",
     }
+
+
+@pytest.mark.parametrize("bad", ["graph", "certificate"])
+def test_cert_verify_names_the_malformed_file(capsys, tmp_path, bad):
+    from matchforge import eta
+
+    graph = tmp_path / "cube.txt"
+    graph.write_text(format_edge_list(named("cube")))
+    cert = tmp_path / "cap.json"
+    data = eta.cert_to_json(eta.maximal_matching_bound(named("cube"), [0, 6, 11]))
+    cert.write_text(json.dumps(data))
+    assert run_cli(capsys, ["cert", "verify", str(graph), str(cert)])["valid"] is True
+    if bad == "graph":
+        graph.write_text("8 12\n0 1\n")  # the header promises 12 edges
+        message = f"{graph}: header says 12 edges, found 1"
+    else:
+        cert.write_text('{"kind": "cap_upper", "color": 1}')
+        message = f"{cert}: malformed certificate: unknown keys ['color']"
+    doc = run_cli(capsys, ["cert", "verify", str(graph), str(cert)], expect=2)
+    assert doc == {"error": "ParseError", "message": message}
 
 
 def test_certificate_that_is_not_json_is_a_parse_error(capsys, tmp_path):

@@ -23,7 +23,7 @@ from matchforge.generators import (
     random_cubic,
 )
 from matchforge.graphs import CubicGraph
-from matchforge.matching import is_matching, saturated
+from matchforge.matching import enumerate_maximal_matchings, is_matching, saturated
 
 # A dot product of two Petersen copies, both variants, frozen from the
 # construction so refactors cannot silently relabel.
@@ -136,6 +136,13 @@ def test_family_base_is_petersen():
     g, m = eta_third_family(0)
     assert g.edges == gp(5, 2).edges
     assert sorted(m) == [0, 8, 12]
+
+
+def test_family_seed_is_petersens_first_size3_maximal_matching():
+    # eta_third_family starts from this matching as a constant; it is
+    # the first of size 3 that the enumeration yields on _petersen()
+    m = next(c for c in enumerate_maximal_matchings(generators._petersen()) if len(c) == 3)
+    assert tuple(sorted(m)) == (0, 8, 12)
 
 
 def test_family_invariants_first_members():

@@ -546,6 +546,15 @@ def test_blossom_shifted_weights_regression(seed=9000):
         assert matching_weight(shifted, direct) == matching_weight(shifted, got)
 
 
+def _narrow_weights(g, rng, top, den):
+    """random_weights' draws, one rng call for each numerator and
+    denominator, over numerators 0..top and denominators 1..den."""
+    while True:
+        w = tuple(Fraction(rng.randint(0, top), rng.randint(1, den)) for _ in range(g.m))
+        if any(x > 0 for x in w):
+            return w
+
+
 def test_best_matchings_agree_with_the_two_routes(seed=1214):
     # random graphs, many without a perfect matching, and catalog graphs
     rng = random.Random(seed)
@@ -558,7 +567,7 @@ def test_best_matchings_agree_with_the_two_routes(seed=1214):
     without = 0
     for g in graphs:
         for _ in range(5):
-            w = random_weights(g, rng, max_numerator=3, max_denominator=3)
+            w = _narrow_weights(g, rng, 3, 3)
             best, pm = best_matchings(g, w)
             # a run without the shift, and the perfect-matching route
             ints, _ = matching.integer_weights(validate_weights(g, w))
@@ -637,12 +646,14 @@ def test_weight_csv_refuses_undocumented_literals_at_once(value):
 def test_random_weights_in_range(seed=16):
     g = named("k4")
     rng = random.Random(seed)
+    drawn = []
     for _ in range(50):
-        w = random_weights(g, rng, max_numerator=5, max_denominator=3)
+        w = random_weights(g, rng)
         assert any(x > 0 for x in w)
-        for x in w:
-            assert 0 <= x <= 5
-            assert x.denominator <= 3
+        drawn += w
+    # numerators 0..12 over denominators 1..6, both ends reached
+    assert min(drawn) == 0 and max(drawn) == 12
+    assert max(x.denominator for x in drawn) == 6
 
 
 def test_best_integer_matchings_is_best_matchings_in_ints(seed=1215):

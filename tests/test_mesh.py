@@ -5,6 +5,7 @@ import math
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -291,14 +292,49 @@ def test_quad_weights_frozen():
     assert set(quad_weights(t, dual_graph(t))) == {Fraction(0)}
 
 
-def _quality_reference(pa, pu, pb, pv, events):
-    """quad_quality written with the mesh module's vector helpers and
-    min/max clamps, on the unscaled points.  Adds to events the name of
-    each clamp that acts and each early exit taken; quad_quality scales
-    the points by a power of two, which moves no ratio, so its kernel
-    meets the same ones."""
-    from matchforge.mesh import _cross, _dot, _norm, _sub
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _norm(a):
+    return math.sqrt(_dot(a, a))
+
+
+def test_icosahedron_faces_are_the_searched_triples():
+    # every triple of vertices whose three sides have length 2, in
+    # lexicographic order, turned so its normal points the way of its
+    # centroid: the search icosahedron() ran before it listed its faces
+    pts = icosahedron().vertices
+    faces = []
+    for face in combinations(range(12), 3):
+        i, j, k = face
+        sides = (_sub(pts[i], pts[j]), _sub(pts[j], pts[k]), _sub(pts[i], pts[k]))
+        if all(abs(_norm(d) - 2.0) < 1e-9 for d in sides):
+            centroid = tuple(sum(pts[v][t] for v in face) / 3.0 for t in range(3))
+            if _dot(_cross(_sub(pts[j], pts[i]), _sub(pts[k], pts[i])), centroid) < 0.0:
+                face = (i, k, j)
+            faces.append(face)
+    assert tuple(faces) == icosahedron().faces
+
+
+def _quality_reference(pa, pu, pb, pv, events):
+    """quad_quality written with plain vector helpers and min/max
+    clamps, on the unscaled points.  Adds to events the name of each
+    clamp that acts and each early exit taken; quad_quality scales the
+    points by a power of two, which moves no ratio, so its kernel meets
+    the same ones."""
     corners = (pa, pu, pb, pv)
     angle = 1.0
     for i in range(4):
