@@ -108,7 +108,7 @@ class _Run:
     def read(self, path: str, parse):
         """What parse makes of the text of the input file at path, which
         is recorded with its sha256.  Bytes that are not UTF-8 are a
-        ParseError naming the file, and so is each ParseError of parse."""
+        ParseError naming the file, and each error of parse names it too."""
         data = Path(path).read_bytes()
         self.inputs.append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
         try:
@@ -118,8 +118,9 @@ class _Run:
             raise ParseError(f"{path}: not UTF-8 text ({where})") from None
         try:
             return parse(text)
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+        except MatchforgeError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
     def manifest(self) -> dict:
         return {

@@ -41,12 +41,13 @@ eta = 0 is decided before the scan, from the perfect matchings it needs
 anyway: eta is 0 iff the OR of their masks misses an edge, and the
 lowest missing bit is the first edge, in id order, that is_eta_zero
 would name.  No blossom runs for it.  Only when the perfect-matching
-enumeration is over budget does is_eta_zero decide, with its blossom
-runs, so that an eta-zero graph past the enumeration limits still gets
-its answer; a graph it finds eta-zero-free gets the enumeration's
-error.  Deciding eta = 0 before the maximal enumeration, which by
-default refuses from 21 vertices rather than 27, keeps its answer
-there too.
+enumeration is over budget does is_eta_zero decide, in a few engine
+rounds on g, each a best perfect matching under weight 1 on the edges
+that no perfect matching found so far holds, so that an eta-zero graph
+past the enumeration limits still gets its answer; a graph it finds
+eta-zero-free gets the enumeration's error.  Deciding eta = 0 before
+the maximal enumeration, which by default refuses from 21 vertices
+rather than 27, keeps its answer there too.
 
 The scan runs over integer edge masks (bit e for edge e) from start
 to end: it reads the sorted mask streams of matching._maximal_masks
@@ -212,28 +213,21 @@ def is_eta_zero(g: Graph) -> tuple[bool, int | None]:
     """True with the first edge, in id order, that lies in no perfect
     matching.
 
-    The edges of each perfect matching found are marked, since they lie
-    in one.  Each unmarked edge, in id order, is tested by asking for a
-    perfect matching of g less its endpoints (_remainder); one found
-    there, plus the edge, is a perfect matching of g, marked in turn.
+    unseen, every edge off one perfect matching at first, holds every
+    edge in none.  Each round runs the engine on g for a best perfect
+    matching P under the weights [e in unseen].  If P meets unseen, its
+    edges leave it; if not, P is optimal at weight 0, so no perfect
+    matching meets unseen, which is then exactly the edges in none.
     """
     pm = _perfect_matching(g)
     if pm is None:
         raise NoPerfectMatching("eta needs a graph with a perfect matching")
-    covered = [False] * g.m
-    for e in pm:
-        covered[e] = True
-    for eid in range(g.m):
-        if covered[eid]:
-            continue
-        u, v = g.edges[eid]
-        sub, kept = _remainder(g, 1 << u | 1 << v)
-        pm = _perfect_matching(sub)
-        if pm is None:
-            return True, eid
-        covered[eid] = True
-        for e in pm:
-            covered[kept[e]] = True
+    unseen = set(range(g.m)) - pm
+    while unseen:
+        pm = best_integer_matchings(g, [int(e in unseen) for e in range(g.m)], 1)[1]
+        if unseen.isdisjoint(pm):
+            return True, min(unseen)
+        unseen -= pm
     return False, None
 
 

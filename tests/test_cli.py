@@ -483,6 +483,53 @@ def test_mesh_quadrangulate_rejects_a_truncated_face(capsys, tmp_path):
     assert doc == {"error": "ParseError", "message": f"{off}: face line 19: truncated"}
 
 
+def _ico_with_face_line(line):
+    lines = off_text(icosahedron()).splitlines()
+    lines[14] = line  # the first face line
+    return "\n".join(lines) + "\n"
+
+
+def _ico_without_last_face():
+    ico = icosahedron()
+    return off_text(TriangleMesh(ico.vertices, ico.faces[:-1]))
+
+
+@pytest.mark.parametrize(
+    "name, text, error, message",
+    [
+        ("open.off", _ico_without_last_face(), "NotClosed", "edge (9, 11) lies on 1 faces"),
+        ("quad.off", _ico_with_face_line("4 0 1 2 3"), "NotTriangular",
+         "face line 0: 4 vertices"),
+        ("flat.off", _ico_with_face_line("3 0 0 1"), "Degenerate",
+         "face line 0: repeated vertex"),
+        ("dup.txt", "4 2\n0 1\n0 1\n", "DuplicateEdge", "edge (0, 1) repeated"),
+        ("loop.txt", "3 1\n1 1\n", "SelfLoop", "edge (1, 1)"),
+        ("range.txt", "3 1\n0 5\n", "VertexOutOfRange", "edge (0, 5) outside 0..2"),
+    ],
+    ids=["not-closed", "not-triangular", "degenerate", "duplicate-edge", "self-loop",
+         "vertex-out-of-range"],
+)
+def test_every_error_of_an_input_file_names_the_file(capsys, tmp_path, name, text, error, message):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = ["mesh", "quadrangulate"] if name.endswith(".off") else ["classify"]
+    doc = run_cli(capsys, [*argv, str(path)], expect=2)
+    assert doc == {"error": error, "message": f"{path}: {message}"}
+
+
+def test_cert_verify_names_an_edge_list_that_repeats_a_pair(capsys, tmp_path):
+    from matchforge import eta
+
+    cert = tmp_path / "cap.json"
+    data = eta.cert_to_json(eta.maximal_matching_bound(named("cube"), [0, 6, 11]))
+    cert.write_text(json.dumps(data))
+    graph = tmp_path / "dup.txt"
+    # the cube's edge list with its first pair, 0 1, again at the end
+    graph.write_text(format_edge_list(named("cube")).replace("8 12", "8 13", 1) + "0 1\n")
+    doc = run_cli(capsys, ["cert", "verify", str(graph), str(cert)], expect=2)
+    assert doc == {"error": "DuplicateEdge", "message": f"{graph}: edge (0, 1) repeated"}
+
+
 def test_mesh_weights_csv(capsys, tmp_path):
     off = tmp_path / "ico.off"
     off.write_text(off_text(icosahedron()))

@@ -221,6 +221,70 @@ def test_eta_zero_on_bridged_cubic(seed=515):
     assert hits >= 10
 
 
+def _eta_zero_reference(g):
+    """The first edge that no enumerated perfect matching holds."""
+    pms = enumerate_perfect_matchings(g)
+    if not pms:
+        raise errors.NoPerfectMatching("no perfect matching")
+    covered = frozenset().union(*pms)
+    return next(((True, e) for e in range(g.m) if e not in covered), (False, None))
+
+
+def _eta_zero_corpus(seed=20261020):
+    """Two graphs without a perfect matching (a 3-vertex path and the
+    4-vertex star), the 4-vertex path, catalog(24), then seeded random
+    cubic graphs on 4 to 12 vertices, each followed by a bridge join of
+    two such graphs at random edges."""
+    yield from_edge_list(3, [(0, 1), (1, 2)])
+    yield from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
+    yield from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    yield from catalog(24)
+    rng = random.Random(seed)
+    for _ in range(120):
+        yield random_cubic(rng.randrange(4, 13, 2), rng)
+        left = random_cubic(rng.randrange(4, 13, 2), rng)
+        right = random_cubic(rng.randrange(4, 13, 2), rng)
+        yield bridge_join(left, rng.randrange(left.m), right, rng.randrange(right.m))
+
+
+def test_eta_zero_matches_the_enumeration():
+    def outcome(decide, g):
+        try:
+            return decide(g)
+        except errors.NoPerfectMatching:
+            return "no perfect matching"
+
+    graphs = list(_eta_zero_corpus())
+    assert len(graphs) >= 240
+    outcomes = [outcome(is_eta_zero, g) for g in graphs]
+    assert outcomes == [outcome(_eta_zero_reference, g) for g in graphs]
+    # the corpus holds every kind of answer
+    assert {o if isinstance(o, str) else o[0] for o in outcomes} == {
+        True, False, "no perfect matching"
+    }
+
+
+@pytest.mark.parametrize(
+    "make, answer",
+    [
+        (lambda: bridge_join(gp(100, 1), 0, gp(100, 1), 0), (True, 598)),
+        (lambda: gp(150, 1), (False, None)),
+    ],
+    ids=["bridged-402", "gp150-1"],
+)
+def test_eta_zero_takes_a_few_engine_rounds(monkeypatch, make, answer):
+    calls = []
+    engine = matching_module.max_weight_matching_pairs
+    monkeypatch.setattr(
+        matching_module,
+        "max_weight_matching_pairs",
+        lambda *a: calls.append(a[0]) or engine(*a),
+    )
+    g = make()
+    assert is_eta_zero(g) == answer
+    assert len(calls) <= 8 and set(calls) == {g.n}
+
+
 def test_eta_one_detection():
     for label in ("k4", "k33"):
         one, witness = is_eta_one(named(label))
@@ -537,6 +601,17 @@ def test_eta_zero_past_the_enumeration_limits():
     assert eta_exact(g, budget=Budget(perfect_count=1)) == r
     with pytest.raises(errors.BudgetExceeded, match="more than 1 perfect matchings"):
         eta_exact(named("petersen"), budget=Budget(perfect_count=1))
+
+
+def test_cap_certificate_of_one_edge_certifies_eta_zero():
+    # M = {f} for an edge f in no perfect matching: cap 0 proves eta <= 0,
+    # so eta = 0 needs no certificate kind of its own
+    g = bridge_join(gp(8, 1), 0, gp(8, 1), 0)
+    c = cap_certificate(g, [46])
+    assert (c.kind, c.cap, c.bound, len(c.odd_sets)) == (CAP_UPPER, 0, 0, 1)
+    assert cert_from_json(json.loads(json.dumps(cert_to_json(c)))) == c
+    assert verify(g, c) == (True, "ok")
+    assert not verify(g, replace(c, cap=1, bound=Fraction(1)))[0]
 
 
 @pytest.mark.parametrize(
