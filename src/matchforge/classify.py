@@ -156,9 +156,7 @@ def hamiltonian_cycle(g: Graph, *, budget: Budget = Budget()) -> tuple[int, ...]
     reversal twin of each cycle.
     """
     n = g.n
-    if n == 0:
-        return None
-    if n == 1:
+    if n < 2:
         return None
     path = [0]
     visited = [False] * n

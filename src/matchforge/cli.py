@@ -244,7 +244,7 @@ def _cmd_classify(args, run: _Run, rng: random.Random) -> int:
         try:
             tait = tait_coloring(g, budget=run.budget)
             doc["tait_colorable"] = tait is not None
-            doc["tait_coloring"] = list(tait) if tait else None
+            doc["tait_coloring"] = list(tait) if tait is not None else None
             doc["snark"] = ok and tait is None
         except BudgetExceeded:
             doc["search_timeout"] = True

@@ -32,10 +32,11 @@ times.  A feasible w has w(t_i) <= w(P_i) <= 1, so q w(M) <= sum w(t_i)
 is skipped when a greedy cover of fold q needs at most p traces: then
 s(M) <= best s, so M fails the strict s > best test that picks the
 result, and the value, the argmax and its LP assignment are those of
-the full scan.  The cheap cover runs first: whole perfect matchings
-with q = 1 and p = floor(best s) (_greedy_cover_count).  A mask that
-passes it gets its maximal traces once; the cover of fold q runs over
-them (_fold_cover_count), and they are the LP's rows if it runs.
+the full scan.  One routine, _cover_count, counts both covers; only
+its rows and its fold differ.  The cheap cover runs first: the whole
+perfect matchings as rows, with q = 1 and p = floor(best s).  A mask
+that passes it gets its maximal traces once; the cover of fold q runs
+over them, and they are the LP's rows if it runs.
 
 eta = 0 is decided before the scan, from the perfect matchings it needs
 anyway: eta is 0 iff the OR of their masks misses an edge, and the
@@ -130,7 +131,7 @@ from .errors import (
     NoPerfectMatching,
     ParseError,
 )
-from .graphs import Graph, neighbor_masks
+from .graphs import Graph, neighbor_masks, subgraph
 from .lp import OPTIMAL, program, solve, solve_ints
 from .matching import (
     _decode,
@@ -231,16 +232,6 @@ def is_eta_zero(g: Graph) -> tuple[bool, int | None]:
     return False, None
 
 
-def _remainder(g: Graph, drop: int) -> tuple[Graph, list[int]]:
-    """g less the vertices of the mask drop, the rest renumbered densely
-    in ascending order, and the ids in g of the edges it keeps."""
-    keep = [v for v in range(g.n) if not drop >> v & 1]
-    new_id = dict(zip(keep, range(len(keep))))
-    kept = [e for e, (u, v) in enumerate(g.edges) if u in new_id and v in new_id]
-    pairs = tuple((new_id[u], new_id[v]) for u, v in map(g.edges.__getitem__, kept))
-    return Graph(len(keep), pairs), kept
-
-
 def is_eta_one(g: Graph) -> tuple[bool, frozenset[int] | None]:
     """True iff every maximal matching is perfect.
 
@@ -259,9 +250,10 @@ def is_eta_one(g: Graph) -> tuple[bool, frozenset[int] | None]:
     one saturates N(v) iff any does.
 
     So each v, in id order, costs one max_weight_matching on its local
-    graph, relabelled onto its own endpoints so that the blossom's size
-    follows v's neighbourhood, not g.  The first optimum that saturates
-    N(v), extended greedily in edge-id order over g - v, is the witness.
+    graph, built on its own ends (graphs.subgraph) so that the blossom's
+    size follows v's neighbourhood, not g.  The first optimum that
+    saturates N(v), extended greedily in edge-id order over g - v, is
+    the witness.
     """
     if not has_perfect_matching(g):
         raise NoPerfectMatching("eta needs a graph with a perfect matching")
@@ -270,12 +262,8 @@ def is_eta_one(g: Graph) -> tuple[bool, frozenset[int] | None]:
         local = sorted({eid for u in nbrs for x, eid in g.adj[u] if x != v})
         if not local:
             continue  # no edge of g - v touches N(v)
-        pairs = [g.edges[eid] for eid in local]
-        ends = sorted({x for pair in pairs for x in pair})
-        new_id = {x: i for i, x in enumerate(ends)}
-        sub = Graph(len(ends), tuple((new_id[a], new_id[b]) for a, b in pairs))
-        weights = [(a in nbrs) + (b in nbrs) for a, b in pairs]
-        best = max_weight_matching(sub, weights)
+        weights = [(a in nbrs) + (b in nbrs) for a, b in map(g.edges.__getitem__, local)]
+        best = max_weight_matching(subgraph(g, local), weights)
         if sum(weights[e] for e in best) < len(nbrs):
             continue
         chosen = {local[e] for e in best}
@@ -292,67 +280,49 @@ def is_eta_one(g: Graph) -> tuple[bool, frozenset[int] | None]:
 # exact value
 
 
-def _greedy_cover_count(mask: int, pm_masks: Sequence[int], bound: int) -> int:
-    """Perfect matchings needed to cover all bits of mask, greedily.
+def _cover_count(mask: int, rows: Sequence[int], fold: int, bound: int) -> int:
+    """Rows needed to cover every bit of mask fold times, greedily.
 
-    Any such cover is a feasible dual for s(M), so its size bounds s(M)
-    from above; used only to skip hopeless LPs, when the count is at
-    most bound.  Past bound the count does not matter, so it returns
-    bound + 1 as soon as the cover needs more than bound perfect
-    matchings; an edge that none covers runs the count past bound too.
+    c rows (repeats allowed) that cover each edge of M fold times show
+    s(M) <= c / fold when each row is a perfect matching or its trace
+    on M (see the module docstring); used only to skip an LP when the
+    count is at most bound.  Layer k holds the bits still to be covered
+    more than k times: top is layer 0 and deep the layers below it, so
+    a row's gain, the sum of its overlaps with the layers, is the cover
+    demand left on its edges; the first row of greatest gain is taken,
+    and each of its bits leaves the highest layer that holds it.  A
+    row's gain is one popcount, plus the deep layers' only at fold > 1
+    and only for a row that meets top.  Past bound the count does not
+    matter, so it returns bound + 1 as soon as the cover needs more
+    than bound rows; an edge that no row covers runs the count past
+    bound too.
     """
+    top = mask
+    deep = [mask] * (fold - 1)
     count = 0
-    remaining = mask
-    while remaining:
+    while top:
         if count == bound:
             return bound + 1
         best_gain = 0
-        best_pm = 0
-        for pm in pm_masks:
-            gain = (pm & remaining).bit_count()
+        best_row = 0
+        for row in rows:
+            gain = (row & top).bit_count()
+            if deep and gain:
+                for layer in deep:
+                    hit = row & layer
+                    if not hit:
+                        break  # the layers are nested
+                    gain += hit.bit_count()
             if gain > best_gain:
                 best_gain = gain
-                best_pm = pm
-        remaining &= ~best_pm
-        count += 1
-    return count
-
-
-def _fold_cover_count(mask: int, traces: Sequence[int], fold: int, bound: int) -> int:
-    """Traces needed to cover every bit of mask fold times, greedily.
-
-    c traces (repeats allowed) that cover each edge of M fold times show
-    s(M) <= c / fold (see the module docstring); used only to skip an LP
-    when the count is at most bound.  layers[k] holds the bits still to
-    be covered more than k times, so a trace's gain, the sum of its
-    overlaps with the layers, is the cover demand left on its edges; the
-    first trace of greatest gain is taken, and each of its bits leaves
-    the highest layer that holds it.  Past bound the count does not
-    matter, so it returns bound + 1 as soon as the cover needs more than
-    bound traces; an edge that no trace covers runs the count past bound
-    too.
-    """
-    layers = [mask] * fold
-    count = 0
-    while layers[0]:
-        if count == bound:
-            return bound + 1
-        best_gain = 0
-        best_t = 0
-        for t in traces:
-            gain = 0
-            for layer in layers:
-                hit = t & layer
-                if not hit:
-                    break  # the layers are nested
-                gain += hit.bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_t = t
-        layers = [
-            layer & ~best_t | upper & best_t
-            for layer, upper in zip(layers, [*layers[1:], 0])
-        ]
+                best_row = row
+        if deep:
+            top, *deep = [
+                layer & ~best_row | upper & best_row
+                for layer, upper in zip([top, *deep], [*deep, 0])
+            ]
+        else:
+            top &= ~best_row
         count += 1
     return count
 
@@ -496,11 +466,11 @@ def eta_exact(g: Graph, *, budget: Budget = Budget()) -> EtaResult:
             raise BudgetExceeded("maximal_count", limit, len(seen))
         if stopped or (
             best_s is not None
-            and _greedy_cover_count(mask, pm_masks, best_floor) <= best_floor
+            and _cover_count(mask, pm_masks, 1, best_floor) <= best_floor
         ):
             continue
         traces = _maximal_traces(mask, pm_masks)
-        if best_s is not None and _fold_cover_count(
+        if best_s is not None and _cover_count(
             mask, traces, best_s.denominator, best_s.numerator
         ) <= best_s.numerator:
             continue
@@ -606,8 +576,10 @@ def find_independent_set_bound(
     keeps its path in chosen rather than on the interpreter's stack.
     A full node whose remainder g - S has a component of odd size has
     no perfect matching there, so it is refused by a flood fill before
-    g - S is built (_remainder).  Otherwise one blossom run gives the
-    first perfect matching of g - S in lexicographic order, or None.
+    g - S is built.  An isolated vertex is such a component, so g - S
+    is then the subgraph of its edges (graphs.subgraph), its vertices
+    in ascending order.  One blossom run gives its first perfect
+    matching in lexicographic order, or None.
     """
     if set_size < 0 or set_size > g.n:
         raise BadParameters(f"set size {set_size} out of range")
@@ -627,7 +599,8 @@ def find_independent_set_bound(
         if len(chosen) == set_size:
             rest = full & ~taken
             if not any(c.bit_count() % 2 for c in _mask_components(nbrs, rest)):
-                sub, kept = _remainder(g, taken)
+                kept = [e for e, (a, b) in enumerate(g.edges) if rest >> a & rest >> b & 1]
+                sub = subgraph(g, kept)
                 pm = best_integer_matchings(sub, *_lex_tiebreak([1] * sub.m))[1]
                 if pm is not None:
                     return maximal_matching_bound(g, frozenset(kept[e] for e in pm))
@@ -804,13 +777,17 @@ def berge_witness(g: Graph, *, budget: Budget = Budget()) -> BoundCertificate:
     matching below a third of the best matching, hence eta >= 1/3.
 
     The LP is stated on unit rows, coverage at most 1 with optimum 3,
-    and mu = x / 3 is read from its solution x.  That is the same LP
-    with every variable scaled by 3: its integer tableau starts as the
-    1/3 rows' tableau with each matching's column divided by 3, which
-    keeps the sign of every reduced cost and the order of every ratio
-    test, so Bland's rule takes the same pivots to the same vertex.
-    On unit rows more pivots have p == det, which lp._pivot does
-    without rescaling the other rows.
+    so its solution x is 3 mu.  That is the same LP with every variable
+    scaled by 3: its integer tableau starts as the 1/3 rows' tableau
+    with each matching's column divided by 3, which keeps the sign of
+    every reduced cost and the order of every ratio test, so Bland's
+    rule takes the same pivots to the same vertex.  On unit rows more
+    pivots have p == det, which lp._pivot does without rescaling the
+    other rows.  The cover is read straight off x: cover_count is the
+    LCM k of x's denominators, and a matching's multiplicity is its
+    x times k, so each edge is covered k times by 3k matchings.  The
+    least multiple of 3 that clears every entry of mu is 3k, so this
+    is the cover that clearing mu's denominators gives.
 
     Raises BadParameters on a graph with a bridge, a vertex of degree
     other than 3, or an optimum below 1.
@@ -827,12 +804,9 @@ def berge_witness(g: Graph, *, budget: Budget = Budget()) -> BoundCertificate:
     sol = solve(program([-1] * len(pm_masks), rows))
     if sol.status != OPTIMAL or sol.value != -3:
         raise BadParameters("no uniform fractional cover; graph not as claimed")
-    mu = [x / 3 for x in sol.assignment]
-    denom_lcm = lcm(*(x.denominator for x in mu))
-    scale = denom_lcm if denom_lcm % 3 == 0 else 3 * denom_lcm
-    lam = [int(x * scale) for x in mu]
+    cover = lcm(*(x.denominator for x in sol.assignment))
+    lam = [int(x * cover) for x in sol.assignment]
     families = tuple((_decode(p), l) for p, l in zip(pm_masks, lam) if l > 0)
-    cover = scale // 3
     if sum(l for _, l in families) != 3 * cover:
         raise InternalError("uniform cover does not add up to 3 * cover_count")
     return BoundCertificate(

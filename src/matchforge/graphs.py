@@ -8,7 +8,7 @@ these ids, so they never change once a Graph exists.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateEdge,
@@ -144,6 +144,19 @@ def neighbor_masks(g: Graph) -> list[int]:
     """Per vertex v, a vertex mask of its neighbours: bit u is set when
     u is a neighbour of v."""
     return [sum(1 << u for u, _ in row) for row in g.adj]
+
+
+def subgraph(g: Graph, edge_ids: Sequence[int]) -> Graph:
+    """The subgraph of g formed by the edges edge_ids and their ends.
+
+    The ends are renumbered densely in ascending order, and edge i of
+    the result is edge edge_ids[i] of g, so an edge id of the result
+    maps back through edge_ids.  A vertex on none of the edges is left
+    out.
+    """
+    pairs = [g.edges[e] for e in edge_ids]
+    new_id = {x: i for i, x in enumerate(sorted({x for pair in pairs for x in pair}))}
+    return Graph(len(new_id), tuple((new_id[u], new_id[v]) for u, v in pairs))
 
 
 def components(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -35,7 +35,8 @@ not stored.  Each row holds nv + 1 ints, not nv + rows + 1.
 - Integer start.  solve multiplies each row by the LCM of its
   denominators, and its slack entry stays 1.  That only rescales that
   slack variable by a positive constant.  The objective is multiplied
-  by the LCM of its denominators.  Positive scalings keep the sign of
+  by the LCM of its denominators.  Both scalings are those of
+  matching.integer_weights.  Positive scalings keep the sign of
   every reduced cost, and every ratio of the ratio test keeps its
   order (a row's scale cancels, a column's scale is the same in every
   row), so Bland's rule enters and leaves exactly as over the
@@ -76,12 +77,12 @@ the same.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalError
+from .matching import integer_weights
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -127,12 +128,6 @@ def program(
     return LinearProgram(objective=obj, rows=tuple(out))
 
 
-def _scaled(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(L, xs times L), L the LCM of their denominators."""
-    scale = math.lcm(*(x.denominator for x in xs))
-    return scale, [x.numerator * (scale // x.denominator) for x in xs]
-
-
 def _pivot(rows: list[list[int]], r: int, s: int, det: int) -> int:
     """Pivot on rows[r][s] > 0 over the shared denominator det.
 
@@ -168,16 +163,16 @@ def solve(lp: LinearProgram) -> LpSolution:
     solve_ints on the scaled rows and objective; its value and duals
     are scaled back (a row's dual by L_i / K, the value by 1 / K).
     """
-    scaled = [_scaled((*coeffs, rhs)) for coeffs, rhs in lp.rows]  # rhs last
-    k, obj = _scaled(lp.objective)
-    sol = solve_ints(obj, [row for _, row in scaled])
+    scaled = [integer_weights((*coeffs, rhs)) for coeffs, rhs in lp.rows]  # rhs last
+    obj, k = integer_weights(lp.objective)
+    sol = solve_ints(obj, [row for row, _ in scaled])
     if sol.status != OPTIMAL:
         return sol
     return LpSolution(
         status=OPTIMAL,
         value=sol.value / k,
         assignment=sol.assignment,
-        duals=tuple(y * s / k if y else y for (s, _), y in zip(scaled, sol.duals)),
+        duals=tuple(y * s / k if y else y for (_, s), y in zip(scaled, sol.duals)),
     )
 
 

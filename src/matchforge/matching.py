@@ -282,9 +282,9 @@ def enumerate_maximal_matchings(
 def integer_weights(weights: Sequence[Fraction]) -> tuple[list[int], int]:
     """(ints, scale): Fraction weights times scale, the LCM of their
     denominators, so ints[e] / scale == weights[e].  The only place
-    where rationals become ints; a positive scale keeps every
-    comparison, so the engine makes the same choices as it would over
-    the rationals."""
+    where rationals become ints, for the engine and for lp.solve's rows
+    and objective; a positive scale keeps every comparison, so the
+    engine makes the same choices as it would over the rationals."""
     scale = math.lcm(*(w.denominator for w in weights))
     return [w.numerator * (scale // w.denominator) for w in weights], scale
 

@@ -107,79 +107,73 @@ def parse_off(text: str) -> TriangleMesh:
     NotClosed unless every edge is shared by exactly two consistently
     oriented faces.
 
-    One pass reads the lines, and the errors come in this order: the
-    counts line; truncation, which outranks every error of a line, so a
-    line's error is raised only once the lines left are counted; each
-    line's own errors, in line order; closure, checked by building the
-    mesh's edge-face map (see the module docstring); then the first
-    zero-area face, found in the pass.  The common face line '3 a b c'
+    The text is split into its rows once, and the errors come in this
+    order: the counts line; truncation, fewer than nv + nf rows after
+    the counts line, which outranks every error of a row; each row's
+    own errors, in row order; closure, checked by building the mesh's
+    edge-face map (see the module docstring); then the first zero-area
+    face, found as the faces are read.  The common face line '3 a b c'
     skips the general count and slice, with the same checks in the
     same order.
     """
-    rows = filter(None, (raw.split("#", 1)[0].split() for raw in text.splitlines()))
-    head = next(rows, None)
-    if head is None:
+    rows = list(filter(None, (raw.split("#", 1)[0].split() for raw in text.splitlines())))
+    if not rows:
         raise ParseError("empty OFF input")
-    if len(head) == 1 and head[0].upper() == "OFF":
-        head = next(rows, ())
+    start = 1 if len(rows[0]) == 1 and rows[0][0].upper() == "OFF" else 0
+    head = rows[start] if start < len(rows) else ()
     try:
         nv, nf, _ne = (int(x) for x in head)
     except ValueError as exc:
         raise ParseError("bad OFF counts line") from exc
     if nv < 1 or nf < 1:
         raise ParseError("OFF needs at least one vertex and face")
+    first = start + 1  # the first vertex row
+    if len(rows) - first < nv + nf:
+        raise ParseError("truncated OFF input")
     vertices: list[Vec] = []
     faces: list[tuple[int, int, int]] = []
     flat = None  # the first zero-area face
-    try:
-        for i, parts in zip(range(nv), rows):
-            if len(parts) != 3:
-                raise ParseError(f"vertex line {i}: expected 3 coordinates")
+    for i, parts in enumerate(rows[first : first + nv]):
+        if len(parts) != 3:
+            raise ParseError(f"vertex line {i}: expected 3 coordinates")
+        try:
+            x, y, z = float(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"vertex line {i}: bad coordinate") from exc
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ParseError(f"vertex line {i}: non-finite coordinate")
+        vertices.append((x, y, z))
+    points = _unit_scaled(vertices)
+    for i, parts in enumerate(rows[first + nv : first + nv + nf]):
+        if len(parts) == 4 and parts[0] == "3":  # the common line
             try:
-                x, y, z = float(parts[0]), float(parts[1]), float(parts[2])
+                a, b, c = int(parts[1]), int(parts[2]), int(parts[3])
             except ValueError as exc:
-                raise ParseError(f"vertex line {i}: bad coordinate") from exc
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                raise ParseError(f"vertex line {i}: non-finite coordinate")
-            vertices.append((x, y, z))
-        points = _unit_scaled(vertices)
-        for i, parts in zip(range(nf), rows):
-            if len(parts) == 4 and parts[0] == "3":  # the common line
-                try:
-                    a, b, c = int(parts[1]), int(parts[2]), int(parts[3])
-                except ValueError as exc:
-                    raise ParseError(f"face line {i}: bad index") from exc
-            else:
-                try:
-                    count = int(parts[0])
-                    ids = [int(x) for x in parts[1 : 1 + count]]
-                except ValueError as exc:
-                    raise ParseError(f"face line {i}: bad index") from exc
-                if len(parts) < 1 + count:
-                    raise ParseError(f"face line {i}: truncated")
-                if count != 3:
-                    raise NotTriangular(f"face line {i}: {count} vertices")
-                a, b, c = ids
-            if not (0 <= a < nv and 0 <= b < nv and 0 <= c < nv):
-                raise ParseError(f"face line {i}: vertex index out of range")
-            if a == b or b == c or a == c:
-                raise Degenerate(f"face line {i}: repeated vertex")
-            faces.append((a, b, c))
-            # the normal (b - a) x (c - a), zero exactly when its squared
-            # length is, as sqrt(s) == 0.0 only for s == 0.0
-            (ax, ay, az), (bx, by, bz), (cx, cy, cz) = points[a], points[b], points[c]
-            px, py, pz = bx - ax, by - ay, bz - az
-            qx, qy, qz = cx - ax, cy - ay, cz - az
-            nx, ny, nz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
-            if flat is None and nx * nx + ny * ny + nz * nz == 0.0:
-                flat = i
-    except (ParseError, NotTriangular, Degenerate):
-        # the bad line is read, so it counts among the lines there are
-        if len(vertices) + len(faces) + 1 + sum(1 for _ in rows) < nv + nf:
-            raise ParseError("truncated OFF input") from None
-        raise
-    if len(faces) < nf:
-        raise ParseError("truncated OFF input")
+                raise ParseError(f"face line {i}: bad index") from exc
+        else:
+            try:
+                count = int(parts[0])
+                ids = [int(x) for x in parts[1 : 1 + count]]
+            except ValueError as exc:
+                raise ParseError(f"face line {i}: bad index") from exc
+            if len(parts) < 1 + count:
+                raise ParseError(f"face line {i}: truncated")
+            if count != 3:
+                raise NotTriangular(f"face line {i}: {count} vertices")
+            a, b, c = ids
+        if not (0 <= a < nv and 0 <= b < nv and 0 <= c < nv):
+            raise ParseError(f"face line {i}: vertex index out of range")
+        if a == b or b == c or a == c:
+            raise Degenerate(f"face line {i}: repeated vertex")
+        faces.append((a, b, c))
+        # the normal (b - a) x (c - a), zero exactly when its squared
+        # length is, as sqrt(s) == 0.0 only for s == 0.0
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = points[a], points[b], points[c]
+        px, py, pz = bx - ax, by - ay, bz - az
+        qx, qy, qz = cx - ax, cy - ay, cz - az
+        nx, ny, nz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+        if flat is None and nx * nx + ny * ny + nz * nz == 0.0:
+            flat = i
     mesh = TriangleMesh(tuple(vertices), tuple(faces))
     mesh._edges  # builds the edge-face map, which checks closure
     if flat is not None:

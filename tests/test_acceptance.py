@@ -91,6 +91,38 @@ def test_runner_reports_a_failed_self_check(monkeypatch):
     assert outcome.detail == "InternalError: self-check failed"
 
 
+def test_runner_fails_a_check_past_its_limit(monkeypatch):
+    import io
+
+    from matchforge import reproduce
+
+    def slow() -> str:
+        time.sleep(0.001)
+        return "value reproduced"
+
+    check = reproduce.Check("x", "slow check", 0.0, False, slow)
+    monkeypatch.setattr(reproduce, "CHECKS", (check,))
+    stream = io.StringIO()
+    (outcome,) = run_checks(ids=["x"], stream=stream)
+    assert not outcome.ok
+    assert outcome.detail == "value reproduced [exceeded 0s limit]"
+    assert outcome.limit == 0.0 and outcome.seconds > 0.0
+    assert stream.getvalue().startswith("FAIL [        x] slow check: value reproduced [")
+
+
+def test_runner_selects_the_default_checks_or_all_of_them(monkeypatch):
+    from matchforge import reproduce
+
+    checks = tuple(
+        reproduce.Check(str(i), f"check {i}", None, gated, lambda: "ok")
+        for i, gated in enumerate([False, True, False, True])
+    )
+    monkeypatch.setattr(reproduce, "CHECKS", checks)
+    assert [o.check_id for o in run_checks()] == ["0", "2"]
+    assert [o.check_id for o in run_checks(include_gated=True)] == ["0", "1", "2", "3"]
+    assert all(o.ok and o.detail == "ok" for o in run_checks(include_gated=True))
+
+
 def test_runner_reports_a_classifier_out_of_budget(monkeypatch):
     # a stopped search is a failed check, not an abort of the whole run
     from matchforge import reproduce

@@ -103,6 +103,19 @@ def test_hamiltonian_cycle_absent():
     assert hamiltonian_cycle(named("blanusa2")) is None
 
 
+def test_classifiers_on_degenerate_graphs():
+    # an edgeless graph is coloured by the empty colouring, not refused
+    assert tait_coloring(from_edge_list(0, [])) == ()
+    assert tait_coloring(from_edge_list(4, [])) == ()
+    # a cubic graph with a bridge has no 3-edge-colouring, yet is no snark
+    bridged = bridge_join(named("k4"), 0, named("k4"), 0)
+    assert tait_coloring(bridged) is None
+    assert not is_snark(bridged)
+    # no cycle passes through fewer than two vertices
+    assert hamiltonian_cycle(from_edge_list(0, [])) is None
+    assert hamiltonian_cycle(from_edge_list(1, [])) is None
+
+
 def test_hamiltonian_cycle_budget():
     with pytest.raises(errors.BudgetExceeded, match="search budget exhausted"):
         hamiltonian_cycle(named("nauru"), budget=Budget(search_nodes=3))

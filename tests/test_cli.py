@@ -101,6 +101,15 @@ def test_classify_cube_coloring_and_cycle(capsys):
     assert cycle[0] == 0 and sorted(cycle) == list(range(8))
 
 
+def test_classify_edgeless_graph_has_the_empty_colouring(capsys, tmp_path):
+    path = tmp_path / "edgeless.txt"
+    path.write_text("0 0\n")
+    doc = run_cli(capsys, ["classify", str(path)])
+    assert doc["tait_colorable"] is True
+    assert doc["tait_coloring"] == []
+    assert doc["snark"] is False
+
+
 def test_classify_budget_timeout(capsys):
     doc = run_cli(capsys, ["classify", "name:nauru", "--node-budget", "3"])
     assert doc["search_timeout"] is True

@@ -716,8 +716,8 @@ def test_odd_components_are_refused_before_the_subgraph(monkeypatch, seed=202610
     # on nauru, 148 of the 149 full nodes leave an odd component; only
     # the witness's remainder is built and matched
     built = []
-    real = eta_module._remainder
-    monkeypatch.setattr(eta_module, "_remainder", lambda *a: built.append(1) or real(*a))
+    real = eta_module.subgraph
+    monkeypatch.setattr(eta_module, "subgraph", lambda *a: built.append(1) or real(*a))
     assert find_independent_set_bound(named("nauru"), 8) is not None
     assert len(built) == 1
 
@@ -831,6 +831,19 @@ def test_verify_checks_family_caps_by_arithmetic(depth, monkeypatch):
         assert cert.cap * 3 == len(m) and cert.bound == Fraction(1, 3)
         back = cert_from_json(json.loads(json.dumps(cert_to_json(cert))))
         assert verify(g, back) == (True, "ok"), cert.kind
+
+
+def test_witness_searches_refuse_bad_parameters():
+    g = named("petersen")
+    for size in (-1, g.n + 1):
+        with pytest.raises(errors.BadParameters, match=f"^set size {size} out of range$"):
+            find_independent_set_bound(g, size)
+    for size, max_cap in ((0, 1), (3, -1)):
+        with pytest.raises(errors.BadParameters, match="^need size >= 1 and max_cap >= 0$"):
+            find_cap_matching(g, size, max_cap)
+    path = from_edge_list(3, [(0, 1), (1, 2)])
+    with pytest.raises(errors.NoPerfectMatching, match="^cap search needs perfect matchings$"):
+        find_cap_matching(path, 1, 1)
 
 
 def test_find_cap_matching_frozen():

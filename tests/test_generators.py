@@ -132,6 +132,14 @@ def test_bridge_join_creates_bridge():
     assert {u, v} == {8, 9}  # the two subdivision vertices
 
 
+def test_bridge_join_refuses_an_edge_id_out_of_range():
+    k4, petersen = named("k4"), named("petersen")
+    with pytest.raises(errors.EdgeOutOfRange, match=r"^edge id 6 not in 0\.\.5$"):
+        bridge_join(k4, k4.m, petersen, 0)
+    with pytest.raises(errors.EdgeOutOfRange, match=r"^edge id -1 not in 0\.\.14$"):
+        bridge_join(k4, 0, petersen, -1)
+
+
 def test_family_base_is_petersen():
     g, m = eta_third_family(0)
     assert g.edges == gp(5, 2).edges

@@ -14,6 +14,7 @@ from matchforge.graphs import (
     from_edge_list,
     from_graph6,
     parse_edge_list,
+    subgraph,
 )
 
 K4_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -129,6 +130,33 @@ def test_components_counts_match_deletion(seed=20260814):
         kept = set(range(n)) - drop
         survivors = sum(1 for u, v in g.edges if u in kept and v in kept)
         assert sub.m == survivors
+
+
+def test_subgraph_numbers_the_ends_in_order_and_keeps_the_edge_order():
+    g = from_edge_list(7, [(0, 1), (2, 5), (1, 3), (4, 6), (3, 5)])
+    # edges 4, 1, 2 are (3, 5), (2, 5), (1, 3); their ends 1, 2, 3, 5
+    # become 0, 1, 2, 3, and vertices 0, 4 and 6 are left out
+    sub = subgraph(g, [4, 1, 2])
+    assert (sub.n, sub.edges) == (4, ((2, 3), (1, 3), (0, 2)))
+    assert subgraph(g, []) == from_edge_list(0, [])
+
+
+def test_subgraph_of_the_kept_edges_is_the_remainder_without_isolated_vertices(
+    seed=20261022,
+):
+    rng = random.Random(seed)
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        g = from_edge_list(n, pairs)
+        drop = set(rng.sample(range(n), rng.randint(0, n)))
+        kept = [e for e, (u, v) in enumerate(g.edges) if u not in drop and v not in drop]
+        rest = _remainder(g, drop)
+        sub = subgraph(g, kept)
+        if all(rest.degree(v) for v in range(rest.n)):
+            assert sub == rest
+        else:
+            assert sub.n < rest.n and sub.m == rest.m
 
 
 def test_edge_list_round_trip():

@@ -20,7 +20,7 @@ from matchforge.lp import (
     solve,
     solve_ints,
 )
-from matchforge.matching import enumerate_perfect_matchings
+from matchforge.matching import enumerate_perfect_matchings, integer_weights
 
 INFEASIBLE = "infeasible"  # a status of the general reference below only
 
@@ -544,8 +544,8 @@ def _support_programs(monkeypatch):
 def _int_scaled(p):
     """p's objective and rows (rhs last), each times the LCM of its
     denominators."""
-    rows = [lp_module._scaled((*coeffs, rhs))[1] for coeffs, rhs in p.rows]
-    return lp_module._scaled(p.objective)[1], rows
+    rows = [integer_weights((*coeffs, rhs))[0] for coeffs, rhs in p.rows]
+    return integer_weights(p.objective)[0], rows
 
 
 def _with_pivots(monkeypatch, run):
@@ -587,8 +587,8 @@ def test_solve_scales_the_int_solution_back(monkeypatch, seed=80):
     scaled_rows = 0
     for _ in range(200):
         p = _berge_shaped_program(rng)
-        k = lp_module._scaled(p.objective)[0]
-        scales = [lp_module._scaled((*c, b))[0] for c, b in p.rows]
+        k = integer_weights(p.objective)[1]
+        scales = [integer_weights((*c, b))[1] for c, b in p.rows]
         got, got_pivots = _with_pivots(monkeypatch, lambda: solve(p))
         ints, int_pivots = _with_pivots(monkeypatch, lambda: solve_ints(*_int_scaled(p)))
         assert got_pivots == int_pivots

@@ -307,15 +307,37 @@ def test_orbit_scan_changes_no_result(monkeypatch, g):
     assert eta_exact(g) == with_orbits
 
 
+def spy_covers(monkeypatch, first, second):
+    """Route each eta._cover_count call of the scan through first or
+    second, each called as the real one is with the real one in front.
+    first takes the greedy covers by whole perfect matchings, whose rows
+    are the list that _perfect_masks returned; second takes the fold
+    covers by traces."""
+    perfect = []
+    masks, cover = eta._perfect_masks, eta._cover_count
+
+    def listed(*a, **k):
+        perfect.append(masks(*a, **k))
+        return perfect[-1]
+
+    def spy(mask, rows, fold, bound):
+        pick = first if perfect and rows is perfect[-1] else second
+        return pick(cover, mask, rows, fold, bound)
+
+    monkeypatch.setattr(eta, "_perfect_masks", listed)
+    monkeypatch.setattr(eta, "_cover_count", spy)
+
+
 def test_gp83_meets_each_orbit_once(monkeypatch):
     calls = []
     solve_ints = eta.solve_ints
-    greedy = eta._greedy_cover_count
     monkeypatch.setattr(
         eta, "solve_ints", lambda *a: calls.append("lp") or solve_ints(*a)
     )
-    monkeypatch.setattr(
-        eta, "_greedy_cover_count", lambda *a: calls.append("greedy") or greedy(*a)
+    spy_covers(
+        monkeypatch,
+        lambda cover, *a: calls.append("greedy") or cover(*a),
+        lambda cover, *a: cover(*a),
     )
     eta_exact(gp(8, 3))
     assert 0 < calls.count("lp") <= 12
@@ -327,7 +349,6 @@ def scan_calls(monkeypatch):
     """Record each support LP, with its value s, and each greedy cover."""
     calls = []
     solve_ints = eta.solve_ints
-    greedy = eta._greedy_cover_count
 
     def lp(*a):
         sol = solve_ints(*a)
@@ -335,8 +356,10 @@ def scan_calls(monkeypatch):
         return sol
 
     monkeypatch.setattr(eta, "solve_ints", lp)
-    monkeypatch.setattr(
-        eta, "_greedy_cover_count", lambda *a: calls.append(("greedy",)) or greedy(*a)
+    spy_covers(
+        monkeypatch,
+        lambda cover, *a: calls.append(("greedy",)) or cover(*a),
+        lambda cover, *a: cover(*a),
     )
     return calls
 
@@ -403,7 +426,7 @@ def test_greedy_cover_stops_past_its_bound(ng):
         cover = pms if rng.random() < 0.7 else pms[: rng.randint(1, 3)]
         full = greedy_cover_reference(mask, cover)
         for bound in range(6):
-            got = eta._greedy_cover_count(mask, cover, bound)
+            got = eta._cover_count(mask, cover, 1, bound)
             assert got == (full if full <= bound else bound + 1)
 
 
@@ -448,7 +471,7 @@ def test_fold_cover_bounds_the_support_lp(g):
         s, _ = eta._support_lp_max(mask, traces)
         for fold in range(1, 5):
             for bound in range(13):
-                count = eta._fold_cover_count(mask, traces, fold, bound)
+                count = eta._cover_count(mask, traces, fold, bound)
                 if count <= bound:
                     skips += 1
                     assert s <= Fraction(count, fold) <= Fraction(bound, fold)
@@ -466,7 +489,7 @@ def test_fold_cover_counts_like_the_reference_or_stops_past_its_bound(g):
             for fold in range(1, 5):
                 full = fold_cover_reference(mask, cover, fold)
                 for bound in range(13):
-                    got = eta._fold_cover_count(mask, cover, fold, bound)
+                    got = eta._cover_count(mask, cover, fold, bound)
                     assert got == (full if full <= bound else bound + 1)
 
 
@@ -477,7 +500,11 @@ def test_fold_cover_counts_like_the_reference_or_stops_past_its_bound(g):
 )
 def test_fold_cover_skip_changes_no_result(monkeypatch, g):
     skipping = eta_exact(g)
-    monkeypatch.setattr(eta, "_fold_cover_count", lambda mask, t, q, bound: bound + 1)
+    spy_covers(
+        monkeypatch,
+        lambda cover, *a: cover(*a),
+        lambda cover, mask, t, q, bound: bound + 1,
+    )
     assert eta_exact(g) == skipping
 
 
