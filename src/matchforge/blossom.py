@@ -39,7 +39,11 @@ result for w (see Resume) is read off copies.
 Nesting.  Blossoms nest up to n/2 deep, past the interpreter's stack,
 so expand_blossom and augment_blossom are generators that yield each
 sub-blossom to walk into next, and one function, _nested, runs both on
-an explicit stack.
+an explicit stack.  Both walk one path round a blossom's cycle, the
+even-length side from a child to the base, which toward_base spells
+once as a start, a step and each edge oriented along the walk:
+expand_blossom relabels the children on it in mid-stage, and
+augment_blossom flips the matching along it.
 
 Tie order.  Each dual step keeps the first candidate that is strictly
 smaller, so the scan order decides ties: a lower type before a higher
@@ -278,9 +282,9 @@ def max_weight_matching_pairs(
     inblossom = list(range(n))
     blossomparent = [-1] * size
     blossombase = list(range(n)) + [-1] * n
-    # sub-blossoms of a blossom, and the edge joining each child to the
-    # previous one (edges[0] joins childs[-1] to childs[0] through the
-    # tight edge that closed the cycle)
+    # sub-blossoms of a blossom, base first, and the edge joining each
+    # child to the next one (edges[i] runs from childs[i] to childs[i + 1],
+    # and edges[-1] from the last child back to the base)
     blossomchilds: list = nones[:]
     blossomedges: list = nones[:]
     # least-slack (v, u, 2 * w) edges to other S-blossoms, per blossom
@@ -301,8 +305,9 @@ def max_weight_matching_pairs(
     wrote = list(range(n))
 
     def leaves(b: int) -> list[int]:
+        """The vertices of b; a vertex is its own only leaf."""
         out = []
-        stack = [*blossomchilds[b]]
+        stack = [b]
         while stack:
             t = stack.pop()
             if t >= n:
@@ -318,12 +323,9 @@ def max_weight_matching_pairs(
             if label[w] or label[b]:
                 raise InternalError("blossom: labelling a labelled vertex")
             label[w] = label[b] = t
-            if v is not None:
-                labeledge[w] = labeledge[b] = (v, w)
-            else:
-                labeledge[w] = labeledge[b] = None
+            labeledge[w] = labeledge[b] = None if v is None else (v, w)
             bestedge[w] = bestedge[b] = None
-            ls = leaves(b) if b >= n else (b,)
+            ls = leaves(b)
             forest.update(ls)
             if t == 1:
                 queue.extend(ls)
@@ -411,16 +413,10 @@ def max_weight_matching_pairs(
         # recompute best edges out of the new blossom
         bestedgeto: dict[int, tuple[int, int, int]] = {}
         for bv in path:
-            if bv >= n:
-                if mybestedges[bv] is not None:
-                    nblist = mybestedges[bv]
-                    mybestedges[bv] = None
-                else:
-                    nblist = [
-                        (leaf, u, w2) for leaf in leaves(bv) for u, w2 in nbrs[leaf]
-                    ]
-            else:
-                nblist = [(bv, u, w2) for u, w2 in nbrs[bv]]
+            nblist = mybestedges[bv]
+            if nblist is None:
+                nblist = [(leaf, u, w2) for leaf in leaves(bv) for u, w2 in nbrs[leaf]]
+            mybestedges[bv] = None
             for k in nblist:
                 i, j, w2 = k
                 if inblossom[j] == b:
@@ -434,14 +430,19 @@ def max_weight_matching_pairs(
                         bestedgeto[bj] = k
             bestedge[bv] = None
         mybestedges[b] = best = list(bestedgeto.values())
-        mybestedge = None
-        mybestslack = None
-        for k in best:
-            kslack = dualvar[k[0]] + dualvar[k[1]] - k[2]
-            if mybestedge is None or kslack < mybestslack:
-                mybestedge = k
-                mybestslack = kslack
-        bestedge[b] = mybestedge
+        # min keeps the first of equal slacks, as every other pick does
+        bestedge[b] = min(
+            best, key=lambda k: dualvar[k[0]] + dualvar[k[1]] - k[2], default=None
+        )
+
+    def toward_base(b: int, i: int):
+        """The even-length walk round blossom b from its child i to the
+        base: the start index j, the step, and edge(j), the edge from
+        childs[j] to the next child on the walk, oriented that way."""
+        edges = blossomedges[b]
+        if i & 1:
+            return i - len(edges), 1, edges.__getitem__
+        return i, -1, lambda j: edges[j - 1][::-1]
 
     def expand_blossom(b: int, endstage: bool):
         """Dissolve blossom b, relabelling its pieces if mid-stage; yields
@@ -449,36 +450,23 @@ def max_weight_matching_pairs(
         childs = blossomchilds[b]
         for s in childs:
             blossomparent[s] = -1
-            if s >= n:
-                if endstage and blossomdual[s] == 0:
-                    yield s, endstage
-                else:
-                    for leaf in leaves(s):
-                        inblossom[leaf] = s
+            if s >= n and endstage and blossomdual[s] == 0:
+                yield s, endstage
             else:
-                inblossom[s] = s
+                for leaf in leaves(s):
+                    inblossom[leaf] = s
         if (not endstage) and label[b] == 2:
             # relabel along the even-length side of the cycle from
             # the entry child to the base
-            edges = blossomedges[b]
             entrychild = inblossom[labeledge[b][1]]
-            j = childs.index(entrychild)
-            if j & 1:
-                j -= len(childs)
-                jstep = 1
-            else:
-                jstep = -1
+            j, jstep, edge = toward_base(b, childs.index(entrychild))
             v, w = labeledge[b]
             while j != 0:
-                q = edges[j][1] if jstep == 1 else edges[j - 1][0]
                 label[w] = 0
-                label[q] = 0
+                label[edge(j)[1]] = 0
                 assign_label(w, 2, v)
                 j += jstep
-                if jstep == 1:
-                    v, w = edges[j]
-                else:
-                    w, v = edges[j - 1]
+                v, w = edge(j)
                 j += jstep
             bw = childs[j]
             label[w] = label[bw] = 2
@@ -490,12 +478,9 @@ def max_weight_matching_pairs(
                 if label[bv] == 1:
                     j += jstep
                     continue
-                if bv >= n:
-                    for leaf in leaves(bv):
-                        if label[leaf]:
-                            break
-                else:
-                    leaf = bv
+                for leaf in leaves(bv):
+                    if label[leaf]:
+                        break
                 if label[leaf]:
                     if label[leaf] != 2:
                         raise InternalError("blossom: a reached child is not T")
@@ -522,19 +507,12 @@ def max_weight_matching_pairs(
             yield (t, v)
         childs = blossomchilds[b]
         edges = blossomedges[b]
-        i = j = childs.index(t)
-        if i & 1:
-            j -= len(childs)
-            jstep = 1
-        else:
-            jstep = -1
+        i = childs.index(t)
+        j, jstep, edge = toward_base(b, i)
         while j != 0:
             j += jstep
             t = childs[j]
-            if jstep == 1:
-                w, x = edges[j]
-            else:
-                x, w = edges[j - 1]
+            w, x = edge(j)
             if t >= n:
                 yield (t, w)
             j += jstep

@@ -1003,8 +1003,6 @@ _PAYLOAD = (
      lambda ss: [{"vertices": list(b), "value": encode(z)} for b, z in ss],
      _odd_sets),
 )
-_KEYS = {"kind", "bound", *(key for _, key, _, _ in _PAYLOAD)}
-
 # The payload fields that verify needs before it checks each kind; the
 # odd kind's components are checked after its cap.
 _CAP_FIELDS = ("matching", "cap", "perfect_matching", "potentials", "odd_sets")
@@ -1014,6 +1012,14 @@ _REQUIRED = {
     ODD_COMPONENT_UPPER: _CAP_FIELDS,
     BERGE_COVER_LOWER: ("families", "cover_count"),
 }
+# The JSON keys a file of each kind may hold: kind, bound, and the keys
+# of the kind's own fields, which for the odd kind add its components.
+# A kind the reader does not know holds no payload key.
+_KIND_KEYS = {
+    kind: {"kind", "bound", *(key for name, key, _, _ in _PAYLOAD if name in required)}
+    for kind, required in _REQUIRED.items()
+}
+_KIND_KEYS[ODD_COMPONENT_UPPER].add("components")
 
 
 def cert_to_json(cert: BoundCertificate) -> dict:
@@ -1030,8 +1036,12 @@ def cert_from_json(data: dict) -> BoundCertificate:
     writes; any other input raises ParseError."""
     if type(data) is not dict:
         raise ParseError("malformed certificate: not a JSON object")
-    if not data.keys() <= _KEYS:
-        unknown = sorted(data.keys() - _KEYS)
+    try:
+        keys = _KIND_KEYS[data.get("kind")]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        keys = {"kind", "bound"}
+    if not data.keys() <= keys:
+        unknown = sorted(data.keys() - keys)
         raise ParseError(f"malformed certificate: unknown keys {unknown}")
     try:
         return BoundCertificate(

@@ -1241,6 +1241,13 @@ MALFORMED = {
         "odd", "components", lambda cs: [[str(v) for v in cs[0]], *cs[1:]]
     ),
     "object-components": ("odd", "components", lambda cs: {"0": cs[0]}),
+    # a key of another kind's payload, with a value that reads as that kind's
+    "foreign-cover-count": ("exposed", "cover_count", lambda _: 7),
+    "foreign-components": ("cap", "components", lambda _: [[0]]),
+    "foreign-independent-set": ("berge", "independent_set", lambda _: [1, 2]),
+    "foreign-families": (
+        "odd", "families", lambda _: [{"edges": [0, 1], "multiplicity": 1}]
+    ),
 }
 
 
