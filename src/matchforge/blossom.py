@@ -503,6 +503,8 @@ def max_weight_matching_pairs(
         t = v
         while blossomparent[t] != b:
             t = blossomparent[t]
+            if t < 0:
+                raise InternalError("blossom: augmenting a blossom from outside it")
         if t >= n:
             yield (t, v)
         childs = blossomchilds[b]

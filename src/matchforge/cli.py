@@ -186,11 +186,12 @@ def _graph_json(g: Graph) -> dict:
 
 
 def _weights_for(g: Graph, args, run: _Run, rng: random.Random):
-    if getattr(args, "weights", None):
+    """The --weights file or --random-weights draw on g; None without either."""
+    if args.weights:
         return run.read(args.weights, lambda text: parse_weight_csv(text, g.m))
-    if getattr(args, "random_weights", False):
+    if args.random_weights:
         return random_weights(g, rng)
-    return uniform_weights(g)
+    return None
 
 
 def _emit(doc: dict, run: _Run, summary: str) -> None:
@@ -263,7 +264,7 @@ def _cmd_classify(args, run: _Run, rng: random.Random) -> int:
 
 def _cmd_match(args, run: _Run, rng: random.Random) -> int:
     g = _load_graph(args.graph, run, rng)
-    w = _weights_for(g, args, run, rng)
+    w = _weights_for(g, args, run, rng) or uniform_weights(g)
     if args.perfect:
         m = max_weight_perfect_matching(g, w)
     else:
@@ -352,11 +353,7 @@ def _cmd_cert_verify(args, run: _Run, rng: random.Random) -> int:
 def _cmd_mesh_quadrangulate(args, run: _Run, rng: random.Random) -> int:
     mesh = run.read(args.mesh, parse_off)
     dual = dual_graph(mesh)
-    weights = None
-    if args.weights:
-        weights = run.read(args.weights, lambda text: parse_weight_csv(text, dual.graph.m))
-    elif args.random_weights:
-        weights = random_weights(dual.graph, rng)
+    weights = _weights_for(dual.graph, args, run, rng)
     quad_mesh, report = quadrangulate(mesh, mode=args.mode, weights=weights)
     if args.out:
         save_obj(quad_mesh, args.out)

@@ -2,10 +2,10 @@
 
 Each check recomputes a documented value from scratch and fails loudly
 on any mismatch.  run_checks drives them with per-check wall clocks;
-the gated checks run past the default enumeration budgets (the exact
-eta of nauru, and of gp(13,5) and gp(14,3) at 26 and 28 vertices,
-among them) and only run on request.  The exact eta of nauru, at
-a vertex limit of 24, is also default check 13, under a 5 s limit.
+the gated checks run past the default enumeration budgets and only run
+on request.  Each pinned exact eta is a GP_ETA row: petersen (check 1),
+nauru (check 13, 5 s limit), and the gated gp(13,5) and gp(14,3).
+Every upper-bound certificate a check builds must pass verify.
 """
 
 from __future__ import annotations
@@ -14,12 +14,14 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, IO
 
 from . import DEFAULT_SEED
 from .classify import hamiltonian_cycle, is_bridgeless, is_snark, tait_coloring
 from .errors import Budget, BudgetExceeded, InternalError, MatchforgeError, NoPerfectMatching
 from .eta import (
+    BoundCertificate,
     berge_witness,
     best_maximal_matching_bound,
     cap_certificate,
@@ -40,7 +42,7 @@ from .generators import (
     named,
     random_cubic,
 )
-from .graphs import from_edge_list
+from .graphs import Graph, from_edge_list
 from .matching import (
     best_matchings,
     enumerate_maximal_matchings,
@@ -77,12 +79,48 @@ class CheckOutcome:
     limit: float | None
 
 
-def _check_eta_petersen() -> str:
-    r = eta_exact(named("petersen"))
-    check(r.value == THIRD, f"eta {r.value}")
-    check(r.worst_pm_weight == 1, "best perfect matching weight is not 1")
-    check(r.worst_pm_weight / r.argmax_weight == THIRD, "witness ratio is not 1/3")
-    return f"eta = {r.value}, witness argmax {r.argmax_matching}"
+# exact eta per gp(n, k): the value, the argmax matching and the witness
+# weights by edge id.  gp(5, 2) and gp(12, 5) are petersen and nauru,
+# with named()'s edge ids; the tests do not enumerate past 24 vertices.
+GP_ETA = {
+    (5, 2): (THIRD, (0, 8, 12), dict.fromkeys((0, 8, 12), Fraction(1))),
+    (12, 5): (
+        HALF, (0, 2, 4, 6, 20, 22, 24, 30, 33), dict.fromkeys((0, 4, 20, 22, 30, 33), THIRD)
+    ),
+    (13, 5): (
+        Fraction(4, 9),
+        (0, 2, 6, 18, 22, 24, 27, 29, 36, 38),
+        {**dict.fromkeys((0, 6, 18, 22, 24, 29, 38), Fraction(1, 4)), 36: HALF},
+    ),
+    (14, 3): (
+        Fraction(3, 7),
+        (0, 2, 4, 6, 9, 26, 31, 32, 36, 41),
+        dict.fromkeys((0, 9, 26, 31, 32, 36, 41), THIRD),
+    ),
+}
+
+
+def _check_gp_eta(*rows: tuple[int, int]) -> str:
+    """eta_exact, at a vertex limit of the graph's size, must reproduce
+    the given GP_ETA rows."""
+    for n, k in rows:
+        value, argmax, witness = GP_ETA[n, k]
+        g = gp(n, k)
+        r = eta_exact(g, budget=Budget(vertex_limit=g.n))
+        check(r.value == value, f"eta {r.value}")
+        check(r.argmax_matching == argmax, f"argmax {r.argmax_matching}")
+        expected = tuple(witness.get(e, 0) for e in range(g.m))
+        check(r.witness_weights == expected, f"witness {r.witness_weights}")
+    return "exact eta " + ", ".join(f"gp({n},{k}) = {GP_ETA[n, k][0]}" for n, k in rows)
+
+
+def _certified(g: Graph, cert: BoundCertificate, bound: Fraction, size: int) -> None:
+    """Require cert to prove bound on g with the size its kind names
+    (|S| for an exposed set, the cap for a cap), and verify to accept it."""
+    got = len(cert.independent_set) if cert.cap is None else cert.cap
+    check(cert.bound == bound and got == size, cert)
+    ok, msg = verify(g, cert)
+    check(ok, msg)
 
 
 def _check_eta_k33() -> str:
@@ -104,48 +142,24 @@ def _check_eta_path() -> str:
 
 
 def _check_exposed_set_bounds() -> str:
-    c = best_maximal_matching_bound(named("petersen"))
-    check(c.bound == THIRD and len(c.independent_set) == 4, c)
-    ok, msg = verify(named("petersen"), c)
-    check(ok, msg)
-    c = find_independent_set_bound(named("nauru"), 8)
+    nauru = named("nauru")
+    c = find_independent_set_bound(nauru, 8)
     check(c is not None, "no 8-vertex witness on nauru")
-    check(c.bound == HALF and len(c.independent_set) == 8, c)
-    ok, msg = verify(named("nauru"), c)
-    check(ok, msg)
-    c = best_maximal_matching_bound(named("blanusa2"))
-    check(c.bound == HALF and len(c.independent_set) == 6, c)
-    c = best_maximal_matching_bound(named("k4"))
-    check(c.bound == 1 and len(c.independent_set) == 0, c)
+    _certified(nauru, c, HALF, 8)
+    for name, bound, size in (("petersen", THIRD, 4), ("blanusa2", HALF, 6), ("k4", 1, 0)):
+        g = named(name)
+        _certified(g, best_maximal_matching_bound(g), bound, size)
     return "petersen 1/3 (|S|=4), nauru 1/2 (|S|=8), blanusa2 1/2 (|S|=6), k4 1"
 
 
 def _check_cap_certificates() -> str:
-    cube = named("cube")
-    m = find_cap_matching(cube, 3, 2)
-    check(m is not None, "no 3-matching of cap 2 on cube")
-    c = cap_certificate(cube, m)
-    check(c.cap == 2 and c.bound == Fraction(2, 3), c)
-    pet = named("petersen")
-    m = find_cap_matching(pet, 3, 1)
-    check(m is not None, "no 3-matching of cap 1 on petersen")
-    c = cap_certificate(pet, m)
-    check(c.cap == 1 and c.bound == THIRD, c)
-    b1 = named("blanusa1")
-    m = find_cap_matching(b1, 5, 2)
-    check(m is not None, "no 5-matching of cap 2 on blanusa1")
-    c = cap_certificate(b1, m)
-    check(c.bound == Fraction(2, 5), c)
-    ok, msg = verify(b1, c)
-    check(ok, msg)
-    b2 = named("blanusa2")
-    m = find_cap_matching(b2, 6, 4)
-    check(m is not None, "no 6-matching of cap <= 4 on blanusa2")
-    c = cap_certificate(b2, m)
-    check(c.bound <= Fraction(2, 3), c)
-    ok, msg = verify(b2, c)
-    check(ok, msg)
-    return "cube 2/3, petersen 1/3, blanusa1 2/5, blanusa2 <= 2/3"
+    rows = (("cube", 3, 2), ("petersen", 3, 1), ("blanusa1", 5, 2), ("blanusa2", 6, 4))
+    for name, size, cap in rows:
+        g = named(name)
+        m = find_cap_matching(g, size, cap)
+        check(m is not None, f"no {size}-matching of cap {cap} on {name}")
+        _certified(g, cap_certificate(g, m), Fraction(cap, size), cap)
+    return "cube 2/3, petersen 1/3, blanusa1 2/5, blanusa2 2/3"
 
 
 def _check_berge_covers() -> str:
@@ -196,14 +210,8 @@ def _check_boundary_equivalences() -> str:
 def _family_structure(d: int) -> None:
     g, m = eta_third_family(d)
     check(len(m) * 10 == 3 * g.n, (d, len(m), g.n))
-    c = maximal_matching_bound(g, m)
-    check(c.bound == THIRD, (d, c.bound))
-    ok, msg = verify(g, c)
-    check(ok, (d, msg))
-    c = odd_component_cert(g, m)
-    check(c.cap * 3 == len(m) and c.bound == THIRD, (d, c.cap, c.bound))
-    ok, msg = verify(g, c)
-    check(ok, (d, msg))
+    _certified(g, maximal_matching_bound(g, m), THIRD, 2 * g.n // 5)
+    _certified(g, odd_component_cert(g, m), THIRD, len(m) // 3)
 
 
 def _check_snark_family() -> str:
@@ -277,17 +285,14 @@ def _check_exclusions() -> str:
     try:
         eta_exact(named("nauru"))
     except BudgetExceeded:
-        pass
-    else:
-        raise CheckFailed("nauru exact eta ran inside default budgets")
-    return "nauru exact eta refused at default budgets (run the gated check)"
+        return "nauru exact eta refused at default budgets (check 13 raises the vertex limit)"
+    raise CheckFailed("nauru exact eta ran inside default budgets")
 
 
 def _check_nauru_full_scan() -> str:
-    c = best_maximal_matching_bound(named("nauru"), budget=Budget(vertex_limit=24))
-    check(c.bound == HALF and len(c.independent_set) == 8, c)
-    ok, msg = verify(named("nauru"), c)
-    check(ok, msg)
+    g = named("nauru")
+    c = best_maximal_matching_bound(g, budget=Budget(vertex_limit=24))
+    _certified(g, c, HALF, 8)
     return f"full scan: bound 1/2 at matching {c.matching}"
 
 
@@ -295,49 +300,6 @@ def _check_family_d2_snark() -> str:
     g, _ = eta_third_family(2)
     check(is_snark(g), "depth-2 member is not a snark")
     return f"depth-2 member ({g.n} vertices) is a snark"
-
-
-# the exact-eta witness of nauru: 1/3 on six edges, computed by the
-# full scan; the orbit scan must reproduce it
-NAURU_ARGMAX = (0, 2, 4, 6, 20, 22, 24, 30, 33)
-NAURU_WITNESS = frozenset((0, 4, 20, 22, 30, 33))
-
-
-def _check_nauru_eta() -> str:
-    g = named("nauru")
-    r = eta_exact(g, budget=Budget(vertex_limit=24))
-    check(r.value == HALF, r.value)
-    check(r.argmax_matching == NAURU_ARGMAX, r.argmax_matching)
-    expected = tuple(THIRD if e in NAURU_WITNESS else 0 for e in range(g.m))
-    check(r.witness_weights == expected, r.witness_weights)
-    return "exact eta(nauru) = 1/2, matching its exposed-set bound"
-
-
-# exact eta past 24 vertices, where the tests do not enumerate: per
-# gp(n, k), the value, the argmax matching and the witness weights
-GP_ETA = {
-    (13, 5): (
-        Fraction(4, 9),
-        (0, 2, 6, 18, 22, 24, 27, 29, 36, 38),
-        {**dict.fromkeys((0, 6, 18, 22, 24, 29, 38), Fraction(1, 4)), 36: HALF},
-    ),
-    (14, 3): (
-        Fraction(3, 7),
-        (0, 2, 4, 6, 9, 26, 31, 32, 36, 41),
-        dict.fromkeys((0, 9, 26, 31, 32, 36, 41), THIRD),
-    ),
-}
-
-
-def _check_gp_eta() -> str:
-    for (n, k), (value, argmax, witness) in GP_ETA.items():
-        g = gp(n, k)
-        r = eta_exact(g, budget=Budget(vertex_limit=g.n))
-        check(r.value == value, (n, k, r.value))
-        check(r.argmax_matching == argmax, (n, k, r.argmax_matching))
-        expected = tuple(witness.get(e, 0) for e in range(g.m))
-        check(r.witness_weights == expected, (n, k, r.witness_weights))
-    return "exact eta gp(13,5) = 4/9, gp(14,3) = 3/7"
 
 
 @dataclass(frozen=True)
@@ -350,7 +312,7 @@ class Check:
 
 
 CHECKS: tuple[Check, ...] = (
-    Check("1", "exact eta of petersen", 30.0, False, _check_eta_petersen),
+    Check("1", "exact eta of petersen", 30.0, False, partial(_check_gp_eta, (5, 2))),
     Check("2", "exact eta of k33", 5.0, False, _check_eta_k33),
     Check("3", "exact eta of the 3-edge path", 1.0, False, _check_eta_path),
     Check("4", "exposed-set bounds", 120.0, False, _check_exposed_set_bounds),
@@ -362,11 +324,13 @@ CHECKS: tuple[Check, ...] = (
     Check("10", "matching engine agreement", 180.0, False, _check_engine_agreement),
     Check("11", "mesh pipeline", 120.0, False, _check_mesh_pipeline),
     Check("12", "default budget exclusions", 5.0, False, _check_exclusions),
-    Check("13", "exact eta of nauru at 24 vertices", 5.0, False, _check_nauru_eta),
+    Check("13", "exact eta of nauru at 24 vertices", 5.0, False, partial(_check_gp_eta, (12, 5))),
     Check("4-full", "nauru full maximal scan", None, True, _check_nauru_full_scan),
     Check("8-full", "family depth-2 snark", None, True, _check_family_d2_snark),
-    Check("nauru-eta", "exact eta of nauru", None, True, _check_nauru_eta),
-    Check("gp-eta", "exact eta of gp(13,5) and gp(14,3)", None, True, _check_gp_eta),
+    Check(
+        "gp-eta", "exact eta of gp(13,5) and gp(14,3)", None, True,
+        partial(_check_gp_eta, (13, 5), (14, 3)),
+    ),
 )
 
 

@@ -135,6 +135,30 @@ def test_runner_reports_a_classifier_out_of_budget(monkeypatch):
     assert outcome.detail.startswith("BudgetExceeded: search budget exhausted")
 
 
+def test_checks_4_5_and_8_verify_every_certificate_they_build(monkeypatch):
+    from fractions import Fraction
+
+    from matchforge import reproduce
+    from matchforge.generators import named
+
+    real = reproduce.verify
+    seen = []
+
+    def spy(g, cert):
+        ok, msg = real(g, cert)
+        seen.append((g, cert, ok))
+        return ok, msg
+
+    monkeypatch.setattr(reproduce, "verify", spy)
+    for check in DEFAULT_CHECKS:
+        if check.check_id in ("4", "5", "8"):
+            check.func()
+    assert len(seen) == 14 and all(ok for _, _, ok in seen)
+    b2 = named("blanusa2").edges
+    caps = [c for g, c, _ in seen if g.edges == b2 and c.cap is not None]
+    assert [(c.cap, len(c.matching), c.bound) for c in caps] == [(4, 6, Fraction(2, 3))]
+
+
 SABOTAGE = """
 import sys
 from dataclasses import replace
