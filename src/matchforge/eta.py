@@ -116,7 +116,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import reduce
-from math import lcm
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -141,6 +140,7 @@ from .matching import (
     _perfect_matching,
     best_integer_matchings,
     has_perfect_matching,
+    integer_weights,
     is_matching,
     matching_weight,
     max_weight_matching,
@@ -783,11 +783,11 @@ def berge_witness(g: Graph, *, budget: Budget = Budget()) -> BoundCertificate:
     every reduced cost and the order of every ratio test, so Bland's
     rule takes the same pivots to the same vertex.  On unit rows more
     pivots have p == det, which lp._pivot does without rescaling the
-    other rows.  The cover is read straight off x: cover_count is the
-    LCM k of x's denominators, and a matching's multiplicity is its
-    x times k, so each edge is covered k times by 3k matchings.  The
-    least multiple of 3 that clears every entry of mu is 3k, so this
-    is the cover that clearing mu's denominators gives.
+    other rows.  integer_weights reads the cover off x: cover_count is
+    the LCM k of x's denominators, and a matching's multiplicity is
+    its x times k, so each edge is covered k times by 3k matchings.
+    The least multiple of 3 that clears every entry of mu is 3k, so
+    this is the cover that clearing mu's denominators gives.
 
     Raises BadParameters on a graph with a bridge, a vertex of degree
     other than 3, or an optimum below 1.
@@ -804,8 +804,7 @@ def berge_witness(g: Graph, *, budget: Budget = Budget()) -> BoundCertificate:
     sol = solve(program([-1] * len(pm_masks), rows))
     if sol.status != OPTIMAL or sol.value != -3:
         raise BadParameters("no uniform fractional cover; graph not as claimed")
-    cover = lcm(*(x.denominator for x in sol.assignment))
-    lam = [int(x * cover) for x in sol.assignment]
+    lam, cover = integer_weights(sol.assignment)
     families = tuple((_decode(p), l) for p, l in zip(pm_masks, lam) if l > 0)
     if sum(l for _, l in families) != 3 * cover:
         raise InternalError("uniform cover does not add up to 3 * cover_count")
@@ -953,18 +952,12 @@ def _frac(num, den) -> Fraction:
 
 
 def _fracs(ys) -> tuple[Fraction, ...]:
-    """A list of rationals.  Each distinct one is parsed once, as the
-    potentials of a dual repeat a few values."""
-    memo: dict = {}
+    """A list of rationals, each an object with keys num and den."""
     out = []
     for y in _list(ys):
         if type(y) is not dict or len(y) != 2:
             raise ParseError(f"bad rational {y!r}")
-        key = y["num"], y["den"]
-        x = memo.get(key)
-        if x is None:
-            x = memo[key] = _frac(*key)
-        out.append(x)
+        out.append(_frac(y["num"], y["den"]))
     return tuple(out)
 
 

@@ -201,32 +201,28 @@ def _maximal_masks(
     With leaders, ascending edge ids, only the maximal matchings whose
     lowest edge is a leader are listed, in the same order: the stream
     above filtered to them.  The search starts once per leader r, from
-    a root with r matched, and never offers an edge below r.  So it
-    lists exactly the maximal matchings that hold r and no lower edge:
-    an edge below r is never matched, and blocking still keeps every
-    two exposed vertices apart.  One descending sort of all the keys
-    gives stream order.  budget.maximal_count bounds the masks listed.
+    a root with r matched, on the one option table; the root's edge
+    bound, the key bits of the edges r..m-1, is what keeps every edge
+    below r out.  So it lists exactly the maximal matchings that hold r
+    and no lower edge: an edge below r is never matched, and blocking
+    still keeps every two exposed vertices apart.  One descending sort
+    of all the keys gives stream order.  budget.maximal_count bounds
+    the masks listed.
     """
     limit = budget.enumeration_count(g.n, perfect=False)
     m = g.m
     options = _options(g)
     nbrs = neighbor_masks(g)
     full = (1 << g.n) - 1
-    roots = [(options, full, 0)]
+    roots = [(full, 0, (1 << m) - 1)]  # (free vertices, key, the edges it offers as key bits)
     if leaders is not None:
         roots = []
         for r in leaders:
             u, v = g.edges[r]
             above = (1 << m) - (1 << r)  # the edges r..m-1, as key bits
-            roots.append(
-                (
-                    [[o for o in row if o[1] & above] for row in options],
-                    full ^ 1 << u ^ 1 << v,
-                    1 << (2 * m - 1 - r) | 1 << r,
-                )
-            )
+            roots.append((full ^ 1 << u ^ 1 << v, 1 << (2 * m - 1 - r) | 1 << r, above))
     found: list[int] = []
-    for opts, free, key in roots:
+    for free, key, above in roots:
         stack = [(free, 0, key)]
         pop, push = stack.pop, stack.append
         while stack:
@@ -242,8 +238,8 @@ def _maximal_masks(
             v = low.bit_length() - 1
             if not low & blocked:  # v may be left exposed
                 push((free, blocked | nbrs[v], key))
-            for ubit, bits in opts[v]:
-                if free & ubit:
+            for ubit, bits in options[v]:
+                if free & ubit and bits & above:
                     push((free ^ ubit, blocked, key | bits))
     return _sorted_masks(found, m)
 
@@ -282,9 +278,10 @@ def enumerate_maximal_matchings(
 def integer_weights(weights: Sequence[Fraction]) -> tuple[list[int], int]:
     """(ints, scale): Fraction weights times scale, the LCM of their
     denominators, so ints[e] / scale == weights[e].  The only place
-    where rationals become ints, for the engine and for lp.solve's rows
-    and objective; a positive scale keeps every comparison, so the
-    engine makes the same choices as it would over the rationals."""
+    where rationals become ints: the engine's weights, lp.solve's rows
+    and objective, and berge_witness's cover, whose cover_count is the
+    scale.  A positive scale keeps every comparison, so the engine
+    makes the same choices as it would over the rationals."""
     scale = math.lcm(*(w.denominator for w in weights))
     return [w.numerator * (scale // w.denominator) for w in weights], scale
 
@@ -421,9 +418,9 @@ def max_weight_perfect_matching(g: Graph, weights: Sequence) -> frozenset[int]:
 
 def _perfect_matching(g: Graph) -> frozenset[int] | None:
     """A perfect matching of g, or None: a maximum-cardinality matching."""
-    if g.n % 2 or any(g.degree(v) == 0 for v in range(g.n)):
+    if g.n % 2:
         return None
-    m = _edge_ids(g, _engine(g, [1] * g.m)[0]) if g.n else frozenset()
+    m = _edge_ids(g, _engine(g, [1] * g.m)[0])
     return m if len(m) * 2 == g.n else None
 
 

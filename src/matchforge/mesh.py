@@ -112,9 +112,7 @@ def parse_off(text: str) -> TriangleMesh:
     the counts line, which outranks every error of a row; each row's
     own errors, in row order; closure, checked by building the mesh's
     edge-face map (see the module docstring); then the first zero-area
-    face, found as the faces are read.  The common face line '3 a b c'
-    skips the general count and slice, with the same checks in the
-    same order.
+    face, found as the faces are read.
     """
     rows = list(filter(None, (raw.split("#", 1)[0].split() for raw in text.splitlines())))
     if not rows:
@@ -145,22 +143,16 @@ def parse_off(text: str) -> TriangleMesh:
         vertices.append((x, y, z))
     points = _unit_scaled(vertices)
     for i, parts in enumerate(rows[first + nv : first + nv + nf]):
-        if len(parts) == 4 and parts[0] == "3":  # the common line
-            try:
-                a, b, c = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise ParseError(f"face line {i}: bad index") from exc
-        else:
-            try:
-                count = int(parts[0])
-                ids = [int(x) for x in parts[1 : 1 + count]]
-            except ValueError as exc:
-                raise ParseError(f"face line {i}: bad index") from exc
-            if len(parts) < 1 + count:
-                raise ParseError(f"face line {i}: truncated")
-            if count != 3:
-                raise NotTriangular(f"face line {i}: {count} vertices")
-            a, b, c = ids
+        try:
+            count = int(parts[0])
+            ids = [int(x) for x in parts[1 : 1 + count]]
+        except ValueError as exc:
+            raise ParseError(f"face line {i}: bad index") from exc
+        if len(parts) < 1 + count:
+            raise ParseError(f"face line {i}: truncated")
+        if count != 3:
+            raise NotTriangular(f"face line {i}: {count} vertices")
+        a, b, c = ids
         if not (0 <= a < nv and 0 <= b < nv and 0 <= c < nv):
             raise ParseError(f"face line {i}: vertex index out of range")
         if a == b or b == c or a == c:

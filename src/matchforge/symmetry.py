@@ -116,13 +116,10 @@ def _refine(
         s = queue[head]
         head += 1
         queued[s] = False
-        if end[s] - s == 1:
-            count = dict.fromkeys(adj[lab[s]], 1)
-        else:
-            count = {}
-            for w in lab[s : end[s]]:
-                for u in adj[w]:
-                    count[u] = count.get(u, 0) + 1
+        count: dict[int, int] = {}
+        for w in lab[s : end[s]]:
+            for u in adj[w]:
+                count[u] = count.get(u, 0) + 1
         hit: dict[int, list[int]] = {}
         for u in count:
             c = start[u]

@@ -31,6 +31,34 @@ MUTANTS = [
         "InternalError",
         id="downward-edge-unreversed",
     ),
+    # a leader's root offers the edges below its leader, so the leader
+    # searches list matchings whose lowest edge is not theirs
+    pytest.param(
+        "matching.py",
+        "if free & ubit and bits & above:",
+        "if free & ubit:",
+        [str(TESTS / "test_matching.py"), "-k", "test_leader_stream"],
+        "test_leader_stream_is_the_stream_filtered_to_leader_masks",
+        id="root-edge-bound-dropped",
+    ),
+    # a new blossom's best edge is the last of equal slacks, not the first
+    pytest.param(
+        "blossom.py",
+        "best, key=lambda k:",
+        "reversed(best), key=lambda k:",
+        [str(TESTS / "test_blossom.py"), "-k", "test_dense_tie"],
+        "test_dense_tie_decisions_match_the_pinned_digest",
+        id="last-of-equal-slacks",
+    ),
+    # the walk to the base starts on the wrong side of the blossom
+    pytest.param(
+        "blossom.py",
+        "if i & 1:",
+        "if not i & 1:",
+        [str(TESTS / "test_acceptance.py"), "-k", "test_criterion"],
+        "IndexError",
+        id="wrong-start-parity",
+    ),
 ]
 
 
