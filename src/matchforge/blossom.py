@@ -126,6 +126,24 @@ matched one, a type-1 or type-2 step would win or tie, or no two
 exposed vertices are adjacent.  Every stage starts by clearing labels,
 best edges, the queue and the stage sets, and no blossom exists yet,
 so the loop goes on exactly as it would have after the same stages.
+
+Forest replay.  _forest_replay then keeps one alternating forest across
+stages, the exposed vertices and all they reach by tight edges, with a
+heap of S-to-free and S-to-S edges keyed by the step that makes each
+tight plus the steps so far.  While no tight edge joins two S vertices,
+the S and T sets are the same in any scan order: a vertex that a tight
+edge reaches from an S vertex is T, or the edge would join two S
+vertices.  A step strictly below
+every other candidate, type 1 included, makes its edge alone tight, so
+any order takes it; an S-S edge then joins two trees along the path a
+fresh stage takes if each T vertex on it has one tight S neighbour
+besides its mate.  An augmentation unlabels the two joined trees only,
+which the rest of the forest then relabels.  The replay hands back
+where the order or a blossom would decide: a tight S-S edge before the
+first step, one a step makes tight inside a tree, a tie, a type-1 step
+(the end, or the resume), or a T vertex with two such neighbours on the
+path.  The hand-back is one way: it puts back the stage's starting
+duals, and with no blossom a stage starts from mate and dualvar alone.
 """
 
 from __future__ import annotations
@@ -229,6 +247,165 @@ def _greedy_prefix(n, nbrs, maxweight, mate, dualvar) -> None:
             dualvar[v] = d
 
 
+def _forest_replay(n, nbrs, mate, dualvar) -> None:
+    """Replay the stages after the greedy prefix on one alternating
+    forest kept across augmentations (see Forest replay in the module
+    docstring), writing only mate and dualvar.  At the first stage it
+    cannot replay it puts back that stage's starting duals and returns,
+    so a stage costs a few heap steps and a relabelling of the two trees
+    it augmented, not a pass over the whole forest."""
+    label = [0] * n  # 1 = S, 2 = T
+    root = [-1] * n  # the exposed vertex atop each labelled vertex's tree
+    members: dict[int, list[int]] = {}  # exposed vertex -> its tree
+    # (step that makes the edge tight + total, lower end, upper end, 2w)
+    # per edge from S to unlabelled or S to S; an entry is live while it
+    # joins such ends and its key still holds
+    heap: list[tuple[int, int, int, int]] = []
+    total = 0  # the sum of the dual steps taken
+
+    def offer(a: int, b: int, w2: int) -> None:
+        slack = dualvar[a] + dualvar[b] - w2
+        if label[a] == label[b]:
+            if slack % 2:
+                raise InternalError("blossom: odd slack on an S-S edge")
+            slack //= 2
+        heappush(heap, (slack + total, min(a, b), max(a, b), w2))
+
+    def live(entry) -> bool:
+        key, a, b, w2 = entry
+        la, lb = label[a], label[b]
+        if la + lb != 1 and la * lb != 1:
+            return False
+        return dualvar[a] + dualvar[b] - w2 == (key - total) * (la + lb)
+
+    def attach(x: int, s: int) -> int:
+        """Label x T below S vertex s and its mate S; return the mate."""
+        y = mate[x]
+        if y == -1 or label[y]:
+            raise InternalError("blossom: a replayed T vertex has no free mate")
+        label[x], label[y] = 2, 1
+        root[x] = root[y] = r = root[s]
+        members[r] += (x, y)
+        return y
+
+    def grow(queue: list[int]) -> bool:
+        """Scan the new S vertices of queue and those they label; False
+        at a tight S-S edge, where the stage would augment or fold."""
+        pops = 0
+        while queue:
+            pops += 1
+            if pops > n:
+                raise InternalError("blossom: the replayed forest labels a vertex twice")
+            s = queue.pop()
+            for x, w2 in nbrs[s]:
+                lx = label[x]
+                if lx == 2:
+                    continue
+                if dualvar[s] + dualvar[x] - w2 > 0:
+                    offer(s, x, w2)
+                elif lx == 1:
+                    return False
+                else:
+                    queue.append(attach(x, s))
+        return True
+
+    def root_path(s: int):
+        """[s, t, s', t', ..., root]: the path from S vertex s up its tree,
+        or None if a T vertex on it has two tight S neighbours besides its
+        mate, so that its parent depends on the scan order."""
+        path = [s]
+        for _ in range(n):
+            t = mate[s]
+            if t == -1:
+                return path
+            ups = [
+                p for p, w2 in nbrs[t]
+                if p != s and label[p] == 1 and dualvar[p] + dualvar[t] <= w2
+            ]
+            if len(ups) != 1:
+                if not ups:
+                    raise InternalError("blossom: a replayed T vertex has no parent")
+                return None
+            s = ups[0]
+            path += (t, s)
+        raise InternalError("blossom: a replayed path does not reach its root")
+
+    def stage_paths():
+        """Take the stage's dual steps until its augmenting edge is tight;
+        return the root paths of that edge's two ends, or None where the
+        stage loop must run the stage."""
+        nonlocal total
+        for _ in range(n // 2 + 1):  # each step but the last labels a T
+            # the least live entry, and then the least live key that is
+            # not a copy of it
+            first = None
+            for _ in range(len(heap)):
+                if not live(heap[0]) or heap[0] == first:
+                    heappop(heap)
+                elif first is None:
+                    first = heappop(heap)
+                else:
+                    break
+            if first is None:
+                return None  # a type-1 step ends the stage
+            # type 1's step as a key: the exposed vertices share the
+            # least dual
+            one = max(0, dualvar[next(iter(members))]) + total
+            if first[0] >= (min(one, heap[0][0]) if heap else one):
+                return None  # a tie, or a type-1 step
+            delta = first[0] - total
+            total = first[0]
+            for tree in members.values():
+                for v in tree:
+                    dualvar[v] += delta if label[v] == 2 else -delta
+            _, a, b, _ = first
+            if label[a] != label[b]:  # S to unlabelled: grow that tree
+                s, x = (a, b) if label[a] == 1 else (b, a)
+                if not grow([attach(x, s)]):
+                    return None  # the stage folds a blossom
+                continue
+            path_a, path_b = root_path(a), root_path(b)
+            if path_a is None or path_b is None or path_a[-1] == path_b[-1]:
+                return None  # an ambiguous parent, or a blossom
+            return path_a, path_b
+        raise InternalError("blossom: a replayed stage does not end")
+
+    for r in range(n):
+        if mate[r] == -1:
+            label[r], root[r], members[r] = 1, r, [r]
+    if not grow(list(members)):
+        return
+    for _ in range(n // 2 + 1):  # each replayed stage augments
+        start = dualvar[:]
+        paths = stage_paths()
+        if paths is None:
+            dualvar[:] = start
+            return
+        path_a, path_b = paths
+        mate[path_a[0]], mate[path_b[0]] = path_b[0], path_a[0]
+        for path in paths:
+            for t, s in zip(path[1::2], path[2::2]):
+                mate[t], mate[s] = s, t
+        # the next stage's first wave: relabel the two augmented trees
+        # from the rest of the forest
+        freed = members.pop(path_a[-1]) + members.pop(path_b[-1])
+        for v in freed:
+            label[v] = 0
+        queue = []
+        for x in freed:
+            if label[x]:
+                continue
+            for s, w2 in nbrs[x]:
+                if label[s] == 1:
+                    if dualvar[s] + dualvar[x] - w2 <= 0:
+                        queue.append(attach(x, s))
+                        break
+                    offer(s, x, w2)
+        if not grow(queue):
+            return
+    raise InternalError("blossom: the replay outlasts its augmentations")
+
+
 def _nested(walk, *args) -> None:
     """Run the generator walk(*args), and depth first walk(*sub) for
     each sub it yields, on an explicit stack (see Nesting above)."""
@@ -301,7 +478,7 @@ def max_weight_matching_pairs(
     # each vertex whose mate this stage wrote, and the mate it had: if
     # mate was symmetric before, only these can break it, so the end of
     # a stage checks them alone; the first stage checks every vertex,
-    # the greedy prefix's pairs included
+    # the pairs of the greedy prefix and of the forest replay included
     wrote = list(range(n))
 
     def leaves(b: int) -> list[int]:
@@ -373,9 +550,12 @@ def max_weight_matching_pairs(
 
     def cycle_half(bx: int, bb: int, b: int, message: str) -> tuple[list, list]:
         """The sub-blossoms from bx along label edges to bb, bb left out,
-        made children of b, and the label edge of each."""
+        made children of b, and the label edge of each; a walk that meets
+        one twice, as a corrupt label edge can make it, raises."""
         subs, edgs = [], []
         while bx != bb:
+            if blossomparent[bx] == b:
+                raise InternalError("blossom: a cycle path meets itself")
             blossomparent[bx] = b
             subs.append(bx)
             edgs.append(labeledge[bx])
@@ -531,9 +711,12 @@ def max_weight_matching_pairs(
             raise InternalError("blossom: augmenting did not rebase the blossom")
 
     def augment_matching(v: int, w: int) -> None:
-        """Flip matching parity along the augmenting path through (v, w)."""
+        """Flip matching parity along the augmenting path through (v, w).
+        Each side climbs from its end of (v, w) to its root through at
+        most n S-blossoms, one per step, as a path holds each vertex
+        once; a side that takes more steps raises InternalError."""
         for (s, j) in ((v, w), (w, v)):
-            while 1:
+            for _ in range(n):
                 bs = inblossom[s]
                 if label[bs] != 1:
                     raise InternalError("blossom: an augmenting path leaves S")
@@ -551,6 +734,8 @@ def max_weight_matching_pairs(
                     _nested(augment_blossom, bt, j)
                 wrote.extend((j, mate[j]))
                 mate[j] = s
+            else:
+                raise InternalError("blossom: an augmenting path does not reach its root")
 
     def step(delta: int, ys: list[int], zs: dict[int, int]) -> tuple[list[int], dict[int, int]]:
         """Apply a dual step of delta to vertex duals ys and blossom duals
@@ -584,6 +769,7 @@ def max_weight_matching_pairs(
         return pairs, ys, odd_sets
 
     _greedy_prefix(n, nbrs, maxweight, mate, dualvar)
+    _forest_replay(n, nbrs, mate, dualvar)
     # the exposed vertices in id order; an augmentation matches two of
     # them, and a matched vertex stays matched
     exposed = [v for v in range(n) if mate[v] == -1]

@@ -1,6 +1,7 @@
 """The integer blossom engine: scale invariance and its dual check."""
 
 import hashlib
+import os
 import random
 from fractions import Fraction
 
@@ -10,7 +11,14 @@ from matchforge import errors
 from matchforge import blossom
 from matchforge.blossom import dual_objective, max_weight_matching_pairs
 from matchforge.matching import random_weights
-from matchforge.mesh import dual_graph, icosahedron, quadrangulate
+from matchforge.mesh import (
+    QUALITY_DENOMINATOR,
+    _quad_cycles,
+    _quality_numerators,
+    dual_graph,
+    icosahedron,
+    quadrangulate,
+)
 
 
 def _adjacency(n, weights):
@@ -495,3 +503,192 @@ def test_greedy_prefix_changes_no_result(monkeypatch):
             reason = _hand_over_reason(n, weights, adj)
             reasons[reason] = reasons.get(reason, 0) + 1
     assert set(reasons) == {"T label", "type 1", "type 2", "no exposed pair"}, reasons
+
+
+def _engine_state_after_replay(n, weights, adj):
+    """mate and dualvar as the greedy prefix and then the forest replay
+    leave them, and their nbrs."""
+    mate, dualvar, nbrs = _engine_state_after_prefix(n, weights, adj)
+    blossom._forest_replay(n, nbrs, mate, dualvar)
+    return mate, dualvar, nbrs
+
+
+def _replay_hand_back_reason(n, weights, adj):
+    """Why the forest replay stopped, read off the state it left by a
+    scan-order-free walk through the stage the loop then runs: a tight
+    S-S edge in its first wave or in a tree a step grew, a tie or a
+    type-1 step, or an augmenting path with a T vertex that has two
+    tight S neighbours besides its mate.  None if the stage augments
+    with none of these, so the replay should have run it."""
+    mate, y, nbrs = _engine_state_after_replay(n, weights, adj)
+    label = {v: 1 for v in range(n) if mate[v] == -1}  # 1 = S, 2 = T
+
+    def tight_s_s_edge(wave):
+        # label the closure of wave's S vertices under tight edges
+        while wave:
+            s = wave.pop()
+            for x, w2 in nbrs[s]:
+                if y[s] + y[x] <= w2 and label.get(x) != 2:
+                    if label.get(x) == 1:
+                        return True
+                    label[x], label[mate[x]] = 2, 1
+                    wave.append(mate[x])
+        return False
+
+    if tight_s_s_edge(list(label)):
+        return "first wave"
+    while True:
+        offers = [(max(0, min(y)), None)]  # the type-1 step
+        for s in [v for v, lbl in label.items() if lbl == 1]:
+            for x, w2 in nbrs[s]:
+                if label.get(x, 0) == 0 or (label[x] == 1 and s < x):
+                    slack = y[s] + y[x] - w2
+                    offers.append((slack // (1 + label.get(x, 0)), (s, x)))
+        offers.sort(key=lambda offer: offer[0])
+        if len(offers) > 1 and offers[0][0] == offers[1][0]:
+            return "tie"
+        delta, edge = offers[0]
+        if edge is None:
+            return "type 1"
+        for v, lbl in label.items():
+            y[v] += delta if lbl == 2 else -delta
+        s, x = edge
+        if x not in label:
+            label[x], label[mate[x]] = 2, 1
+            if tight_s_s_edge([mate[x]]):
+                return "blossom"
+            continue
+        roots = []
+        for v in edge:
+            while mate[v] != -1:
+                t = mate[v]
+                ups = [p for p, w2 in nbrs[t] if p != v and label.get(p) == 1 and y[p] + y[t] == w2]
+                if len(ups) > 1:
+                    return "ambiguous parent"
+                v = ups[0]
+            roots.append(v)
+        return "blossom" if roots[0] == roots[1] else None
+
+
+def _results_with_and_without_replay(monkeypatch, calls):
+    """Engine results for each (n, weights, adj, shift) call, with the
+    forest replay and with it replaced by a no-op."""
+    run = lambda: [max_weight_matching_pairs(*call) for call in calls]
+    replayed = run()
+    with monkeypatch.context() as m:
+        m.setattr(blossom, "_forest_replay", lambda *args: None)
+        plain = run()
+    return replayed, plain
+
+
+# one hand-built graph per way the forest replay hands back: n, edge
+# weights, and the stages it replays first
+REPLAY_HAND_BACKS = {
+    # 3-0 is matched first; then 1-0 is tight, so 0 is T and 1-2 joins
+    # two S vertices before any dual step
+    "first wave": (4, {(0, 1): 1, (0, 3): 1, (1, 2): 1}, 0),
+    # 3-1 is matched first; the replay labels 1 T from 2, and a type-3
+    # step on 0-3 matches 0-3 and 1-2; with no vertex left exposed the
+    # next stage takes a type-1 step
+    "type 1": (4, {(0, 3): 1, (1, 2): 2, (1, 3): 2}, 1),
+    # 3-0 is matched first; the replay labels 0 T from 2 after a type-2
+    # step and matches 1-5 after a type-3 step; then the type-3 step of
+    # 3-4 ties type 1, and matching 3-4 and 0-2 would gain nothing
+    "tie": (6, {(0, 2): 7, (0, 3): 9, (1, 5): 2, (3, 4): 2}, 1),
+    # 4-0 is matched first; the replay labels 4 T from 1 and matches 2-3
+    # after a type-3 step; then the type-3 step on 0-1 closes the cycle
+    # 1-4-0 inside the tree of 1
+    "blossom": (5, {(0, 1): 1, (0, 4): 3, (1, 4): 3, (2, 3): 2}, 1),
+    # 3-0 is matched first; the replay labels 0 T from 1 or 2 and
+    # matches 5-6 after a type-3 step; then the type-3 step on 3-4
+    # reaches 0, whose parent, and so the augmenting path, the scan
+    # order picks
+    "ambiguous parent": (7, {(0, 1): 3, (0, 2): 3, (0, 3): 3, (3, 4): 1, (5, 6): 2}, 1),
+}
+
+
+@pytest.mark.parametrize("reason", list(REPLAY_HAND_BACKS))
+def test_forest_replay_hands_back_like_the_stage_loop(monkeypatch, reason):
+    n, weights, stages = REPLAY_HAND_BACKS[reason]
+    adj = _adjacency(n, weights)
+    assert _replay_hand_back_reason(n, weights, adj) == reason
+    before, _, _ = _engine_state_after_prefix(n, weights, adj)
+    after, _, _ = _engine_state_after_replay(n, weights, adj)
+    assert any(u != -1 for u in before)  # the prefix matched something
+    assert before.count(-1) - after.count(-1) == 2 * stages
+    calls = [(n, weights, adj, None), (n, weights, adj, 1 + sum(weights.values()))]
+    replayed, plain = _results_with_and_without_replay(monkeypatch, calls)
+    assert replayed == plain
+
+
+def _replay_calls(count):
+    """count seeded engine calls: n 2..40, weight tops 1, 2, 10 and
+    10**6, heavy odd cycles planted on a third of the graphs and heavy
+    claws (a hub with three edges of one weight, where a T hub can have
+    two tight S neighbours) on another third, every neighbour list
+    shuffled, and half of the calls shifted."""
+    rng = random.Random(20261026)
+    tops = (1, 2, 10, 10**6)  # all-ones, 0..2, 0..10, 0..10**6
+    for i in range(count):
+        n = rng.randint(2, 40)
+        p = rng.uniform(0.03, 0.3)
+        top = tops[i % 4]
+        low = 1 if top == 1 else 0
+        weights = {
+            (u, v): rng.randint(low, top)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < p
+        }
+        order = rng.sample(range(n), n)
+        plant = i // 4 % 3  # 0: nothing, 1: odd cycles, 2: claws
+        start = 0
+        while plant == 1 and start + 3 <= n:
+            cycle = order[start : start + rng.choice((3, 5, 7))]
+            cycle = cycle[: len(cycle) - 1 + len(cycle) % 2]  # odd length
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                weights[min(a, b), max(a, b)] = rng.randint(top - top // 20, top)
+            start += len(cycle)
+        while plant == 2 and start + 4 <= n:
+            hub, *leaves = order[start : start + 4]
+            heavy = rng.randint(top - top // 20, top)
+            for leaf in leaves:
+                weights[min(hub, leaf), max(hub, leaf)] = heavy
+            start += 4
+        adj = _adjacency(n, weights)
+        for row in adj:
+            rng.shuffle(row)
+        shift = None if i % 2 else 1 + sum(weights.values()) if i % 3 else rng.randint(1, 3)
+        yield n, weights, adj, shift
+
+
+def _mesh_engine_calls(draws):
+    """The shifted engine call quadrangulate makes on each mesh."""
+    from test_mesh import _icosphere, _torus
+
+    for draw in draws:
+        mesh = _torus(24, 12, 0.03, 7) if draw == "torus" else _icosphere(*draw)
+        dual = dual_graph(mesh)
+        ints = _quality_numerators(mesh, _quad_cycles(mesh, dual))
+        g = dual.graph
+        weights = dict(zip(g.edges, ints))
+        adj = [[u for u, _ in row] for row in g.adj]
+        yield g.n, weights, adj, QUALITY_DENOMINATOR + sum(ints)
+
+
+def test_forest_replay_changes_no_result(monkeypatch):
+    # the no-op replay is the engine that runs every stage after the
+    # greedy prefix in the loop; the meshes are those of
+    # MESH_DUALS_SHA256, plus the 5,120-face draw with MATCHFORGE_FULL=1
+    full = os.environ.get("MATCHFORGE_FULL") == "1"
+    calls = list(_replay_calls(20_000 if full else 3_200))
+    draws = [(1, 0.02, 1), (1, 0.1, 5), (2, 0.01, 2), (3, 0.005, 3), "torus"]
+    calls += _mesh_engine_calls(draws + [(4, 0.005, 3)] * full)
+    replayed, plain = _results_with_and_without_replay(monkeypatch, calls)
+    assert replayed == plain
+    reasons = {}
+    for n, weights, adj, _ in calls:
+        if weights:
+            reason = _replay_hand_back_reason(n, weights, adj)
+            reasons[reason] = reasons.get(reason, 0) + 1
+    assert set(reasons) == set(REPLAY_HAND_BACKS), reasons

@@ -59,6 +59,57 @@ MUTANTS = [
         "IndexError",
         id="wrong-start-parity",
     ),
+    # the forest replay takes a step that ties another candidate, or
+    # type 1, as if it were the unique least
+    pytest.param(
+        "blossom.py",
+        "if first[0] >= (min(one",
+        "if first[0] > (min(one",
+        [str(TESTS / "test_blossom.py"), "-k", "test_forest_replay"],
+        "test_forest_replay_hands_back_like_the_stage_loop",
+        id="equal-keys-as-unique-minimum",
+    ),
+    # the forest replay walks a T vertex up through its first tight S
+    # neighbour, though the scan order picks its parent among several
+    pytest.param(
+        "blossom.py",
+        "if len(ups) != 1:",
+        "if not ups:",
+        [str(TESTS / "test_blossom.py"), "-k", "test_forest_replay"],
+        "test_forest_replay_hands_back_like_the_stage_loop",
+        id="one-tight-parent-check-dropped",
+    ),
+    # the forest replay hands back with the duals of its last step, not
+    # those the stage started from
+    pytest.param(
+        "blossom.py",
+        "dualvar[:] = start",
+        "del start",
+        [str(TESTS / "test_blossom.py"), "-k", "test_forest_replay"],
+        "test_forest_replay_hands_back_like_the_stage_loop",
+        id="hand-back-keeps-the-step-duals",
+    ),
+    # a T label edge leaves from the T vertex's own mate, so the cycle
+    # walk of the next blossom returns to where it started: an
+    # InternalError, not a walk that grows its lists until memory ends
+    pytest.param(
+        "blossom.py",
+        "if lbw == 0:\n                            assign_label(w, 2, v)",
+        "if lbw == 0:\n                            assign_label(w, 2, mate[w])",
+        [str(TESTS / "test_blossom.py"), "-k", "test_final_duals"],
+        "a cycle path meets itself",
+        id="t-label-from-its-mate",
+    ),
+    # the forest replay's walk up a tree stays where it is: its bound of
+    # n steps raises
+    pytest.param(
+        "blossom.py",
+        "s = ups[0]",
+        "s = mate[t]",
+        [str(TESTS / "test_blossom.py"), "-k", "test_forest_replay"],
+        "a replayed path does not reach its root",
+        id="replayed-walk-stands-still",
+    ),
 ]
 
 
