@@ -99,56 +99,52 @@ edge with an S end by -delta (to a free end), 0 (to a T end) or
 different top-level blossoms always has slack <= 0, and the slack
 alone decides.
 
-Greedy prefix.  While no blossom has formed and every matched vertex
-is unlabelled, a stage labels each exposed vertex S and nothing else;
-the exposed vertices share one dual D and the matched ones keep the
-dual they had when matched, which is at least D.  If no exposed vertex
-has a tight edge to a matched one, no T label can appear, and the stage
-is one of two kinds, which _greedy_prefix replays from a sorted edge
-list instead of rescanning every vertex.  The queue pops the largest
-exposed vertex first and a scan takes its first tight neighbour in nbrs
-order, so when some exposed-exposed edge is tight (2w = 2D, the largest
-weight left between exposed vertices) the stage matches the largest
-exposed vertex with a tight exposed edge to the first such neighbour.
-Otherwise every exposed vertex is scanned and the dual step follows.
-Type 1 offers D; type 2 offers the least slack D + y_u - 2w of an
-exposed-to-matched edge; type 3 offers half the least exposed-exposed
-slack, D - w for the heaviest such edge.  Type 3 is taken only when it
-is strictly below both.  Its edge is the best edge of the smallest
-vertex on a heaviest edge, which is that edge's lower end, and a best
-edge is the first strict minimum in nbrs order, so the edge is the
-first under the key (-2w, lower end, position of the upper end in
-nbrs[lower]).  After the step D = w and the edge is tight, no edge to
-a matched vertex is, and no tight edge comes before it in its lower
-end's nbrs, so the rescan of that end matches it.  The replay hands over
-to the stage loop as soon as an exposed vertex has a tight edge to a
-matched one, a type-1 or type-2 step would win or tie, or no two
-exposed vertices are adjacent.  Every stage starts by clearing labels,
-best edges, the queue and the stage sets, and no blossom exists yet,
-so the loop goes on exactly as it would have after the same stages.
+Forest replay.  Before the stage loop, _forest_replay replays its
+leading stages from the empty matching on one alternating forest kept
+across stages: the exposed vertices and all they reach by tight edges,
+labelled S and T, with a heap of S-to-free and S-to-S edges keyed by
+the value of total, the sum of the dual steps so far, at which each
+turns tight.  Three arguments let it skip the loop's rescans.
 
-Forest replay.  _forest_replay then keeps one alternating forest across
-stages, the exposed vertices and all they reach by tight edges, with a
-heap of S-to-free and S-to-S edges keyed by the step that makes each
-tight plus the steps so far.  While no tight edge joins two S vertices,
-the S and T sets are the same in any scan order: a vertex that a tight
-edge reaches from an S vertex is T, or the edge would join two S
-vertices.  A step strictly below
-every other candidate, type 1 included, makes its edge alone tight, so
-any order takes it; an S-S edge then joins two trees along the path a
-fresh stage takes if each T vertex on it has one tight S neighbour
-besides its mate.  An augmentation unlabels the two joined trees only,
-which the rest of the forest then relabels.  The replay hands back
-where the order or a blossom would decide: a tight S-S edge before the
-first step, one a step makes tight inside a tree, a tie, a type-1 step
-(the end, or the resume), or a T vertex with two such neighbours on the
-path.  The hand-back is one way: it puts back the stage's starting
-duals, and with no blossom a stage starts from mate and dualvar alone.
+Lazy duals.  A labelled vertex stores its dual plus total (S) or minus
+total (T), so a dual step is one assignment to total, an S-T edge is
+tight when the stored values of its ends add up to 2w, and a key holds
+while the edge's ends keep their labels.  Every exposed vertex has
+been S at every step, so its dual is top - total, the least, and the
+key of a type-1 step is top.  A stage that hands back puts back the
+duals it started from: those of the vertices it labelled from a log,
+the others from the total at its start.
+
+The start.  Under the empty matching every vertex is its own S tree
+and edge uv an S-S entry keyed top - w_uv, so a tight edge is a zero
+step.
+
+Order-free stages.  While no tight edge joins two S vertices, a vertex
+that a tight edge reaches from an S vertex is T, so the S and T sets
+are the same in any scan order, and a step strictly below every other
+candidate, type 1 included, makes its edge alone tight, so any order
+takes it.  A T vertex has one tight S neighbour besides its mate, its
+parent.  An S-T edge keeps its slack under every step, and an older S
+vertex tight to a new T vertex would have tied with the step that grew
+the tree.  The vertices an augmentation frees are tight only to each
+other, along the two trees and their joining edge (an edge to the rest
+of the forest would have tied with that edge), so a tree that grows
+among free vertices meets each once.  Hence a unique S-S edge between
+two trees is the only augmenting path of tight edges, and every scan
+order augments along it.  Tied keys replay only when all are S-S
+edges, no tree holds a T vertex and no two share a vertex.  Each then
+joins two exposed vertices, and matching one leaves the others tight
+and makes no edge tight (an edge at its ends is keyed above the tie),
+so the loop matches them one per stage, in any order, with no further
+step, and the replay matches them all at once.  Any other tie, a
+type-1 step (the end, or the resume) and an S-S edge inside one tree
+(a blossom) hand back to the loop for good; with no blossom formed, a
+stage starts from mate and dualvar alone.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .errors import InternalError
 
@@ -185,112 +181,52 @@ def dual_objective(weights, potentials, odd_sets):
     return total
 
 
-def _greedy_prefix(n, nbrs, maxweight, mate, dualvar) -> None:
-    """Replay the engine's leading stages that match one edge between
-    two exposed vertices (see Greedy prefix in the module docstring),
-    writing only mate and dualvar.  A replayed stage costs a few heap
-    steps and a scan of the matched pair's neighbours, not a pass over
-    every vertex."""
-    # every edge once, in the order a type-3 step prefers it
-    edges = sorted(
-        (-w2, v, i, u) for v in range(n) for i, (u, w2) in enumerate(nbrs[v]) if u > v
-    )
-    head = 0
-    # (y_u - 2w_xu, x) per edge from an exposed x to a matched u: its
-    # slack is d plus the key, and entries whose x got matched are stale
-    heap: list[tuple[int, int]] = []
-    d = maxweight
-    tight = None  # the doubled weight that cands was built for
-    cands: list[int] = []  # upper ends of the edges of weight tight
-    while True:
-        while head < len(edges) and (
-            mate[edges[head][1]] != -1 or mate[edges[head][3]] != -1
-        ):
-            head += 1
-        if head == len(edges):
-            break
-        while heap and mate[heap[0][1]] != -1:
-            heappop(heap)
-        step2 = d + heap[0][0] if heap else None
-        if step2 is not None and step2 <= 0:
-            break  # the next stage sets a T label
-        w2 = -edges[head][0]
-        if w2 > 2 * d:
-            raise InternalError("blossom: an exposed edge above the greedy dual")
-        if w2 == 2 * d:
-            if tight != w2:
-                tight, k, cands = w2, head, []
-                while k < len(edges) and edges[k][0] == -w2:
-                    cands.append(edges[k][3])
-                    k += 1
-                cands.sort()
-            while True:
-                v = cands.pop()
-                if mate[v] == -1:
-                    u = next((u for u, x2 in nbrs[v] if x2 == w2 and mate[u] == -1), -1)
-                    if u != -1:
-                        break
-        else:
-            delta = d - w2 // 2
-            if delta >= d or (step2 is not None and delta >= step2):
-                break  # a type-1 or type-2 step comes first
-            d -= delta
-            _, v, _, u = edges[head]
-        mate[v], mate[u] = u, v
-        dualvar[v] = dualvar[u] = d
-        for s in (v, u):
-            for x, x2 in nbrs[s]:
-                if mate[x] == -1:
-                    heappush(heap, (d - x2, x))
-    for v in range(n):
-        if mate[v] == -1:
-            dualvar[v] = d
-
-
-def _forest_replay(n, nbrs, mate, dualvar) -> None:
-    """Replay the stages after the greedy prefix on one alternating
-    forest kept across augmentations (see Forest replay in the module
-    docstring), writing only mate and dualvar.  At the first stage it
-    cannot replay it puts back that stage's starting duals and returns,
-    so a stage costs a few heap steps and a relabelling of the two trees
-    it augmented, not a pass over the whole forest."""
-    label = [0] * n  # 1 = S, 2 = T
-    root = [-1] * n  # the exposed vertex atop each labelled vertex's tree
-    members: dict[int, list[int]] = {}  # exposed vertex -> its tree
-    # (step that makes the edge tight + total, lower end, upper end, 2w)
-    # per edge from S to unlabelled or S to S; an entry is live while it
-    # joins such ends and its key still holds
-    heap: list[tuple[int, int, int, int]] = []
-    total = 0  # the sum of the dual steps taken
+def _forest_replay(n, nbrs, top, mate, dualvar) -> None:
+    """Replay the engine's leading stages from the empty matching on one
+    alternating forest kept across augmentations (see Forest replay in
+    the module docstring), writing only mate and dualvar.  At the first
+    stage it cannot replay it puts back that stage's starting duals and
+    returns, so a stage costs a few heap steps and a pass over the
+    neighbours of the trees it augmented, not a pass over every vertex."""
+    label = [1] * n  # 1 = S, 2 = T; every vertex starts as an exposed root
+    root = list(range(n))  # the exposed vertex atop each labelled vertex's tree
+    parent = [-1] * n  # the S vertex each T vertex hangs from
+    members = {r: [r] for r in range(n)}  # exposed vertex -> its tree
+    # a labelled vertex stores its dual plus total (S) or minus total (T),
+    # so a dual step adds to total, the sum of the steps taken, alone
+    total = 0
+    tees = 0  # the T vertices of the forest
+    # (total at which the edge turns tight, lower end, upper end, 2w) per
+    # edge from S to unlabelled or S to S; an entry is live while it joins
+    # such ends and its key still holds, and least() drops the others
+    heap = [(top - w2 // 2, v, u, w2) for v in range(n) for u, w2 in nbrs[v] if v < u]
+    heapify(heap)
+    log: list[tuple[int, int]] = []  # (vertex, dual) per vertex the stage labels
 
     def offer(a: int, b: int, w2: int) -> None:
-        slack = dualvar[a] + dualvar[b] - w2
-        if label[a] == label[b]:
-            if slack % 2:
-                raise InternalError("blossom: odd slack on an S-S edge")
-            slack //= 2
-        heappush(heap, (slack + total, min(a, b), max(a, b), w2))
-
-    def live(entry) -> bool:
-        key, a, b, w2 = entry
-        la, lb = label[a], label[b]
-        if la + lb != 1 and la * lb != 1:
-            return False
-        return dualvar[a] + dualvar[b] - w2 == (key - total) * (la + lb)
+        key, rest = divmod(dualvar[a] + dualvar[b] - w2, label[a] + label[b])
+        if rest:
+            raise InternalError("blossom: odd slack on an S-S edge")
+        heappush(heap, (key, a, b, w2) if a < b else (key, b, a, w2))
 
     def attach(x: int, s: int) -> int:
         """Label x T below S vertex s and its mate S; return the mate."""
+        nonlocal tees
         y = mate[x]
         if y == -1 or label[y]:
             raise InternalError("blossom: a replayed T vertex has no free mate")
+        log.extend(((x, dualvar[x]), (y, dualvar[y])))
         label[x], label[y] = 2, 1
+        dualvar[x] -= total
+        dualvar[y] += total
+        parent[x] = s
         root[x] = root[y] = r = root[s]
         members[r] += (x, y)
+        tees += 1
         return y
 
-    def grow(queue: list[int]) -> bool:
-        """Scan the new S vertices of queue and those they label; False
-        at a tight S-S edge, where the stage would augment or fold."""
+    def grow(queue: list[int]) -> None:
+        """Scan the new S vertices of queue and those they label."""
         pops = 0
         while queue:
             pops += 1
@@ -299,110 +235,94 @@ def _forest_replay(n, nbrs, mate, dualvar) -> None:
             s = queue.pop()
             for x, w2 in nbrs[s]:
                 lx = label[x]
-                if lx == 2:
-                    continue
-                if dualvar[s] + dualvar[x] - w2 > 0:
-                    offer(s, x, w2)
-                elif lx == 1:
-                    return False
-                else:
+                if lx == 0 and dualvar[s] + dualvar[x] - w2 <= total:
                     queue.append(attach(x, s))
-        return True
+                elif lx != 2:
+                    offer(s, x, w2)
 
-    def root_path(s: int):
-        """[s, t, s', t', ..., root]: the path from S vertex s up its tree,
-        or None if a T vertex on it has two tight S neighbours besides its
-        mate, so that its parent depends on the scan order."""
-        path = [s]
+    def flip(s: int, x: int) -> None:
+        """Match S vertex s to x and flip the path from s up its tree."""
         for _ in range(n):
             t = mate[s]
+            mate[s] = x
             if t == -1:
-                return path
-            ups = [
-                p for p, w2 in nbrs[t]
-                if p != s and label[p] == 1 and dualvar[p] + dualvar[t] <= w2
-            ]
-            if len(ups) != 1:
-                if not ups:
-                    raise InternalError("blossom: a replayed T vertex has no parent")
-                return None
-            s = ups[0]
-            path += (t, s)
+                return
+            s, x = parent[t], t
+            mate[t] = s
         raise InternalError("blossom: a replayed path does not reach its root")
 
-    def stage_paths():
-        """Take the stage's dual steps until its augmenting edge is tight;
-        return the root paths of that edge's two ends, or None where the
-        stage loop must run the stage."""
+    def least():
+        """The live entries of least key, copies dropped, or None at a tie
+        that the scan order would decide: ties replay only as disjoint
+        S-S edges in a forest without T vertices."""
+        tied: list[tuple[int, int, int, int]] = []
+        ends: set[int] = set()
+        both_s = True
+        while heap:
+            if tied and heap[0][0] > tied[0][0]:
+                break
+            key, a, b, w2 = entry = heappop(heap)
+            la, lb = label[a], label[b]
+            if la + lb != 1 and la * lb != 1 or tied and entry == tied[-1]:
+                continue
+            if dualvar[a] + dualvar[b] - w2 != key * (la + lb):
+                continue  # an end changed label since the entry was made
+            tied.append(entry)
+            ends.update((a, b))
+            both_s = both_s and la == lb
+            if len(tied) > 1 and (tees or not both_s or len(ends) < 2 * len(tied)):
+                return None
+        return tied
+
+    def stage_edges():
+        """Take the stage's dual steps until its augmenting edges are
+        tight and return them, or None where the stage loop must run
+        the stage."""
         nonlocal total
         for _ in range(n // 2 + 1):  # each step but the last labels a T
-            # the least live entry, and then the least live key that is
-            # not a copy of it
-            first = None
-            for _ in range(len(heap)):
-                if not live(heap[0]) or heap[0] == first:
-                    heappop(heap)
-                elif first is None:
-                    first = heappop(heap)
-                else:
-                    break
-            if first is None:
-                return None  # a type-1 step ends the stage
-            # type 1's step as a key: the exposed vertices share the
-            # least dual
-            one = max(0, dualvar[next(iter(members))]) + total
-            if first[0] >= (min(one, heap[0][0]) if heap else one):
-                return None  # a tie, or a type-1 step
-            delta = first[0] - total
-            total = first[0]
-            for tree in members.values():
-                for v in tree:
-                    dualvar[v] += delta if label[v] == 2 else -delta
-            _, a, b, _ = first
+            tied = least()
+            if not tied or tied[0][0] >= top:
+                return None  # a tie, or a type-1 step (its key is top)
+            total, a, b, _ = tied[0]
             if label[a] != label[b]:  # S to unlabelled: grow that tree
                 s, x = (a, b) if label[a] == 1 else (b, a)
-                if not grow([attach(x, s)]):
-                    return None  # the stage folds a blossom
+                grow([attach(x, s)])
                 continue
-            path_a, path_b = root_path(a), root_path(b)
-            if path_a is None or path_b is None or path_a[-1] == path_b[-1]:
-                return None  # an ambiguous parent, or a blossom
-            return path_a, path_b
+            if root[a] == root[b]:
+                return None  # the stage folds a blossom
+            return tied
         raise InternalError("blossom: a replayed stage does not end")
 
-    for r in range(n):
-        if mate[r] == -1:
-            label[r], root[r], members[r] = 1, r, [r]
-    if not grow(list(members)):
-        return
     for _ in range(n // 2 + 1):  # each replayed stage augments
-        start = dualvar[:]
-        paths = stage_paths()
-        if paths is None:
-            dualvar[:] = start
+        start = total
+        log.clear()
+        edges = stage_edges()
+        if edges is None:
+            # put back the duals the stage started from
+            for v, y in log:
+                label[v], dualvar[v] = 0, y
+            for v in range(n):
+                if label[v]:
+                    dualvar[v] -= start if label[v] == 1 else -start
             return
-        path_a, path_b = paths
-        mate[path_a[0]], mate[path_b[0]] = path_b[0], path_a[0]
-        for path in paths:
-            for t, s in zip(path[1::2], path[2::2]):
-                mate[t], mate[s] = s, t
-        # the next stage's first wave: relabel the two augmented trees
-        # from the rest of the forest
-        freed = members.pop(path_a[-1]) + members.pop(path_b[-1])
+        freed = []
+        for _, a, b, _ in edges:
+            flip(a, b)
+            flip(b, a)
+            freed += members.pop(root[a]) + members.pop(root[b])
         for v in freed:
+            if label[v] == 2:
+                tees -= 1
+                dualvar[v] += total
+            else:
+                dualvar[v] -= total
             label[v] = 0
-        queue = []
+        # the freed vertices are free, and none is tight to an S vertex
+        # (see Forest replay)
         for x in freed:
-            if label[x]:
-                continue
             for s, w2 in nbrs[x]:
                 if label[s] == 1:
-                    if dualvar[s] + dualvar[x] - w2 <= 0:
-                        queue.append(attach(x, s))
-                        break
                     offer(s, x, w2)
-        if not grow(queue):
-            return
     raise InternalError("blossom: the replay outlasts its augmentations")
 
 
@@ -478,7 +398,7 @@ def max_weight_matching_pairs(
     # each vertex whose mate this stage wrote, and the mate it had: if
     # mate was symmetric before, only these can break it, so the end of
     # a stage checks them alone; the first stage checks every vertex,
-    # the pairs of the greedy prefix and of the forest replay included
+    # the pairs of the forest replay included
     wrote = list(range(n))
 
     def leaves(b: int) -> list[int]:
@@ -768,8 +688,7 @@ def max_weight_matching_pairs(
             raise InternalError("blossom: the final duals do not prove optimality")
         return pairs, ys, odd_sets
 
-    _greedy_prefix(n, nbrs, maxweight, mate, dualvar)
-    _forest_replay(n, nbrs, mate, dualvar)
+    _forest_replay(n, nbrs, maxweight, mate, dualvar)
     # the exposed vertices in id order; an augmentation matches two of
     # them, and a matched vertex stays matched
     exposed = [v for v in range(n) if mate[v] == -1]

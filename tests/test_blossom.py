@@ -201,10 +201,10 @@ def test_blossom_raises_when_its_duals_do_not_check(monkeypatch):
 
 
 def test_blossom_raises_on_an_asymmetric_mate(monkeypatch):
-    # a prefix that matches 2 to 3 but not 3 to 2; the first stage
-    # checks every vertex, so the pair the prefix wrote is checked too
+    # a replay that matches 2 to 3 but not 3 to 2; the first stage
+    # checks every vertex, so the pair the replay wrote is checked too
     monkeypatch.setattr(
-        blossom, "_greedy_prefix", lambda n, nbrs, top, mate, duals: mate.__setitem__(2, 3)
+        blossom, "_forest_replay", lambda n, nbrs, top, mate, duals: mate.__setitem__(2, 3)
     )
     with pytest.raises(errors.InternalError, match="not symmetric"):
         max_weight_matching_pairs(4, {(0, 1): 1}, [[1], [0], [], []])
@@ -380,163 +380,39 @@ def test_shifted_call_without_edges_returns_two_results(n):
     assert max_weight_matching_pairs(n, {}, [[] for _ in range(n)], 5) == (empty, empty)
 
 
-def _engine_state_after_prefix(n, weights, adj):
-    """mate and dualvar as _greedy_prefix leaves them, and its nbrs."""
-    maxweight = max(weights.values())
-    nbrs = [[(u, 2 * weights[min(u, v), max(u, v)]) for u in adj[v]] for v in range(n)]
-    mate, dualvar = [-1] * n, [maxweight] * n
-    blossom._greedy_prefix(n, nbrs, maxweight, mate, dualvar)
-    return mate, dualvar, nbrs
-
-
-def _hand_over_reason(n, weights, adj):
-    """Why the greedy prefix stopped, read off the state it left: the
-    first stage the loop then runs must set a T label, take a type-1 or
-    type-2 dual step, or has no two adjacent exposed vertices."""
-    mate, dualvar, nbrs = _engine_state_after_prefix(n, weights, adj)
-    exposed = [v for v in range(n) if mate[v] == -1]
-    if len({dualvar[v] for v in exposed}) > 1:
-        return "unequal exposed duals"
-    heads = [w2 for v in exposed for u, w2 in nbrs[v] if mate[u] == -1]
-    if not heads:
-        return "no exposed pair"
-    d = dualvar[exposed[0]]
-    step2 = min(
-        (d + dualvar[u] - w2 for v in exposed for u, w2 in nbrs[v] if mate[u] != -1),
-        default=None,
-    )
-    if step2 == 0:
-        return "T label"
-    if max(heads) == 2 * d:
-        return "tight exposed pair left"  # the prefix should have matched it
-    step3 = d - max(heads) // 2
-    if step2 is not None and step2 < d and step2 <= step3:
-        return "type 2"
-    if d <= step3 and (step2 is None or d <= step2):
-        return "type 1"
-    return "type 3 left"  # the prefix should have taken it
-
-
-def _results_with_and_without_prefix(monkeypatch, calls):
-    """Engine results for each (n, weights, adj, shift) call, with the
-    greedy prefix and with it replaced by a no-op."""
-    run = lambda: [max_weight_matching_pairs(*call) for call in calls]
-    replayed = run()
-    with monkeypatch.context() as m:
-        m.setattr(blossom, "_greedy_prefix", lambda *args: None)
-        plain = run()
-    return replayed, plain
-
-
-# one hand-built graph per way the greedy prefix hands over; n, edge
-# weights, and the neighbour order where it decides a tie
-HAND_OVERS = {
-    # 3-2 is matched first (largest vertex on a tight edge); then 1-2 is
-    # tight from exposed 1 to matched 2 while 0-1 is still free
-    "T label": (4, {(0, 1): 1, (1, 2): 1, (2, 3): 1}, None),
-    # 1-2 goes first; then 0 reaches matched 1 with slack 2, below the
-    # type-3 step 3 of the light edge 0-3
-    "type 2": (4, {(0, 1): 3, (1, 2): 4, (2, 3): 1, (0, 3): 1}, None),
-    # 0-1 goes first; the exposed pair 2-3 weighs 0, so the type-3 step
-    # ties the type-1 step D and the type-1 step wins
-    "type 1": (4, {(0, 1): 2, (2, 3): 0}, None),
-    # 0-1 and 2-3 tie at the head and 3-2 goes first; then 0-1
-    "no exposed pair": (4, {(0, 1): 2, (1, 2): 1, (2, 3): 2}, None),
-}
-
-
-@pytest.mark.parametrize("reason", sorted(HAND_OVERS))
-def test_greedy_prefix_hands_over_like_the_stage_loop(monkeypatch, reason):
-    n, weights, _ = HAND_OVERS[reason]
-    adj = _adjacency(n, weights)
-    assert _hand_over_reason(n, weights, adj) == reason
-    mate, _, _ = _engine_state_after_prefix(n, weights, adj)
-    assert any(u != -1 for u in mate)  # the prefix matched something
-    calls = [(n, weights, adj, None), (n, weights, adj, 1 + sum(weights.values()))]
-    replayed, plain = _results_with_and_without_prefix(monkeypatch, calls)
-    assert replayed == plain
-
-
-@pytest.mark.parametrize("order", [(3, 2, 5), (2, 5, 3), (5, 3, 2)])
-def test_greedy_prefix_breaks_head_ties_in_neighbour_order(monkeypatch, order):
-    # 6-7 (weight 9) is matched first; then three weight-5 edges from 0
-    # tie at the head, the type-3 step matches 0 to its first such
-    # neighbour in adjacency order, and the other two stay tight
-    weights = {(6, 7): 9, (0, 2): 5, (0, 3): 5, (0, 5): 5, (1, 2): 5, (3, 4): 1, (4, 5): 2}
-    n = 8
-    adj = _adjacency(n, weights)
-    adj[0] = list(order)
-    mate, _, _ = _engine_state_after_prefix(n, weights, adj)
-    assert mate[0] == order[0] and mate[6] == 7
-    calls = [(n, weights, adj, None), (n, weights, adj, 3)]
-    replayed, plain = _results_with_and_without_prefix(monkeypatch, calls)
-    assert replayed == plain
-
-
-def test_greedy_prefix_changes_no_result(monkeypatch):
-    # seeded graphs with shuffled neighbour lists, shifted and not; the
-    # no-op prefix is the engine that runs every stage in the loop
-    rng = random.Random(20261020)
-    tops = (1, 2, 10, 10**6)  # all-ones, 0..2, 0..10, 0..10**6
-    calls = []
-    for i in range(3200):
-        n = rng.randint(2, 26)
-        p = rng.uniform(0.08, 0.6)
-        top = tops[i % 4]
-        low = 1 if top == 1 else 0
-        weights = {
-            (u, v): rng.randint(low, top)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < p
-        }
-        adj = _adjacency(n, weights)
-        for row in adj:
-            rng.shuffle(row)
-        shift = None if i % 2 else 1 + sum(weights.values()) if i % 3 else rng.randint(1, 3)
-        calls.append((n, weights, adj, shift))
-    replayed, plain = _results_with_and_without_prefix(monkeypatch, calls)
-    assert replayed == plain
-    reasons = {}
-    for n, weights, adj, _ in calls:
-        if weights:
-            reason = _hand_over_reason(n, weights, adj)
-            reasons[reason] = reasons.get(reason, 0) + 1
-    assert set(reasons) == {"T label", "type 1", "type 2", "no exposed pair"}, reasons
-
-
 def _engine_state_after_replay(n, weights, adj):
-    """mate and dualvar as the greedy prefix and then the forest replay
-    leave them, and their nbrs."""
-    mate, dualvar, nbrs = _engine_state_after_prefix(n, weights, adj)
-    blossom._forest_replay(n, nbrs, mate, dualvar)
+    """mate and dualvar as the forest replay leaves them, from the empty
+    matching and every dual at the top weight, and their nbrs."""
+    top = max(weights.values())
+    nbrs = [[(u, 2 * weights[min(u, v), max(u, v)]) for u in adj[v]] for v in range(n)]
+    mate, dualvar = [-1] * n, [top] * n
+    blossom._forest_replay(n, nbrs, top, mate, dualvar)
     return mate, dualvar, nbrs
 
 
 def _replay_hand_back_reason(n, weights, adj):
     """Why the forest replay stopped, read off the state it left by a
-    scan-order-free walk through the stage the loop then runs: a tight
-    S-S edge in its first wave or in a tree a step grew, a tie or a
-    type-1 step, or an augmenting path with a T vertex that has two
-    tight S neighbours besides its mate.  None if the stage augments
-    with none of these, so the replay should have run it."""
+    scan-order-free walk through the stage the loop then runs: a tie
+    other than disjoint S-S edges in a forest without T vertices, a
+    type-1 step, or an S-S edge inside one tree.  None if the stage
+    augments with none of these, so the replay should have run it.  On
+    the way it checks that each T vertex on an augmenting path has one
+    tight S neighbour besides its mate, so that its parent does not
+    depend on the scan order."""
     mate, y, nbrs = _engine_state_after_replay(n, weights, adj)
     label = {v: 1 for v in range(n) if mate[v] == -1}  # 1 = S, 2 = T
 
-    def tight_s_s_edge(wave):
-        # label the closure of wave's S vertices under tight edges
+    def grow(wave):
+        # label what wave's S vertices reach by tight edges to unlabelled
+        # vertices; a tight S-S edge is a zero step below
         while wave:
             s = wave.pop()
             for x, w2 in nbrs[s]:
-                if y[s] + y[x] <= w2 and label.get(x) != 2:
-                    if label.get(x) == 1:
-                        return True
+                if x not in label and y[s] + y[x] <= w2:
                     label[x], label[mate[x]] = 2, 1
                     wave.append(mate[x])
-        return False
 
-    if tight_s_s_edge(list(label)):
-        return "first wave"
+    grow(list(label))
     while True:
         offers = [(max(0, min(y)), None)]  # the type-1 step
         for s in [v for v, lbl in label.items() if lbl == 1]:
@@ -544,30 +420,40 @@ def _replay_hand_back_reason(n, weights, adj):
                 if label.get(x, 0) == 0 or (label[x] == 1 and s < x):
                     slack = y[s] + y[x] - w2
                     offers.append((slack // (1 + label.get(x, 0)), (s, x)))
-        offers.sort(key=lambda offer: offer[0])
-        if len(offers) > 1 and offers[0][0] == offers[1][0]:
+        delta = min(step for step, _ in offers)
+        tied = [edge for step, edge in offers if step == delta]
+        ends = {v for edge in tied if edge for v in edge}
+        if len(tied) > 1 and (
+            None in tied
+            or 2 in label.values()
+            or any(x not in label for _, x in tied)
+            or len(ends) < 2 * len(tied)
+        ):
             return "tie"
-        delta, edge = offers[0]
-        if edge is None:
+        if tied == [None]:
             return "type 1"
         for v, lbl in label.items():
             y[v] += delta if lbl == 2 else -delta
-        s, x = edge
+        s, x = tied[0]
         if x not in label:
             label[x], label[mate[x]] = 2, 1
-            if tight_s_s_edge([mate[x]]):
-                return "blossom"
+            grow([mate[x]])
             continue
-        roots = []
-        for v in edge:
-            while mate[v] != -1:
-                t = mate[v]
-                ups = [p for p, w2 in nbrs[t] if p != v and label.get(p) == 1 and y[p] + y[t] == w2]
-                if len(ups) > 1:
-                    return "ambiguous parent"
-                v = ups[0]
-            roots.append(v)
-        return "blossom" if roots[0] == roots[1] else None
+        for s, x in tied:
+            roots = []
+            for v in (s, x):
+                while mate[v] != -1:
+                    t = mate[v]
+                    ups = [
+                        p for p, w2 in nbrs[t]
+                        if p != v and label.get(p) == 1 and y[p] + y[t] == w2
+                    ]
+                    assert len(ups) == 1, "a replayed T vertex with two tight S parents"
+                    v = ups[0]
+                roots.append(v)
+            if roots[0] == roots[1]:
+                return "blossom"
+        return None
 
 
 def _results_with_and_without_replay(monkeypatch, calls):
@@ -581,41 +467,67 @@ def _results_with_and_without_replay(monkeypatch, calls):
     return replayed, plain
 
 
-# one hand-built graph per way the forest replay hands back: n, edge
-# weights, and the stages it replays first
+# hand-built graphs, one or more per way the forest replay hands back:
+# the reason, n, edge weights, vertex 0's neighbour order where it
+# decides a tie, and the stages the replay runs first
 REPLAY_HAND_BACKS = {
-    # 3-0 is matched first; then 1-0 is tight, so 0 is T and 1-2 joins
-    # two S vertices before any dual step
-    "first wave": (4, {(0, 1): 1, (0, 3): 1, (1, 2): 1}, 0),
-    # 3-1 is matched first; the replay labels 1 T from 2, and a type-3
-    # step on 0-3 matches 0-3 and 1-2; with no vertex left exposed the
-    # next stage takes a type-1 step
-    "type 1": (4, {(0, 3): 1, (1, 2): 2, (1, 3): 2}, 1),
-    # 3-0 is matched first; the replay labels 0 T from 2 after a type-2
+    # every edge is tight at the start, and 0-1, 0-3 and 1-2 share ends
+    "first wave": ("tie", 4, {(0, 1): 1, (0, 3): 1, (1, 2): 1}, None, 0),
+    # 0-1, 0-2 and 0-3 tie at the start, so no T vertex with two tight
+    # S neighbours, whose parent the scan order would pick, ever forms
+    "ambiguous parent": (
+        "tie", 7, {(0, 1): 3, (0, 2): 3, (0, 3): 3, (3, 4): 1, (5, 6): 2}, None, 0
+    ),
+    # 6-7 is matched first; then three weight-5 edges from 0 and 1-2
+    # tie, and the loop matches 0 to its first neighbour in adjacency
+    # order; the three orders below each put a different one first
+    **{
+        f"head tie {order[0]}-{order[1]}-{order[2]}": (
+            "tie",
+            8,
+            {(6, 7): 9, (0, 2): 5, (0, 3): 5, (0, 5): 5, (1, 2): 5, (3, 4): 1, (4, 5): 2},
+            order,
+            1,
+        )
+        for order in [(3, 2, 5), (2, 5, 3), (5, 3, 2)]
+    },
+    # 0-3 is matched first; the replay labels 0 T from 2 after a type-2
     # step and matches 1-5 after a type-3 step; then the type-3 step of
     # 3-4 ties type 1, and matching 3-4 and 0-2 would gain nothing
-    "tie": (6, {(0, 2): 7, (0, 3): 9, (1, 5): 2, (3, 4): 2}, 1),
-    # 4-0 is matched first; the replay labels 4 T from 1 and matches 2-3
-    # after a type-3 step; then the type-3 step on 0-1 closes the cycle
-    # 1-4-0 inside the tree of 1
-    "blossom": (5, {(0, 1): 1, (0, 4): 3, (1, 4): 3, (2, 3): 2}, 1),
-    # 3-0 is matched first; the replay labels 0 T from 1 or 2 and
-    # matches 5-6 after a type-3 step; then the type-3 step on 3-4
-    # reaches 0, whose parent, and so the augmenting path, the scan
-    # order picks
-    "ambiguous parent": (7, {(0, 1): 3, (0, 2): 3, (0, 3): 3, (3, 4): 1, (5, 6): 2}, 1),
+    "tie": ("tie", 6, {(0, 2): 7, (0, 3): 9, (1, 5): 2, (3, 4): 2}, None, 2),
+    # 0-1 is matched first; a type-2 step labels 0 T from 2, and then
+    # 1-3 and 2-4 tie: disjoint, but 1 hangs below 2 in one tree
+    "tie below a T vertex": (
+        "tie", 5, {(0, 1): 4, (0, 2): 3, (1, 3): 2, (2, 4): 1}, None, 1
+    ),
+    # 4-5 and then 1-2 are matched; a type-2 step labels 1 T from 0, and
+    # a type-3 step on 2-3 matches 3-2 and 1-0 through the T vertex; with
+    # no vertex left exposed the next stage takes a type-1 step
+    "type 1": ("type 1", 6, {(4, 5): 6, (1, 2): 5, (0, 1): 4, (2, 3): 3}, None, 3),
+    # 6-7 is matched at the start; then 0-1, 2-3 and 4-5 tie as disjoint
+    # edges between exposed vertices, and the replay matches all three
+    "disjoint ties": (
+        "type 1",
+        8,
+        {(6, 7): 5, (0, 1): 3, (2, 3): 3, (4, 5): 3, (1, 2): 1, (3, 4): 1},
+        None,
+        4,
+    ),
+    # 1-2 is matched first; a type-2 step labels 1 T from 0, and then the
+    # type-3 step on 0-2 closes the cycle 0-1-2 inside the tree of 0
+    "blossom": ("blossom", 3, {(1, 2): 4, (0, 1): 3, (0, 2): 2}, None, 1),
 }
 
 
-@pytest.mark.parametrize("reason", list(REPLAY_HAND_BACKS))
-def test_forest_replay_hands_back_like_the_stage_loop(monkeypatch, reason):
-    n, weights, stages = REPLAY_HAND_BACKS[reason]
+@pytest.mark.parametrize("row", list(REPLAY_HAND_BACKS))
+def test_forest_replay_hands_back_like_the_stage_loop(monkeypatch, row):
+    reason, n, weights, first, stages = REPLAY_HAND_BACKS[row]
     adj = _adjacency(n, weights)
+    if first:
+        adj[0] = list(first)
     assert _replay_hand_back_reason(n, weights, adj) == reason
-    before, _, _ = _engine_state_after_prefix(n, weights, adj)
-    after, _, _ = _engine_state_after_replay(n, weights, adj)
-    assert any(u != -1 for u in before)  # the prefix matched something
-    assert before.count(-1) - after.count(-1) == 2 * stages
+    mate, _, _ = _engine_state_after_replay(n, weights, adj)
+    assert n - mate.count(-1) == 2 * stages
     calls = [(n, weights, adj, None), (n, weights, adj, 1 + sum(weights.values()))]
     replayed, plain = _results_with_and_without_replay(monkeypatch, calls)
     assert replayed == plain
@@ -676,19 +588,47 @@ def _mesh_engine_calls(draws):
         yield g.n, weights, adj, QUALITY_DENOMINATOR + sum(ints)
 
 
+def _greedy_calls(count):
+    """count seeded engine calls: n 2..26, weight tops 1, 2, 10 and
+    10**6, dense enough that heavy edges often tie at the start, every
+    neighbour list shuffled, half of the calls shifted."""
+    rng = random.Random(20261020)
+    tops = (1, 2, 10, 10**6)  # all-ones, 0..2, 0..10, 0..10**6
+    for i in range(count):
+        n = rng.randint(2, 26)
+        p = rng.uniform(0.08, 0.6)
+        top = tops[i % 4]
+        low = 1 if top == 1 else 0
+        weights = {
+            (u, v): rng.randint(low, top)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < p
+        }
+        adj = _adjacency(n, weights)
+        for row in adj:
+            rng.shuffle(row)
+        shift = None if i % 2 else 1 + sum(weights.values()) if i % 3 else rng.randint(1, 3)
+        yield n, weights, adj, shift
+
+
 def test_forest_replay_changes_no_result(monkeypatch):
-    # the no-op replay is the engine that runs every stage after the
-    # greedy prefix in the loop; the meshes are those of
-    # MESH_DUALS_SHA256, plus the 5,120-face draw with MATCHFORGE_FULL=1
+    # the no-op replay is the engine that runs every stage in the loop;
+    # the meshes are those of MESH_DUALS_SHA256, plus the 5,120-face
+    # draw with MATCHFORGE_FULL=1
     full = os.environ.get("MATCHFORGE_FULL") == "1"
-    calls = list(_replay_calls(20_000 if full else 3_200))
+    calls = list(_replay_calls(20_000 if full else 3_200)) + list(_greedy_calls(3_200))
     draws = [(1, 0.02, 1), (1, 0.1, 5), (2, 0.01, 2), (3, 0.005, 3), "torus"]
-    calls += _mesh_engine_calls(draws + [(4, 0.005, 3)] * full)
-    replayed, plain = _results_with_and_without_replay(monkeypatch, calls)
+    meshes = list(_mesh_engine_calls(draws + [(4, 0.005, 3)] * full))
+    replayed, plain = _results_with_and_without_replay(monkeypatch, calls + meshes)
     assert replayed == plain
     reasons = {}
-    for n, weights, adj, _ in calls:
+    for n, weights, adj, _ in calls + meshes:
         if weights:
             reason = _replay_hand_back_reason(n, weights, adj)
             reasons[reason] = reasons.get(reason, 0) + 1
-    assert set(reasons) == set(REPLAY_HAND_BACKS), reasons
+    assert set(reasons) == {row[0] for row in REPLAY_HAND_BACKS.values()}, reasons
+    # the stages replayed on each mesh before the first hand-back
+    for (n, weights, adj, _), least in zip(meshes, [38, 39, 101, 475, 288]):
+        mate, _, _ = _engine_state_after_replay(n, weights, adj)
+        assert n - mate.count(-1) >= 2 * least

@@ -59,32 +59,50 @@ MUTANTS = [
         "IndexError",
         id="wrong-start-parity",
     ),
-    # the forest replay takes a step that ties another candidate, or
-    # type 1, as if it were the unique least
+    # the forest replay takes the first of equal keys as the unique least
     pytest.param(
         "blossom.py",
-        "if first[0] >= (min(one",
-        "if first[0] > (min(one",
+        "if tied and heap[0][0] > tied[0][0]:",
+        "if tied and heap[0][0] >= tied[0][0]:",
         [str(TESTS / "test_blossom.py"), "-k", "test_forest_replay"],
         "test_forest_replay_hands_back_like_the_stage_loop",
         id="equal-keys-as-unique-minimum",
     ),
-    # the forest replay walks a T vertex up through its first tight S
-    # neighbour, though the scan order picks its parent among several
+    # the forest replay replays a tie of S-S edges that share a vertex
     pytest.param(
         "blossom.py",
-        "if len(ups) != 1:",
-        "if not ups:",
+        " or len(ends) < 2 * len(tied)",
+        "",
         [str(TESTS / "test_blossom.py"), "-k", "test_forest_replay"],
         "test_forest_replay_hands_back_like_the_stage_loop",
-        id="one-tight-parent-check-dropped",
+        id="shared-vertex-tie-replayed",
+    ),
+    # the forest replay replays a tie of disjoint S-S edges while a tree
+    # holds a T vertex, so two of them can climb into one tree
+    pytest.param(
+        "blossom.py",
+        "(tees or not both_s",
+        "(not both_s",
+        [str(TESTS / "test_blossom.py"), "-k", "test_forest_replay"],
+        "test_forest_replay_hands_back_like_the_stage_loop",
+        id="tie-below-a-t-vertex-replayed",
+    ),
+    # a T vertex freed by an augmentation keeps its dual minus total
+    # instead of its dual
+    pytest.param(
+        "blossom.py",
+        "tees -= 1\n                dualvar[v] += total",
+        "tees -= 1",
+        [str(TESTS / "test_blossom.py"), "-k", "test_forest_replay"],
+        "test_forest_replay_hands_back_like_the_stage_loop",
+        id="freed-t-vertex-keeps-its-lazy-dual",
     ),
     # the forest replay hands back with the duals of its last step, not
     # those the stage started from
     pytest.param(
         "blossom.py",
-        "dualvar[:] = start",
-        "del start",
+        "dualvar[v] -= start if label[v] == 1 else -start",
+        "dualvar[v] -= total if label[v] == 1 else -total",
         [str(TESTS / "test_blossom.py"), "-k", "test_forest_replay"],
         "test_forest_replay_hands_back_like_the_stage_loop",
         id="hand-back-keeps-the-step-duals",
@@ -104,11 +122,21 @@ MUTANTS = [
     # n steps raises
     pytest.param(
         "blossom.py",
-        "s = ups[0]",
-        "s = mate[t]",
+        "s, x = parent[t], t",
+        "s, x = s, t",
         [str(TESTS / "test_blossom.py"), "-k", "test_forest_replay"],
         "a replayed path does not reach its root",
         id="replayed-walk-stands-still",
+    ),
+    # the forest replay records a T vertex's parent as its tree's root,
+    # so an augmenting path skips the S-T pairs between them
+    pytest.param(
+        "blossom.py",
+        "parent[x] = s\n",
+        "parent[x] = root[s]\n",
+        [str(TESTS / "test_blossom.py"), "-k", "test_forest_replay"],
+        "test_forest_replay_changes_no_result",
+        id="parent-recorded-as-the-root",
     ),
 ]
 
