@@ -612,18 +612,27 @@ def _greedy_calls(count):
         yield n, weights, adj, shift
 
 
+def test_greedy_prefix_changes_no_result(monkeypatch):
+    # the dense-tie corpus of the greedy prefix, which the forest replay
+    # replaced: heavy edges often tie before the first stage
+    calls = list(_greedy_calls(3_200))
+    replayed, plain = _results_with_and_without_replay(monkeypatch, calls)
+    assert replayed == plain
+
+
 def test_forest_replay_changes_no_result(monkeypatch):
     # the no-op replay is the engine that runs every stage in the loop;
     # the meshes are those of MESH_DUALS_SHA256, plus the 5,120-face
     # draw with MATCHFORGE_FULL=1
     full = os.environ.get("MATCHFORGE_FULL") == "1"
-    calls = list(_replay_calls(20_000 if full else 3_200)) + list(_greedy_calls(3_200))
+    calls = list(_replay_calls(20_000 if full else 3_200))
     draws = [(1, 0.02, 1), (1, 0.1, 5), (2, 0.01, 2), (3, 0.005, 3), "torus"]
     meshes = list(_mesh_engine_calls(draws + [(4, 0.005, 3)] * full))
     replayed, plain = _results_with_and_without_replay(monkeypatch, calls + meshes)
     assert replayed == plain
+    # every way to hand back shows up in the corpora
     reasons = {}
-    for n, weights, adj, _ in calls + meshes:
+    for n, weights, adj, _ in calls + list(_greedy_calls(3_200)) + meshes:
         if weights:
             reason = _replay_hand_back_reason(n, weights, adj)
             reasons[reason] = reasons.get(reason, 0) + 1
